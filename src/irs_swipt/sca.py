@@ -10,21 +10,23 @@ original secrecy constraint and every surrogate objective a lower bound that
 is tight at the expansion point, so the true harvested power never decreases.
 
 The beamformer surrogate (a linear objective over the power ball intersected
-with one convex quadratic) is solved by a dedicated log-barrier Newton method
-in noise-normalized coordinates; no semidefinite machinery is involved.
+with one convex quadratic whose quadratic part is rank one) is solved exactly
+through its Lagrange dual in noise-normalized coordinates: Sherman-Morrison
+reduces the Lagrangian maximizer to scalar arithmetic, Newton finds the ball
+multiplier and bisection the secrecy multiplier.  The phase step's majorizer
+lambda_max(A) of the rank-two A comes from a 2x2 eigenproblem.  No
+semidefinite or iterative matrix machinery is involved.
 """
 
+import math
 import time
 from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailure, PhaseStepInfeasible
-from .init import feasibility_probe, initial_phase_profile, max_sr_beamformer
-from .linalg import max_eigval
-from .metrics import Beamformer, PhaseProfile, SolveResult, harvested_power, secrecy_rate
-
-BARRIER_MU = 20.0
-MAX_NEWTON = 60
+from .init import feasibility_probe, initial_phase_profile
+from .metrics import (POWER_SLACK_TOL, Beamformer, PhaseProfile, SolveResult, harvested_power,
+                      secrecy_rate)
 
 
 @dataclass
@@ -50,6 +52,21 @@ class PhaseSubproblemData:
     c2: float
 
 
+def _rank_two_max_eigval(gain, c, b):
+    """Largest eigenvalue of A = gain c c^H - b b^H = U D U^H, U = [c, b],
+    D = diag(gain, -1).  Its nonzero eigenvalues are those of the 2x2 matrix
+    D U^H U, with trace t and determinant -r <= 0 (b_perp: b orthogonal to c),
+    one of each sign; the other N - 2 are 0.  For N = 1, A is the scalar t.
+    """
+    cc = float(np.real(np.vdot(c, c)))
+    t = gain * cc - float(np.real(np.vdot(b, b)))
+    if c.shape[0] == 1:
+        return t
+    b_perp = b - c * (np.vdot(c, b) / cc) if cc > 0 else b
+    r = gain * cc * float(np.real(np.vdot(b_perp, b_perp)))
+    return 0.5 * (t + math.sqrt(t * t + 4.0 * r))
+
+
 def build_phase_data(w, u_prev, channels, cfg):
     """Assemble the phase-subproblem coefficients for a fixed beamformer."""
     w = np.asarray(getattr(w, "w", w), dtype=complex)
@@ -65,14 +82,14 @@ def build_phase_data(w, u_prev, channels, cfg):
     c, gamma = ew[:n], complex(ew[n])
 
     A = gain * np.outer(c, c.conj()) - np.outer(b, b.conj())
-    lam = max_eigval(A)
-    m_minus_a = lam * np.eye(n) - A
+    lam = _rank_two_max_eigval(gain, c, b)
+    m_minus_a_u = lam * ut - A @ ut  # (lambda_max I - A) u_prev
 
     au = complex(a.conj() @ ut)  # a^H u_prev
     d = a * au + a * np.conj(alpha)
     c1 = abs(alpha) ** 2 - abs(au) ** 2
-    f = m_minus_a @ ut + (b * np.conj(beta) - gain * c * np.conj(gamma))
-    c2 = (n * lam + float(np.real(ut.conj() @ m_minus_a @ ut))
+    f = m_minus_a_u + (b * np.conj(beta) - gain * c * np.conj(gamma))
+    c2 = (n * lam + float(np.real(ut.conj() @ m_minus_a_u))
           + gain * (abs(gamma) ** 2 + cfg.sigma2_w) - abs(beta) ** 2 - cfg.sigma2_w)
     return PhaseSubproblemData(a=a, b=b, c=c, alpha=alpha, beta=beta, gamma=gamma,
                                A=A, lambda_max_A=lam, d=d, f=f, c1=c1, c2=c2)
@@ -137,14 +154,20 @@ def _reals(z):
     return np.concatenate([z.real, z.imag])
 
 
+def _complex(x):
+    m = x.shape[0] // 2
+    return x[:m] + 1j * x[m:]
+
+
 class _WSurrogate:
-    """The beamformer surrogate program in noise-normalized real coordinates.
+    """The beamformer surrogate program in noise-normalized coordinates.
 
     maximize   2 Re(x^H q)                     (q = g_r g_r^H x_prev)
     subject to ||x||^2 <= 1
                2^r0 |g_e^H x|^2 - 2 Re(x^H p) + kappa <= 0
 
-    with x = w / sqrt(Ps) and channels scaled by sqrt(Ps)/sigma.
+    with x = w / sqrt(Ps) and channels scaled by sqrt(Ps)/sigma.  f1, f2 and
+    objective take the real embedding [Re x; Im x].
     """
 
     def __init__(self, v, w_prev, channels, cfg):
@@ -158,127 +181,114 @@ class _WSurrogate:
         self.q = self.g_r * complex(self.g_r.conj() @ self.x_prev)
         self.p = self.g_b * tb
         self.kappa = self.gain - 1.0 + abs(tb) ** 2
-        # real embedding
-        self.c = 2.0 * _reals(self.q)
-        self.p_r = _reals(self.p)
-        self.e1 = _reals(self.g_e)
-        self.e2 = np.concatenate([-self.g_e.imag, self.g_e.real])
 
     def f1(self, x):
         return float(x @ x) - 1.0
 
     def f2(self, x):
-        quad = (self.e1 @ x) ** 2 + (self.e2 @ x) ** 2
-        return self.gain * quad - 2.0 * float(self.p_r @ x) + self.kappa
+        x = _complex(x)
+        return (self.gain * abs(np.vdot(self.g_e, x)) ** 2
+                - 2.0 * float(np.real(np.vdot(self.p, x))) + self.kappa)
 
     def objective(self, x):
-        return float(self.c @ x)
-
-    def strictly_feasible(self, x):
-        margin = 1e-10 * (1.0 + abs(self.kappa))
-        return self.f1(x) < -1e-12 and self.f2(x) < -margin
+        return 2.0 * float(np.real(np.vdot(self.q, _complex(x))))
 
 
-def _barrier_solve(sur, x0, tol):
-    """Log-barrier Newton method on the surrogate; x0 must be strictly feasible."""
-    dim = x0.shape[0]
-    cn = np.linalg.norm(sur.c)
-    if cn < 1e-30:
-        return x0
-    c_hat = sur.c / cn
-    x = x0.copy()
-    t = 1.0
-    two_i = 2.0 * np.eye(dim)
-    while True:
-        for _ in range(MAX_NEWTON):
-            s1 = -sur.f1(x)
-            s2 = -sur.f2(x)
-            g1 = 2.0 * x
-            g2 = 2.0 * sur.gain * ((sur.e1 @ x) * sur.e1 + (sur.e2 @ x) * sur.e2) \
-                - 2.0 * sur.p_r
-            grad = -t * c_hat + g1 / s1 + g2 / s2
-            hess = (two_i / s1 + np.outer(g1, g1) / s1 ** 2
-                    + 2.0 * sur.gain * (np.outer(sur.e1, sur.e1)
-                                        + np.outer(sur.e2, sur.e2)) / s2
-                    + np.outer(g2, g2) / s2 ** 2)
-            try:
-                step = np.linalg.solve(hess, -grad)
-            except np.linalg.LinAlgError:
-                step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
-            decrement = float(-grad @ step)
-            if decrement <= 0:
-                break
-            alpha = 1.0
-            phi0 = -t * float(c_hat @ x) - np.log(s1) - np.log(s2)
-            for _ in range(60):
-                xn = x + alpha * step
-                if sur.f1(xn) < 0 and sur.f2(xn) < 0:
-                    phin = -t * float(c_hat @ xn) - np.log(-sur.f1(xn)) - np.log(-sur.f2(xn))
-                    if phin <= phi0 - 0.25 * alpha * decrement:
-                        break
-                alpha *= 0.5
-            else:
-                break
-            x = x + alpha * step
-            if decrement * 0.5 <= 1e-12:
-                break
-        if 2.0 / t <= tol * (1.0 + abs(float(c_hat @ x))):
-            return x
-        t *= BARRIER_MU
+def _ball_multiplier(a, b, c):
+    """Root lam >= 0 of ||x||^2 = a/lam^2 + b/(lam + c)^2 = 1 (0 if the ball is
+    inactive).  1/||x|| is concave increasing in lam, so Newton on it climbs
+    monotonically from the lower bound max(sqrt(a), sqrt(b) - c) to the root."""
+    if a == 0.0:
+        return max(math.sqrt(b) - c, 0.0)
+    lam = max(math.sqrt(a), math.sqrt(b) - c)
+    for _ in range(100):
+        e1, e2 = a / lam ** 2, b / (lam + c) ** 2
+        phi = e1 + e2
+        step = phi * (math.sqrt(phi) - 1.0) / (e1 / lam + e2 / (lam + c))
+        if step <= 4e-16 * lam:
+            break
+        lam += step
+    return lam
 
 
-def _surrogate_interior(sur, rho=1.0 - 1e-6):
-    """Minimizer of the surrogate secrecy quadratic over the shrunk power ball.
+def _dual_solve(sur, tol, slack, floor):
+    """Exact surrogate maximizer via the multipliers lam1 (power ball) and lam2
+    (secrecy constraint); None when no lam2 brings the constraint value below
+    -slack, i.e. the surrogate has no interior beyond rounding.
 
-    The quadratic part is rank-one (gain * g_e g_e^H), so the ridge-regularized
-    stationary point has a Sherman-Morrison closed form and the ball multiplier
-    is found by bisection on the monotone norm ||x(nu)||.  Returns the real
-    embedding, or None when even the minimum cannot go strictly negative (the
-    surrogate then has no interior and no progress is possible).
+    The Lagrangian maximizer x = (lam1 I + lam2 k g g^H)^-1 (q + lam2 p), with
+    g = g_e/||g_e|| and k = 2^r0 ||g_e||^2, is r_perp/lam1 + s g by
+    Sherman-Morrison (r_perp: the part of q + lam2 p orthogonal to g), so
+    ||x||^2 and the constraint value are scalar arithmetic.  The constraint
+    value at x(lam2) is minus the slope of the convex dual function, hence
+    non-increasing: lam2 = 0 if x(0) = q/||q|| meets it, else lam2 is bisected
+    to relative width tol, keeping the feasible end (Boyd & Vandenberghe,
+    Convex Optimization, 5.2 and B.1).  Past that width bisection goes on, to
+    rounding at most, while the objective at the feasible end is below floor
+    (the value at the expansion point, which the optimum cannot be below).
     """
-    p = sur.p
-    if np.linalg.norm(p) < 1e-300:
-        return None
-    ge = sur.g_e
-    gn2 = sur.gain * float(np.real(ge.conj() @ ge))
-    gp = sur.gain * complex(ge.conj() @ p)
-
-    def x_of(nu):
-        return (p - ge * (gp / (nu + gn2))) / nu
-
-    def norm_of(nu):
-        with np.errstate(over="ignore"):  # inf is a valid "outside the ball" answer
-            return float(np.linalg.norm(x_of(nu)))
-
-    nu_lo, nu_hi = 1e-120, 1.0
-    while norm_of(nu_hi) > rho:
-        nu_hi *= 4.0
-        if nu_hi > 1e150:
-            return None
-    if norm_of(nu_lo) <= rho:
-        x = x_of(nu_lo)
+    q, p = sur.q, sur.p
+    gn = float(np.linalg.norm(sur.g_e))
+    g = sur.g_e / gn if gn > 0 else np.zeros_like(q)
+    gq, gp = complex(np.vdot(g, q)), complex(np.vdot(g, p))
+    if q.shape[0] == 1 and gn > 0:  # g spans the whole space
+        q_perp = p_perp = np.zeros_like(q)
     else:
-        for _ in range(200):
-            mid = np.sqrt(nu_lo * nu_hi)
-            if norm_of(mid) > rho:
-                nu_lo = mid
+        q_perp, p_perp = q - gq * g, p - gp * g
+    qq = float(np.real(np.vdot(q_perp, q_perp)))
+    pp = float(np.real(np.vdot(p_perp, p_perp)))
+    qp = float(np.real(np.vdot(q_perp, p_perp)))
+    k = sur.gain * gn * gn
+
+    def at(lam2):
+        """(1/lam1, or 0 when r_perp = 0; s; constraint value; objective) at x(lam2)."""
+        a = gq + lam2 * gp
+        c = lam2 * k
+        perp2 = max(qq + lam2 * (2.0 * qp + lam2 * pp), 0.0)
+        lam1 = _ball_multiplier(perp2, abs(a) ** 2, c)
+        t = 1.0 / lam1 if perp2 > 0.0 else 0.0
+        s = a / (lam1 + c) if a != 0 else 0j
+        h = (k * abs(s) ** 2 - 2.0 * (t * (qp + lam2 * pp) + (gp.conjugate() * s).real)
+             + sur.kappa)
+        return t, s, h, 2.0 * (t * (qq + lam2 * qp) + (gq.conjugate() * s).real)
+
+    lam2, best = 0.0, at(0.0)
+    if best[2] > 0.0:
+        scale = math.sqrt(pp + abs(gp) ** 2) + k  # ||p|| + k
+        hi = math.sqrt(qq + abs(gq) ** 2) / scale if scale > 0.0 else 0.0
+        if hi == 0.0:  # p = g_e = 0 leaves the constraint value constant
+            return None
+        lo = 0.0
+        # past 1e17 times the scale ||q|| / (||p|| + k), q is below the
+        # rounding of q + lam2 p and x(lam2) no longer moves
+        cap = 1e17 * hi
+        best = at(hi)
+        while best[2] > -slack:
+            if best[2] > 0.0:
+                lo = hi
+            hi *= 2.0
+            if hi > cap:
+                return None
+            best = at(hi)
+        while hi - lo > tol * hi or (best[3] < floor and hi - lo > 1e-15 * hi):
+            mid = 0.5 * (lo + hi)
+            cand = at(mid)
+            if cand[2] > 0.0:
+                lo = mid
             else:
-                nu_hi = mid
-            if nu_hi / nu_lo < 1.0 + 1e-12:
-                break
-        x = x_of(nu_hi)
-    xr = _reals(x)
-    if not sur.strictly_feasible(xr):
-        return None
-    return xr
+                hi, best = mid, cand
+        lam2 = hi
+    t, s = best[:2]
+    x = t * (q_perp + lam2 * p_perp) + s * g
+    return x / max(1.0, float(np.linalg.norm(x)))
 
 
 def sca_w_step(v, w_prev, channels, cfg):
     """One surrogate beamformer maximization at expansion point w_prev.
 
     The output never lowers the true objective |v^H H_r w|^2 (the surrogate is
-    tight at w_prev and a global lower bound).  When the surrogate feasible set
-    has no interior to move in, w_prev is returned unchanged; NumericalFailure
+    tight at w_prev and a global lower bound).  When no point of the surrogate
+    feasible set ascends, w_prev is returned unchanged; NumericalFailure
     signals an infeasible expansion point, which cannot happen for feasible
     w_prev.
     """
@@ -287,35 +297,19 @@ def sca_w_step(v, w_prev, channels, cfg):
     sur = _WSurrogate(v, w_prev, channels, cfg)
     if np.linalg.norm(sur.q) < 1e-300:
         return Beamformer(w_prev)
-    # the expansion point sits on the power sphere after the first step; clip
-    # roundoff excursions so convex blending keeps every f_i non-positive
-    nrm = np.linalg.norm(sur.x_prev)
-    if nrm > 1.0:
-        sur.x_prev = sur.x_prev / nrm
-
-    x0 = _reals(sur.x_prev)
-    if sur.f2(x0) > 1e-9 * (1.0 + abs(sur.kappa)):
+    x_prev = _reals(sur.x_prev)
+    slack = 1e-9 * (1.0 + abs(sur.kappa))
+    if sur.f2(x_prev) > slack:
         raise NumericalFailure("expansion point violates the secrecy constraint")
-    if not sur.strictly_feasible(x0):
-        interior = _surrogate_interior(sur)
-        if interior is None:
-            return Beamformer(w_prev)
-        start = None
-        for theta in (1e-4, 1e-3, 1e-2, 0.1, 0.5, 1.0):
-            cand = (1.0 - theta) * x0 + theta * interior
-            if sur.strictly_feasible(cand):
-                start = cand
-                break
-        if start is None:
-            start = interior
-        x0 = start
 
-    x = _barrier_solve(sur, x0, cfg.qcqp_tol)
-    if sur.objective(x) < sur.objective(_reals(sur.x_prev)):
+    floor = sur.objective(x_prev)
+    x = _dual_solve(sur, cfg.qcqp_tol, slack, floor)
+    if x is None:
         return Beamformer(w_prev)
-    m = w_prev.shape[0]
-    w = (x[:m] + 1j * x[m:]) * np.sqrt(cfg.ps_w)
-    return Beamformer(w)
+    xr = _reals(x)
+    if sur.f1(xr) > POWER_SLACK_TOL or sur.f2(xr) > slack or sur.objective(xr) < floor:
+        return Beamformer(w_prev)
+    return Beamformer(x * np.sqrt(cfg.ps_w))
 
 
 def _true_w_objective(v, w, channels):

@@ -3,10 +3,12 @@ import pytest
 
 from irs_swipt.channel import ChannelSet, ScenarioConfig, generate_scenario
 from irs_swipt.errors import PhaseStepInfeasible
-from irs_swipt.init import feasibility_probe, initial_phase_profile
+from irs_swipt.init import feasibility_probe, initial_phase_profile, max_sr_beamformer
+from irs_swipt.linalg import max_eigval
 from irs_swipt.metrics import PhaseProfile, check_feasible, harvested_power
-from irs_swipt.sca import (PhaseSubproblemData, _WSurrogate, _reals, bisect_mu,
-                           build_phase_data, sca_ao, sca_w_step, u_of_mu)
+from irs_swipt.sca import (PhaseSubproblemData, _WSurrogate, _ball_multiplier, _reals,
+                           _rank_two_max_eigval, bisect_mu, build_phase_data, sca_ao,
+                           sca_w_step, u_of_mu)
 from irs_swipt.sdr import randomize_w, solve_w_sdp
 
 DESK = dict(d_ap_bob=10.0, d_ap_eve=20.0, d_ap_ehr=6.0,
@@ -22,6 +24,40 @@ def no_eve_channels(cfg):
 
 def true_objective(v, w, channels):
     return abs(np.vdot(v, channels.H_r @ w)) ** 2
+
+
+def surrogate_values(sur, X):
+    """Objective, ||x||^2 - 1 and secrecy-constraint value of each row of X."""
+    obj = 2.0 * np.real(X @ sur.q.conj())
+    f1 = np.sum(np.abs(X) ** 2, axis=1) - 1.0
+    f2 = (sur.gain * np.abs(X @ sur.g_e.conj()) ** 2
+          - 2.0 * np.real(X @ sur.p.conj()) + sur.kappa)
+    return obj, f1, f2
+
+
+def assert_step_optimal(v, w_prev, channels, cfg, rng, samples=2000):
+    """The step's output is feasible for the surrogate at w_prev, ascends, and
+    no random feasible point of the surrogate near it or in the ball beats it."""
+    sur = _WSurrogate(v, w_prev, channels, cfg)
+    x = sca_w_step(v, w_prev, channels, cfg).w / np.sqrt(cfg.ps_w)
+    best = sur.objective(_reals(x))
+    assert sur.f1(_reals(x)) <= 1e-12
+    assert sur.f2(_reals(x)) <= 1e-12 * (1.0 + abs(sur.kappa))
+    # x went through w = sqrt(Ps) x and back, which may cost an ulp
+    assert best >= sur.objective(_reals(sur.x_prev)) * (1.0 - 1e-14)
+
+    m = x.shape[0]
+    z = rng.standard_normal((samples, m)) + 1j * rng.standard_normal((samples, m))
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    near = x + np.logspace(-7, 0, samples // 2)[:, None] * z[: samples // 2]
+    ball = z[samples // 2:] * rng.random((samples - samples // 2, 1)) ** (1.0 / (2 * m))
+    X = np.vstack([near, ball])
+    X /= np.maximum(1.0, np.linalg.norm(X, axis=1, keepdims=True))
+    obj, f1s, f2s = surrogate_values(sur, X)
+    feasible = (f1s <= 0.0) & (f2s <= 0.0)
+    assert feasible.sum() >= 50
+    assert obj[feasible].max() <= best + 1e-8 * abs(best)
+    return sur, x
 
 
 class TestScaWStep:
@@ -111,6 +147,132 @@ class TestScaWStep:
             assert true_objective(v, w, ch) >= sdr_val * 0.98
         assert checked == 50
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_step_is_surrogate_optimal(self, m):
+        # the first expansion point is the max-SR beamformer; the third lies
+        # where the previous surrogate steps left it, usually on the boundary
+        rng = np.random.default_rng(40 + m)
+        checked = 0
+        for seed in range(12):
+            cfg = ScenarioConfig(M=m, N=3, seed=seed, **DESK)
+            ch = generate_scenario(cfg)
+            u = PhaseProfile(np.exp(2j * np.pi * rng.random(3)))
+            w, sr_max = max_sr_beamformer(u.v, ch, cfg)
+            if sr_max < 0.5:
+                continue
+            for frac in (0.3, 0.9):
+                cfg_r = cfg.with_updates(r0=frac * sr_max)
+                w_prev = w
+                for _ in range(3):
+                    _, x = assert_step_optimal(u.v, w_prev, ch, cfg_r, rng)
+                    w_prev = x * np.sqrt(cfg.ps_w)
+                checked += 1
+        assert checked >= 8
+
+    def test_eve_free_channels(self):
+        # g_e = 0: the secrecy surrogate is a half-space and g/||g|| is undefined
+        rng = np.random.default_rng(50)
+        for seed in range(4):
+            cfg = ScenarioConfig(M=3, N=4, seed=seed, **DESK)
+            ch = no_eve_channels(cfg)
+            u = initial_phase_profile(cfg)
+            w, sr_max = max_sr_beamformer(u.v, ch, cfg)
+            cfg = cfg.with_updates(r0=0.95 * sr_max)
+            sur, _ = assert_step_optimal(u.v, w, ch, cfg, rng)
+            assert np.all(sur.g_e == 0)
+
+    def test_single_antenna(self):
+        rng = np.random.default_rng(51)
+        found = 0
+        for seed in range(10):
+            cfg = ScenarioConfig(M=1, N=2, seed=seed, **DESK)
+            ch = generate_scenario(cfg)
+            u = initial_phase_profile(cfg)
+            w, sr_max = max_sr_beamformer(u.v, ch, cfg)
+            if sr_max < 0.5:
+                continue
+            found += 1
+            cfg = cfg.with_updates(r0=0.5 * sr_max)
+            _, x = assert_step_optimal(u.v, 0.6 * w, ch, cfg, rng)
+            assert abs(x[0]) == pytest.approx(1.0, rel=1e-12)
+        assert found >= 2
+
+    def test_single_antenna_inactive_ball(self):
+        # unit noise and power: the surrogate's secrecy disk |x - p/k|^2 <= |p|^2/k^2 - kappa/k
+        # lies inside the unit disk, so the ball multiplier is 0 and the optimum is
+        # the disk's far point along q
+        cfg = ScenarioConfig(M=1, N=0, ps_w=1.0, sigma2_w=1.0, r0=np.log2(1.5))
+        ch = ChannelSet(G=np.zeros((0, 1)), h_ab=np.array([3.0 * np.exp(0.4j)]),
+                        h_ah=np.array([1.0 - 0.5j]), h_ae=np.array([2.0 * np.exp(-1.1j)]),
+                        h_ib=np.zeros(0), h_ih=np.zeros(0), h_ie=np.zeros(0))
+        v = np.ones(1, dtype=complex)
+        w_prev = np.array([0.45 * np.exp(0.7j)])
+        sur = _WSurrogate(v, w_prev, ch, cfg)
+        k = sur.gain * abs(sur.g_e[0]) ** 2
+        z0 = sur.p[0] / k
+        rho = np.sqrt(abs(z0) ** 2 - sur.kappa / k)
+        expected = z0 + rho * sur.q[0] / abs(sur.q[0])
+        assert abs(expected) < 0.95
+        step = sca_w_step(v, w_prev, ch, cfg).w
+        assert step[0] == pytest.approx(expected, rel=1e-7)
+
+    def test_slack_constraint_gives_normalized_q(self):
+        cfg = ScenarioConfig(M=4, N=3, seed=1, r0=1e-3, **DESK)
+        ch = generate_scenario(cfg)
+        u = initial_phase_profile(cfg)
+        _, w, _ = feasibility_probe(ch, cfg, u)
+        sur = _WSurrogate(u.v, w, ch, cfg)
+        step = sca_w_step(u.v, w, ch, cfg).w
+        q_hat = sur.q / np.linalg.norm(sur.q)
+        assert sur.f2(_reals(q_hat)) < -0.5 * (1.0 + sur.kappa)  # the ball maximizer is feasible
+        assert np.allclose(step, np.sqrt(cfg.ps_w) * q_hat, rtol=0, atol=1e-12 * np.sqrt(cfg.ps_w))
+
+    def test_no_interior_returns_w_prev(self):
+        # unit noise and power, Bob on the first antenna, no Eve, r0 = log2(1 + |h_ab|^2):
+        # the surrogate 2 - 2 Re(x_1) <= 0 meets the ball only at x_prev = e_1
+        cfg = ScenarioConfig(M=2, N=0, ps_w=1.0, sigma2_w=1.0, r0=1.0)
+        ch = ChannelSet(G=np.zeros((0, 2)), h_ab=np.array([1.0, 0.0]),
+                        h_ah=np.array([1.0, 1.0j]), h_ae=np.zeros(2),
+                        h_ib=np.zeros(0), h_ih=np.zeros(0), h_ie=np.zeros(0))
+        v = np.ones(1, dtype=complex)
+        w_prev = np.array([1.0, 0.0], dtype=complex)
+        assert np.array_equal(sca_w_step(v, w_prev, ch, cfg).w, w_prev)
+        # single antenna at the maximum secrecy rate: the true feasible set is
+        # the full-power circle, so the convex surrogate holds x_prev alone
+        base = ScenarioConfig(M=1, N=2, seed=1, **DESK)
+        ch = generate_scenario(base)
+        u = initial_phase_profile(base)
+        w, sr_max = max_sr_beamformer(u.v, ch, base)
+        cfg = base.with_updates(r0=sr_max)
+        assert np.allclose(sca_w_step(u.v, w, ch, cfg).w, w, rtol=0, atol=1e-14 * abs(w[0]))
+
+    def test_expansion_point_on_boundary(self):
+        rng = np.random.default_rng(52)
+        cfg = ScenarioConfig(M=3, N=4, seed=6, **DESK)
+        ch = generate_scenario(cfg)
+        u = initial_phase_profile(cfg)
+        w, sr_max = max_sr_beamformer(u.v, ch, cfg)
+        cfg = cfg.with_updates(r0=0.9 * sr_max)
+        for _ in range(8):
+            w = sca_w_step(u.v, w, ch, cfg).w
+        sur = _WSurrogate(u.v, w, ch, cfg)
+        assert abs(sur.f2(_reals(sur.x_prev))) <= 1e-7 * (1.0 + sur.kappa)
+        assert np.linalg.norm(sur.x_prev) == pytest.approx(1.0, rel=1e-12)
+        assert_step_optimal(u.v, w, ch, cfg, rng)
+
+
+class TestBallMultiplier:
+    def test_root_of_secular_equation(self):
+        rng = np.random.default_rng(53)
+        for _ in range(200):
+            a, b, c = rng.random(3) * np.array([1.0, 4.0, 2.0])
+            lam = _ball_multiplier(a, b, c)
+            assert a / lam ** 2 + b / (lam + c) ** 2 == pytest.approx(1.0, rel=1e-13)
+
+    def test_inactive_ball_without_orthogonal_part(self):
+        assert _ball_multiplier(0.0, 1.0, 2.0) == 0.0
+        assert _ball_multiplier(0.0, 9.0, 1.0) == pytest.approx(2.0)
+
 
 class TestBuildPhaseData:
     def make(self, seed=7, n=5):
@@ -142,6 +304,33 @@ class TestBuildPhaseData:
         data = build_phase_data(w, u, nb, cfg)
         assert np.allclose(data.A, 0)
         assert np.allclose(data.f, 0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 24])
+    def test_lambda_max_matches_eigensolver(self, n):
+        for seed in range(3):
+            cfg, ch, u, w = self.make(seed=seed, n=n)
+            data = build_phase_data(w, u, ch, cfg)
+            scale = np.linalg.norm(data.A)
+            assert abs(data.lambda_max_A - max_eigval(data.A)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 24])
+    def test_rank_two_max_eigval_special_pairs(self, n):
+        rng = np.random.default_rng(60 + n)
+        c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        zero = np.zeros(n, dtype=complex)
+        for gain in (1.0, 2.0 ** 3):
+            pairs = {"generic": (c, b), "strong b": (c, 3.0 * b),
+                     "b parallel c": (c, (0.6 - 0.8j) * c),
+                     "b parallel c, zero trace": (c, np.sqrt(gain) * (0.6 - 0.8j) * c),
+                     "b zero": (c, zero), "c zero": (zero, c)}
+            for name, (cc, bb) in pairs.items():
+                A = gain * np.outer(cc, cc.conj()) - np.outer(bb, bb.conj())
+                lam = _rank_two_max_eigval(gain, cc, bb)
+                scale = gain * np.vdot(cc, cc).real + np.vdot(bb, bb).real
+                assert abs(lam - max_eigval(A)) <= 1e-12 * scale, name
+        if n == 1:  # a negative scalar stays negative
+            assert _rank_two_max_eigval(1.0, c, 2.0 * c) < 0
 
     def test_objective_minorant_random_profiles(self):
         rng = np.random.default_rng(9)
