@@ -20,6 +20,6 @@ from .metrics import (Beamformer, FeasibilityReport, PhaseProfile, SolveResult, 
 from .oracle import GridSpec, grid_search_joint, grid_search_phases
 from .sca import PhaseSubproblemData, bisect_mu, build_phase_data, sca_ao, sca_w_step, u_of_mu
 from .sdp import SdpProblem, SdpSolution, embed_complex, solve_sdp
-from .sdr import SdrIterate, randomize_v, randomize_w, sdr_ao, solve_v_sdp, solve_w_sdp
+from .sdr import randomize_v, randomize_w, sdr_ao, solve_v_sdp, solve_w_sdp
 
 __version__ = "0.1.0"

@@ -86,6 +86,8 @@ class ScenarioConfig:
             raise InvalidInput("zeta must be in (0, 1]")
         if self.r0 <= 0:
             raise InvalidInput("r0 must be > 0")
+        if self.max_outer_iters < 1:
+            raise InvalidInput("max_outer_iters must be >= 1")
         if self.init_phases not in ("zero", "random"):
             raise InvalidInput("init_phases must be 'zero' or 'random'")
 

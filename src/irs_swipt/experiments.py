@@ -11,7 +11,6 @@ order in generate_scenario.
 
 import json
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -21,8 +20,8 @@ import numpy as np
 
 from .channel import ScenarioConfig, generate_scenario
 from .errors import InvalidInput
-from .init import feasibility_probe, initial_phase_profile
-from .metrics import Beamformer, PhaseProfile, SolveResult, harvested_power, secrecy_rate
+from .init import alternate
+from .metrics import PhaseProfile, harvested_power
 from .sca import sca_ao, sca_w_step
 from .sdr import sdr_ao
 from .svg import write_chart
@@ -93,26 +92,13 @@ class ResultRow:
 
 def optimize_w_fixed_profile(channels, cfg, u):
     """Beamformer-only ascent for a frozen profile (baseline arm)."""
-    t0 = time.perf_counter()
-    ok, w, sr_max = feasibility_probe(channels, cfg, u)
-    if not ok:
-        return SolveResult(w=Beamformer(w), u=u, harvested_trace=[], achieved_sr=sr_max,
-                           status="Infeasible", wall_clock=time.perf_counter() - t0)
-    v = u.v
-    trace = [harvested_power(w, u, channels, cfg.zeta)]
-    status = "MaxIters"
-    iters = 0
-    for _ in range(cfg.max_inner_w):
-        iters += 1
-        w = sca_w_step(v, w, channels, cfg).w
-        trace.append(harvested_power(w, u, channels, cfg.zeta))
-        if trace[-1] > 0 and (trace[-1] - trace[-2]) / trace[-1] < cfg.inner_tol:
-            status = "Converged"
-            break
-    return SolveResult(w=Beamformer(w), u=u, harvested_trace=trace,
-                       achieved_sr=secrecy_rate(w, u, channels, cfg.sigma2_w),
-                       status=status, iters_outer=iters, iters_inner_w=iters,
-                       wall_clock=time.perf_counter() - t0)
+    def step(state, counts):
+        w, u = state
+        counts["w"] += 1
+        w = sca_w_step(u.v, w, channels, cfg).w
+        return (w, u), harvested_power(w, u, channels, cfg.zeta)
+
+    return alternate(channels, cfg, u, step, cfg.inner_tol, cfg.max_inner_w)
 
 
 def _point_config(base, mode, value):

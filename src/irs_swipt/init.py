@@ -1,11 +1,16 @@
-"""Initialization shared by both alternating-optimization solvers: the starting
-phase profile and the full-power secrecy-maximizing beamformer used as a
-feasibility probe and as a strictly feasible starting point."""
+"""What the alternating-optimization solvers share: the starting phase
+profile, the full-power secrecy-maximizing beamformer used as a feasibility
+probe and as a strictly feasible starting point, and the alternation loop
+that sdr_ao, sca_ao and the beamformer-only baselines all run."""
+
+import time
 
 import numpy as np
 
 from .linalg import herm_eig
-from .metrics import PhaseProfile
+from .metrics import Beamformer, PhaseProfile, SolveResult, harvested_power, secrecy_rate
+
+MAX_RESTARTS = 2
 
 
 def initial_phase_profile(cfg, rng=None):
@@ -43,3 +48,47 @@ def feasibility_probe(channels, cfg, u0):
     the initial profile, and the probing beamformer."""
     w, sr_max = max_sr_beamformer(u0.v, channels, cfg)
     return sr_max >= cfg.r0, w, sr_max
+
+
+def alternate(channels, cfg, u, step, eps, max_iters, recover=None):
+    """Repeat ``state, value = step(state, counts)`` from the probe's (w, u)
+    until the trace's relative increase drops below eps (Converged) or for
+    max_iters steps (MaxIters); Infeasible with an empty trace if the probe
+    cannot meet the secrecy target at u.  step adds its inner beamformer and
+    phase steps to counts["w"] and counts["u"].
+
+    Without recover the state is the (w, u) pair and the trace starts at its
+    harvested power.  With recover the state is a relaxation, so the trace
+    holds step values only; recover(state, trace[-1]) returns a rank-one
+    (w, u) pair and whether to restart from it (at most MAX_RESTARTS times;
+    the step count carries over).
+    """
+    t_start = time.perf_counter()
+    ok, w, sr_max = feasibility_probe(channels, cfg, u)
+    if not ok:
+        return SolveResult(w=Beamformer(w), u=u, harvested_trace=[], achieved_sr=sr_max,
+                           status="Infeasible", wall_clock=time.perf_counter() - t_start)
+    state = (w, u)
+    trace = [harvested_power(w, u, channels, cfg.zeta)] if recover is None else []
+    counts = {"w": 0, "u": 0}
+    it = 0
+    for _ in range(1 + MAX_RESTARTS):
+        status = "MaxIters"
+        while it < max_iters:
+            it += 1
+            state, value = step(state, counts)
+            trace.append(value)
+            if len(trace) >= 2 and trace[-1] > 0 and (trace[-1] - trace[-2]) / trace[-1] < eps:
+                status = "Converged"
+                break
+        if recover is None:
+            break
+        state, restart = recover(state, trace[-1])
+        if not restart or it >= max_iters:
+            break
+    w, u = state
+    return SolveResult(
+        w=Beamformer(w), u=u, harvested_trace=trace,
+        achieved_sr=secrecy_rate(w, u, channels, cfg.sigma2_w),
+        status=status, iters_outer=it, iters_inner_w=counts["w"], iters_inner_u=counts["u"],
+        wall_clock=time.perf_counter() - t_start)

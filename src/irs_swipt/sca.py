@@ -19,14 +19,12 @@ semidefinite or iterative matrix machinery is involved.
 """
 
 import math
-import time
 from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailure, PhaseStepInfeasible
-from .init import feasibility_probe, initial_phase_profile
-from .metrics import (POWER_SLACK_TOL, Beamformer, PhaseProfile, SolveResult, harvested_power,
-                      secrecy_rate)
+from .init import alternate, initial_phase_profile
+from .metrics import POWER_SLACK_TOL, Beamformer, PhaseProfile, harvested_power
 
 
 @dataclass
@@ -322,55 +320,35 @@ def sca_ao(channels, cfg, rng=None):
     harvested_trace holds the true harvested power per outer iteration,
     starting from the initial point, and is non-decreasing.
     """
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-    t_start = time.perf_counter()
-    u = initial_phase_profile(cfg, rng)
-    ok, w, sr_max = feasibility_probe(channels, cfg, u)
-    if not ok:
-        return SolveResult(w=Beamformer(w), u=u, harvested_trace=[],
-                           achieved_sr=sr_max, status="Infeasible",
-                           wall_clock=time.perf_counter() - t_start)
-
-    trace = [harvested_power(w, u, channels, cfg.zeta)]
-    inner_w = inner_u = 0
-    status = "MaxIters"
-    it = 0
-    for it in range(1, cfg.max_outer_iters + 1):
+    def step(state, counts):
+        w, u = state
         v = u.v
         val = _true_w_objective(v, w, channels)
         for _ in range(cfg.max_inner_w):
             w = sca_w_step(v, w, channels, cfg).w
-            inner_w += 1
+            counts["w"] += 1
             new_val = _true_w_objective(v, w, channels)
             if new_val - val <= cfg.inner_tol * max(new_val, 1e-300):
                 break
             val = new_val
 
         if cfg.N > 0:
-            val = abs(np.vdot(u.v, channels.H_r @ w)) ** 2
+            val = _true_w_objective(u.v, w, channels)
             for _ in range(cfg.max_inner_u):
                 data = build_phase_data(w, u, channels, cfg)
                 try:
                     _, u_new = bisect_mu(data, cfg.eps_bisect)
                 except PhaseStepInfeasible:
                     break
-                inner_u += 1
-                new_val = abs(np.vdot(u_new.v, channels.H_r @ w)) ** 2
+                counts["u"] += 1
+                new_val = _true_w_objective(u_new.v, w, channels)
                 if new_val < val * (1.0 - 1e-12):
                     break  # numerical regression; keep the previous profile
                 u = u_new
                 if new_val - val <= cfg.inner_tol * max(new_val, 1e-300):
                     break
                 val = new_val
+        return (w, u), harvested_power(w, u, channels, cfg.zeta)
 
-        trace.append(harvested_power(w, u, channels, cfg.zeta))
-        if trace[-1] > 0 and (trace[-1] - trace[-2]) / trace[-1] < cfg.eps:
-            status = "Converged"
-            break
-
-    return SolveResult(
-        w=Beamformer(w), u=u, harvested_trace=trace,
-        achieved_sr=secrecy_rate(w, u, channels, cfg.sigma2_w),
-        status=status, iters_outer=it, iters_inner_w=inner_w, iters_inner_u=inner_u,
-        wall_clock=time.perf_counter() - t_start)
+    return alternate(channels, cfg, initial_phase_profile(cfg, rng), step,
+                     cfg.eps, cfg.max_outer_iters)

@@ -5,32 +5,25 @@ V = v v^H with the rank-one constraints dropped.  With one variable fixed the
 other subproblem is a linear SDP, so the two are alternated; both half-steps
 can only raise the relaxed objective.  Rank-one solutions are recovered
 afterwards with Gaussian randomization (profile first, then the beamformer
-against the recovered profile, so the returned pair is jointly feasible).
+against the recovered profile, so the returned pair is jointly feasible);
+both recoveries draw and select candidates in one routine, _best_candidate.
+
+sdr_ao runs the alternation loop of init.py with the W-SDP/V-SDP round as
+its step and the recovery as its recover callable, which asks for a restart
+from the recovered pair when that pair beats the relaxation bound.
 
 Subproblems are assembled in noise-normalized units (channels scaled by
 sqrt(Ps)/sigma, trace budget 1) to keep the interior-point iterations well
 conditioned, and rescaled on the way out.
 """
 
-import time
-from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailure, RecoveryFailed, SubproblemInfeasible
-from .init import feasibility_probe, initial_phase_profile
+from .init import alternate, initial_phase_profile
 from .linalg import herm_eig, psd_sqrt
-from .metrics import Beamformer, PhaseProfile, SolveResult, secrecy_rate
+from .metrics import Beamformer, PhaseProfile
 from .sdp import SdpProblem, solve_sdp
-
-
-@dataclass
-class SdrIterate:
-    """One relaxation iterate: lifted beamformer, lifted profile, and the
-    relaxed harvested power zeta * tr(H_r^H V H_r W) in watts."""
-
-    W: np.ndarray
-    V: np.ndarray
-    objective: float
 
 
 def _snr_stacks(channels, cfg):
@@ -96,18 +89,34 @@ def solve_v_sdp(W, channels, cfg):
     return sol.blocks[0], float(cfg.sigma2_w * sol.objective_value)
 
 
-def _gains_for_profile(fixed, channels):
-    """Per-receiver squared-gain evaluators against a fixed profile (vector v)
-    or a lifted profile (matrix V)."""
-    if isinstance(fixed, PhaseProfile):
-        v = fixed.v
-    else:
-        v = np.asarray(fixed, dtype=complex)
-    if v.ndim == 1:
-        g = [H.conj().T @ v for H in (channels.H_r, channels.H_b, channels.H_e)]
-        return lambda w: np.array([abs(np.vdot(gx, w)) ** 2 for gx in g])
-    R = [H.conj().T @ v @ H for H in (channels.H_r, channels.H_b, channels.H_e)]
-    return lambda w: np.array([float(np.real(w.conj() @ Rx @ w)) for Rx in R])
+def _best_candidate(X, to_candidate, gains, cfg, count, rng, what):
+    """Gaussian randomization of a lifted variable X.
+
+    Draws count (default rand_count) candidates to_candidate(psd_sqrt(X) @ r),
+    r circular Gaussian, and returns the secrecy-feasible one with the largest
+    harvested gain, gains(candidate) being the squared (EHR, Bob, Eve) gains.
+    When no draw is secrecy-feasible it falls back to the candidate of the
+    principal factor sqrt(lambda_max) e_max of X, and raises RecoveryFailed if
+    that fails too.
+    """
+    count = cfg.rand_count if count is None else count
+    rng = np.random.default_rng(cfg.seed) if rng is None else rng
+    gain, s2 = 2.0 ** cfg.r0, cfg.sigma2_w
+    secure = lambda g: g[1] + s2 >= gain * (g[2] + s2) * (1.0 - 1e-12)
+    root = psd_sqrt(X)
+    shape = (count, X.shape[0])
+    best, best_val = None, -np.inf
+    for r in (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2):
+        cand = to_candidate(root @ r)
+        g = gains(cand)
+        if secure(g) and g[0] > best_val:
+            best, best_val = cand, g[0]
+    if best is None:
+        vals, vecs = herm_eig(X)
+        best = to_candidate(np.sqrt(max(vals[-1], 0.0)) * vecs[:, -1])
+        if not secure(gains(best)):
+            raise RecoveryFailed(f"no secrecy-feasible {what} candidate")
+    return best
 
 
 def randomize_w(W, fixed_profile, channels, cfg, count=None, rng=None):
@@ -117,39 +126,15 @@ def randomize_w(W, fixed_profile, channels, cfg, count=None, rng=None):
     power budget when over it; the best secrecy-feasible candidate by harvested
     power wins, with the scaled principal eigenvector as fallback.
     """
-    if count is None:
-        count = cfg.rand_count
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-    gains = _gains_for_profile(fixed_profile, channels)
-    gain = 2.0 ** cfg.r0
-    s2 = cfg.sigma2_w
+    v = getattr(fixed_profile, "v", fixed_profile)
+    g = [H.conj().T @ v for H in (channels.H_r, channels.H_b, channels.H_e)]
 
-    def sr_ok(g):
-        return g[1] + s2 >= gain * (g[2] + s2) * (1.0 - 1e-12)
+    def within_budget(w):
+        p = np.real(np.vdot(w, w))
+        return w * np.sqrt(cfg.ps_w / p) if p > cfg.ps_w else w
 
-    root = psd_sqrt(W)
-    m = W.shape[0]
-    best_w, best_val = None, -np.inf
-    draws = (rng.standard_normal((count, m)) + 1j * rng.standard_normal((count, m))) / np.sqrt(2)
-    for r in draws:
-        w = root @ r
-        p = np.real(np.vdot(w, w))
-        if p > cfg.ps_w:
-            w = w * np.sqrt(cfg.ps_w / p)
-        g = gains(w)
-        if sr_ok(g) and g[0] > best_val:
-            best_w, best_val = w, g[0]
-    if best_w is None:
-        vals, vecs = herm_eig(W)
-        w = np.sqrt(max(vals[-1], 0.0)) * vecs[:, -1]
-        p = np.real(np.vdot(w, w))
-        if p > cfg.ps_w:
-            w = w * np.sqrt(cfg.ps_w / p)
-        if not sr_ok(gains(w)):
-            raise RecoveryFailed("no secrecy-feasible beamformer candidate")
-        best_w = w
-    return Beamformer(best_w)
+    gains = lambda w: np.array([abs(np.vdot(gx, w)) ** 2 for gx in g])
+    return Beamformer(_best_candidate(W, within_budget, gains, cfg, count, rng, "beamformer"))
 
 
 def randomize_v(V, fixed_beam, channels, cfg, count=None, rng=None):
@@ -157,47 +142,26 @@ def randomize_v(V, fixed_beam, channels, cfg, count=None, rng=None):
 
     Candidates are normalized by their last entry and projected entrywise to
     unit modulus; the best secrecy-feasible candidate by harvested power wins,
-    falling back to the phases of the principal eigenvector.
+    falling back to the phases of the principal eigenvector.  fixed_beam is a
+    beamformer vector or a lifted W.
     """
-    if count is None:
-        count = cfg.rand_count
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
     if cfg.N == 0:
         return PhaseProfile(np.zeros(0, dtype=complex))
     w = np.asarray(getattr(fixed_beam, "w", fixed_beam))
-    gain = 2.0 ** cfg.r0
-    s2 = cfg.sigma2_w
+    Hs = (channels.H_r, channels.H_b, channels.H_e)
     if w.ndim == 1:
-        y = [H @ w for H in (channels.H_r, channels.H_b, channels.H_e)]
-        gains = lambda v: np.array([abs(np.vdot(v, yx)) ** 2 for yx in y])
+        y = [H @ w for H in Hs]
+        gains_v = lambda v: np.array([abs(np.vdot(v, yx)) ** 2 for yx in y])
     else:
-        S = [H @ w @ H.conj().T for H in (channels.H_r, channels.H_b, channels.H_e)]
-        gains = lambda v: np.array([float(np.real(v.conj() @ Sx @ v)) for Sx in S])
+        S = [H @ w @ H.conj().T for H in Hs]
+        gains_v = lambda v: np.array([float(np.real(v.conj() @ Sx @ v)) for Sx in S])
 
     def project(vt):
         vt = vt / (vt[-1] if vt[-1] != 0 else 1.0)
         return np.exp(1j * np.angle(vt[:-1]))
 
-    root = psd_sqrt(V)
-    n1 = V.shape[0]
-    best_u, best_val = None, -np.inf
-    draws = (rng.standard_normal((count, n1)) + 1j * rng.standard_normal((count, n1))) / np.sqrt(2)
-    for r in draws:
-        u = project(root @ r)
-        v = np.concatenate([u, [1.0 + 0.0j]])
-        g = gains(v)
-        if g[1] + s2 >= gain * (g[2] + s2) * (1.0 - 1e-12) and g[0] > best_val:
-            best_u, best_val = u, g[0]
-    if best_u is None:
-        _, vecs = herm_eig(V)
-        u = project(vecs[:, -1])
-        v = np.concatenate([u, [1.0 + 0.0j]])
-        g = gains(v)
-        if g[1] + s2 < gain * (g[2] + s2) * (1.0 - 1e-12):
-            raise RecoveryFailed("no secrecy-feasible profile candidate")
-        best_u = u
-    return PhaseProfile(best_u)
+    gains = lambda u: gains_v(np.concatenate([u, [1.0 + 0.0j]]))
+    return PhaseProfile(_best_candidate(V, project, gains, cfg, count, rng, "profile"))
 
 
 def sdr_ao(channels, cfg, rng=None):
@@ -209,50 +173,29 @@ def sdr_ao(channels, cfg, rng=None):
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    t_start = time.perf_counter()
-    u0 = initial_phase_profile(cfg, rng)
-    ok, w_probe, sr_max = feasibility_probe(channels, cfg, u0)
-    if not ok:
-        return SolveResult(w=Beamformer(w_probe), u=u0, harvested_trace=[],
-                           achieved_sr=sr_max, status="Infeasible",
-                           wall_clock=time.perf_counter() - t_start)
 
-    v0 = u0.v
-    V = np.outer(v0, v0.conj())
-    W = None
-    trace = []
-    inner_w = inner_v = 0
-    status = "MaxIters"
-    it = 0
-    u_rec = w_rec = None
-    # A recovery that beats the relaxation trace means the alternation was not
-    # jointly stationary yet; restart it from the recovered profile (an ascent,
-    # so the trace stays monotone) instead of reporting a broken bound.
-    for _ in range(3):
-        while it < cfg.max_outer_iters:
-            it += 1
-            W, _ = solve_w_sdp(V, channels, cfg)
-            inner_w += 1
-            if cfg.N > 0:
-                V, obj = solve_v_sdp(W, channels, cfg)
-                inner_v += 1
-            else:
-                obj = _relaxed_objective_w(channels, cfg, V, W)
-            trace.append(cfg.zeta * obj)
-            if len(trace) >= 2 and trace[-1] > 0:
-                if (trace[-1] - trace[-2]) / trace[-1] < cfg.eps:
-                    status = "Converged"
-                    break
-        u_rec = randomize_v(V, W, channels, cfg, rng=rng)
-        w_rec = randomize_w(W, u_rec, channels, cfg, rng=rng)
-        recovered = cfg.zeta * abs(np.vdot(u_rec.v, channels.H_r @ w_rec.w)) ** 2
-        if recovered <= trace[-1] + 1e-8 or it >= cfg.max_outer_iters:
-            break
-        v_rec = u_rec.v
-        V = np.outer(v_rec, v_rec.conj())
-        status = "MaxIters"
-    return SolveResult(
-        w=w_rec, u=u_rec, harvested_trace=trace,
-        achieved_sr=secrecy_rate(w_rec.w, u_rec, channels, cfg.sigma2_w),
-        status=status, iters_outer=it, iters_inner_w=inner_w, iters_inner_u=inner_v,
-        wall_clock=time.perf_counter() - t_start)
+    def step(state, counts):
+        _, V = state
+        if isinstance(V, PhaseProfile):  # the start, or a restart from a recovered pair
+            V = np.outer(V.v, V.v.conj())
+        W, _ = solve_w_sdp(V, channels, cfg)
+        counts["w"] += 1
+        if cfg.N > 0:
+            V, obj = solve_v_sdp(W, channels, cfg)
+            counts["u"] += 1
+        else:
+            obj = _relaxed_objective_w(channels, cfg, V, W)
+        return (W, V), cfg.zeta * obj
+
+    def recover(state, bound):
+        # A recovery that beats the relaxation trace means the alternation was
+        # not jointly stationary yet; restart it from the recovered profile (an
+        # ascent, so the trace stays monotone) instead of reporting a broken bound.
+        W, V = state
+        u = randomize_v(V, W, channels, cfg, rng=rng)
+        w = randomize_w(W, u, channels, cfg, rng=rng).w
+        recovered = cfg.zeta * abs(np.vdot(u.v, channels.H_r @ w)) ** 2
+        return (w, u), recovered > bound + 1e-8
+
+    return alternate(channels, cfg, initial_phase_profile(cfg, rng), step,
+                     cfg.eps, cfg.max_outer_iters, recover)

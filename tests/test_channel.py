@@ -3,6 +3,7 @@ import pytest
 
 from irs_swipt.channel import (ScenarioConfig, dbm_to_watt, generate_scenario,
                                path_loss_gain, stack_effective)
+from irs_swipt.config import parse_config_text
 from irs_swipt.errors import InvalidInput
 
 
@@ -138,3 +139,11 @@ def test_config_validation():
         ScenarioConfig(r0=0.0)
     with pytest.raises(InvalidInput):
         ScenarioConfig(ps_w=-1.0)
+
+
+def test_max_outer_iters_must_be_positive():
+    with pytest.raises(InvalidInput):
+        ScenarioConfig(M=2, N=4, seed=3, max_outer_iters=0)
+    with pytest.raises(InvalidInput):
+        parse_config_text("max_outer_iters = 0\n")
+    assert ScenarioConfig(max_outer_iters=1).max_outer_iters == 1

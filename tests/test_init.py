@@ -1,0 +1,82 @@
+"""The alternation loop that sdr_ao, sca_ao and the baselines share, run
+with scripted steps so that its stop, count and restart rules are seen alone."""
+
+import numpy as np
+import pytest
+
+from irs_swipt.channel import ScenarioConfig, generate_scenario
+from irs_swipt.init import MAX_RESTARTS, alternate, feasibility_probe, initial_phase_profile
+from irs_swipt.metrics import harvested_power
+
+DESK = dict(d_ap_bob=10.0, d_ap_eve=20.0, d_ap_ehr=6.0,
+            d_irs_bob=12.0, d_irs_eve=25.0, d_irs_ehr=4.0)
+
+
+def scenario(**kw):
+    cfg = ScenarioConfig(**{**dict(M=2, N=4, seed=3, r0=0.8, **DESK), **kw})
+    return cfg, generate_scenario(cfg), initial_phase_profile(cfg)
+
+
+def scripted_step(values):
+    """Keeps the state, counts one beamformer and two phase steps per call,
+    and reports the next of values."""
+    values = iter(values)
+
+    def step(state, counts):
+        counts["w"] += 1
+        counts["u"] += 2
+        return state, next(values)
+    return step
+
+
+def test_infeasible_target_returns_probe_and_empty_trace():
+    cfg, ch, u = scenario(N=2, seed=50, r0=30.0)
+    ok, w, sr_max = feasibility_probe(ch, cfg, u)
+    assert not ok
+    res = alternate(ch, cfg, u, scripted_step([]), cfg.eps, 10)
+    assert res.status == "Infeasible"
+    assert res.harvested_trace == []
+    assert res.iters_outer == 0
+    assert np.array_equal(res.w.w, w)
+    assert res.achieved_sr == sr_max
+
+
+def test_trace_starts_at_probe_power_and_stops_on_small_increase():
+    cfg, ch, u = scenario()
+    _, w, _ = feasibility_probe(ch, cfg, u)
+    p0 = harvested_power(w, u, ch, cfg.zeta)
+    values = [2.0 * p0, 2.0 * p0 * (1.0 + 1e-4), 3.0 * p0]
+    res = alternate(ch, cfg, u, scripted_step(values), 1e-3, 10)
+    assert res.status == "Converged"
+    assert res.harvested_trace == [p0] + values[:2]
+    assert (res.iters_outer, res.iters_inner_w, res.iters_inner_u) == (2, 2, 4)
+    assert np.array_equal(res.w.w, w)
+
+
+def test_step_cap_ends_max_iters():
+    cfg, ch, u = scenario()
+    res = alternate(ch, cfg, u, scripted_step([2.0 ** k for k in range(10)]), 1e-3, 3)
+    assert res.status == "MaxIters"
+    assert res.iters_outer == 3
+    assert len(res.harvested_trace) == 4
+
+
+@pytest.mark.parametrize("restart, max_iters, recoveries, steps", [
+    (False, 10, 1, 2),                          # recovery accepted
+    (True, 10, 1 + MAX_RESTARTS, 2 + MAX_RESTARTS),  # restarts capped, steps keep counting
+    (True, 2, 1, 2),                            # no steps left to restart with
+])
+def test_recovery_and_restarts(restart, max_iters, recoveries, steps):
+    cfg, ch, u = scenario()
+    bounds = []
+
+    def recover(state, bound):
+        bounds.append(bound)
+        return state, restart
+
+    res = alternate(ch, cfg, u, scripted_step([1.0] * 10), 1e-3, max_iters, recover)
+    # a relaxation's trace holds step values only; each round converges at once
+    assert res.harvested_trace == [1.0] * steps
+    assert bounds == [1.0] * recoveries
+    assert res.status == "Converged"
+    assert res.iters_outer == steps
