@@ -19,7 +19,7 @@ from .metrics import (Beamformer, FeasibilityReport, PhaseProfile, SolveResult, 
                       harvested_power, rate_bob, rate_eve, secrecy_rate)
 from .oracle import GridSpec, grid_search_joint, grid_search_phases
 from .sca import PhaseSubproblemData, bisect_mu, build_phase_data, sca_ao, sca_w_step, u_of_mu
-from .sdp import SdpProblem, SdpSolution, embed_complex, solve_sdp
+from .sdp import SdpProblem, SdpSolution, solve_sdp
 from .sdr import randomize_v, randomize_w, sdr_ao, solve_v_sdp, solve_w_sdp
 
 __version__ = "0.1.0"

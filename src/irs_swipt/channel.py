@@ -86,8 +86,13 @@ class ScenarioConfig:
             raise InvalidInput("zeta must be in (0, 1]")
         if self.r0 <= 0:
             raise InvalidInput("r0 must be > 0")
-        if self.max_outer_iters < 1:
-            raise InvalidInput("max_outer_iters must be >= 1")
+        for name in ("max_outer_iters", "max_inner_w", "max_inner_u"):
+            if getattr(self, name) < 1:
+                raise InvalidInput(f"{name} must be >= 1")
+        if self.sdp_tol <= 0:
+            raise InvalidInput("sdp_tol must be > 0")
+        if self.rand_count < 0:
+            raise InvalidInput("rand_count must be >= 0")
         if self.init_phases not in ("zero", "random"):
             raise InvalidInput("init_phases must be 'zero' or 'random'")
 

@@ -148,15 +148,6 @@ def bisect_mu(data, eps_bisect=1e-8):
     return hi, u_of_mu(d, f, hi)
 
 
-def _reals(z):
-    return np.concatenate([z.real, z.imag])
-
-
-def _complex(x):
-    m = x.shape[0] // 2
-    return x[:m] + 1j * x[m:]
-
-
 class _WSurrogate:
     """The beamformer surrogate program in noise-normalized coordinates.
 
@@ -165,7 +156,8 @@ class _WSurrogate:
                2^r0 |g_e^H x|^2 - 2 Re(x^H p) + kappa <= 0
 
     with x = w / sqrt(Ps) and channels scaled by sqrt(Ps)/sigma.  f1, f2 and
-    objective take the real embedding [Re x; Im x].
+    objective evaluate the ball, the secrecy constraint and the objective at a
+    complex x.
     """
 
     def __init__(self, v, w_prev, channels, cfg):
@@ -181,15 +173,14 @@ class _WSurrogate:
         self.kappa = self.gain - 1.0 + abs(tb) ** 2
 
     def f1(self, x):
-        return float(x @ x) - 1.0
+        return float(np.real(np.vdot(x, x))) - 1.0
 
     def f2(self, x):
-        x = _complex(x)
         return (self.gain * abs(np.vdot(self.g_e, x)) ** 2
                 - 2.0 * float(np.real(np.vdot(self.p, x))) + self.kappa)
 
     def objective(self, x):
-        return 2.0 * float(np.real(np.vdot(self.q, _complex(x))))
+        return 2.0 * float(np.real(np.vdot(self.q, x)))
 
 
 def _ball_multiplier(a, b, c):
@@ -295,17 +286,15 @@ def sca_w_step(v, w_prev, channels, cfg):
     sur = _WSurrogate(v, w_prev, channels, cfg)
     if np.linalg.norm(sur.q) < 1e-300:
         return Beamformer(w_prev)
-    x_prev = _reals(sur.x_prev)
     slack = 1e-9 * (1.0 + abs(sur.kappa))
-    if sur.f2(x_prev) > slack:
+    if sur.f2(sur.x_prev) > slack:
         raise NumericalFailure("expansion point violates the secrecy constraint")
 
-    floor = sur.objective(x_prev)
+    floor = sur.objective(sur.x_prev)
     x = _dual_solve(sur, cfg.qcqp_tol, slack, floor)
     if x is None:
         return Beamformer(w_prev)
-    xr = _reals(x)
-    if sur.f1(xr) > POWER_SLACK_TOL or sur.f2(xr) > slack or sur.objective(xr) < floor:
+    if sur.f1(x) > POWER_SLACK_TOL or sur.f2(x) > slack or sur.objective(x) < floor:
         return Beamformer(w_prev)
     return Beamformer(x * np.sqrt(cfg.ps_w))
 

@@ -1,19 +1,19 @@
 """A small dense semidefinite-program solver.
 
-Problems are stated over PSD blocks (complex Hermitian or real symmetric;
-1x1 real blocks encode nonnegative slacks) with a real linear objective
-(maximized) and linear trace constraints.  Complex blocks are lowered to real
-symmetric ones through the standard doubling embedding; the factor of two the
-embedding introduces in traces is normalized away during assembly, so all
-objective and constraint values keep their complex-trace meaning.
+Problems are stated over complex Hermitian PSD blocks with a real linear
+objective (maximized) and linear trace constraints; the iterates stay in
+native complex Hermitian arithmetic, with no real embedding.  The inner
+product is Re tr(A^H B), so objective and constraint values are the complex
+traces the caller wrote down.
 
 The solver is an infeasible-start primal-dual path-following method with the
 XZ (HKM) search direction and a Mehrotra predictor-corrector step.  Dense
-factorizations per iteration are fine at the dimensions used here (<= ~128).
-Inequality constraints become equalities with 1x1 slack blocks.
+factorizations per iteration are fine at the dimensions used here (<= ~64).
+Inequality constraints become equalities with 1x1 slack blocks (Hermitian,
+hence real once the iterate is symmetrized).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
@@ -25,26 +25,13 @@ STEP_FRACTION = 0.98
 DIAG_DETECT_TOL = 1e-14
 
 
-def embed_complex(h):
-    """Real symmetric embedding [[Re h, -Im h], [Im h, Re h]] of a Hermitian matrix.
-
-    Traces of products double under the embedding; SdpProblem assembly divides
-    the embedded data by two so trace functionals keep their complex values.
-    """
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise InvalidInput("embed_complex expects a square matrix")
-    return np.block([[h.real, -h.imag], [h.imag, h.real]])
+def _herm(a):
+    return 0.5 * (a + a.conj().T)
 
 
-def _deembed(y, d):
-    """Project a real symmetric 2d x 2d solution back to a d x d Hermitian one.
-
-    The projection is a congruence, so PSD-ness and every trace functional of
-    embedded data are preserved exactly.
-    """
-    xc = 0.5 * (y[:d, :d] + y[d:, d:]) + 0.5j * (y[d:, :d] - y[:d, d:])
-    return 0.5 * (xc + xc.conj().T)
+def _inner(a, b):
+    """Re tr(A^H B)."""
+    return float(np.vdot(a, b).real)
 
 
 @dataclass
@@ -60,13 +47,12 @@ class SdpSolution:
 
 
 class SdpProblem:
-    """Maximize sum_k tr(C_k X_k) over PSD blocks X_k subject to linear
-    trace constraints.  Blocks are added first, then objective terms and
-    constraints referencing them by index."""
+    """Maximize sum_k tr(C_k X_k) over Hermitian PSD blocks X_k subject to
+    linear trace constraints.  Blocks are added first, then objective terms
+    and constraints referencing them by index."""
 
     def __init__(self):
-        self._kinds = []       # "herm" or "sym"
-        self._dims = []        # complex dim for herm, real dim for sym
+        self._dims = []
         self.objective = {}    # block index -> matrix
         self.constraints = []  # (terms dict, sense, rhs)
 
@@ -77,13 +63,7 @@ class SdpProblem:
     def add_hermitian_block(self, dim):
         if dim < 1:
             raise InvalidInput("block dimension must be >= 1")
-        self._kinds.append("herm")
         self._dims.append(dim)
-        return len(self._dims) - 1
-
-    def add_slack_block(self):
-        self._kinds.append("sym")
-        self._dims.append(1)
         return len(self._dims) - 1
 
     def _check_matrix(self, block, mat):
@@ -91,13 +71,10 @@ class SdpProblem:
         d = self._dims[block]
         if mat.shape != (d, d):
             raise InvalidInput(f"matrix shape {mat.shape} does not match block dim {d}")
-        if self._kinds[block] == "herm":
-            mat = mat.astype(complex)
-            if not is_hermitian(mat):
-                raise InvalidInput("block data must be Hermitian")
-            return 0.5 * (mat + mat.conj().T)
-        mat = mat.astype(float)
-        return 0.5 * (mat + mat.T)
+        mat = mat.astype(complex)
+        if not is_hermitian(mat):
+            raise InvalidInput("block data must be Hermitian")
+        return _herm(mat)
 
     def add_objective(self, block, mat):
         mat = self._check_matrix(block, mat)
@@ -123,7 +100,7 @@ class SdpProblem:
 
 
 class _Term:
-    """One constraint's footprint on one real block, diagonal-aware."""
+    """One constraint's footprint on one block, diagonal-aware."""
 
     __slots__ = ("row", "dense", "diag")
 
@@ -132,7 +109,7 @@ class _Term:
         off = mat - np.diag(np.diag(mat))
         scale = max(np.max(np.abs(mat)), 1e-300)
         if np.max(np.abs(off)) <= DIAG_DETECT_TOL * scale:
-            self.diag = np.diag(mat).copy()
+            self.diag = np.diag(mat).real.copy()
             self.dense = None
         else:
             self.diag = None
@@ -140,39 +117,25 @@ class _Term:
 
 
 class _Assembled:
-    """Real-embedded standard form: min <C,X>, A(X) = b, X >= 0 (blockwise)."""
+    """Standard form: min Re tr(C X), A(X) = b, X >= 0 (blockwise)."""
 
     def __init__(self, problem):
-        self.kinds = list(problem._kinds)
-        self.cdims = list(problem._dims)
-        self.dims = [2 * d if k == "herm" else d for k, d in zip(self.kinds, self.cdims)]
-
-        def lower(block, mat):
-            if self.kinds[block] == "herm":
-                return 0.5 * embed_complex(mat)
-            return np.asarray(mat, dtype=float)
+        self.dims = list(problem._dims)
 
         # internal minimization: flip the sign of the (maximized) objective
-        self.C = [np.zeros((d, d)) for d in self.dims]
+        self.C = [np.zeros((d, d), dtype=complex) for d in self.dims]
         for blk, mat in problem.objective.items():
-            self.C[blk] = self.C[blk] - lower(blk, mat)
+            self.C[blk] = self.C[blk] - mat
 
-        rows = []
-        rhs = []
-        for tdict, sense, b in problem.constraints:
-            rows.append({blk: lower(blk, mat) for blk, mat in tdict.items()})
-            rhs.append(b)
+        rows = [dict(tdict) for tdict, _, _ in problem.constraints]
+        self.b = np.array([b for _, _, b in problem.constraints], dtype=float)
         # slacks turn inequalities into equalities
-        for i, (tdict, sense, b) in enumerate(problem.constraints):
+        for i, (_, sense, _) in enumerate(problem.constraints):
             if sense == "==":
                 continue
-            self.kinds.append("sym")
-            self.cdims.append(1)
             self.dims.append(1)
-            self.C.append(np.zeros((1, 1)))
-            blk = len(self.dims) - 1
-            rows[i][blk] = np.array([[1.0 if sense == "<=" else -1.0]])
-        self.b = np.asarray(rhs, dtype=float)
+            self.C.append(np.zeros((1, 1), dtype=complex))
+            rows[i][len(self.dims) - 1] = np.array([[1.0 if sense == "<=" else -1.0]])
         self.m = len(rows)
 
         # per-block constraint footprints, split into diagonal and dense terms
@@ -198,21 +161,21 @@ class _Assembled:
         )
 
     def apply(self, mats):
-        """A(Y): the vector of constraint values at blocks Y (not nec. symmetric)."""
+        """A(Y): the vector Re tr(A_i Y) at blocks Y (not nec. Hermitian)."""
         out = np.zeros(self.m)
         for k, bt in enumerate(self.block_terms):
             y = mats[k]
             if bt["D"].size:
-                out[bt["diag_rows"]] += bt["D"] @ np.diag(y)
+                out[bt["diag_rows"]] += bt["D"] @ np.diag(y).real
             for t in bt["dense"]:
-                out[t.row] += np.tensordot(t.dense, y, axes=([0, 1], [1, 0]))
+                out[t.row] += _inner(t.dense, y)
         return out
 
     def adjoint(self, y):
         """A*(y): per-block sum of y_i A_i."""
         out = []
         for k, bt in enumerate(self.block_terms):
-            s = np.zeros((self.dims[k], self.dims[k]))
+            s = np.zeros((self.dims[k], self.dims[k]), dtype=complex)
             if bt["D"].size:
                 s[np.diag_indices(self.dims[k])] += bt["D"].T @ y[bt["diag_rows"]]
             for t in bt["dense"]:
@@ -221,27 +184,27 @@ class _Assembled:
         return out
 
     def schur(self, X, Zi):
-        """M_ij = sum_k tr(A_i X A_j Z^{-1}), assembled blockwise.
+        """M_ij = sum_k Re tr(A_i X A_j Z^{-1}), assembled blockwise.
 
-        Diagonal-diagonal pairs reduce to D (X .* Zi^T) D^T; dense terms fill
-        whole rows/columns which are mirrored by symmetry.
+        Diagonal-diagonal pairs reduce to D Re(X .* Zi^T) D^T; dense terms
+        fill whole rows/columns which are mirrored by symmetry.
         """
         M = np.zeros((self.m, self.m))
         for k, bt in enumerate(self.block_terms):
             x, zi = X[k], Zi[k]
             rows = bt["diag_rows"]
             if bt["D"].size:
-                core = bt["D"] @ (x * zi.T) @ bt["D"].T
+                core = bt["D"] @ (x * zi.T).real @ bt["D"].T
                 M[np.ix_(rows, rows)] += core
             dense = bt["dense"]
             for jt, t in enumerate(dense):
                 u = x @ t.dense @ zi  # X A_j Zi with j = t.row
                 if bt["D"].size:
-                    vals = bt["D"] @ np.diag(u)
+                    vals = bt["D"] @ np.diag(u).real
                     M[rows, t.row] += vals
                     M[t.row, rows] += vals
-                for s in dense[:jt + 1]:  # lower triangle; tr(A_i X A_j Zi) is symmetric
-                    val = np.tensordot(s.dense, u, axes=([0, 1], [1, 0]))
+                for s in dense[:jt + 1]:  # lower triangle; Re tr(A_i X A_j Zi) is symmetric
+                    val = _inner(s.dense, u)
                     M[s.row, t.row] += val
                     if s.row != t.row:
                         M[t.row, s.row] += val
@@ -251,14 +214,13 @@ class _Assembled:
 def _min_eig_step(s, ds):
     """Largest alpha with s + alpha*ds PSD, computed via a whitened eigenvalue."""
     if s.shape[0] == 1:
-        if ds[0, 0] >= 0:
+        if ds[0, 0].real >= 0:
             return np.inf
-        return -s[0, 0] / ds[0, 0]
+        return -s[0, 0].real / ds[0, 0].real
     vals, vecs = np.linalg.eigh(s)
     vals = np.maximum(vals, 1e-14 * max(vals[-1], 1e-300))
-    whit = (vecs / np.sqrt(vals)).T  # rows scale to identity: W s W^T = I
-    t = whit @ ds @ whit.T
-    lam = np.linalg.eigvalsh(0.5 * (t + t.T))[0]
+    whit = (vecs / np.sqrt(vals)).conj().T  # rows scale to identity: W s W^H = I
+    lam = np.linalg.eigvalsh(_herm(whit @ ds @ whit.conj().T))[0]
     if lam >= 0:
         return np.inf
     return -1.0 / lam
@@ -281,8 +243,7 @@ def _solve_spd(M, rhs):
             return np.linalg.lstsq(M, rhs, rcond=None)[0]
 
 
-def solve_sdp(problem, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS,
-              verbose=False, log_file=None):
+def solve_sdp(problem, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS, log_file=None):
     """Solve an SdpProblem; the objective is maximized.
 
     Returns an SdpSolution.  status is 'Optimal' when the relative duality gap
@@ -298,8 +259,8 @@ def solve_sdp(problem, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS,
 
     tau_p = 10.0 * max(1.0, float(np.max(np.abs(asm.b))) / asm.norm_A)
     tau_d = 10.0 * max(1.0, asm.norm_C / np.sqrt(n_total), asm.norm_A)
-    X = [tau_p * np.eye(d) for d in asm.dims]
-    Z = [tau_d * np.eye(d) for d in asm.dims]
+    X = [tau_p * np.eye(d, dtype=complex) for d in asm.dims]
+    Z = [tau_d * np.eye(d, dtype=complex) for d in asm.dims]
     y = np.zeros(m)
 
     log_lines = []
@@ -311,27 +272,24 @@ def solve_sdp(problem, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS,
         for z in Z:
             vals, vecs = np.linalg.eigh(z)
             vals = np.maximum(vals, 1e-300)
-            Zi.append((vecs / vals) @ vecs.T)
+            Zi.append((vecs / vals) @ vecs.conj().T)
 
-        mu = sum(np.tensordot(x, z) for x, z in zip(X, Z)) / n_total
+        mu = sum(_inner(x, z) for x, z in zip(X, Z)) / n_total
         rp = asm.b - asm.apply(X)
         Ay = asm.adjoint(y)
         Rd = [c - z - ay for c, z, ay in zip(asm.C, Z, Ay)]
 
-        pobj_int = sum(np.tensordot(c, x) for c, x in zip(asm.C, X))
+        pobj_int = sum(_inner(c, x) for c, x in zip(asm.C, X))
         dobj_int = float(asm.b @ y)
         gap = pobj_int - dobj_int
         relgap = abs(gap) / (1.0 + abs(pobj_int))
         pres = float(np.linalg.norm(rp)) / asm.norm_b
         dres = max(float(np.linalg.norm(r)) for r in Rd) / asm.norm_C
 
-        if verbose or log_file is not None:
-            line = (f"iter {it:3d}  mu {mu:.3e}  gap {relgap:.3e}  "
-                    f"pres {pres:.3e}  dres {dres:.3e}  pobj {-pobj_int:+.9e}  "
-                    f"dobj {-dobj_int:+.9e}")
-            log_lines.append(line)
-            if verbose:
-                print(line)
+        if log_file is not None:
+            log_lines.append(f"iter {it:3d}  mu {mu:.3e}  gap {relgap:.3e}  "
+                             f"pres {pres:.3e}  dres {dres:.3e}  pobj {-pobj_int:+.9e}  "
+                             f"dobj {-dobj_int:+.9e}")
 
         if relgap <= tol and pres <= tol and dres <= tol:
             status = "Optimal"
@@ -342,8 +300,7 @@ def solve_sdp(problem, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS,
         ynorm = float(np.linalg.norm(y))
         if ynorm > 1e6 * asm.norm_b:
             yhat = y / ynorm
-            ray = asm.adjoint(yhat)
-            lam = max(float(np.linalg.eigvalsh(0.5 * (r + r.T))[-1]) for r in ray)
+            lam = max(float(np.linalg.eigvalsh(r)[-1]) for r in asm.adjoint(yhat))
             if asm.b @ yhat > 1e-8 and lam <= 1e-8:
                 status = "Infeasible"
                 iters_done = it - 1
@@ -358,13 +315,10 @@ def solve_sdp(problem, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS,
         dy_a = _solve_spd(Mschur, base_rhs)
         Ady_a = asm.adjoint(dy_a)
         dZ_a = [r - a for r, a in zip(Rd, Ady_a)]
-        dX_a = []
-        for x, dz, zi in zip(X, dZ_a, Zi):
-            d = -x - x @ dz @ zi
-            dX_a.append(0.5 * (d + d.T))
+        dX_a = [_herm(-x - x @ dz @ zi) for x, dz, zi in zip(X, dZ_a, Zi)]
         ap_a = min(1.0, STEP_FRACTION * _step_to_boundary(X, dX_a))
         ad_a = min(1.0, STEP_FRACTION * _step_to_boundary(Z, dZ_a))
-        mu_aff = sum(np.tensordot(x + ap_a * dx, z + ad_a * dz)
+        mu_aff = sum(_inner(x + ap_a * dx, z + ad_a * dz)
                      for x, dx, z, dz in zip(X, dX_a, Z, dZ_a)) / n_total
         sigma = min(1.0, max(1e-8, (max(mu_aff, 0.0) / mu) ** 3))
 
@@ -374,32 +328,24 @@ def solve_sdp(problem, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS,
         dy = _solve_spd(Mschur, rhs)
         Ady = asm.adjoint(dy)
         dZ = [r - a for r, a in zip(Rd, Ady)]
-        dX = []
-        for x, dz, zi, co in zip(X, dZ, Zi, corr):
-            d = sigma * mu * zi - x - x @ dz @ zi - co
-            dX.append(0.5 * (d + d.T))
+        dX = [_herm(sigma * mu * zi - x - x @ dz @ zi - co)
+              for x, dz, zi, co in zip(X, dZ, Zi, corr)]
 
         ap = min(1.0, STEP_FRACTION * _step_to_boundary(X, dX))
         ad = min(1.0, STEP_FRACTION * _step_to_boundary(Z, dZ))
-        X = [0.5 * ((x + ap * dx) + (x + ap * dx).T) for x, dx in zip(X, dX)]
-        Z = [0.5 * ((z + ad * dz) + (z + ad * dz).T) for z, dz in zip(Z, dZ)]
+        X = [_herm(x + ap * dx) for x, dx in zip(X, dX)]
+        Z = [_herm(z + ad * dz) for z, dz in zip(Z, dZ)]
         y = y + ad * dy
 
     if log_file is not None:
         with open(log_file, "a") as fh:
             fh.write("\n".join(log_lines) + "\n")
 
-    # report in the user's (maximization, complex-trace) orientation
-    out_blocks = []
-    for k in range(problem.n_blocks):
-        if problem._kinds[k] == "herm":
-            out_blocks.append(_deembed(X[k], problem._dims[k]))
-        else:
-            out_blocks.append(X[k].copy())
-    pobj_ext = -sum(np.tensordot(c, x) for c, x in zip(asm.C, X))
+    # report in the user's (maximization) orientation
+    pobj_ext = -sum(_inner(c, x) for c, x in zip(asm.C, X))
     dobj_ext = -float(asm.b @ y)
     return SdpSolution(
-        blocks=out_blocks,
+        blocks=X[:problem.n_blocks],
         objective_value=float(pobj_ext),
         dual_value=float(dobj_ext),
         duality_gap=float(abs(pobj_ext - dobj_ext)),

@@ -5,6 +5,7 @@ from irs_swipt.channel import (ScenarioConfig, dbm_to_watt, generate_scenario,
                                path_loss_gain, stack_effective)
 from irs_swipt.config import parse_config_text
 from irs_swipt.errors import InvalidInput
+from irs_swipt.sdr import sdr_ao
 
 
 class TestPathLossGain:
@@ -147,3 +148,20 @@ def test_max_outer_iters_must_be_positive():
     with pytest.raises(InvalidInput):
         parse_config_text("max_outer_iters = 0\n")
     assert ScenarioConfig(max_outer_iters=1).max_outer_iters == 1
+
+
+@pytest.mark.parametrize("knob", [dict(rand_count=-1), dict(sdp_tol=0.0), dict(sdp_tol=-1.0),
+                                  dict(max_inner_w=0), dict(max_inner_u=0)])
+def test_solver_knobs_must_be_valid(knob):
+    with pytest.raises(InvalidInput):
+        ScenarioConfig(M=2, N=4, seed=3, **knob)
+    name, value = next(iter(knob.items()))
+    with pytest.raises(InvalidInput):
+        parse_config_text(f"{name} = {value}\n")
+
+
+def test_zero_rand_count_recovers_principal_eigenvector():
+    # rand_count = 0 stays valid: recovery falls back to the principal eigenvector
+    cfg = ScenarioConfig(M=2, N=4, seed=3, rand_count=0)
+    res = sdr_ao(generate_scenario(cfg), cfg)
+    assert res.status == "Converged"

@@ -6,7 +6,7 @@ from irs_swipt.errors import PhaseStepInfeasible
 from irs_swipt.init import feasibility_probe, initial_phase_profile, max_sr_beamformer
 from irs_swipt.linalg import max_eigval
 from irs_swipt.metrics import PhaseProfile, check_feasible, harvested_power
-from irs_swipt.sca import (PhaseSubproblemData, _WSurrogate, _ball_multiplier, _reals,
+from irs_swipt.sca import (PhaseSubproblemData, _WSurrogate, _ball_multiplier,
                            _rank_two_max_eigval, bisect_mu, build_phase_data, sca_ao,
                            sca_w_step, u_of_mu)
 from irs_swipt.sdr import randomize_w, solve_w_sdp
@@ -40,11 +40,11 @@ def assert_step_optimal(v, w_prev, channels, cfg, rng, samples=2000):
     no random feasible point of the surrogate near it or in the ball beats it."""
     sur = _WSurrogate(v, w_prev, channels, cfg)
     x = sca_w_step(v, w_prev, channels, cfg).w / np.sqrt(cfg.ps_w)
-    best = sur.objective(_reals(x))
-    assert sur.f1(_reals(x)) <= 1e-12
-    assert sur.f2(_reals(x)) <= 1e-12 * (1.0 + abs(sur.kappa))
+    best = sur.objective(x)
+    assert sur.f1(x) <= 1e-12
+    assert sur.f2(x) <= 1e-12 * (1.0 + abs(sur.kappa))
     # x went through w = sqrt(Ps) x and back, which may cost an ulp
-    assert best >= sur.objective(_reals(sur.x_prev)) * (1.0 - 1e-14)
+    assert best >= sur.objective(sur.x_prev) * (1.0 - 1e-14)
 
     m = x.shape[0]
     z = rng.standard_normal((samples, m)) + 1j * rng.standard_normal((samples, m))
@@ -95,7 +95,7 @@ class TestScaWStep:
         ok, w, _ = feasibility_probe(ch, cfg, u)
         assert ok
         sur = _WSurrogate(u.v, w, ch, cfg)
-        x = _reals(sur.x_prev)
+        x = sur.x_prev
         # objective surrogate 2Re(x^H q) - |g_r^H x_prev|^2 equals the truth at x_prev
         quad = abs(np.vdot(sur.g_r, sur.x_prev)) ** 2
         assert sur.objective(x) - quad == pytest.approx(quad, rel=1e-9)
@@ -113,7 +113,7 @@ class TestScaWStep:
             x /= np.linalg.norm(x) * rng.uniform(1.0, 3.0)
             xc = x[:3] + 1j * x[3:]
             truth = abs(np.vdot(sur.g_r, xc)) ** 2
-            surrogate = sur.objective(x) - abs(np.vdot(sur.g_r, sur.x_prev)) ** 2
+            surrogate = sur.objective(xc) - abs(np.vdot(sur.g_r, sur.x_prev)) ** 2
             assert surrogate <= truth + 1e-9 * (1.0 + truth)
 
     def test_matches_sdr_w_subproblem(self):
@@ -224,7 +224,7 @@ class TestScaWStep:
         sur = _WSurrogate(u.v, w, ch, cfg)
         step = sca_w_step(u.v, w, ch, cfg).w
         q_hat = sur.q / np.linalg.norm(sur.q)
-        assert sur.f2(_reals(q_hat)) < -0.5 * (1.0 + sur.kappa)  # the ball maximizer is feasible
+        assert sur.f2(q_hat) < -0.5 * (1.0 + sur.kappa)  # the ball maximizer is feasible
         assert np.allclose(step, np.sqrt(cfg.ps_w) * q_hat, rtol=0, atol=1e-12 * np.sqrt(cfg.ps_w))
 
     def test_no_interior_returns_w_prev(self):
@@ -256,7 +256,7 @@ class TestScaWStep:
         for _ in range(8):
             w = sca_w_step(u.v, w, ch, cfg).w
         sur = _WSurrogate(u.v, w, ch, cfg)
-        assert abs(sur.f2(_reals(sur.x_prev))) <= 1e-7 * (1.0 + sur.kappa)
+        assert abs(sur.f2(sur.x_prev)) <= 1e-7 * (1.0 + sur.kappa)
         assert np.linalg.norm(sur.x_prev) == pytest.approx(1.0, rel=1e-12)
         assert_step_optimal(u.v, w, ch, cfg, rng)
 

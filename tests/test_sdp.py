@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from irs_swipt.errors import InvalidInput
-from irs_swipt.linalg import herm_eig, max_eigval
-from irs_swipt.sdp import SdpProblem, embed_complex, solve_sdp
+from irs_swipt.linalg import max_eigval
+from irs_swipt.sdp import SdpProblem, solve_sdp
 
 
 def random_hermitian(rng, dim):
@@ -17,33 +17,6 @@ def lambda_max_problem(c):
     p.add_objective(blk, c)
     p.add_constraint([(blk, np.eye(c.shape[0]))], "==", 1.0)
     return p
-
-
-class TestEmbedComplex:
-    def test_real_matrix_duplicates(self):
-        h = np.array([[2.0, 1.0], [1.0, -1.0]])
-        e = embed_complex(h)
-        assert np.array_equal(e[:2, :2], h)
-        assert np.array_equal(e[2:, 2:], h)
-        assert np.all(e[:2, 2:] == 0) and np.all(e[2:, :2] == 0)
-
-    def test_pauli_like_off_blocks(self):
-        h = np.array([[0.0, 1.0j], [-1.0j, 0.0]])
-        e = embed_complex(h)
-        assert np.array_equal(e[:2, 2:], -h.imag)
-        assert np.array_equal(e[2:, :2], h.imag)
-        assert np.max(np.abs(np.abs(e[:2, 2:])) - np.array([[0, 1], [1, 0]])) == 0
-
-    def test_eigenvalues_doubled_multiplicity(self):
-        rng = np.random.default_rng(0)
-        h = random_hermitian(rng, 4)
-        vals, _ = herm_eig(h)
-        evals = np.linalg.eigvalsh(embed_complex(h))
-        assert np.allclose(evals, np.sort(np.repeat(vals, 2)), atol=1e-10)
-
-    def test_rejects_non_square(self):
-        with pytest.raises(InvalidInput):
-            embed_complex(np.ones((2, 3)))
 
 
 class TestSolveSdp:
@@ -132,13 +105,50 @@ class TestSolveSdp:
         # max tr(X) + s  s.t. tr(X) + s = 1  ->  1
         p = SdpProblem()
         blk = p.add_hermitian_block(2)
-        slack = p.add_slack_block()
+        slack = p.add_hermitian_block(1)
         p.add_objective(blk, np.eye(2))
         p.add_objective(slack, np.array([[1.0]]))
         p.add_constraint([(blk, np.eye(2)), (slack, np.array([[1.0]]))], "==", 1.0)
         sol = solve_sdp(p)
         assert sol.status == "Optimal"
         assert sol.objective_value == pytest.approx(1.0, abs=1e-6)
+
+    def test_mixed_senses_match_exact_dual(self):
+        # The W-SDP shape: max tr(C X) s.t. tr(B X) >= c, tr(X) <= 1, X >= 0.
+        # Its dual is the convex 1-D problem
+        #   min_{lam >= 0} max(lambda_max(C + lam B), 0) - lam c,
+        # solved here by ternary search as an exact reference.
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            dim = int(rng.integers(2, 7))
+            g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            c_mat = g @ g.conj().T
+            b_mat = random_hermitian(rng, dim)
+            rhs = 0.5 * max_eigval(b_mat)
+
+            def dual(lam):
+                return max(max_eigval(c_mat + lam * b_mat), 0.0) - lam * rhs
+
+            hi = 1.0
+            while dual(2.0 * hi) < dual(hi):
+                hi *= 2.0
+            lo, hi = 0.0, 2.0 * hi
+            for _ in range(200):
+                m1, m2 = lo + (hi - lo) / 3.0, hi - (hi - lo) / 3.0
+                if dual(m1) <= dual(m2):
+                    hi = m2
+                else:
+                    lo = m1
+            exact = dual(0.5 * (lo + hi))
+
+            p = SdpProblem()
+            blk = p.add_hermitian_block(dim)
+            p.add_objective(blk, c_mat)
+            p.add_constraint([(blk, b_mat)], ">=", rhs)
+            p.add_constraint([(blk, np.eye(dim))], "<=", 1.0)
+            sol = solve_sdp(p)
+            assert sol.status == "Optimal"
+            assert sol.objective_value == pytest.approx(exact, rel=1e-6)
 
     def test_debug_log_written(self, tmp_path):
         rng = np.random.default_rng(7)

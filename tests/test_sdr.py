@@ -289,13 +289,13 @@ class TestSdrAo:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(sdr, "randomize_v", counting)
-        cfg = ScenarioConfig(M=4, N=24, r0=3.0, seed=25)
+        cfg = ScenarioConfig(M=4, N=24, r0=3.0, seed=55)
         ch = generate_scenario(cfg)
         res = sdr_ao(ch, cfg)
         assert len(calls) == 3
         assert res.status == "Converged"
-        assert res.iters_outer == 6
+        assert res.iters_outer == 9
         tr = res.harvested_trace
-        assert len(tr) == 6
+        assert len(tr) == 9
         assert all(tr[i + 1] >= tr[i] * (1 - 1e-8) for i in range(len(tr) - 1))
         assert check_feasible(res.w.w, res.u, cfg, ch).feasible
