@@ -7,10 +7,16 @@ product is Re tr(A^H B), so objective and constraint values are the complex
 traces the caller wrote down.
 
 The solver is an infeasible-start primal-dual path-following method with the
-XZ (HKM) search direction and a Mehrotra predictor-corrector step.  Dense
-factorizations per iteration are fine at the dimensions used here (<= ~64).
+XZ (HKM) search direction and a Mehrotra predictor-corrector step.  Each
+iteration factors every X and Z block once as L L^H: L^-1 whitens both the
+predictor's and the corrector's step to the boundary (one eigvalsh of
+L^-1 dS L^-H per block and step) and gives Z^-1 = L^-H L^-1.  A block that
+loses definiteness ends the solve as NumericalFailure.  Dense factorizations
+are fine at the dimensions used here (<= ~64).
 Inequality constraints become equalities with 1x1 slack blocks (Hermitian,
-hence real once the iterate is symmetrized).
+hence real once the iterate is symmetrized).  A constraint term may be given
+as a 1-D array, the real diagonal of a diagonal matrix, which skips building
+and scanning the dense matrix.
 """
 
 from dataclasses import dataclass
@@ -83,15 +89,31 @@ class SdpProblem:
         else:
             self.objective[block] = mat
 
+    def _check_diagonal(self, block, diag):
+        diag = np.asarray(diag)
+        d = self._dims[block]
+        if diag.shape != (d,):
+            raise InvalidInput(f"diagonal shape {diag.shape} does not match block dim {d}")
+        if np.iscomplexobj(diag) and np.any(diag.imag != 0):
+            raise InvalidInput("the diagonal of a Hermitian term must be real")
+        return diag.real.astype(float)
+
     def add_constraint(self, terms, sense, rhs):
-        """terms: iterable of (block index, matrix); sense in {'==','<=','>='}."""
+        """terms: iterable of (block index, matrix), a 1-D array standing for
+        the diagonal of a diagonal matrix; sense in {'==','<=','>='}."""
         if sense not in ("==", "<=", ">="):
             raise InvalidInput(f"unknown sense {sense!r}")
         tdict = {}
         for block, mat in terms:
-            mat = self._check_matrix(block, mat)
+            if np.ndim(mat) == 1:
+                mat = self._check_diagonal(block, mat)
+            else:
+                mat = self._check_matrix(block, mat)
             if block in tdict:
-                tdict[block] = tdict[block] + mat
+                old = tdict[block]
+                if old.ndim != mat.ndim:  # a diagonal plus a dense term is dense
+                    old, mat = (np.diag(x) if x.ndim == 1 else x for x in (old, mat))
+                tdict[block] = old + mat
             else:
                 tdict[block] = mat
         if not tdict:
@@ -100,12 +122,16 @@ class SdpProblem:
 
 
 class _Term:
-    """One constraint's footprint on one block, diagonal-aware."""
+    """One constraint's footprint on one block, diagonal-aware: mat is a
+    diagonal given as a 1-D array, or a dense matrix scanned for one."""
 
     __slots__ = ("row", "dense", "diag")
 
     def __init__(self, row, mat):
         self.row = row
+        if mat.ndim == 1:
+            self.diag, self.dense = mat, None
+            return
         off = mat - np.diag(np.diag(mat))
         scale = max(np.max(np.abs(mat)), 1e-300)
         if np.max(np.abs(off)) <= DIAG_DETECT_TOL * scale:
@@ -135,7 +161,7 @@ class _Assembled:
                 continue
             self.dims.append(1)
             self.C.append(np.zeros((1, 1), dtype=complex))
-            rows[i][len(self.dims) - 1] = np.array([[1.0 if sense == "<=" else -1.0]])
+            rows[i][len(self.dims) - 1] = np.array([1.0 if sense == "<=" else -1.0])
         self.m = len(rows)
 
         # per-block constraint footprints, split into diagonal and dense terms
@@ -211,36 +237,44 @@ class _Assembled:
         return 0.5 * (M + M.T)
 
 
-def _min_eig_step(s, ds):
-    """Largest alpha with s + alpha*ds PSD, computed via a whitened eigenvalue."""
-    if s.shape[0] == 1:
-        if ds[0, 0].real >= 0:
-            return np.inf
-        return -s[0, 0].real / ds[0, 0].real
-    vals, vecs = np.linalg.eigh(s)
-    vals = np.maximum(vals, 1e-14 * max(vals[-1], 1e-300))
-    whit = (vecs / np.sqrt(vals)).conj().T  # rows scale to identity: W s W^H = I
-    lam = np.linalg.eigvalsh(_herm(whit @ ds @ whit.conj().T))[0]
-    if lam >= 0:
-        return np.inf
-    return -1.0 / lam
+def _whitener(s):
+    """L^-1 for the Cholesky factor s = L L^H; LinAlgError if s is not positive definite."""
+    if s.shape[0] == 1:  # slack blocks
+        if not s[0, 0].real > 0:
+            raise np.linalg.LinAlgError("slack block is not positive")
+        return 1.0 / np.sqrt(s.real)
+    return np.linalg.inv(np.linalg.cholesky(s))
 
 
-def _step_to_boundary(blocks, deltas):
-    return min((_min_eig_step(s, ds) for s, ds in zip(blocks, deltas)), default=np.inf)
+def _step_to_boundary(whiteners, deltas):
+    """Largest alpha with S + alpha*dS PSD in every block, S = L L^H given by
+    L^-1: the bound is -1/lambda_min(L^-1 dS L^-H) when that is negative."""
+    alpha = np.inf
+    for li, ds in zip(whiteners, deltas):
+        w = li @ ds @ li.conj().T
+        lam = w[0, 0].real if w.shape[0] == 1 else np.linalg.eigvalsh(w)[0]
+        if lam < 0:
+            alpha = min(alpha, -1.0 / lam)
+    return alpha
 
 
-def _solve_spd(M, rhs):
+def _spd_solver(M):
+    """rhs -> M^-1 rhs for the Schur matrix, factored once for the predictor
+    and the corrector: by Cholesky, else by a ridge-regularized solve, else by
+    least squares."""
     try:
-        c = np.linalg.cholesky(M)
-        y = np.linalg.solve(c, rhs)
-        return np.linalg.solve(c.T, y)
+        li = np.linalg.inv(np.linalg.cholesky(M))
+        return lambda rhs: li.T @ (li @ rhs)
     except np.linalg.LinAlgError:
-        ridge = 1e-12 * (np.trace(M) / max(M.shape[0], 1) + 1.0)
+        pass
+    ridge = 1e-12 * (np.trace(M) / max(M.shape[0], 1) + 1.0)
+
+    def fallback(rhs):
         try:
             return np.linalg.solve(M + ridge * np.eye(M.shape[0]), rhs)
         except np.linalg.LinAlgError:
             return np.linalg.lstsq(M, rhs, rcond=None)[0]
+    return fallback
 
 
 def solve_sdp(problem, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS, log_file=None):
@@ -249,7 +283,8 @@ def solve_sdp(problem, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS, log_file=No
     Returns an SdpSolution.  status is 'Optimal' when the relative duality gap
     and the feasibility residuals are all below tol; 'Infeasible' when a
     primal-infeasibility certificate is found; 'NumericalFailure' when the
-    iteration cap passes without gap closure.
+    iteration cap passes without gap closure or an iterate block fails its
+    Cholesky factorization.
     """
     asm = _Assembled(problem)
     m = asm.m
@@ -268,12 +303,6 @@ def solve_sdp(problem, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS, log_file=No
     iters_done = max_iters
 
     for it in range(1, max_iters + 1):
-        Zi = []
-        for z in Z:
-            vals, vecs = np.linalg.eigh(z)
-            vals = np.maximum(vals, 1e-300)
-            Zi.append((vecs / vals) @ vecs.conj().T)
-
         mu = sum(_inner(x, z) for x, z in zip(X, Z)) / n_total
         rp = asm.b - asm.apply(X)
         Ay = asm.adjoint(y)
@@ -306,18 +335,26 @@ def solve_sdp(problem, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS, log_file=No
                 iters_done = it - 1
                 break
 
-        Mschur = asm.schur(X, Zi)
+        try:
+            Lx = [_whitener(x) for x in X]
+            Lz = [_whitener(z) for z in Z]
+        except np.linalg.LinAlgError:  # an iterate left the cone: status stays NumericalFailure
+            iters_done = it - 1
+            break
+        Zi = [lz.conj().T @ lz for lz in Lz]
+
+        solve_schur = _spd_solver(asm.schur(X, Zi))
         XRZ = [x @ r @ zi for x, r, zi in zip(X, Rd, Zi)]
         base_rhs = asm.b + asm.apply(XRZ)
         a_zi = asm.apply(Zi)
 
         # predictor (affine scaling, sigma = 0)
-        dy_a = _solve_spd(Mschur, base_rhs)
+        dy_a = solve_schur(base_rhs)
         Ady_a = asm.adjoint(dy_a)
         dZ_a = [r - a for r, a in zip(Rd, Ady_a)]
         dX_a = [_herm(-x - x @ dz @ zi) for x, dz, zi in zip(X, dZ_a, Zi)]
-        ap_a = min(1.0, STEP_FRACTION * _step_to_boundary(X, dX_a))
-        ad_a = min(1.0, STEP_FRACTION * _step_to_boundary(Z, dZ_a))
+        ap_a = min(1.0, STEP_FRACTION * _step_to_boundary(Lx, dX_a))
+        ad_a = min(1.0, STEP_FRACTION * _step_to_boundary(Lz, dZ_a))
         mu_aff = sum(_inner(x + ap_a * dx, z + ad_a * dz)
                      for x, dx, z, dz in zip(X, dX_a, Z, dZ_a)) / n_total
         sigma = min(1.0, max(1e-8, (max(mu_aff, 0.0) / mu) ** 3))
@@ -325,14 +362,14 @@ def solve_sdp(problem, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS, log_file=No
         # corrector with the Mehrotra second-order term
         corr = [dx @ dz @ zi for dx, dz, zi in zip(dX_a, dZ_a, Zi)]
         rhs = base_rhs - sigma * mu * a_zi + asm.apply(corr)
-        dy = _solve_spd(Mschur, rhs)
+        dy = solve_schur(rhs)
         Ady = asm.adjoint(dy)
         dZ = [r - a for r, a in zip(Rd, Ady)]
         dX = [_herm(sigma * mu * zi - x - x @ dz @ zi - co)
               for x, dz, zi, co in zip(X, dZ, Zi, corr)]
 
-        ap = min(1.0, STEP_FRACTION * _step_to_boundary(X, dX))
-        ad = min(1.0, STEP_FRACTION * _step_to_boundary(Z, dZ))
+        ap = min(1.0, STEP_FRACTION * _step_to_boundary(Lx, dX))
+        ad = min(1.0, STEP_FRACTION * _step_to_boundary(Lz, dZ))
         X = [_herm(x + ap * dx) for x, dx in zip(X, dX)]
         Z = [_herm(z + ad * dz) for z, dz in zip(Z, dZ)]
         y = y + ad * dy

@@ -90,6 +90,25 @@ class TestSolveSdp:
         sol = solve_sdp(lambda_max_problem(c), max_iters=2)
         assert sol.status == "NumericalFailure"
 
+    def test_failed_factorization_reports_numerical_failure(self, monkeypatch):
+        # An iterate that fails its Cholesky factorization ends the solve with
+        # a documented status instead of an exception.
+        import irs_swipt.sdp as sdp
+        calls = []
+        original = sdp._whitener
+
+        def failing_on_fifth(s):
+            calls.append(s)
+            if len(calls) == 5:
+                raise np.linalg.LinAlgError("not positive definite")
+            return original(s)
+
+        monkeypatch.setattr(sdp, "_whitener", failing_on_fifth)
+        rng = np.random.default_rng(10)
+        sol = solve_sdp(lambda_max_problem(random_hermitian(rng, 4)))
+        assert sol.status == "NumericalFailure"
+        assert sol.iterations == 2  # one X and one Z factor per iteration: the third failed
+
     def test_mixed_constraint_senses(self):
         # max tr(X) with 0.5 <= tr(X) <= 2 and X <= I elementwise via traces
         p = SdpProblem()
@@ -149,6 +168,45 @@ class TestSolveSdp:
             sol = solve_sdp(p)
             assert sol.status == "Optimal"
             assert sol.objective_value == pytest.approx(exact, rel=1e-6)
+
+    def test_diagonal_term_solves_like_its_dense_form(self):
+        # The V-SDP shape: unit-diagonal rows given as 1-D diagonals solve
+        # bit for bit like the same rows given as dense matrices.
+        rng = np.random.default_rng(9)
+        dim = 6
+        c = random_hermitian(rng, dim)
+        b_mat = random_hermitian(rng, dim)
+        sols = []
+        for as_diag in (True, False):
+            p = SdpProblem()
+            blk = p.add_hermitian_block(dim)
+            p.add_objective(blk, c)
+            for e_n in np.eye(dim):
+                p.add_constraint([(blk, e_n if as_diag else np.diag(e_n))], "==", 1.0)
+            p.add_constraint([(blk, b_mat)], ">=", -1.0)
+            sols.append(solve_sdp(p))
+        diag, dense = sols
+        assert diag.status == dense.status == "Optimal"
+        assert diag.iterations == dense.iterations
+        assert diag.objective_value == dense.objective_value
+        assert np.array_equal(diag.blocks[0], dense.blocks[0])
+
+    def test_diagonal_and_dense_terms_of_one_block_add_up(self):
+        p = SdpProblem()
+        blk = p.add_hermitian_block(2)
+        p.add_objective(blk, np.eye(2))
+        p.add_constraint([(blk, np.array([1.0, 0.0])), (blk, np.diag([0.0, 1.0]))], "<=", 2.0)
+        sol = solve_sdp(p)
+        assert sol.status == "Optimal"
+        assert sol.objective_value == pytest.approx(2.0, abs=1e-6)
+
+    def test_rejects_bad_diagonal_terms(self):
+        p = SdpProblem()
+        blk = p.add_hermitian_block(2)
+        with pytest.raises(InvalidInput):
+            p.add_constraint([(blk, np.ones(3))], "==", 1.0)
+        with pytest.raises(InvalidInput):
+            p.add_constraint([(blk, np.array([1.0, 1.0j]))], "==", 1.0)
 
     def test_debug_log_written(self, tmp_path):
         rng = np.random.default_rng(7)
