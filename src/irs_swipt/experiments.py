@@ -9,6 +9,7 @@ direct links match between the IRS and no-IRS arms thanks to the fixed draw
 order in generate_scenario.
 """
 
+import ctypes
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -146,6 +147,29 @@ def _run_one(args):
                          status=f"Error:{type(exc).__name__}")
 
 
+def _openblas_function(name):
+    """The loaded OpenBLAS's openblas_<name> (or a 64-bit variant), or None."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:  # no /proc: not Linux
+        return None
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        for sym in (f"openblas_{name}", f"scipy_openblas_{name}64_", f"openblas_{name}64_"):
+            if hasattr(lib, sym):
+                return getattr(lib, sym)
+    return None
+
+
+def _single_blas_thread():
+    """Pool initializer: one OpenBLAS thread per worker, so that the pool does
+    not oversubscribe the cores and inflate the seconds column."""
+    set_threads = _openblas_function("set_num_threads")
+    if set_threads is not None:
+        set_threads(1)
+
+
 def run_experiment(spec):
     """Execute the batch, emit CSV / summary / SVG files, return the rows."""
     out = Path(spec.out_dir)
@@ -157,7 +181,7 @@ def run_experiment(spec):
 
     workers = spec.workers or os.cpu_count() or 1
     if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_single_blas_thread) as pool:
             rows = list(pool.map(_run_one, tasks, chunksize=max(1, len(tasks) // (8 * workers))))
     else:
         rows = [_run_one(t) for t in tasks]

@@ -1,7 +1,8 @@
 """What the alternating-optimization solvers share: the starting phase
 profile, the full-power secrecy-maximizing beamformer used as a feasibility
 probe and as a strictly feasible starting point, and the alternation loop
-that sdr_ao, sca_ao and the beamformer-only baselines all run."""
+that sdr_ao, sca_ao and the beamformer-only baselines all run (sdr_ao also
+maps its final relaxed state to a rank-one pair once, after the loop)."""
 
 import time
 
@@ -9,8 +10,6 @@ import numpy as np
 
 from .linalg import herm_eig
 from .metrics import Beamformer, PhaseProfile, SolveResult, harvested_power, secrecy_rate
-
-MAX_RESTARTS = 2
 
 
 def initial_phase_profile(cfg, rng=None):
@@ -59,9 +58,8 @@ def alternate(channels, cfg, u, step, eps, max_iters, recover=None):
 
     Without recover the state is the (w, u) pair and the trace starts at its
     harvested power.  With recover the state is a relaxation, so the trace
-    holds step values only; recover(state, trace[-1]) returns a rank-one
-    (w, u) pair and whether to restart from it (at most MAX_RESTARTS times;
-    the step count carries over).
+    holds step values only, and recover(state) maps the final state to the
+    returned (w, u) pair.
     """
     t_start = time.perf_counter()
     ok, w, sr_max = feasibility_probe(channels, cfg, u)
@@ -71,22 +69,14 @@ def alternate(channels, cfg, u, step, eps, max_iters, recover=None):
     state = (w, u)
     trace = [harvested_power(w, u, channels, cfg.zeta)] if recover is None else []
     counts = {"w": 0, "u": 0}
-    it = 0
-    for _ in range(1 + MAX_RESTARTS):
-        status = "MaxIters"
-        while it < max_iters:
-            it += 1
-            state, value = step(state, counts)
-            trace.append(value)
-            if len(trace) >= 2 and trace[-1] > 0 and (trace[-1] - trace[-2]) / trace[-1] < eps:
-                status = "Converged"
-                break
-        if recover is None:
+    status = "MaxIters"
+    for it in range(1, max_iters + 1):
+        state, value = step(state, counts)
+        trace.append(value)
+        if len(trace) >= 2 and trace[-1] > 0 and (trace[-1] - trace[-2]) / trace[-1] < eps:
+            status = "Converged"
             break
-        state, restart = recover(state, trace[-1])
-        if not restart or it >= max_iters:
-            break
-    w, u = state
+    w, u = state if recover is None else recover(state)
     return SolveResult(
         w=Beamformer(w), u=u, harvested_trace=trace,
         achieved_sr=secrecy_rate(w, u, channels, cfg.sigma2_w),

@@ -4,16 +4,16 @@ The joint harvested-power problem is lifted to PSD matrices W = w w^H and
 V = v v^H with the rank-one constraints dropped.  With one variable fixed the
 other subproblem is a linear SDP, so the two are alternated; both half-steps
 can only raise the relaxed objective.  The W half-step has two trace
-constraints and therefore a rank-one optimum, found exactly through its 1-D
-dual (rank_one_w); the V half-step is solved by the interior-point method of
-sdp.py.  Rank-one solutions are recovered afterwards with Gaussian
-randomization (profile first, then the beamformer against the recovered
-profile, so the returned pair is jointly feasible); both recoveries draw,
-map and score all their candidates at once in one routine, _best_candidate.
+constraints and therefore a rank-one optimum W = Ps e e^H, found exactly
+through its 1-D dual (rank_one_w), so the alternation carries w = sqrt(Ps) e
+instead of W.  The V half-step is solved by the interior-point method of
+sdp.py.  Only the profile is recovered, by Gaussian randomization against
+that w, so the returned pair is jointly feasible; _best_candidate draws, maps
+and scores all candidates at once (it also backs randomize_w, kept for a
+general lifted W, which sdr_ao does not need).
 
-sdr_ao runs the alternation loop of init.py with the W-SDP/V-SDP round as
-its step and the recovery as its recover callable, which asks for a restart
-from the recovered pair when that pair beats the relaxation bound.
+sdr_ao runs the alternation loop of init.py with the W-step/V-SDP round as
+its step and the profile recovery as its recover callable.
 
 Subproblems are assembled in noise-normalized units (channels scaled by
 sqrt(Ps)/sigma, trace budget 1) to keep the interior-point iterations well
@@ -32,12 +32,6 @@ from .sdp import SdpProblem, solve_sdp
 def _snr_stacks(channels, cfg):
     scale = np.sqrt(cfg.ps_w) / np.sqrt(cfg.sigma2_w)
     return channels.H_r * scale, channels.H_b * scale, channels.H_e * scale
-
-
-def _relaxed_objective_w(channels, cfg, V, W):
-    """tr(H_r^H V H_r W) in watts."""
-    Rr = channels.H_r.conj().T @ V @ channels.H_r
-    return float(np.real(np.tensordot(Rr.conj(), W)))
 
 
 # Relative bracket width at which the multiplier search stops.  The segment
@@ -132,7 +126,7 @@ def solve_w_sdp(V, channels, cfg):
     trace secrecy constraint and tr(W) <= Ps, V fixed.
 
     Solved exactly at a rank-one optimum W = Ps e e^H (see rank_one_w).
-    Returns (W in watts, relaxed objective in watts).  Raises
+    Returns (w = sqrt(Ps) e, relaxed objective in watts).  Raises
     SubproblemInfeasible when the secrecy target is unattainable for this V.
     """
     Hr, Hb, He = _snr_stacks(channels, cfg)
@@ -140,26 +134,26 @@ def solve_w_sdp(V, channels, cfg):
     gain = 2.0 ** cfg.r0
     A = Hb.conj().T @ V @ Hb - gain * (He.conj().T @ V @ He)
     e = rank_one_w(Rr, A, gain - 1.0)
-    W = cfg.ps_w * np.outer(e, e.conj())
-    return W, float(cfg.sigma2_w * np.real(np.vdot(e, Rr @ e)))
+    return np.sqrt(cfg.ps_w) * e, float(cfg.sigma2_w * np.real(np.vdot(e, Rr @ e)))
 
 
 V_OBJECTIVE_NORM = 1e3  # Frobenius norm the V-SDP objective is scaled to
 
 
-def solve_v_sdp(W, channels, cfg):
+def solve_v_sdp(w, channels, cfg):
     """Profile half-step: maximize tr(H_r^H V H_r W) over PSD V with unit
-    diagonal and the trace secrecy constraint, W fixed.
+    diagonal and the trace secrecy constraint, W = w w^H fixed.
 
-    The objective and the secrecy row are scaled by one factor that brings
-    the objective to norm V_OBJECTIVE_NORM (at norm 1e6 the interior-point
-    primal residual stalled above sdp_tol and the iterate left the PSD cone),
-    and the objective is rescaled on the way out.
+    The objective (rank one) and the secrecy row (rank two) are outer
+    products of y_x = H_x w / sigma, scaled by one factor that brings the
+    objective to norm V_OBJECTIVE_NORM (at norm 1e6 the interior-point primal
+    residual stalled above sdp_tol and the iterate left the PSD cone); the
+    objective is rescaled on the way out.
     """
     n1 = cfg.N + 1
-    Sr = channels.H_r @ W @ channels.H_r.conj().T / cfg.sigma2_w
-    Sb = channels.H_b @ W @ channels.H_b.conj().T / cfg.sigma2_w
-    Se = channels.H_e @ W @ channels.H_e.conj().T / cfg.sigma2_w
+    yr, yb, ye = (H @ w / np.sqrt(cfg.sigma2_w)
+                  for H in (channels.H_r, channels.H_b, channels.H_e))
+    Sr = np.outer(yr, yr.conj())
     gain = 2.0 ** cfg.r0
     norm = np.linalg.norm(Sr)
     scale = V_OBJECTIVE_NORM / norm if norm > 0 else 1.0
@@ -169,7 +163,8 @@ def solve_v_sdp(W, channels, cfg):
     prob.add_objective(blk, scale * Sr)
     for e_n in np.eye(n1):  # unit diagonal, passed as diagonals
         prob.add_constraint([(blk, e_n)], "==", 1.0)
-    prob.add_constraint([(blk, scale * (Sb - gain * Se))], ">=", scale * (gain - 1.0))
+    row = np.outer(yb, yb.conj()) - gain * np.outer(ye, ye.conj())
+    prob.add_constraint([(blk, scale * row)], ">=", scale * (gain - 1.0))
     sol = solve_sdp(prob, tol=cfg.sdp_tol)
     if sol.status == "Infeasible":
         raise SubproblemInfeasible("secrecy target unattainable for the fixed beamformer")
@@ -229,28 +224,21 @@ def randomize_v(V, fixed_beam, channels, cfg, count=None, rng=None):
     """Recover a unit-modulus profile from a lifted V by Gaussian randomization.
 
     Candidates are normalized by their last entry and projected entrywise to
-    unit modulus; the best secrecy-feasible candidate by harvested power wins,
-    falling back to the phases of the principal eigenvector.  fixed_beam is a
-    beamformer vector or a lifted W.
+    unit modulus; the best secrecy-feasible candidate by harvested power
+    against the beamformer fixed_beam wins, falling back to the phases of the
+    principal eigenvector.
     """
     if cfg.N == 0:
         return PhaseProfile(np.zeros(0, dtype=complex))
     w = np.asarray(getattr(fixed_beam, "w", fixed_beam))
-    Hs = (channels.H_r, channels.H_b, channels.H_e)
-    if w.ndim == 1:
-        Y = np.stack([H @ w for H in Hs], axis=1)
-        gains_v = lambda v: np.abs(v.conj() @ Y) ** 2
-    else:
-        S = [H @ w @ H.conj().T for H in Hs]
-        gains_v = lambda v: np.stack(
-            [np.sum((v.conj() @ Sx) * v, axis=1).real for Sx in S], axis=1)
+    Y = np.stack([H @ w for H in (channels.H_r, channels.H_b, channels.H_e)], axis=1)
 
     def project(vt):
         last = vt[:, -1:]
         vt = vt / np.where(last != 0, last, 1.0)
         return np.exp(1j * np.angle(vt[:, :-1]))
 
-    gains = lambda u: gains_v(np.concatenate([u, np.ones((len(u), 1))], axis=1))
+    gains = lambda u: np.abs(np.concatenate([u, np.ones((len(u), 1))], axis=1).conj() @ Y) ** 2
     return PhaseProfile(_best_candidate(V, project, gains, cfg, count, rng, "profile"))
 
 
@@ -258,34 +246,26 @@ def sdr_ao(channels, cfg, rng=None):
     """Full SDR-based alternating optimization with randomization recovery.
 
     harvested_trace holds the relaxed objective zeta*tr(H_r^H V H_r W) per
-    outer iteration; the recovered rank-one pair can only sit at or below its
-    final value.
+    outer iteration; the recovered pair, the last W step's beamformer with a
+    profile drawn from the last V, can only sit at or below its final value.
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
 
     def step(state, counts):
         _, V = state
-        if isinstance(V, PhaseProfile):  # the start, or a restart from a recovered pair
+        if isinstance(V, PhaseProfile):  # the starting profile
             V = np.outer(V.v, V.v.conj())
-        W, _ = solve_w_sdp(V, channels, cfg)
+        w, obj = solve_w_sdp(V, channels, cfg)
         counts["w"] += 1
         if cfg.N > 0:
-            V, obj = solve_v_sdp(W, channels, cfg)
+            V, obj = solve_v_sdp(w, channels, cfg)
             counts["u"] += 1
-        else:
-            obj = _relaxed_objective_w(channels, cfg, V, W)
-        return (W, V), cfg.zeta * obj
+        return (w, V), cfg.zeta * obj
 
-    def recover(state, bound):
-        # A recovery that beats the relaxation trace means the alternation was
-        # not jointly stationary yet; restart it from the recovered profile (an
-        # ascent, so the trace stays monotone) instead of reporting a broken bound.
-        W, V = state
-        u = randomize_v(V, W, channels, cfg, rng=rng)
-        w = randomize_w(W, u, channels, cfg, rng=rng).w
-        recovered = cfg.zeta * abs(np.vdot(u.v, channels.H_r @ w)) ** 2
-        return (w, u), recovered > bound + 1e-8
+    def recover(state):
+        w, V = state
+        return w, randomize_v(V, w, channels, cfg, rng=rng)
 
     return alternate(channels, cfg, initial_phase_profile(cfg, rng), step,
                      cfg.eps, cfg.max_outer_iters, recover)

@@ -1,4 +1,6 @@
+import ctypes
 import json
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -6,12 +8,24 @@ import pytest
 from irs_swipt.channel import ChannelSet, ScenarioConfig, generate_scenario
 from irs_swipt.config import parse_config_text
 from irs_swipt.errors import InvalidInput
-from irs_swipt.experiments import (ExperimentSpec, ResultRow, compare_complexity,
-                                   emit_csv, parse_csv, run_experiment)
+from irs_swipt.experiments import (ExperimentSpec, ResultRow, _openblas_function,
+                                   _single_blas_thread, compare_complexity, emit_csv,
+                                   parse_csv, run_experiment)
 from irs_swipt.metrics import PhaseProfile, harvested_power, secrecy_rate
 
 DESK = dict(d_ap_bob=10.0, d_ap_eve=20.0, d_ap_ehr=6.0,
             d_irs_bob=12.0, d_irs_eve=25.0, d_irs_ehr=4.0)
+
+
+def blas_threads(set_to=None):
+    """OpenBLAS thread count of this process, after setting it to set_to."""
+    if set_to is not None:
+        set_threads = _openblas_function("set_num_threads")
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        set_threads(set_to)
+    get_threads = _openblas_function("get_num_threads")
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    return get_threads()
 
 
 def small_base(**kw):
@@ -119,6 +133,19 @@ class TestRunExperiment:
         for a, b in zip(rows_s, rows_p):
             assert (a.method, a.seed, a.harvested_w, a.sr_bps_hz, a.status) == \
                 (b.method, b.seed, b.harvested_w, b.sr_bps_hz, b.status)
+
+    def test_pool_workers_run_one_blas_thread(self):
+        # One worker per core, each running a BLAS thread per core,
+        # oversubscribes the cores and inflates the seconds column.
+        if _openblas_function("get_num_threads") is None:
+            pytest.skip("no OpenBLAS loaded")
+        before = blas_threads()
+        try:
+            assert blas_threads(set_to=2) == 2  # what an unpinned worker would inherit
+            with ProcessPoolExecutor(1, initializer=_single_blas_thread) as pool:
+                assert pool.submit(blas_threads).result() == 1
+        finally:
+            blas_threads(set_to=before)
 
 
 class TestCsv:

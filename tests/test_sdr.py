@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from irs_swipt.channel import ChannelSet, ScenarioConfig, generate_scenario
 from irs_swipt.errors import SubproblemInfeasible
+from irs_swipt.init import feasibility_probe, initial_phase_profile, max_sr_beamformer
 from irs_swipt.metrics import PhaseProfile, check_feasible, harvested_power
 from irs_swipt.linalg import psd_sqrt
 from irs_swipt.oracle import _unit_directions
@@ -12,6 +15,7 @@ from irs_swipt.sdr import (
 
 DESK = dict(d_ap_bob=10.0, d_ap_eve=20.0, d_ap_ehr=6.0,
             d_irs_bob=12.0, d_irs_eve=25.0, d_irs_ehr=4.0)
+NEAR_EVE = dict(d_ap_eve=7.0, d_ap_bob=100.0, d_ap_ehr=140.0)  # a strong eavesdropper
 
 
 def no_eve_channels(cfg):
@@ -46,16 +50,16 @@ class TestSolveWSdp:
         ch = no_eve_channels(cfg)
         v = np.ones(4, dtype=complex)
         V = np.outer(v, v.conj())
-        W, obj = solve_w_sdp(V, ch, cfg)
+        w, obj = solve_w_sdp(V, ch, cfg)
         target = cfg.ps_w * np.linalg.norm(ch.H_r.conj().T @ v) ** 2
         assert obj == pytest.approx(target, rel=1e-5)
-        assert np.trace(W).real <= cfg.ps_w * (1 + 1e-7)
+        assert np.linalg.norm(w) ** 2 <= cfg.ps_w * (1 + 1e-7)
 
     def test_without_irs_single_row(self):
         cfg = ScenarioConfig(M=4, N=0, seed=3, r0=1e-3, **DESK)
         ch = no_eve_channels(cfg)
         V = np.ones((1, 1), dtype=complex)
-        W, obj = solve_w_sdp(V, ch, cfg)
+        _, obj = solve_w_sdp(V, ch, cfg)
         assert obj == pytest.approx(cfg.ps_w * np.linalg.norm(ch.h_ah) ** 2, rel=1e-5)
 
     def test_relaxation_upper_bounds_rank_one_grid(self):
@@ -181,7 +185,7 @@ class TestSolveVSdp:
         bb = abs(nd.h_ib.conj() @ nd.G @ w) ** 2
         ee = abs(0.01 * ch.h_ie.conj() @ nd.G @ w) ** 2
         assert bb + cfg.sigma2_w >= gain * (ee + cfg.sigma2_w)
-        V, obj = solve_v_sdp(np.outer(w, w.conj()), nd, cfg)
+        V, obj = solve_v_sdp(w, nd, cfg)
         levels = 4096
         phases = np.exp(2j * np.pi * np.arange(levels) / levels)
         vals = [abs(np.conj(p) * (nd.h_ih.conj() @ nd.G @ w)) ** 2 for p in phases]
@@ -193,13 +197,12 @@ class TestSolveVSdp:
         rng = np.random.default_rng(1)
         w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         w *= np.sqrt(cfg.ps_w) / np.linalg.norm(w)
-        W = np.outer(w, w.conj())
-        _, obj1 = solve_v_sdp(W, ch, cfg)
+        _, obj1 = solve_v_sdp(w, ch, cfg)
         # rotate the per-element phases of every IRS-side vector coherently
         d = np.exp(2j * np.pi * rng.random(3))
         rot = ChannelSet(G=ch.G * d[:, None], h_ab=ch.h_ab, h_ah=ch.h_ah, h_ae=ch.h_ae,
                          h_ib=ch.h_ib, h_ih=ch.h_ih, h_ie=ch.h_ie)
-        _, obj2 = solve_v_sdp(W, rot, cfg)
+        _, obj2 = solve_v_sdp(w, rot, cfg)
         assert obj1 == pytest.approx(obj2, rel=1e-5)
 
 
@@ -212,7 +215,6 @@ class TestRandomization:
     def test_rank_one_w_recovered_exactly(self):
         cfg, ch = self.setup()
         u = PhaseProfile(np.ones(4, dtype=complex))
-        from irs_swipt.init import max_sr_beamformer
         w_star, _ = max_sr_beamformer(u.v, ch, cfg)
         W = np.outer(w_star, w_star.conj())
         w = randomize_w(W, u, ch, cfg, count=50, rng=np.random.default_rng(0))
@@ -224,7 +226,8 @@ class TestRandomization:
         cfg, ch = self.setup(seed=12)
         u = PhaseProfile(np.exp(2j * np.pi * np.random.default_rng(2).random(4)))
         V = np.outer(u.v, u.v.conj())
-        W, obj = solve_w_sdp(V, ch, cfg)
+        w_step, obj = solve_w_sdp(V, ch, cfg)
+        W = np.outer(w_step, w_step.conj())
         w = randomize_w(W, u, ch, cfg, count=1000, rng=np.random.default_rng(3))
         got = abs(np.vdot(u.v, ch.H_r @ w.w)) ** 2
         assert got <= obj * (1.0 + 1e-8)
@@ -233,7 +236,8 @@ class TestRandomization:
         cfg, ch = self.setup(seed=13)
         u = PhaseProfile(np.ones(4, dtype=complex))
         V = np.outer(u.v, u.v.conj())
-        W, _ = solve_w_sdp(V, ch, cfg)
+        w_step, _ = solve_w_sdp(V, ch, cfg)
+        W = np.outer(w_step, w_step.conj())
         w = randomize_w(W, u, ch, cfg, rng=np.random.default_rng(4))
         assert check_feasible(w.w, u, cfg, ch).feasible
 
@@ -250,8 +254,7 @@ class TestRandomization:
     def test_unit_modulus_contract(self):
         cfg, ch = self.setup(seed=15)
         w = np.sqrt(cfg.ps_w / 3) * np.ones(3, dtype=complex)
-        W = np.outer(w, w.conj())
-        V, _ = solve_v_sdp(W, ch, cfg)
+        V, _ = solve_v_sdp(w, ch, cfg)
         u = randomize_v(V, w, ch, cfg, rng=np.random.default_rng(6))
         assert np.max(np.abs(np.abs(u.u) - 1.0)) <= 1e-12
 
@@ -265,9 +268,10 @@ class TestRandomization:
         gain = 2.0 ** cfg.r0
         rng = np.random.default_rng(8)
         u = PhaseProfile(np.exp(2j * np.pi * rng.random(6)))
-        W, _ = solve_w_sdp(np.outer(u.v, u.v.conj()), ch, cfg)
-        V, _ = solve_v_sdp(W, ch, cfg)
-        W = W + 0.2 * cfg.ps_w * np.eye(3) / 3  # spread the draws over all of C^M
+        w_step, _ = solve_w_sdp(np.outer(u.v, u.v.conj()), ch, cfg)
+        V, _ = solve_v_sdp(w_step, ch, cfg)
+        # spread the draws over all of C^M
+        W = np.outer(w_step, w_step.conj()) + 0.2 * cfg.ps_w * np.eye(3) / 3
 
         def loop_choice(X, to_candidate, gains, seed, count=400):
             draws = np.random.default_rng(seed)
@@ -304,14 +308,12 @@ class TestRandomization:
         for seed in range(100):
             cfg = ScenarioConfig(M=2, N=6, seed=seed, r0=0.5, **DESK)
             ch = generate_scenario(cfg)
-            from irs_swipt.init import feasibility_probe, initial_phase_profile
             u0 = initial_phase_profile(cfg)
             ok, w, _ = feasibility_probe(ch, cfg, u0)
             if not ok:
                 continue
-            W = np.outer(w, w.conj())
             try:
-                V, _ = solve_v_sdp(W, ch, cfg)
+                V, _ = solve_v_sdp(w, ch, cfg)
                 u = randomize_v(V, w, ch, cfg, count=300, rng=rng)
             except Exception:
                 continue
@@ -350,23 +352,34 @@ class TestSdrAo:
         V = np.outer(v0, v0.conj())
         prev = -np.inf
         for _ in range(4):
-            W, obj_w = solve_w_sdp(V, ch, cfg)
+            w, obj_w = solve_w_sdp(V, ch, cfg)
             assert obj_w >= prev * (1 - 1e-8)
-            V, obj_v = solve_v_sdp(W, ch, cfg)
+            V, obj_v = solve_v_sdp(w, ch, cfg)
             assert obj_v >= obj_w * (1 - 1e-8)
             prev = obj_v
 
     def test_recovered_pair_feasible_and_bounded(self):
-        for seed in (40, 41, 42):
-            cfg = ScenarioConfig(M=4, N=6, seed=seed, r0=1.0, **DESK)
+        # The returned pair is the last W step's beamformer with a profile
+        # drawn from the last V and kept only if secrecy-feasible against it:
+        # a feasible rank-one point of the last V-SDP, so its harvested power
+        # cannot beat that SDP's optimum, trace[-1], beyond the solver
+        # tolerance.  This is why no restart from the recovered pair is needed.
+        rng = np.random.default_rng(70)
+        solved = 0
+        grid = itertools.product(range(4), (1, 2, 3, 4), (0.5, 1.0, 3.0), ("zero", "random"),
+                                 ({}, DESK, NEAR_EVE))
+        for k, (_, m, r0, init, geometry) in enumerate(grid):
+            cfg = ScenarioConfig(M=m, N=int(rng.integers(0, 13)), seed=k, r0=r0,
+                                 init_phases=init, **geometry)
             ch = generate_scenario(cfg)
             res = sdr_ao(ch, cfg)
             if res.status == "Infeasible":
                 continue
-            assert check_feasible(res.w.w, res.u, cfg, ch).feasible
+            solved += 1
+            assert check_feasible(res.w.w, res.u, cfg, ch).feasible, k
             got = harvested_power(res.w.w, res.u, ch, cfg.zeta)
-            assert got <= res.harvested_trace[-1] + 1e-8
-            assert res.achieved_sr >= cfg.r0 - 1e-6
+            assert got <= res.harvested_trace[-1] * (1 + 2 * cfg.sdp_tol), k
+        assert solved >= 200
 
     def test_infeasible_scenario_flagged(self):
         cfg = ScenarioConfig(M=2, N=2, seed=50, r0=30.0)
@@ -380,18 +393,15 @@ class TestSdrAo:
         ch = generate_scenario(cfg)
         v0 = np.ones(5, dtype=complex)
         V = np.outer(v0, v0.conj())
-        W, _ = solve_w_sdp(V, ch, cfg)
-        V, obj = solve_v_sdp(W, ch, cfg)
+        w, _ = solve_w_sdp(V, ch, cfg)
+        V, obj = solve_v_sdp(w, ch, cfg)
         tol = 1e-6
-        assert np.trace(W).real <= cfg.ps_w * (1 + tol)
+        assert np.linalg.norm(w) ** 2 <= cfg.ps_w * (1 + tol)
         assert np.max(np.abs(np.diag(V).real - 1.0)) <= tol
         gain = 2.0 ** cfg.r0
-        tb = np.real(np.tensordot((ch.H_b.conj().T @ V @ ch.H_b).conj(), W))
-        te = np.real(np.tensordot((ch.H_e.conj().T @ V @ ch.H_e).conj(), W))
-        assert tb + cfg.sigma2_w >= gain * (te + cfg.sigma2_w) * (1 - tol)
-        assert cfg.zeta * obj == pytest.approx(
-            cfg.zeta * np.real(np.tensordot((ch.H_r.conj().T @ V @ ch.H_r).conj(), W)),
-            rel=1e-6)
+        quad = lambda H: np.real(np.vdot(w, H.conj().T @ V @ H @ w))  # tr(H^H V H w w^H)
+        assert quad(ch.H_b) + cfg.sigma2_w >= gain * (quad(ch.H_e) + cfg.sigma2_w) * (1 - tol)
+        assert cfg.zeta * obj == pytest.approx(cfg.zeta * quad(ch.H_r), rel=1e-6)
 
     @pytest.mark.parametrize("seed,init", [(34, "zero"), (26, "random"), (20, "zero"),
                                            (63, "zero"), (37, "random")])
@@ -406,35 +416,35 @@ class TestSdrAo:
         assert res.status == "Converged"
         assert check_feasible(res.w.w, res.u, cfg, ch).feasible
 
-    def test_restarts_from_recovered_pair(self, monkeypatch):
-        # With the exact W half-step, this instance's recovery no longer beats
-        # the relaxation bound, so the V half-step here under-reports its
-        # objective by 0.1%: each of the first two recoveries then beats the
-        # bound and the alternation restarts twice from the recovered
-        # profile.  Counting through the module attribute also checks that
-        # sdr_ao looks randomize_v and solve_v_sdp up at call time.
+    def test_looks_half_steps_up_at_call_time(self, monkeypatch):
+        # Wrappers installed on the module attributes see every call, so
+        # instrumentation that replaces them by name still traces sdr_ao.
         import irs_swipt.sdr as sdr
-        calls = []
-        original = sdr.randomize_v
-        solve_v = sdr.solve_v_sdp
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        def under_reporting(*args, **kwargs):
-            V, obj = solve_v(*args, **kwargs)
-            return V, obj * (1.0 - 1e-3)
-
-        monkeypatch.setattr(sdr, "randomize_v", counting)
-        monkeypatch.setattr(sdr, "solve_v_sdp", under_reporting)
-        cfg = ScenarioConfig(M=4, N=24, r0=3.0, seed=55)
-        ch = generate_scenario(cfg)
-        res = sdr_ao(ch, cfg)
-        assert len(calls) == 3
+        calls = {"solve_w_sdp": 0, "solve_v_sdp": 0, "randomize_v": 0}
+        for name in calls:
+            def counting(*args, _name=name, _original=getattr(sdr, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(sdr, name, counting)
+        cfg = ScenarioConfig(M=4, N=8, r0=3.0, seed=55)
+        res = sdr_ao(generate_scenario(cfg), cfg)
         assert res.status == "Converged"
-        assert res.iters_outer == 9
-        tr = res.harvested_trace
-        assert len(tr) == 9
-        assert all(tr[i + 1] >= tr[i] * (1 - 1e-8) for i in range(len(tr) - 1))
+        assert calls == {"solve_w_sdp": res.iters_inner_w, "solve_v_sdp": res.iters_inner_u,
+                         "randomize_v": 1}
+        assert res.iters_inner_w == res.iters_inner_u == res.iters_outer
+
+    @pytest.mark.parametrize("seed", [65, 68, 134, 148])
+    def test_strong_eavesdropper_without_irs(self, seed):
+        # The W step's beamformer meets the secrecy target on its feasible
+        # side; recovering it instead from the lifted W = Ps e e^H by
+        # randomization put rounding-level noise on every draw, and on these
+        # instances no draw, nor the principal factor, stayed feasible.
+        cfg = ScenarioConfig(M=3, N=0, seed=seed, **NEAR_EVE)
+        ch = generate_scenario(cfg)
+        u0 = initial_phase_profile(cfg)
+        ok, _, sr_max = feasibility_probe(ch, cfg, u0)
+        assert ok
+        cfg = cfg.with_updates(r0=0.5 * sr_max)
+        res = sdr_ao(ch, cfg)
+        assert res.status == "Converged"
         assert check_feasible(res.w.w, res.u, cfg, ch).feasible
