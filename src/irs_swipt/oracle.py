@@ -1,29 +1,56 @@
-"""Brute-force references at desk scale.
+"""Phase-grid references at desk scale.
 
-grid_search_joint enumerates the phase profile over a per-element phase grid
-and, for each profile, beamformers over the span of the three effective
-channel vectors (restricting to that span loses nothing: objective and
-constraints see w only through those inner products and its norm).  Span
-coefficients are gridded through generalized spherical angles modulo the
-irrelevant global phase, then scaled over a power grid up to the budget.
+grid_search_joint enumerates the IRS phase profile over a per-element phase
+grid and solves the beamformer exactly for each profile.  For a fixed
+augmented profile v, let r, b, e = H_r^H v, H_b^H v, H_e^H v.  The harvested
+power is zeta |r^H w|^2 and the secrecy constraint reads w^H A w >= (2^r0 - 1) s2
+with A = b b^H - 2^r0 e e^H.  As 2^r0 > 1, scaling w up never hurts either,
+so full power is optimal: w = sqrt(Ps) x with x solving
 
-Everything is deterministic: candidates are scanned in a fixed order and ties
-break toward the lowest grid index.
+    max x^H R x   s.t.  x^H A x >= c,  ||x|| = 1,     R = r r^H,  c = (2^r0 - 1) s2 / Ps.
+
+A QCQP with two constraints has a tight semidefinite relaxation (Huang &
+Palomar, IEEE TSP 2010), so its value is that of the convex 1-D dual
+min_{lam >= 0} lambda_max(R + lam A) - lam c.  That dual is minimized by
+golden-section search for all profiles of a chunk at once, with lambda_max in
+closed form for M <= 2 and by a batched eigvalsh for M = 3.  A profile is
+infeasible when lambda_max(A) <= c, and its value is ||r||^2 when MRT
+(x = r / ||r||) already meets the constraint.  The beamformer is recovered at
+the winning profile only, and the value returned is the harvested power of
+the recovered pair.
+
+grid_search_phases scans the same phase grid for a fixed beamformer.
+
+Neither shares code with the solvers they check (nothing from sdr, sca or
+sdp).  Everything is deterministic: profiles are scanned in a fixed order and
+ties break toward the lowest grid index.
 """
 
 from dataclasses import dataclass
 import numpy as np
 
-from .errors import GridTooLarge, InvalidInput
+from .errors import GridTooLarge, InvalidInput, SubproblemInfeasible
+from .metrics import harvested_power
 
-EVAL_CAP = 10 ** 8
-CHUNK = 2048
+EVAL_CAP = 10 ** 8          # phase profiles per search
+CHUNK = 2 ** 14             # profiles per batch, which bounds memory at N = 3
+GOLDEN_STEPS = 80           # the dual bracket shrinks to 0.618**80 ~ 2e-17 of its width
+MAX_BISECTIONS = 200        # halvings per bisection in the recovery
+INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass
 class GridSpec:
-    phase_levels: int = 64       # per IRS element
-    subspace_points: int = 512   # beamformer directions (approximate)
+    """Grid of a brute-force search.
+
+    phase_levels is the number of phases per IRS element.  subspace_points
+    and power_levels are still validated and accepted, as the acceptance
+    suite passes them, but no longer change the result: the beamformer is
+    solved exactly for each profile, at full power.
+    """
+
+    phase_levels: int = 64
+    subspace_points: int = 512
     power_levels: int = 2
 
     def __post_init__(self):
@@ -33,37 +60,9 @@ class GridSpec:
             raise InvalidInput("power_levels must be >= 1")
 
 
-def _unit_directions(rank, count):
-    """Roughly `count` unit coefficient vectors covering the complex
-    rank-sphere modulo a global phase (first coordinate real nonnegative)."""
-    if rank == 1:
-        return np.ones((1, 1), dtype=complex)
-    if rank == 2:
-        n_psi = max(2, int(np.sqrt(count / 2.0)))
-        n_phi = max(4, 2 * n_psi)
-        psi = np.linspace(0.0, np.pi / 2.0, n_psi)
-        phi = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
-        pp, ff = np.meshgrid(psi, phi, indexing="ij")
-        return np.stack([np.cos(pp).ravel(),
-                         np.sin(pp).ravel() * np.exp(1j * ff.ravel())], axis=1)
-    if rank == 3:
-        n = max(2, int(round((count / 4.0) ** 0.25)))
-        n_phi = 2 * n
-        psi1 = np.linspace(0.0, np.pi / 2.0, n)
-        psi2 = np.linspace(0.0, np.pi / 2.0, n)
-        phi1 = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
-        phi2 = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
-        a, b, c, d = np.meshgrid(psi1, psi2, phi1, phi2, indexing="ij")
-        a, b, c, d = (x.ravel() for x in (a, b, c, d))
-        return np.stack([np.cos(a),
-                         np.sin(a) * np.cos(b) * np.exp(1j * c),
-                         np.sin(a) * np.sin(b) * np.exp(1j * d)], axis=1)
-    raise InvalidInput("direction rank must be <= 3")
-
-
 def _phase_chunks(n, levels, chunk=CHUNK):
-    """Yield (start_index, U) blocks of the full levels**n unit-modulus grid,
-    decoded from the mixed-radix candidate index (element 0 varies slowest)."""
+    """Yield the full levels**n unit-modulus grid in blocks of rows U, in
+    mixed-radix candidate order (element 0 varies slowest)."""
     total = levels ** n
     roots = np.exp(2j * np.pi * np.arange(levels) / levels)
     for start in range(0, total, chunk):
@@ -73,57 +72,147 @@ def _phase_chunks(n, levels, chunk=CHUNK):
         for j in range(n - 1, -1, -1):
             digits[:, j] = rem % levels
             rem = rem // levels
-        yield start, roots[digits] if n else np.zeros((idx.size, 0), dtype=complex)
+        yield roots[digits] if n else np.zeros((idx.size, 0), dtype=complex)
+
+
+def _lam_max(S):
+    """Largest eigenvalue of each Hermitian matrix of the (B, M, M) stack S."""
+    m = S.shape[-1]
+    if m == 1:
+        return S[:, 0, 0].real
+    if m == 2:
+        a, d = S[:, 0, 0].real, S[:, 1, 1].real
+        return 0.5 * (a + d) + np.hypot(0.5 * (a - d), np.abs(S[:, 0, 1]))
+    return np.linalg.eigvalsh(S)[:, -1]
+
+
+def _outer(x):
+    return x[:, :, None] * x[:, None, :].conj()
+
+
+def _profile_values(r, b, e, gain, c):
+    """max x^H R x s.t. x^H A x >= c, ||x|| = 1 for each row of r, b, e
+    (B, M); -inf where no unit x meets the constraint."""
+    A = _outer(b) - gain * _outer(e)
+    rr = np.sum(np.abs(r) ** 2, axis=1)
+    mrt = (rr > 0) & (np.abs(np.sum(r.conj() * b, axis=1)) ** 2
+                      - gain * np.abs(np.sum(r.conj() * e, axis=1)) ** 2 >= c * rr)
+    gap = _lam_max(A) - c
+    values = np.where(mrt | (gap > 0), rr, -np.inf)
+    dual = ~mrt & (gap > 0)  # profiles whose constraint binds
+    if dual.any():
+        values[dual] = _dual_minimum(_outer(r[dual]), A[dual], rr[dual] / gap[dual], c)
+    return values
+
+
+def _dual_minimum(R, A, hi, c):
+    """min over lam in [0, hi] of lambda_max(R + lam A) - lam c, per stack
+    entry, by golden-section search (the function is convex).  hi must bound
+    the minimizer: ||r||^2 / (lambda_max(A) - c) does, as the function is at
+    least lam (lambda_max(A) - c) and equals ||r||^2 at 0."""
+
+    def dual(lam):
+        return _lam_max(R + lam[:, None, None] * A) - lam * c
+
+    lo = np.zeros_like(hi)
+    x1, x2 = hi - INV_PHI * hi, INV_PHI * hi
+    f1, f2 = dual(x1), dual(x2)
+    for _ in range(GOLDEN_STEPS):
+        left = f1 <= f2  # a minimizer lies in [lo, x2]
+        lo, hi = np.where(left, lo, x1), np.where(left, x2, hi)
+        x1, x2 = (np.where(left, hi - INV_PHI * (hi - lo), x2),
+                  np.where(left, x1, lo + INV_PHI * (hi - lo)))
+        f_new = dual(np.where(left, x1, x2))
+        f1, f2 = np.where(left, f_new, f2), np.where(left, f1, f_new)
+    return np.minimum(f1, f2)
+
+
+def _bisect(ok, lo, hi):
+    """Shrink [lo, hi], where the monotone predicate ok turns true between
+    lo and hi (ok(hi) true), down to rounding."""
+    for _ in range(MAX_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        lo, hi = (lo, mid) if ok(mid) else (mid, hi)
+    return lo, hi
+
+
+def _recover_direction(r, b, e, gain, c):
+    """Unit x attaining the value of one feasible profile.
+
+    MRT when it meets the constraint.  Otherwise the dual optimum lam* > 0
+    is bisected on its derivative x(lam)^H A x(lam) - c, x(lam) the top
+    eigenvector of R + lam A, which is nondecreasing in lam.  The end
+    eigenvectors of the final bracket span the top eigenspace at lam* (two-
+    dimensional when eigenvalues cross there), and x is the point of their
+    segment where x^H A x reaches c, on its feasible side.
+    """
+    R = np.outer(r, r.conj())
+    A = np.outer(b, b.conj()) - gain * np.outer(e, e.conj())
+
+    def slack(x):
+        return np.vdot(x, A @ x).real - c * np.vdot(x, x).real
+
+    def top(lam):
+        return np.linalg.eigh(R + lam * A)[1][:, -1]
+
+    rr = np.vdot(r, r).real
+    if rr > 0 and slack(r) >= 0:
+        return r / np.sqrt(rr)
+    vals_a, vecs_a = np.linalg.eigh(A)
+    hi = 2.0 * rr / (vals_a[-1] - c) if vals_a[-1] > c else 0.0
+    if rr == 0 or hi == 0 or slack(top(hi)) < 0:
+        # every feasible x is optimal (r = 0), or lambda_max(A) - c is at rounding level
+        return vecs_a[:, -1]
+    lo, hi = _bisect(lambda lam: slack(top(lam)) >= 0, 0.0, hi)
+    x_lo, x_hi = top(lo), top(hi)
+    s = np.vdot(x_hi, x_lo)
+    if s != 0:
+        x_hi = x_hi * (s / abs(s))  # phase-align the ends so the segment avoids 0
+    t = _bisect(lambda t: slack((1.0 - t) * x_lo + t * x_hi) >= 0, 0.0, 1.0)[1]
+    x = (1.0 - t) * x_lo + t * x_hi
+    return x / np.linalg.norm(x)
 
 
 def grid_search_joint(channels, cfg, grid):
-    """Exhaustive joint reference for tiny instances (N <= 3, M <= 3).
+    """Joint reference for tiny instances (N <= 3, M <= 3): the best profile
+    of the phase grid, with the exactly optimal beamformer for it.
 
-    Returns (w, u, harvested watts) for the best secrecy-feasible candidate.
+    Returns (w, u, harvested watts of that pair).  Raises
+    SubproblemInfeasible when no profile of the grid can meet the secrecy
+    target.
     """
     n, m = cfg.N, cfg.M
     if n > 3 or m > 3:
         raise InvalidInput("joint grid search is limited to N <= 3, M <= 3")
-    dirs = _unit_directions(min(m, 3), grid.subspace_points)
-    total = (grid.phase_levels ** n) * dirs.shape[0] * grid.power_levels
+    total = grid.phase_levels ** n
     if total > EVAL_CAP:
-        raise GridTooLarge(f"{total} evaluations exceed the cap {EVAL_CAP}")
+        raise GridTooLarge(f"{total} phase profiles exceed the cap {EVAL_CAP}")
 
-    powers = cfg.ps_w * np.arange(1, grid.power_levels + 1) / grid.power_levels
     gain = 2.0 ** cfg.r0
-    s2 = cfg.sigma2_w
-    best = (-np.inf, -1, None, None)  # value, flat index, w, u
-
-    for start, U in _phase_chunks(n, grid.phase_levels):
+    c = (gain - 1.0) * cfg.sigma2_w / cfg.ps_w
+    best, best_u, best_rbe = -np.inf, None, None
+    for U in _phase_chunks(n, grid.phase_levels):
         V = np.concatenate([U, np.ones((U.shape[0], 1))], axis=1)
-        rows = [V.conj() @ H for H in (channels.H_r, channels.H_b, channels.H_e)]
-        span = np.stack([r.conj() for r in rows], axis=2)  # (B, M, 3)
-        q = np.linalg.qr(span)[0][:, :, :dirs.shape[1]]    # (B, M, rank)
-        amps = [np.einsum("bm,bmr->br", r, q) @ dirs.T for r in rows]  # (B, K)
-        vr, vb, ve = (np.abs(a) ** 2 for a in amps)
-        # (B, K, P): power scaling and the secrecy feasibility mask
-        obj = cfg.zeta * vr[:, :, None] * powers[None, None, :]
-        feas = (vb[:, :, None] * powers + s2) >= gain * (ve[:, :, None] * powers + s2)
-        obj = np.where(feas, obj, -np.inf)
-        flat = obj.reshape(obj.shape[0], -1)
-        arg = np.argmax(flat, axis=1)
-        vals = flat[np.arange(flat.shape[0]), arg]
-        b = int(np.argmax(vals))
-        if vals[b] > best[0]:
-            k, p = divmod(int(arg[b]), grid.power_levels)
-            w = np.sqrt(powers[p]) * (q[b] @ dirs[k])
-            best = (float(vals[b]), start + b, w, U[b].copy())
+        rbe = [V @ H.conj() for H in (channels.H_r, channels.H_b, channels.H_e)]  # rows H^H v
+        vals = _profile_values(*rbe, gain, c)
+        k = int(np.argmax(vals))
+        if vals[k] > best:
+            best, best_u, best_rbe = vals[k], U[k].copy(), [x[k] for x in rbe]
 
-    if best[2] is None:
-        raise GridTooLarge("no feasible grid point found")  # pragma: no cover
-    return best[2], best[3], best[0]
+    if best_u is None:
+        raise SubproblemInfeasible("no profile of the phase grid meets the secrecy target")
+    w = np.sqrt(cfg.ps_w) * _recover_direction(*best_rbe, gain, c)
+    return w, best_u, harvested_power(w, best_u, channels, cfg.zeta)
 
 
 def grid_search_phases(channels, w, cfg, levels):
     """Exhaustive phase reference for a fixed beamformer (N <= 4).
 
     Returns (u, value) maximizing |u^H a + alpha|^2 over the per-element phase
-    grid subject to the secrecy constraint.
+    grid subject to the secrecy constraint.  Raises SubproblemInfeasible when
+    no profile of the grid meets it.
     """
     n = cfg.N
     if n > 4:
@@ -136,7 +225,7 @@ def grid_search_phases(channels, w, cfg, levels):
     s2 = cfg.sigma2_w
 
     best = (-np.inf, None)
-    for _, U in _phase_chunks(n, levels):
+    for U in _phase_chunks(n, levels):
         ar = np.abs(U.conj() @ rw[:n] + rw[n]) ** 2
         ab = np.abs(U.conj() @ bw[:n] + bw[n]) ** 2
         ae = np.abs(U.conj() @ ew[:n] + ew[n]) ** 2
@@ -145,5 +234,5 @@ def grid_search_phases(channels, w, cfg, levels):
         if vals[b] > best[0]:
             best = (float(vals[b]), U[b].copy())
     if best[1] is None:
-        raise GridTooLarge("no feasible grid point found")  # pragma: no cover
+        raise SubproblemInfeasible("no profile of the phase grid meets the secrecy target")
     return best[1], best[0]

@@ -8,10 +8,11 @@ from irs_swipt.errors import SubproblemInfeasible
 from irs_swipt.init import feasibility_probe, initial_phase_profile, max_sr_beamformer
 from irs_swipt.metrics import PhaseProfile, check_feasible, harvested_power
 from irs_swipt.linalg import psd_sqrt
-from irs_swipt.oracle import _unit_directions
 from irs_swipt.sdp import SdpProblem, solve_sdp
 from irs_swipt.sdr import (
     _snr_stacks, randomize_v, randomize_w, rank_one_w, sdr_ao, solve_v_sdp, solve_w_sdp)
+
+from direction_grid import unit_directions
 
 DESK = dict(d_ap_bob=10.0, d_ap_eve=20.0, d_ap_ehr=6.0,
             d_irs_bob=12.0, d_irs_eve=25.0, d_irs_ehr=4.0)
@@ -34,7 +35,7 @@ def rank_one_w_oracle(V, channels, cfg, n_dirs=4000):
         v = v / v[-1] * abs(v[-1])  # fix the global phase for reproducibility
     g = [H.conj().T @ v for H in (channels.H_r, channels.H_b, channels.H_e)]
     q = np.linalg.qr(np.stack(g, axis=1))[0]
-    dirs = _unit_directions(q.shape[1], n_dirs)
+    dirs = unit_directions(q.shape[1], n_dirs)
     cand = np.sqrt(cfg.ps_w) * (q @ dirs.T)  # (M, K)
     def sq(gx):
         return np.abs(gx.conj() @ cand) ** 2
