@@ -33,12 +33,13 @@ def watt_to_dbm(watt):
 
 @dataclass
 class ScenarioConfig:
-    """Physical and solver parameters for one scenario.
+    """Physical parameters of one scenario, the solvers' outer cap and start.
 
     Powers are in watts, distances in meters, rates in bits/s/Hz.  N = 0
     encodes the "without IRS" layout.  IRS-to-user distances default to a
     collinear layout consistent with the AP-to-user distances; absolute power
-    levels depend on this choice.
+    levels depend on this choice.  The solvers' tolerances and inner caps are
+    constants of the modules that use them (init, sca, sdr, sdp).
     """
 
     M: int = 4                      # AP antennas
@@ -61,16 +62,7 @@ class ScenarioConfig:
     # line-of-sight AP -> IRS link (deterministic rank-one steering outer product)
     los_departure_deg: float = 30.0
     los_arrival_deg: float = 60.0
-    # solver knobs
-    eps: float = 1e-3               # outer alternating-optimization stop threshold
     max_outer_iters: int = 100
-    max_inner_w: int = 30
-    max_inner_u: int = 30
-    inner_tol: float = 1e-6
-    sdp_tol: float = 1e-7
-    qcqp_tol: float = 1e-8
-    eps_bisect: float = 1e-8
-    rand_count: int = 1000
     init_phases: str = "zero"       # "zero" or "random" initial IRS profile
 
     def __post_init__(self):
@@ -86,13 +78,8 @@ class ScenarioConfig:
             raise InvalidInput("zeta must be in (0, 1]")
         if self.r0 <= 0:
             raise InvalidInput("r0 must be > 0")
-        for name in ("max_outer_iters", "max_inner_w", "max_inner_u"):
-            if getattr(self, name) < 1:
-                raise InvalidInput(f"{name} must be >= 1")
-        if self.sdp_tol <= 0:
-            raise InvalidInput("sdp_tol must be > 0")
-        if self.rand_count < 0:
-            raise InvalidInput("rand_count must be >= 0")
+        if self.max_outer_iters < 1:
+            raise InvalidInput("max_outer_iters must be >= 1")
         if self.init_phases not in ("zero", "random"):
             raise InvalidInput("init_phases must be 'zero' or 'random'")
 

@@ -23,7 +23,7 @@ from .channel import ScenarioConfig, generate_scenario
 from .errors import InvalidInput
 from .init import alternate
 from .metrics import PhaseProfile, harvested_power
-from .sca import sca_ao, sca_w_step
+from .sca import INNER_TOL, MAX_INNER_W, sca_ao, sca_w_step
 from .sdr import sdr_ao
 from .svg import write_chart
 
@@ -99,7 +99,7 @@ def optimize_w_fixed_profile(channels, cfg, u):
         w = sca_w_step(u.v, w, channels, cfg).w
         return (w, u), harvested_power(w, u, channels, cfg.zeta)
 
-    return alternate(channels, cfg, u, step, cfg.inner_tol, cfg.max_inner_w)
+    return alternate(channels, cfg, u, step, INNER_TOL, MAX_INNER_W)
 
 
 def _point_config(base, mode, value):

@@ -11,6 +11,8 @@ import numpy as np
 from .linalg import herm_eig
 from .metrics import Beamformer, PhaseProfile, SolveResult, harvested_power, secrecy_rate
 
+OUTER_TOL = 1e-3  # relative trace increase below which sdr_ao and sca_ao stop
+
 
 def initial_phase_profile(cfg, rng=None):
     """Zero-phase profile by default; uniform random phases in ablation mode."""

@@ -23,8 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailure, PhaseStepInfeasible
-from .init import alternate, initial_phase_profile
+from .init import OUTER_TOL, alternate, initial_phase_profile
 from .metrics import POWER_SLACK_TOL, Beamformer, PhaseProfile, harvested_power
+
+MAX_INNER_W = 30  # beamformer steps per outer round
+MAX_INNER_U = 30  # phase steps per outer round
+INNER_TOL = 1e-6  # relative objective increase that ends either inner sequence
+QCQP_TOL = 1e-8   # relative bracket width of the beamformer step's secrecy multiplier
 
 
 @dataclass
@@ -291,7 +296,7 @@ def sca_w_step(v, w_prev, channels, cfg):
         raise NumericalFailure("expansion point violates the secrecy constraint")
 
     floor = sur.objective(sur.x_prev)
-    x = _dual_solve(sur, cfg.qcqp_tol, slack, floor)
+    x = _dual_solve(sur, QCQP_TOL, slack, floor)
     if x is None:
         return Beamformer(w_prev)
     if sur.f1(x) > POWER_SLACK_TOL or sur.f2(x) > slack or sur.objective(x) < floor:
@@ -313,20 +318,20 @@ def sca_ao(channels, cfg, rng=None):
         w, u = state
         v = u.v
         val = _true_w_objective(v, w, channels)
-        for _ in range(cfg.max_inner_w):
+        for _ in range(MAX_INNER_W):
             w = sca_w_step(v, w, channels, cfg).w
             counts["w"] += 1
             new_val = _true_w_objective(v, w, channels)
-            if new_val - val <= cfg.inner_tol * max(new_val, 1e-300):
+            if new_val - val <= INNER_TOL * max(new_val, 1e-300):
                 break
             val = new_val
 
         if cfg.N > 0:
             val = _true_w_objective(u.v, w, channels)
-            for _ in range(cfg.max_inner_u):
+            for _ in range(MAX_INNER_U):
                 data = build_phase_data(w, u, channels, cfg)
                 try:
-                    _, u_new = bisect_mu(data, cfg.eps_bisect)
+                    _, u_new = bisect_mu(data)
                 except PhaseStepInfeasible:
                     break
                 counts["u"] += 1
@@ -334,10 +339,10 @@ def sca_ao(channels, cfg, rng=None):
                 if new_val < val * (1.0 - 1e-12):
                     break  # numerical regression; keep the previous profile
                 u = u_new
-                if new_val - val <= cfg.inner_tol * max(new_val, 1e-300):
+                if new_val - val <= INNER_TOL * max(new_val, 1e-300):
                     break
                 val = new_val
         return (w, u), harvested_power(w, u, channels, cfg.zeta)
 
     return alternate(channels, cfg, initial_phase_profile(cfg, rng), step,
-                     cfg.eps, cfg.max_outer_iters)
+                     OUTER_TOL, cfg.max_outer_iters)

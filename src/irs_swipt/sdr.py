@@ -23,10 +23,12 @@ conditioned, and rescaled on the way out.
 import numpy as np
 
 from .errors import NumericalFailure, RecoveryFailed, SubproblemInfeasible
-from .init import alternate, initial_phase_profile
+from .init import OUTER_TOL, alternate, initial_phase_profile
 from .linalg import herm_eig, psd_sqrt
 from .metrics import Beamformer, PhaseProfile
 from .sdp import SdpProblem, solve_sdp
+
+RAND_COUNT = 1000  # Gaussian randomization candidates per recovery
 
 
 def _snr_stacks(channels, cfg):
@@ -147,8 +149,8 @@ def solve_v_sdp(w, channels, cfg):
     The objective (rank one) and the secrecy row (rank two) are outer
     products of y_x = H_x w / sigma, scaled by one factor that brings the
     objective to norm V_OBJECTIVE_NORM (at norm 1e6 the interior-point primal
-    residual stalled above sdp_tol and the iterate left the PSD cone); the
-    objective is rescaled on the way out.
+    residual stalled above sdp.DEFAULT_TOL and the iterate left the PSD cone);
+    the objective is rescaled on the way out.
     """
     n1 = cfg.N + 1
     yr, yb, ye = (H @ w / np.sqrt(cfg.sigma2_w)
@@ -165,7 +167,7 @@ def solve_v_sdp(w, channels, cfg):
         prob.add_constraint([(blk, e_n)], "==", 1.0)
     row = np.outer(yb, yb.conj()) - gain * np.outer(ye, ye.conj())
     prob.add_constraint([(blk, scale * row)], ">=", scale * (gain - 1.0))
-    sol = solve_sdp(prob, tol=cfg.sdp_tol)
+    sol = solve_sdp(prob)
     if sol.status == "Infeasible":
         raise SubproblemInfeasible("secrecy target unattainable for the fixed beamformer")
     if sol.status != "Optimal":
@@ -176,15 +178,14 @@ def solve_v_sdp(w, channels, cfg):
 def _best_candidate(X, to_candidates, gains, cfg, count, rng, what):
     """Gaussian randomization of a lifted variable X.
 
-    Draws count (default rand_count) candidates to_candidate(psd_sqrt(X) @ r),
-    r circular Gaussian, all at once: to_candidates maps the rows
+    Draws count candidates to_candidate(psd_sqrt(X) @ r), r circular
+    Gaussian, all at once: to_candidates maps the rows
     (psd_sqrt(X) @ r_k)^T to candidate rows and gains maps those to rows of
     squared (EHR, Bob, Eve) gains.  Returns the secrecy-feasible candidate with
     the largest harvested gain (the first one on ties).  When no draw is
     secrecy-feasible it falls back to the candidate of the principal factor
     sqrt(lambda_max) e_max of X, and raises RecoveryFailed if that fails too.
     """
-    count = cfg.rand_count if count is None else count
     rng = np.random.default_rng(cfg.seed) if rng is None else rng
     gain, s2 = 2.0 ** cfg.r0, cfg.sigma2_w
     secure = lambda g: g[:, 1] + s2 >= gain * (g[:, 2] + s2) * (1.0 - 1e-12)
@@ -202,7 +203,7 @@ def _best_candidate(X, to_candidates, gains, cfg, count, rng, what):
     return best[0]
 
 
-def randomize_w(W, fixed_profile, channels, cfg, count=None, rng=None):
+def randomize_w(W, fixed_profile, channels, cfg, count=RAND_COUNT, rng=None):
     """Recover a rank-one beamformer from a lifted W by Gaussian randomization.
 
     Candidates are psd_sqrt(W) @ r with circular Gaussian r, rescaled to the
@@ -220,7 +221,7 @@ def randomize_w(W, fixed_profile, channels, cfg, count=None, rng=None):
     return Beamformer(_best_candidate(W, within_budget, gains, cfg, count, rng, "beamformer"))
 
 
-def randomize_v(V, fixed_beam, channels, cfg, count=None, rng=None):
+def randomize_v(V, fixed_beam, channels, cfg, count=RAND_COUNT, rng=None):
     """Recover a unit-modulus profile from a lifted V by Gaussian randomization.
 
     Candidates are normalized by their last entry and projected entrywise to
@@ -268,4 +269,4 @@ def sdr_ao(channels, cfg, rng=None):
         return w, randomize_v(V, w, channels, cfg, rng=rng)
 
     return alternate(channels, cfg, initial_phase_profile(cfg, rng), step,
-                     cfg.eps, cfg.max_outer_iters, recover)
+                     OUTER_TOL, cfg.max_outer_iters, recover)

@@ -5,7 +5,8 @@ from irs_swipt.channel import (ScenarioConfig, dbm_to_watt, generate_scenario,
                                path_loss_gain, stack_effective)
 from irs_swipt.config import parse_config_text
 from irs_swipt.errors import InvalidInput
-from irs_swipt.sdr import sdr_ao
+from irs_swipt.metrics import check_feasible
+from irs_swipt.sdr import randomize_v, sdr_ao, solve_v_sdp
 
 
 class TestPathLossGain:
@@ -150,18 +151,22 @@ def test_max_outer_iters_must_be_positive():
     assert ScenarioConfig(max_outer_iters=1).max_outer_iters == 1
 
 
-@pytest.mark.parametrize("knob", [dict(rand_count=-1), dict(sdp_tol=0.0), dict(sdp_tol=-1.0),
-                                  dict(max_inner_w=0), dict(max_inner_u=0)])
-def test_solver_knobs_must_be_valid(knob):
-    with pytest.raises(InvalidInput):
-        ScenarioConfig(M=2, N=4, seed=3, **knob)
-    name, value = next(iter(knob.items()))
-    with pytest.raises(InvalidInput):
-        parse_config_text(f"{name} = {value}\n")
+@pytest.mark.parametrize("key, value", [
+    ("eps", "1e-3"), ("max_inner_w", "30"), ("max_inner_u", "30"), ("inner_tol", "1e-6"),
+    ("sdp_tol", "1e-7"), ("qcqp_tol", "1e-8"), ("eps_bisect", "1e-8"), ("rand_count", "1000")])
+def test_removed_solver_knob_is_unknown_key(key, value):
+    # solver tolerances and inner caps are module constants, not scenario keys
+    with pytest.raises(InvalidInput, match=f"line 2: unknown config key '{key}'"):
+        parse_config_text(f"m = 2\n{key} = {value}\n")
 
 
 def test_zero_rand_count_recovers_principal_eigenvector():
-    # rand_count = 0 stays valid: recovery falls back to the principal eigenvector
-    cfg = ScenarioConfig(M=2, N=4, seed=3, rand_count=0)
-    res = sdr_ao(generate_scenario(cfg), cfg)
-    assert res.status == "Converged"
+    # count = 0 draws no candidate: recovery falls back to the principal eigenvector
+    cfg = ScenarioConfig(M=2, N=4, seed=3)
+    ch = generate_scenario(cfg)
+    w = sdr_ao(ch, cfg).w.w
+    V, _ = solve_v_sdp(w, ch, cfg)
+    u = randomize_v(V, w, ch, cfg, count=0)
+    e = np.linalg.eigh(V)[1][:, -1]
+    assert np.allclose(u.u, np.exp(1j * np.angle(e[:-1] / e[-1])), atol=1e-12)
+    assert check_feasible(w, u, cfg, ch).feasible

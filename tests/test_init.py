@@ -4,7 +4,7 @@ with scripted steps so that its stop, count and recovery rules are seen alone.""
 import numpy as np
 
 from irs_swipt.channel import ScenarioConfig, generate_scenario
-from irs_swipt.init import alternate, feasibility_probe, initial_phase_profile
+from irs_swipt.init import OUTER_TOL, alternate, feasibility_probe, initial_phase_profile
 from irs_swipt.metrics import harvested_power
 
 DESK = dict(d_ap_bob=10.0, d_ap_eve=20.0, d_ap_ehr=6.0,
@@ -32,7 +32,7 @@ def test_infeasible_target_returns_probe_and_empty_trace():
     cfg, ch, u = scenario(N=2, seed=50, r0=30.0)
     ok, w, sr_max = feasibility_probe(ch, cfg, u)
     assert not ok
-    res = alternate(ch, cfg, u, scripted_step([]), cfg.eps, 10)
+    res = alternate(ch, cfg, u, scripted_step([]), OUTER_TOL, 10)
     assert res.status == "Infeasible"
     assert res.harvested_trace == []
     assert res.iters_outer == 0

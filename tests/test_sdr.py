@@ -8,7 +8,7 @@ from irs_swipt.errors import SubproblemInfeasible
 from irs_swipt.init import feasibility_probe, initial_phase_profile, max_sr_beamformer
 from irs_swipt.metrics import PhaseProfile, check_feasible, harvested_power
 from irs_swipt.linalg import psd_sqrt
-from irs_swipt.sdp import SdpProblem, solve_sdp
+from irs_swipt.sdp import DEFAULT_TOL, SdpProblem, solve_sdp
 from irs_swipt.sdr import (
     _snr_stacks, randomize_v, randomize_w, rank_one_w, sdr_ao, solve_v_sdp, solve_w_sdp)
 
@@ -115,7 +115,7 @@ class TestRankOneW:
             Rr = Hr.conj().T @ V @ Hr
             A = Hb.conj().T @ V @ Hb - 2.0 ** cfg.r0 * (He.conj().T @ V @ He)
             c = 2.0 ** cfg.r0 - 1.0
-            ref = w_sdp_reference(Rr, A, c, cfg.sdp_tol)
+            ref = w_sdp_reference(Rr, A, c, DEFAULT_TOL)
             if ref.status == "Infeasible":
                 with pytest.raises(SubproblemInfeasible):
                     rank_one_w(Rr, A, c)
@@ -125,7 +125,7 @@ class TestRankOneW:
             assert np.linalg.norm(e) == pytest.approx(1.0, rel=1e-12)
             assert np.real(np.vdot(e, A @ e)) >= c * (1 - 1e-9)
             got = np.real(np.vdot(e, Rr @ e))
-            assert got == pytest.approx(ref.objective_value, rel=2 * cfg.sdp_tol)
+            assert got == pytest.approx(ref.objective_value, rel=2 * DEFAULT_TOL)
             checked += 1
         assert checked >= 40
 
@@ -379,7 +379,7 @@ class TestSdrAo:
             solved += 1
             assert check_feasible(res.w.w, res.u, cfg, ch).feasible, k
             got = harvested_power(res.w.w, res.u, ch, cfg.zeta)
-            assert got <= res.harvested_trace[-1] * (1 + 2 * cfg.sdp_tol), k
+            assert got <= res.harvested_trace[-1] * (1 + 2 * DEFAULT_TOL), k
         assert solved >= 200
 
     def test_infeasible_scenario_flagged(self):
@@ -408,7 +408,7 @@ class TestSdrAo:
                                            (63, "zero"), (37, "random")])
     def test_v_sdp_converges_at_large_objective_norm(self, seed, init):
         # The V-SDP objective norm is a few times 1e6 here: unscaled, the
-        # primal residual stalls above sdp_tol and the iterate leaves the PSD
+        # primal residual stalls above DEFAULT_TOL and the iterate leaves the PSD
         # cone; the last two instances also stall when only the objective,
         # not the secrecy row, is scaled.
         cfg = ScenarioConfig(M=4, N=24, r0=1.0, seed=seed, init_phases=init, **DESK)
