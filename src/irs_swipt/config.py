@@ -47,28 +47,31 @@ def parse_config(path):
     return parse_config_text(text)
 
 
+def _convert(convert, text, lineno, key):
+    try:
+        return convert(text)
+    except ValueError:
+        raise InvalidInput(f"line {lineno}: {key}: {text.strip()!r} is not "
+                           f"a valid {convert.__name__}") from None
+
+
 def parse_config_text(text):
     scen = {}
     exp = {}
     for lineno, key, value in _parse_lines(text):
         if key == "sigma2_dbm":
-            scen["sigma2_w"] = dbm_to_watt(float(value))
+            scen["sigma2_w"] = dbm_to_watt(_convert(float, value, lineno, key))
         elif key in _SCENARIO_FIELDS:
             f = _SCENARIO_FIELDS[key]
-            if f.type in ("int", int):
-                scen[f.name] = int(value)
-            elif f.type in ("float", float):
-                scen[f.name] = float(value)
-            else:
-                scen[f.name] = value
+            scen[f.name] = _convert(f.type, value, lineno, key)  # int, float or str
         elif key == "mode":
             exp["mode"] = value
         elif key == "methods":
             exp["methods"] = tuple(m.strip() for m in value.split(",") if m.strip())
         elif key == "sweep":
-            exp["sweep"] = tuple(float(v) for v in value.split(","))
+            exp["sweep"] = tuple(_convert(float, v, lineno, key) for v in value.split(","))
         elif key == "seeds_per_point":
-            exp["seeds_per_point"] = int(value)
+            exp["seeds_per_point"] = _convert(int, value, lineno, key)
         else:
             raise InvalidInput(f"line {lineno}: unknown config key {key!r}")
     return ScenarioConfig(**scen), exp

@@ -58,6 +58,8 @@ class ExperimentSpec:
                 raise InvalidInput(f"unknown method {m!r}")
         if self.seeds_per_point < 1:
             raise InvalidInput("at least one seed per point is required")
+        if self.workers < 0:
+            raise InvalidInput("workers must be >= 0 (0 = one per CPU)")
         if self.mode in ("single", "convergence"):
             self.sweep = (0.0,)  # one point; the base config is used as-is
         elif not self.sweep:

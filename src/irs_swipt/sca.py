@@ -47,7 +47,6 @@ class PhaseSubproblemData:
     alpha: complex
     beta: complex
     gamma: complex
-    A: np.ndarray
     lambda_max_A: float
     d: np.ndarray
     f: np.ndarray
@@ -84,9 +83,9 @@ def build_phase_data(w, u_prev, channels, cfg):
     b, beta = bw[:n], complex(bw[n])
     c, gamma = ew[:n], complex(ew[n])
 
-    A = gain * np.outer(c, c.conj()) - np.outer(b, b.conj())
     lam = _rank_two_max_eigval(gain, c, b)
-    m_minus_a_u = lam * ut - A @ ut  # (lambda_max I - A) u_prev
+    # (lambda_max I - A) u_prev without forming A
+    m_minus_a_u = lam * ut - (gain * c * np.vdot(c, ut) - b * np.vdot(b, ut))
 
     au = complex(a.conj() @ ut)  # a^H u_prev
     d = a * au + a * np.conj(alpha)
@@ -95,7 +94,7 @@ def build_phase_data(w, u_prev, channels, cfg):
     c2 = (n * lam + float(np.real(ut.conj() @ m_minus_a_u))
           + gain * (abs(gamma) ** 2 + cfg.sigma2_w) - abs(beta) ** 2 - cfg.sigma2_w)
     return PhaseSubproblemData(a=a, b=b, c=c, alpha=alpha, beta=beta, gamma=gamma,
-                               A=A, lambda_max_A=lam, d=d, f=f, c1=c1, c2=c2)
+                               lambda_max_A=lam, d=d, f=f, c1=c1, c2=c2)
 
 
 def u_of_mu(d, f, mu):

@@ -212,7 +212,7 @@ def test_criterion_07_monotone_dual_function():
         g0, gmax = g[0], 2.0 * float(np.sum(np.abs(f)))
         c2 = g0 + 0.6 * (gmax - g0)
         data = PhaseSubproblemData(a=np.zeros(n), b=np.zeros(n), c=np.zeros(n),
-                                   alpha=0j, beta=0j, gamma=0j, A=np.zeros((n, n)),
+                                   alpha=0j, beta=0j, gamma=0j,
                                    lambda_max_A=0.0, d=d, f=f, c1=0.0, c2=c2)
         mu_star, prof = bisect_mu(data, eps_bisect=1e-8)
         if mu_star > 0:

@@ -151,6 +151,14 @@ def test_max_outer_iters_must_be_positive():
     assert ScenarioConfig(max_outer_iters=1).max_outer_iters == 1
 
 
+@pytest.mark.parametrize("line", ["seed = 1.5", "m = four", "seeds_per_point = x",
+                                  "sweep = 1, a", "sigma2_dbm = -70 dBm", "r0 = 1,5"])
+def test_malformed_number_names_line_and_key(line):
+    key = line.split("=")[0].strip()
+    with pytest.raises(InvalidInput, match=f"line 2: {key}: .* is not a valid"):
+        parse_config_text(f"# header\n{line}\n")
+
+
 @pytest.mark.parametrize("key, value", [
     ("eps", "1e-3"), ("max_inner_w", "30"), ("max_inner_u", "30"), ("inner_tol", "1e-6"),
     ("sdp_tol", "1e-7"), ("qcqp_tol", "1e-8"), ("eps_bisect", "1e-8"), ("rand_count", "1000")])

@@ -49,6 +49,11 @@ class TestExperimentSpec:
         with pytest.raises(InvalidInput):
             ExperimentSpec(mode="sweep_sr", sweep=(2.0, 1.0))
 
+    def test_negative_workers_rejected(self):
+        with pytest.raises(InvalidInput, match="workers"):
+            ExperimentSpec(workers=-1)
+        assert ExperimentSpec(workers=0).workers == 0
+
     def test_single_mode_gets_one_point(self):
         spec = ExperimentSpec(mode="single", sweep=(1.0, 2.0, 3.0))
         assert spec.sweep == (0.0,)
@@ -272,6 +277,15 @@ class TestCli:
                      "--workers", "1"])
         assert code == 0
         assert (tmp_path / "out" / "results.csv").exists()
+
+    def test_run_rejects_negative_workers(self, tmp_path):
+        from irs_swipt.cli import main
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("m = 2\nn = 3\nmethods = sca\nmode = single\nseeds_per_point = 1\n")
+        with pytest.raises(InvalidInput, match="workers"):
+            main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                  "--workers", "-1"])
+        assert not (tmp_path / "out").exists()
 
     def test_run_nonzero_on_infeasible(self, tmp_path):
         from irs_swipt.cli import main

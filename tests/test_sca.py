@@ -272,6 +272,11 @@ class TestBallMultiplier:
         assert _ball_multiplier(0.0, 9.0, 1.0) == pytest.approx(2.0)
 
 
+def dense_A(data, cfg):
+    """A = 2^r0 c c^H - b b^H, which build_phase_data applies without forming."""
+    return 2.0 ** cfg.r0 * np.outer(data.c, data.c.conj()) - np.outer(data.b, data.b.conj())
+
+
 class TestBuildPhaseData:
     def make(self, seed=7, n=5):
         cfg = ScenarioConfig(M=3, N=n, seed=seed, r0=1.0, **DESK)
@@ -284,13 +289,26 @@ class TestBuildPhaseData:
     def test_majorization_tight_at_expansion(self):
         cfg, ch, u, w = self.make()
         data = build_phase_data(w, u, ch, cfg)
+        A = dense_A(data, cfg)
         ut = u.u
         n = ut.shape[0]
-        lhs = float(np.real(ut.conj() @ data.A @ ut))
+        lhs = float(np.real(ut.conj() @ A @ ut))
         rhs = (n * data.lambda_max_A
-               + 2.0 * float(np.real(ut.conj() @ (data.A - data.lambda_max_A * np.eye(n)) @ ut))
-               + float(np.real(ut.conj() @ (data.lambda_max_A * np.eye(n) - data.A) @ ut)))
+               + 2.0 * float(np.real(ut.conj() @ (A - data.lambda_max_A * np.eye(n)) @ ut))
+               + float(np.real(ut.conj() @ (data.lambda_max_A * np.eye(n) - A) @ ut)))
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12 * (1 + abs(lhs)))
+
+    @pytest.mark.parametrize("n", [1, 5, 24])
+    def test_f_and_c2_match_dense_A(self, n):
+        cfg, ch, u, w = self.make(n=n)
+        data = build_phase_data(w, u, ch, cfg)
+        gain, ut = 2.0 ** cfg.r0, u.u
+        m_minus_a_u = (data.lambda_max_A * np.eye(n) - dense_A(data, cfg)) @ ut
+        f = m_minus_a_u + data.b * np.conj(data.beta) - gain * data.c * np.conj(data.gamma)
+        c2 = (n * data.lambda_max_A + float(np.real(ut.conj() @ m_minus_a_u))
+              + gain * (abs(data.gamma) ** 2 + cfg.sigma2_w) - abs(data.beta) ** 2 - cfg.sigma2_w)
+        assert np.allclose(data.f, f, rtol=1e-12, atol=1e-12 * np.linalg.norm(f))
+        assert data.c2 == pytest.approx(c2, rel=1e-12)
 
     def test_degenerate_secrecy_data(self):
         cfg = ScenarioConfig(M=3, N=4, seed=8, r0=1.0, **DESK)
@@ -300,7 +318,7 @@ class TestBuildPhaseData:
         u = initial_phase_profile(cfg)
         w = np.ones(3, dtype=complex)
         data = build_phase_data(w, u, nb, cfg)
-        assert np.allclose(data.A, 0)
+        assert np.allclose(dense_A(data, cfg), 0)
         assert np.allclose(data.f, 0)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 24])
@@ -308,8 +326,9 @@ class TestBuildPhaseData:
         for seed in range(3):
             cfg, ch, u, w = self.make(seed=seed, n=n)
             data = build_phase_data(w, u, ch, cfg)
-            scale = np.linalg.norm(data.A)
-            assert abs(data.lambda_max_A - max_eigval(data.A)) <= 1e-12 * scale
+            A = dense_A(data, cfg)
+            scale = np.linalg.norm(A)
+            assert abs(data.lambda_max_A - max_eigval(A)) <= 1e-12 * scale
 
     @pytest.mark.parametrize("n", [1, 2, 3, 24])
     def test_rank_two_max_eigval_special_pairs(self, n):
@@ -389,7 +408,7 @@ class TestBisectMu:
     def make_data(self, d, f, c2):
         n = len(d)
         return PhaseSubproblemData(a=np.zeros(n), b=np.zeros(n), c=np.zeros(n),
-                                   alpha=0j, beta=0j, gamma=0j, A=np.zeros((n, n)),
+                                   alpha=0j, beta=0j, gamma=0j,
                                    lambda_max_A=0.0, d=np.asarray(d, complex),
                                    f=np.asarray(f, complex), c1=0.0, c2=float(c2))
 
