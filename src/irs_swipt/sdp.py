@@ -286,6 +286,8 @@ def solve_sdp(problem, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS, log_file=No
     iteration cap passes without gap closure or an iterate block fails its
     Cholesky factorization.
     """
+    if not tol > 0:
+        raise InvalidInput(f"tol must be > 0, got {tol}")
     asm = _Assembled(problem)
     m = asm.m
     if m == 0:

@@ -6,6 +6,7 @@ from irs_swipt.channel import (ScenarioConfig, dbm_to_watt, generate_scenario,
 from irs_swipt.config import parse_config_text
 from irs_swipt.errors import InvalidInput
 from irs_swipt.metrics import check_feasible
+from irs_swipt.sdp import SdpProblem, solve_sdp
 from irs_swipt.sdr import randomize_v, sdr_ao, solve_v_sdp
 
 
@@ -166,6 +167,17 @@ def test_removed_solver_knob_is_unknown_key(key, value):
     # solver tolerances and inner caps are module constants, not scenario keys
     with pytest.raises(InvalidInput, match=f"line 2: unknown config key '{key}'"):
         parse_config_text(f"m = 2\n{key} = {value}\n")
+
+
+@pytest.mark.parametrize("knob", [pytest.param(0.0, id="knob1"), pytest.param(-1.0, id="knob2")])
+def test_solver_knobs_must_be_valid(knob):
+    # the SDP tolerance left the config for sdp.DEFAULT_TOL; solve_sdp still checks its range
+    prob = SdpProblem()
+    blk = prob.add_hermitian_block(2)
+    prob.add_objective(blk, np.eye(2))
+    prob.add_constraint([(blk, np.ones(2))], "==", 1.0)
+    with pytest.raises(InvalidInput, match="tol must be > 0"):
+        solve_sdp(prob, tol=knob)
 
 
 def test_zero_rand_count_recovers_principal_eigenvector():
