@@ -11,13 +11,13 @@ so full power is optimal: w = sqrt(Ps) x with x solving
 
 A QCQP with two constraints has a tight semidefinite relaxation (Huang &
 Palomar, IEEE TSP 2010), so its value is that of the convex 1-D dual
-min_{lam >= 0} lambda_max(R + lam A) - lam c.  That dual is minimized by
-golden-section search for all profiles of a chunk at once, with lambda_max in
-closed form for M <= 2 and by a batched eigvalsh for M = 3.  A profile is
-infeasible when lambda_max(A) <= c, and its value is ||r||^2 when MRT
-(x = r / ||r||) already meets the constraint.  The beamformer is recovered at
-the winning profile only, and the value returned is the harvested power of
-the recovered pair.
+min_{lam >= 0} lambda_max(R + lam A) - lam c.  A chunk of profiles is
+screened at once from inner products: a profile is infeasible when
+lambda_max(A) <= c, and its value is ||r||^2 when MRT (x = r / ||r||) meets
+the constraint.  Where it binds, the dual is minimized in closed form at M = 2
+and by golden-section search over batched eigvalsh at M = 3.  The beamformer
+is recovered at the winning profile only, and the value returned is the
+harvested power of the recovered pair.
 
 grid_search_phases scans the same phase grid for a fixed beamformer.
 
@@ -34,7 +34,7 @@ from .metrics import harvested_power
 
 EVAL_CAP = 10 ** 8          # phase profiles per search
 CHUNK = 2 ** 14             # profiles per batch, which bounds memory at N = 3
-GOLDEN_STEPS = 80           # the dual bracket shrinks to 0.618**80 ~ 2e-17 of its width
+GOLDEN_STEPS = 80           # M = 3 dual only: its bracket shrinks to 0.618**80 ~ 2e-17
 MAX_BISECTIONS = 200        # halvings per bisection in the recovery
 INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -75,44 +75,84 @@ def _phase_chunks(n, levels, chunk=CHUNK):
         yield roots[digits] if n else np.zeros((idx.size, 0), dtype=complex)
 
 
-def _lam_max(S):
-    """Largest eigenvalue of each Hermitian matrix of the (B, M, M) stack S."""
-    m = S.shape[-1]
-    if m == 1:
-        return S[:, 0, 0].real
-    if m == 2:
-        a, d = S[:, 0, 0].real, S[:, 1, 1].real
-        return 0.5 * (a + d) + np.hypot(0.5 * (a - d), np.abs(S[:, 0, 1]))
-    return np.linalg.eigvalsh(S)[:, -1]
-
-
 def _outer(x):
     return x[:, :, None] * x[:, None, :].conj()
+
+
+def _dot(x, y):
+    """Row-wise x^H y of two (B, M) arrays."""
+    return np.sum(x.conj() * y, axis=1)
+
+
+def _lam_max_a(b, e, gain):
+    """lambda_max(b b^H - gain e e^H) per row of b, e (B, M): on span{b, e} the
+    trace is tr = ||b||^2 - gain ||e||^2 and the determinant -gain times the Gram
+    determinant, summed as sum_{i<j} |b_i e_j - b_j e_i|^2 so that it does not
+    cancel for nearly parallel b, e.  The larger root (>= 0, the eigenvalue off
+    that span) is exact for M >= 2; at M = 1 the matrix is the scalar tr."""
+    m = b.shape[1]
+    tr = _dot(b, b).real - gain * _dot(e, e).real
+    if m == 1:
+        return tr
+    gram = sum(np.abs(b[:, i] * e[:, j] - b[:, j] * e[:, i]) ** 2
+               for j in range(m) for i in range(j))
+    return 0.5 * tr + np.sqrt(0.25 * tr ** 2 + gain * gram)
 
 
 def _profile_values(r, b, e, gain, c):
     """max x^H R x s.t. x^H A x >= c, ||x|| = 1 for each row of r, b, e
     (B, M); -inf where no unit x meets the constraint."""
-    A = _outer(b) - gain * _outer(e)
-    rr = np.sum(np.abs(r) ** 2, axis=1)
-    mrt = (rr > 0) & (np.abs(np.sum(r.conj() * b, axis=1)) ** 2
-                      - gain * np.abs(np.sum(r.conj() * e, axis=1)) ** 2 >= c * rr)
-    gap = _lam_max(A) - c
+    rr = _dot(r, r).real
+    mrt = (rr > 0) & (np.abs(_dot(r, b)) ** 2 - gain * np.abs(_dot(r, e)) ** 2 >= c * rr)
+    gap = _lam_max_a(b, e, gain) - c
     values = np.where(mrt | (gap > 0), rr, -np.inf)
-    dual = ~mrt & (gap > 0)  # profiles whose constraint binds
+    # profiles whose constraint binds; at M = 1 every unit x is a phase, so
+    # a feasible profile's value is ||r||^2 even where rounding failed the MRT test
+    dual = ~mrt & (gap > 0) & (r.shape[1] > 1)
     if dual.any():
-        values[dual] = _dual_minimum(_outer(r[dual]), A[dual], rr[dual] / gap[dual], c)
+        r, b, e, hi = r[dual], b[dual], e[dual], rr[dual] / gap[dual]
+        if r.shape[1] == 2:
+            values[dual] = _dual_minimum_2x2(r, b, e, gain, hi, c)
+        else:
+            values[dual] = _dual_minimum(_outer(r), _outer(b) - gain * _outer(e), hi, c)
     return values
+
+
+def _dual_minimum_2x2(r, b, e, gain, hi, c):
+    """min over lam in [0, hi] of lambda_max(R + lam A) - lam c in closed form,
+    for R = r r^H, A = b b^H - gain e e^H and rows r, b, e (B, 2).
+
+    With S = R + lam A this is f = alpha + beta lam + |(h, o)|, h = (S00 - S11)/2
+    = h0 + lam h1 and o = S01 = o0 + lam o1, so |(h, o)|^2 = p lam^2 + 2 k lam + s.
+    The convex f is stationary, if p > 0 and beta^2 < p, at lam* = -k/p - beta
+    sqrt(D / (p (p - beta^2))), where p D = p s - k^2 is the squared cross product
+    of (h0, o0) and (h1, o1), free of cancellation.  Every f(lam) bounds the value
+    from above: the least of f at the clipped lam*, 0 and hi is returned."""
+    dr, da = np.abs(r) ** 2, np.abs(b) ** 2 - gain * np.abs(e) ** 2  # diagonals of R, A
+    alpha, beta = 0.5 * (dr[:, 0] + dr[:, 1]), 0.5 * (da[:, 0] + da[:, 1]) - c
+    h0, h1 = 0.5 * (dr[:, 0] - dr[:, 1]), 0.5 * (da[:, 0] - da[:, 1])
+    o0, o1 = r[:, 0] * r[:, 1].conj(), b[:, 0] * b[:, 1].conj() - gain * e[:, 0] * e[:, 1].conj()
+    p, k = h1 ** 2 + np.abs(o1) ** 2, h0 * h1 + (o0 * o1.conj()).real
+    pd = (o0.conj() * o1).imag ** 2 + np.abs(h0 * o1 - h1 * o0) ** 2
+    inner = (p > 0) & (beta ** 2 < p)  # else f is monotone
+    p_in, q_in = np.where(inner, p, 1.0), np.where(inner, p - beta ** 2, 1.0)
+    lam = np.where(inner, -(k + beta * np.sqrt(pd / q_in)) / p_in, 0.0)
+
+    def f(lam):
+        return alpha + beta * lam + np.hypot(h0 + lam * h1, np.abs(o0 + lam * o1))
+
+    return np.minimum(f(np.clip(lam, 0.0, hi)), np.minimum(f(0.0), f(hi)))
 
 
 def _dual_minimum(R, A, hi, c):
     """min over lam in [0, hi] of lambda_max(R + lam A) - lam c, per stack
-    entry, by golden-section search (the function is convex).  hi must bound
-    the minimizer: ||r||^2 / (lambda_max(A) - c) does, as the function is at
-    least lam (lambda_max(A) - c) and equals ||r||^2 at 0."""
+    entry of (B, M, M) stacks, by golden-section search (the function is
+    convex); it serves M = 3, where the minimizer has no closed form.  hi must
+    bound the minimizer: ||r||^2 / (lambda_max(A) - c) does, as the function
+    is at least lam (lambda_max(A) - c) and equals ||r||^2 at 0."""
 
     def dual(lam):
-        return _lam_max(R + lam[:, None, None] * A) - lam * c
+        return np.linalg.eigvalsh(R + lam[:, None, None] * A)[:, -1] - lam * c
 
     lo = np.zeros_like(hi)
     x1, x2 = hi - INV_PHI * hi, INV_PHI * hi

@@ -4,7 +4,9 @@ import pytest
 from irs_swipt.channel import ChannelSet, ScenarioConfig, generate_scenario
 from irs_swipt.errors import GridTooLarge, InvalidInput, SubproblemInfeasible
 from irs_swipt.metrics import PhaseProfile, check_feasible, harvested_power
-from irs_swipt.oracle import GridSpec, grid_search_joint, grid_search_phases
+from irs_swipt.oracle import (GridSpec, _dual_minimum, _dual_minimum_2x2, _lam_max_a, _outer,
+                               _phase_chunks, _recover_direction, grid_search_joint,
+                               grid_search_phases)
 from irs_swipt.sca import build_phase_data, bisect_mu, sca_ao
 from irs_swipt.sdr import sdr_ao
 
@@ -17,6 +19,10 @@ SMALL = [(m, n) for m in (1, 2, 3) for n in (0, 1, 2)]
 # (about 5 s and 0.5 GB, so pinned here): its 1,500 directions miss the thin
 # feasible cone at the secrecy boundary that the exact beamformer reaches.
 DIRECTION_GRID_DESK0_W = 4.6586241818876166e-05
+# grid_search_joint on GridSpec(256, 1500, 1) as computed by the golden-section
+# dual it replaced; at both seeds the constraint binds on all 65,536 profiles
+# (seed 11 is the oracle_desk benchmark's instance 11 at workload seed 0)
+JOINT_DESK_W = {0: 4.820404496080396e-05, 11: 1.0813786955853802e-05}
 
 
 def no_eve_channels(cfg):
@@ -125,6 +131,101 @@ class TestAgainstDirectionGrid:
         w, u, val = grid_search_joint(ch, cfg, GridSpec(256, 1500, 1))
         assert val >= 1.03 * DIRECTION_GRID_DESK0_W
         assert check_feasible(w, PhaseProfile(u), cfg, ch).feasible
+
+
+def cnormal(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def binding_stack(r, b, e, gain, u):
+    """c between MRT's constraint value and lambda_max(A), where the constraint
+    binds, and the dual bracket end hi = ||r||^2 / (lambda_max(A) - c)."""
+    A = _outer(b) - gain * _outer(e)
+    top = np.linalg.eigvalsh(A)[:, -1]
+    rr = np.sum(np.abs(r) ** 2, axis=1)
+    with np.errstate(invalid="ignore"):  # r = 0 rows
+        mrt = np.einsum("bi,bij,bj->b", r.conj(), A, r).real / rr
+    c = np.where(rr > 0, mrt + u * (top - mrt), u * top)
+    return c, rr / (top - c)
+
+
+def golden(r, b, e, gain, hi, c):
+    return _dual_minimum(_outer(r), _outer(b) - gain * _outer(e), hi, c)
+
+
+class TestKernel:
+    """The per-profile kernel of grid_search_joint against generic linear algebra."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_lam_max_a_matches_eigvalsh(self, m):
+        rng = np.random.default_rng(20 + m)
+        b = cnormal(rng, 2000, m) * 10.0 ** rng.uniform(-3, 1, (2000, 1))
+        for gain in (1.1, 2.0, 9.0):
+            for e in (cnormal(rng, 2000, m) * 10.0 ** rng.uniform(-3, 1, (2000, 1)),
+                      cnormal(rng, 2000, 1) * b, np.zeros((2000, m))):  # general, b || e, e = 0
+                for bb in (b, np.zeros_like(b)):
+                    A = _outer(bb) - gain * _outer(e)
+                    scale = np.sum(np.abs(bb) ** 2 + gain * np.abs(e) ** 2, axis=1)
+                    err = np.abs(_lam_max_a(bb, e, gain) - np.linalg.eigvalsh(A)[:, -1])
+                    assert np.all(err <= 1e-14 * scale)
+
+    def test_closed_form_matches_golden_section(self):
+        rng = np.random.default_rng(24)
+        n = 3000
+        for gain in (2.0 ** 0.05, 2.0, 8.0, 64.0):
+            r, b, e = (cnormal(rng, n, 2) * 10.0 ** rng.uniform(-3, 1, (n, 1)) for _ in range(3))
+            c, hi = binding_stack(r, b, e, gain, rng.uniform(0.01, 0.99, n))
+            got = _dual_minimum_2x2(r, b, e, gain, hi, c)
+            want = golden(r, b, e, gain, hi, c)
+            assert np.all(np.abs(got - want) <= 1e-11 * want)
+
+    def test_closed_form_on_degenerate_stacks(self):
+        rng = np.random.default_rng(25)
+        r, b, e = (cnormal(rng, 5, 2) for _ in range(3))
+        r[0] = (0.3 - 0.7j) * b[0]                              # r || b
+        e[1] = 0.0                                              # e = 0
+        e[2] = (0.2 + 0.4j) * b[2]                              # e || b
+        r[3] = 0.0                                              # r = 0, so hi = 0
+        c, hi = binding_stack(r, b, e, 2.0, np.full(5, 0.5))
+        hi[4] *= 1e-6                                           # the minimizer at hi
+        with np.errstate(divide="raise", invalid="raise"):
+            got = _dual_minimum_2x2(r, b, e, 2.0, hi, c)
+            # no stationary point: A = b b^H - 4 e e^H = 0 (p = 0), and A = diag(1, 0)
+            # with c = 0 (beta^2 = p); f is monotone, so its minimum is at hi or at 0
+            flat = _dual_minimum_2x2(r[:2], np.array([[1.0, 1j], [1.0, 0.0]]),
+                                     np.array([[0.5, 0.5j], [0.0, 0.0]]), 4.0, np.ones(2),
+                                     np.array([c[0], 0.0]))
+        want = golden(r, b, e, 2.0, hi, c)
+        assert np.all(np.abs(got - want) <= 1e-11 * want)
+        assert got[3] == 0.0
+        rr = np.sum(np.abs(r[:2]) ** 2, axis=1)
+        assert flat == pytest.approx([rr[0] - c[0], rr[1]], rel=1e-15)
+
+    def test_recovered_direction_attains_closed_form(self):
+        # strong duality: the recovered x is feasible and attains the dual value
+        eps = np.finfo(float).eps
+        for seed in JOINT_DESK_W:
+            cfg = ScenarioConfig(M=2, N=2, seed=seed, r0=1.0, **DESK)
+            ch = generate_scenario(cfg)
+            gain = 2.0 ** cfg.r0
+            c = (gain - 1.0) * cfg.sigma2_w / cfg.ps_w
+            U = next(_phase_chunks(2, 8))
+            V = np.concatenate([U, np.ones((U.shape[0], 1))], axis=1)
+            r, b, e = (V @ H.conj() for H in (ch.H_r, ch.H_b, ch.H_e))
+            rr = np.sum(np.abs(r) ** 2, axis=1)
+            values = _dual_minimum_2x2(r, b, e, gain, rr / (_lam_max_a(b, e, gain) - c), c)
+            assert np.all(values < rr)  # every profile binds
+            for k in range(U.shape[0]):
+                x = _recover_direction(r[k], b[k], e[k], gain, c)
+                pb, pe = abs(np.vdot(x, b[k])) ** 2, gain * abs(np.vdot(x, e[k])) ** 2
+                assert pb - pe - c >= -4 * eps * (pb + pe)  # x^H A x >= c up to its rounding
+                assert abs(np.vdot(x, r[k])) ** 2 == pytest.approx(values[k], rel=1e-9)
+
+    @pytest.mark.parametrize("seed", sorted(JOINT_DESK_W))
+    def test_desk_value_pinned(self, seed):
+        cfg = ScenarioConfig(M=2, N=2, seed=seed, r0=1.0, **DESK)
+        _, _, val = grid_search_joint(generate_scenario(cfg), cfg, GridSpec(256, 1500, 1))
+        assert val == pytest.approx(JOINT_DESK_W[seed], rel=1e-12)
 
 
 class TestGridSearchPhases:
