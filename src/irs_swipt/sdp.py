@@ -10,13 +10,18 @@ The solver is an infeasible-start primal-dual path-following method with the
 XZ (HKM) search direction and a Mehrotra predictor-corrector step.  Each
 iteration factors every X and Z block once as L L^H: L^-1 whitens both the
 predictor's and the corrector's step to the boundary (one eigvalsh of
-L^-1 dS L^-H per block and step) and gives Z^-1 = L^-H L^-1.  A block that
-loses definiteness ends the solve as NumericalFailure.  Dense factorizations
-are fine at the dimensions used here (<= ~64).
+L^-1 dS L^-H per block and step) and gives Z^-1 = L^-H L^-1.  The Schur
+matrix tr(A_i X A_j Z^-1) is positive definite while X, Z are and the
+constraints are independent, so it is solved by Cholesky alone.  A breakdown
+of any of these factorizations or eigvalsh calls ends the solve as
+NumericalFailure; nothing is regularized.  Dense factorizations are fine at
+the dimensions used here (<= ~64).
 Inequality constraints become equalities with 1x1 slack blocks (Hermitian,
-hence real once the iterate is symmetrized).  A constraint term may be given
-as a 1-D array, the real diagonal of a diagonal matrix, which skips building
-and scanning the dense matrix.
+hence real once the iterate is symmetrized).  Constraint terms are taken as
+given: a 1-D array is the real diagonal of a diagonal matrix and a 2-D array
+is dense; dense data is not scanned for structure.
+The convergence history lives in the result: SdpSolution.history holds the
+gap, residuals and objectives of every iterate.
 """
 
 from dataclasses import dataclass
@@ -28,7 +33,6 @@ from .linalg import is_hermitian
 DEFAULT_TOL = 1e-7
 DEFAULT_MAX_ITERS = 200
 STEP_FRACTION = 0.98
-DIAG_DETECT_TOL = 1e-14
 
 
 def _herm(a):
@@ -50,6 +54,7 @@ class SdpSolution:
     iterations: int
     primal_residual: float
     dual_residual: float
+    history: list         # (mu, relgap, pres, dres, pobj, dobj) per iterate
 
 
 class SdpProblem:
@@ -121,27 +126,6 @@ class SdpProblem:
         self.constraints.append((tdict, sense, float(rhs)))
 
 
-class _Term:
-    """One constraint's footprint on one block, diagonal-aware: mat is a
-    diagonal given as a 1-D array, or a dense matrix scanned for one."""
-
-    __slots__ = ("row", "dense", "diag")
-
-    def __init__(self, row, mat):
-        self.row = row
-        if mat.ndim == 1:
-            self.diag, self.dense = mat, None
-            return
-        off = mat - np.diag(np.diag(mat))
-        scale = max(np.max(np.abs(mat)), 1e-300)
-        if np.max(np.abs(off)) <= DIAG_DETECT_TOL * scale:
-            self.diag = np.diag(mat).real.copy()
-            self.dense = None
-        else:
-            self.diag = None
-            self.dense = mat
-
-
 class _Assembled:
     """Standard form: min Re tr(C X), A(X) = b, X >= 0 (blockwise)."""
 
@@ -164,48 +148,44 @@ class _Assembled:
             rows[i][len(self.dims) - 1] = np.array([1.0 if sense == "<=" else -1.0])
         self.m = len(rows)
 
-        # per-block constraint footprints, split into diagonal and dense terms
-        self.block_terms = []
-        for k in range(len(self.dims)):
-            terms = [_Term(i, row[k]) for i, row in enumerate(rows) if k in row]
-            diag_terms = [t for t in terms if t.diag is not None]
-            dense_terms = [t for t in terms if t.dense is not None]
-            dmat = (np.array([t.diag for t in diag_terms])
-                    if diag_terms else np.zeros((0, self.dims[k])))
-            self.block_terms.append({
-                "diag_rows": np.array([t.row for t in diag_terms], dtype=int),
-                "D": dmat,
-                "dense": dense_terms,
-            })
+        # per-block constraint footprints: a 1-D term is a diagonal, a 2-D one dense
+        self.block_terms = []  # (diagonal rows, their diagonals D, [(row, dense matrix)])
+        for k, d in enumerate(self.dims):
+            terms = [(i, row[k]) for i, row in enumerate(rows) if k in row]
+            diag = [(i, t) for i, t in terms if t.ndim == 1]
+            self.block_terms.append((
+                np.array([i for i, _ in diag], dtype=int),
+                np.array([t for _, t in diag]) if diag else np.zeros((0, d)),
+                [(i, t) for i, t in terms if t.ndim == 2],
+            ))
 
         self.norm_b = max(1.0, float(np.linalg.norm(self.b)))
         self.norm_C = max(1.0, max((np.linalg.norm(c) for c in self.C), default=1.0))
         self.norm_A = max(
             [1.0]
-            + [float(np.linalg.norm(t.dense)) for bt in self.block_terms for t in bt["dense"]]
-            + [float(np.linalg.norm(bt["D"])) for bt in self.block_terms if bt["D"].size]
+            + [float(np.linalg.norm(a)) for _, _, dense in self.block_terms for _, a in dense]
+            + [float(np.linalg.norm(D)) for _, D, _ in self.block_terms if D.size]
         )
 
     def apply(self, mats):
         """A(Y): the vector Re tr(A_i Y) at blocks Y (not nec. Hermitian)."""
         out = np.zeros(self.m)
-        for k, bt in enumerate(self.block_terms):
-            y = mats[k]
-            if bt["D"].size:
-                out[bt["diag_rows"]] += bt["D"] @ np.diag(y).real
-            for t in bt["dense"]:
-                out[t.row] += _inner(t.dense, y)
+        for (rows, D, dense), y in zip(self.block_terms, mats):
+            if D.size:
+                out[rows] += D @ np.diag(y).real
+            for i, a in dense:
+                out[i] += _inner(a, y)
         return out
 
     def adjoint(self, y):
         """A*(y): per-block sum of y_i A_i."""
         out = []
-        for k, bt in enumerate(self.block_terms):
-            s = np.zeros((self.dims[k], self.dims[k]), dtype=complex)
-            if bt["D"].size:
-                s[np.diag_indices(self.dims[k])] += bt["D"].T @ y[bt["diag_rows"]]
-            for t in bt["dense"]:
-                s += y[t.row] * t.dense
+        for (rows, D, dense), d in zip(self.block_terms, self.dims):
+            s = np.zeros((d, d), dtype=complex)
+            if D.size:
+                s[np.diag_indices(d)] += D.T @ y[rows]
+            for i, a in dense:
+                s += y[i] * a
             out.append(s)
         return out
 
@@ -216,24 +196,20 @@ class _Assembled:
         fill whole rows/columns which are mirrored by symmetry.
         """
         M = np.zeros((self.m, self.m))
-        for k, bt in enumerate(self.block_terms):
-            x, zi = X[k], Zi[k]
-            rows = bt["diag_rows"]
-            if bt["D"].size:
-                core = bt["D"] @ (x * zi.T).real @ bt["D"].T
-                M[np.ix_(rows, rows)] += core
-            dense = bt["dense"]
-            for jt, t in enumerate(dense):
-                u = x @ t.dense @ zi  # X A_j Zi with j = t.row
-                if bt["D"].size:
-                    vals = bt["D"] @ np.diag(u).real
-                    M[rows, t.row] += vals
-                    M[t.row, rows] += vals
-                for s in dense[:jt + 1]:  # lower triangle; Re tr(A_i X A_j Zi) is symmetric
-                    val = _inner(s.dense, u)
-                    M[s.row, t.row] += val
-                    if s.row != t.row:
-                        M[t.row, s.row] += val
+        for (rows, D, dense), x, zi in zip(self.block_terms, X, Zi):
+            if D.size:
+                M[np.ix_(rows, rows)] += D @ (x * zi.T).real @ D.T
+            for jt, (j, a) in enumerate(dense):
+                u = x @ a @ zi  # X A_j Zi
+                if D.size:
+                    vals = D @ np.diag(u).real
+                    M[rows, j] += vals
+                    M[j, rows] += vals
+                for i, s in dense[:jt + 1]:  # lower triangle; Re tr(A_i X A_j Zi) is symmetric
+                    val = _inner(s, u)
+                    M[i, j] += val
+                    if i != j:
+                        M[j, i] += val
         return 0.5 * (M + M.T)
 
 
@@ -258,33 +234,17 @@ def _step_to_boundary(whiteners, deltas):
     return alpha
 
 
-def _spd_solver(M):
-    """rhs -> M^-1 rhs for the Schur matrix, factored once for the predictor
-    and the corrector: by Cholesky, else by a ridge-regularized solve, else by
-    least squares."""
-    try:
-        li = np.linalg.inv(np.linalg.cholesky(M))
-        return lambda rhs: li.T @ (li @ rhs)
-    except np.linalg.LinAlgError:
-        pass
-    ridge = 1e-12 * (np.trace(M) / max(M.shape[0], 1) + 1.0)
-
-    def fallback(rhs):
-        try:
-            return np.linalg.solve(M + ridge * np.eye(M.shape[0]), rhs)
-        except np.linalg.LinAlgError:
-            return np.linalg.lstsq(M, rhs, rcond=None)[0]
-    return fallback
-
-
-def solve_sdp(problem, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS, log_file=None):
+def solve_sdp(problem, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS):
     """Solve an SdpProblem; the objective is maximized.
 
     Returns an SdpSolution.  status is 'Optimal' when the relative duality gap
     and the feasibility residuals are all below tol; 'Infeasible' when a
-    primal-infeasibility certificate is found; 'NumericalFailure' when the
-    iteration cap passes without gap closure or an iterate block fails its
-    Cholesky factorization.
+    primal-infeasibility certificate is found; 'NumericalFailure' when
+    max_iters steps pass without gap closure or an iteration breaks down
+    (an iterate block or the Schur matrix fails its Cholesky factorization,
+    or a step-length eigvalsh fails).  history[k] is the iterate after k
+    steps, as (mu, relgap, pres, dres, pobj, dobj), so it holds
+    iterations + 1 entries.
     """
     if not tol > 0:
         raise InvalidInput(f"tol must be > 0, got {tol}")
@@ -300,11 +260,9 @@ def solve_sdp(problem, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS, log_file=No
     Z = [tau_d * np.eye(d, dtype=complex) for d in asm.dims]
     y = np.zeros(m)
 
-    log_lines = []
+    history = []
     status = "NumericalFailure"
-    iters_done = max_iters
-
-    for it in range(1, max_iters + 1):
+    for it in range(max_iters + 1):
         mu = sum(_inner(x, z) for x, z in zip(X, Z)) / n_total
         rp = asm.b - asm.apply(X)
         Ay = asm.adjoint(y)
@@ -312,84 +270,73 @@ def solve_sdp(problem, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS, log_file=No
 
         pobj_int = sum(_inner(c, x) for c, x in zip(asm.C, X))
         dobj_int = float(asm.b @ y)
-        gap = pobj_int - dobj_int
-        relgap = abs(gap) / (1.0 + abs(pobj_int))
+        relgap = abs(pobj_int - dobj_int) / (1.0 + abs(pobj_int))
         pres = float(np.linalg.norm(rp)) / asm.norm_b
         dres = max(float(np.linalg.norm(r)) for r in Rd) / asm.norm_C
-
-        if log_file is not None:
-            log_lines.append(f"iter {it:3d}  mu {mu:.3e}  gap {relgap:.3e}  "
-                             f"pres {pres:.3e}  dres {dres:.3e}  pobj {-pobj_int:+.9e}  "
-                             f"dobj {-dobj_int:+.9e}")
+        # reported in the user's (maximization) orientation
+        history.append((mu, relgap, pres, dres, -pobj_int, -dobj_int))
 
         if relgap <= tol and pres <= tol and dres <= tol:
             status = "Optimal"
-            iters_done = it - 1
             break
-
-        # primal-infeasibility certificate: A*(y) <= 0 with b^T y > 0
-        ynorm = float(np.linalg.norm(y))
-        if ynorm > 1e6 * asm.norm_b:
-            yhat = y / ynorm
-            lam = max(float(np.linalg.eigvalsh(r)[-1]) for r in asm.adjoint(yhat))
-            if asm.b @ yhat > 1e-8 and lam <= 1e-8:
-                status = "Infeasible"
-                iters_done = it - 1
-                break
+        if it == max_iters:
+            break
 
         try:
+            # primal-infeasibility certificate: A*(y) <= 0 with b^T y > 0
+            ynorm = float(np.linalg.norm(y))
+            if ynorm > 1e6 * asm.norm_b:
+                yhat = y / ynorm
+                lam = max(float(np.linalg.eigvalsh(r)[-1]) for r in asm.adjoint(yhat))
+                if asm.b @ yhat > 1e-8 and lam <= 1e-8:
+                    status = "Infeasible"
+                    break
+
             Lx = [_whitener(x) for x in X]
             Lz = [_whitener(z) for z in Z]
-        except np.linalg.LinAlgError:  # an iterate left the cone: status stays NumericalFailure
-            iters_done = it - 1
+            Zi = [lz.conj().T @ lz for lz in Lz]
+            # the Schur matrix is positive definite while X, Z are (HKM direction)
+            Ls = np.linalg.inv(np.linalg.cholesky(asm.schur(X, Zi)))  # M^-1 = Ls^T Ls
+            XRZ = [x @ r @ zi for x, r, zi in zip(X, Rd, Zi)]
+            base_rhs = asm.b + asm.apply(XRZ)
+            a_zi = asm.apply(Zi)
+
+            # predictor (affine scaling, sigma = 0)
+            dy_a = Ls.T @ (Ls @ base_rhs)
+            Ady_a = asm.adjoint(dy_a)
+            dZ_a = [r - a for r, a in zip(Rd, Ady_a)]
+            dX_a = [_herm(-x - x @ dz @ zi) for x, dz, zi in zip(X, dZ_a, Zi)]
+            ap_a = min(1.0, STEP_FRACTION * _step_to_boundary(Lx, dX_a))
+            ad_a = min(1.0, STEP_FRACTION * _step_to_boundary(Lz, dZ_a))
+            mu_aff = sum(_inner(x + ap_a * dx, z + ad_a * dz)
+                         for x, dx, z, dz in zip(X, dX_a, Z, dZ_a)) / n_total
+            sigma = min(1.0, max(1e-8, (max(mu_aff, 0.0) / mu) ** 3))
+
+            # corrector with the Mehrotra second-order term
+            corr = [dx @ dz @ zi for dx, dz, zi in zip(dX_a, dZ_a, Zi)]
+            rhs = base_rhs - sigma * mu * a_zi + asm.apply(corr)
+            dy = Ls.T @ (Ls @ rhs)
+            Ady = asm.adjoint(dy)
+            dZ = [r - a for r, a in zip(Rd, Ady)]
+            dX = [_herm(sigma * mu * zi - x - x @ dz @ zi - co)
+                  for x, dz, zi, co in zip(X, dZ, Zi, corr)]
+
+            ap = min(1.0, STEP_FRACTION * _step_to_boundary(Lx, dX))
+            ad = min(1.0, STEP_FRACTION * _step_to_boundary(Lz, dZ))
+        except np.linalg.LinAlgError:  # a breakdown: status stays NumericalFailure
             break
-        Zi = [lz.conj().T @ lz for lz in Lz]
-
-        solve_schur = _spd_solver(asm.schur(X, Zi))
-        XRZ = [x @ r @ zi for x, r, zi in zip(X, Rd, Zi)]
-        base_rhs = asm.b + asm.apply(XRZ)
-        a_zi = asm.apply(Zi)
-
-        # predictor (affine scaling, sigma = 0)
-        dy_a = solve_schur(base_rhs)
-        Ady_a = asm.adjoint(dy_a)
-        dZ_a = [r - a for r, a in zip(Rd, Ady_a)]
-        dX_a = [_herm(-x - x @ dz @ zi) for x, dz, zi in zip(X, dZ_a, Zi)]
-        ap_a = min(1.0, STEP_FRACTION * _step_to_boundary(Lx, dX_a))
-        ad_a = min(1.0, STEP_FRACTION * _step_to_boundary(Lz, dZ_a))
-        mu_aff = sum(_inner(x + ap_a * dx, z + ad_a * dz)
-                     for x, dx, z, dz in zip(X, dX_a, Z, dZ_a)) / n_total
-        sigma = min(1.0, max(1e-8, (max(mu_aff, 0.0) / mu) ** 3))
-
-        # corrector with the Mehrotra second-order term
-        corr = [dx @ dz @ zi for dx, dz, zi in zip(dX_a, dZ_a, Zi)]
-        rhs = base_rhs - sigma * mu * a_zi + asm.apply(corr)
-        dy = solve_schur(rhs)
-        Ady = asm.adjoint(dy)
-        dZ = [r - a for r, a in zip(Rd, Ady)]
-        dX = [_herm(sigma * mu * zi - x - x @ dz @ zi - co)
-              for x, dz, zi, co in zip(X, dZ, Zi, corr)]
-
-        ap = min(1.0, STEP_FRACTION * _step_to_boundary(Lx, dX))
-        ad = min(1.0, STEP_FRACTION * _step_to_boundary(Lz, dZ))
         X = [_herm(x + ap * dx) for x, dx in zip(X, dX)]
         Z = [_herm(z + ad * dz) for z, dz in zip(Z, dZ)]
         y = y + ad * dy
 
-    if log_file is not None:
-        with open(log_file, "a") as fh:
-            fh.write("\n".join(log_lines) + "\n")
-
-    # report in the user's (maximization) orientation
-    pobj_ext = -sum(_inner(c, x) for c, x in zip(asm.C, X))
-    dobj_ext = -float(asm.b @ y)
     return SdpSolution(
         blocks=X[:problem.n_blocks],
-        objective_value=float(pobj_ext),
-        dual_value=float(dobj_ext),
-        duality_gap=float(abs(pobj_ext - dobj_ext)),
+        objective_value=float(-pobj_int),
+        dual_value=float(-dobj_int),
+        duality_gap=float(abs(pobj_int - dobj_int)),
         status=status,
-        iterations=iters_done,
-        primal_residual=float(np.linalg.norm(asm.b - asm.apply(X)) / asm.norm_b),
-        dual_residual=float(dres),
+        iterations=it,
+        primal_residual=pres,
+        dual_residual=dres,
+        history=history,
     )
