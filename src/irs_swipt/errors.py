@@ -14,7 +14,7 @@ class NotPSD(IrsSwiptError):
 
 
 class NumericalFailure(IrsSwiptError):
-    """An iterative solver hit its iteration cap without reaching its tolerance."""
+    """An iterative solver hit its iteration cap without reaching its tolerance, or broke down."""
 
 
 class SubproblemInfeasible(IrsSwiptError):

@@ -307,7 +307,7 @@ def _true_w_objective(v, w, channels):
     return abs(np.vdot(v, channels.H_r @ w)) ** 2
 
 
-def sca_ao(channels, cfg, rng=None):
+def sca_ao(channels, cfg):
     """Full SCA-based alternating optimization.
 
     harvested_trace holds the true harvested power per outer iteration,
@@ -343,5 +343,5 @@ def sca_ao(channels, cfg, rng=None):
                 val = new_val
         return (w, u), harvested_power(w, u, channels, cfg.zeta)
 
-    return alternate(channels, cfg, initial_phase_profile(cfg, rng), step,
+    return alternate(channels, cfg, initial_phase_profile(cfg), step,
                      OUTER_TOL, cfg.max_outer_iters)

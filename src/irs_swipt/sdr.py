@@ -7,7 +7,10 @@ can only raise the relaxed objective.  The W half-step has two trace
 constraints and therefore a rank-one optimum W = Ps e e^H, found exactly
 through its 1-D dual (rank_one_w), so the alternation carries w = sqrt(Ps) e
 instead of W.  The V half-step is solved by the interior-point method of
-sdp.py.  Only the profile is recovered, by Gaussian randomization against
+sdp.py, with the secrecy row scaled to unit size apart from the objective;
+a V step that the solver's tolerance leaves below the W step's value keeps
+the previous V, which stays feasible, so the relaxed objective never
+decreases.  Only the profile is recovered, by Gaussian randomization against
 that w, so the returned pair is jointly feasible; _best_candidate draws, maps
 and scores all candidates at once (it also backs randomize_w, kept for a
 general lifted W, which sdr_ao does not need).
@@ -147,10 +150,18 @@ def solve_v_sdp(w, channels, cfg):
     diagonal and the trace secrecy constraint, W = w w^H fixed.
 
     The objective (rank one) and the secrecy row (rank two) are outer
-    products of y_x = H_x w / sigma, scaled by one factor that brings the
-    objective to norm V_OBJECTIVE_NORM (at norm 1e6 the interior-point primal
-    residual stalled above sdp.DEFAULT_TOL and the iterate left the PSD cone);
-    the objective is rescaled on the way out.
+    products of y_x = H_x w / sigma.  The objective is scaled to norm
+    V_OBJECTIVE_NORM (at norm 1e6 the interior-point primal residual stalled
+    above sdp.DEFAULT_TOL and the iterate left the PSD cone) and rescaled on
+    the way out.  The secrecy row tr(row V) >= 2^r0 - 1 is scaled on its own,
+    by rs = 1 / max(||row||_F, 2^r0 - 1), to the unit scale of the diagonal
+    rows; under the objective's scale the dual iterate diverged to overflow
+    on some random geometries.  sdp.DEFAULT_TOL bounds the primal residual
+    relative to the norm of the right-hand side,
+    sqrt(N + 1 + (rs (2^r0 - 1))^2) <= sqrt(N + 2), so the returned V meets
+    the secrecy row up to about
+    sdp.DEFAULT_TOL * sqrt(N + 2) * max(||row||_F, 2^r0 - 1)
+    in the noise-normalized units of y_x.
     """
     n1 = cfg.N + 1
     yr, yb, ye = (H @ w / np.sqrt(cfg.sigma2_w)
@@ -166,7 +177,8 @@ def solve_v_sdp(w, channels, cfg):
     for e_n in np.eye(n1):  # unit diagonal, passed as diagonals
         prob.add_constraint([(blk, e_n)], "==", 1.0)
     row = np.outer(yb, yb.conj()) - gain * np.outer(ye, ye.conj())
-    prob.add_constraint([(blk, scale * row)], ">=", scale * (gain - 1.0))
+    rs = 1.0 / max(np.linalg.norm(row), gain - 1.0)
+    prob.add_constraint([(blk, rs * row)], ">=", rs * (gain - 1.0))
     sol = solve_sdp(prob)
     if sol.status == "Infeasible":
         raise SubproblemInfeasible("secrecy target unattainable for the fixed beamformer")
@@ -243,15 +255,17 @@ def randomize_v(V, fixed_beam, channels, cfg, count=RAND_COUNT, rng=None):
     return PhaseProfile(_best_candidate(V, project, gains, cfg, count, rng, "profile"))
 
 
-def sdr_ao(channels, cfg, rng=None):
+def sdr_ao(channels, cfg):
     """Full SDR-based alternating optimization with randomization recovery.
 
     harvested_trace holds the relaxed objective zeta*tr(H_r^H V H_r W) per
     outer iteration; the recovered pair, the last W step's beamformer with a
     profile drawn from the last V, can only sit at or below its final value.
+    A V step that the interior-point solve leaves below the W step's value
+    keeps the previous V, which meets the secrecy row for the new w, so the
+    trace never decreases.
     """
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(cfg.seed)
 
     def step(state, counts):
         _, V = state
@@ -260,8 +274,10 @@ def sdr_ao(channels, cfg, rng=None):
         w, obj = solve_w_sdp(V, channels, cfg)
         counts["w"] += 1
         if cfg.N > 0:
-            V, obj = solve_v_sdp(w, channels, cfg)
+            V_new, obj_new = solve_v_sdp(w, channels, cfg)
             counts["u"] += 1
+            if obj_new >= obj:
+                V, obj = V_new, obj_new
         return (w, V), cfg.zeta * obj
 
     def recover(state):

@@ -1,9 +1,6 @@
 """Property tests over the scenario space, not only at configs/paper.cfg:
 random geometries, M in [1, 6], N in [0, 12] (N = 0 is the no-IRS layout) and
-secrecy targets from 10% to 99% of what the starting profile attains.
-
-sdr_ao is not covered: it can raise LinAlgError on some random geometries,
-which needs a solver fix rather than a weaker property."""
+secrecy targets from 10% to 99% of what the starting profile attains."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -13,6 +10,7 @@ from irs_swipt.experiments import optimize_w_fixed_profile
 from irs_swipt.init import feasibility_probe, initial_phase_profile
 from irs_swipt.metrics import PhaseProfile, check_feasible
 from irs_swipt.sca import sca_ao
+from irs_swipt.sdr import sdr_ao
 
 STATUSES = {"Converged", "MaxIters", "Infeasible"}
 DISTANCES = ("d_ap_irs", "d_ap_bob", "d_ap_ehr", "d_ap_eve", "d_irs_bob", "d_irs_ehr", "d_irs_eve")
@@ -52,6 +50,13 @@ def assert_solution_properties(res, cfg, channels):
 def test_sca_ao_feasible_and_monotone(scenario):
     cfg, channels = scenario
     assert_solution_properties(sca_ao(channels, cfg), cfg, channels)
+
+
+@PROPERTY_SETTINGS
+@given(scenarios())
+def test_sdr_ao_feasible_and_monotone(scenario):
+    cfg, channels = scenario
+    assert_solution_properties(sdr_ao(channels, cfg), cfg, channels)
 
 
 @PROPERTY_SETTINGS

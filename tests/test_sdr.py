@@ -45,6 +45,24 @@ def rank_one_w_oracle(V, channels, cfg, n_dirs=4000):
     return float(vals.max())
 
 
+def sweep_instance(index):
+    """(cfg, channels) of instance `index` of a random scenario sweep: per
+    instance, numpy default_rng(2024) draws the seven distances from
+    U(2, 250) m, the two path-loss exponents from U(2, 3.5), M in [1, 6],
+    N in [0, 12] and the fraction of the starting profile's attainable
+    secrecy rate that r0 asks for, from U(0.1, 0.99)."""
+    rng = np.random.default_rng(2024)
+    for i in range(index + 1):
+        d, a = rng.uniform(2, 250, 7), rng.uniform(2, 3.5, 2)
+        m, n, frac = int(rng.integers(1, 7)), int(rng.integers(0, 13)), rng.uniform(0.1, 0.99)
+    names = ("d_ap_irs", "d_ap_bob", "d_ap_ehr", "d_ap_eve", "d_irs_bob", "d_irs_ehr", "d_irs_eve")
+    cfg = ScenarioConfig(M=m, N=n, seed=index, alpha_direct=a[0], alpha_irs=a[1],
+                         **dict(zip(names, d)))
+    ch = generate_scenario(cfg)
+    _, _, sr_max = feasibility_probe(ch, cfg, initial_phase_profile(cfg))
+    return cfg.with_updates(r0=frac * sr_max), ch
+
+
 class TestSolveWSdp:
     def test_mrt_when_secrecy_slack(self):
         cfg = ScenarioConfig(M=4, N=3, seed=2, r0=1e-3)
@@ -449,3 +467,17 @@ class TestSdrAo:
         res = sdr_ao(ch, cfg)
         assert res.status == "Converged"
         assert check_feasible(res.w.w, res.u, cfg, ch).feasible
+
+    @pytest.mark.parametrize("index,m,n", [(26, 2, 9), (30, 5, 2)])
+    def test_random_geometry_regressions(self, index, m, n):
+        # Index 26: with the secrecy row at the objective's scale, the V-SDP's
+        # dual iterate overflowed and a step-length eigvalsh then failed.
+        # Index 30: a V-SDP solved to DEFAULT_TOL returned 1.05e-8 (relative)
+        # below the W step's value, a trace dip the V step now refuses.
+        cfg, ch = sweep_instance(index)
+        assert (cfg.M, cfg.N) == (m, n)
+        res = sdr_ao(ch, cfg)
+        assert res.status == "Converged"
+        assert check_feasible(res.w.w, res.u, cfg, ch).feasible
+        tr = res.harvested_trace
+        assert all(b >= a * (1 - 1e-8) for a, b in zip(tr, tr[1:])), tr
