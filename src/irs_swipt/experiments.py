@@ -2,11 +2,11 @@
 target / IRS size / antenna count, baselines, CSV and SVG emission.
 
 Baselines: "random_phase" draws a uniform random profile and only optimizes
-the beamformer (surrogate ascent to convergence); "no_irs" forces N = 0 and
-does the same.  Scenario seeds depend only on (sweep index, repetition), so
-every method sees the same channel realization at a matched point, and the
-direct links match between the IRS and no-IRS arms thanks to the fixed draw
-order in generate_scenario.
+the beamformer (sca_ao's exact beamformer step, repeated until the trace
+stops rising); "no_irs" forces N = 0 and does the same.  Scenario seeds
+depend only on (sweep index, repetition), so every method sees the same
+channel realization at a matched point, and the direct links match between
+the IRS and no-IRS arms thanks to the fixed draw order in generate_scenario.
 """
 
 import ctypes
@@ -21,9 +21,9 @@ import numpy as np
 
 from .channel import ScenarioConfig, generate_scenario
 from .errors import InvalidInput
-from .init import alternate
+from .init import OUTER_TOL, alternate
 from .metrics import PhaseProfile, harvested_power
-from .sca import INNER_TOL, MAX_INNER_W, sca_ao, sca_w_step
+from .sca import sca_ao, sca_w_step
 from .sdr import sdr_ao
 from .svg import write_chart
 
@@ -94,14 +94,15 @@ class ResultRow:
 
 
 def optimize_w_fixed_profile(channels, cfg, u):
-    """Beamformer-only ascent for a frozen profile (baseline arm)."""
+    """Beamformer-only optimization for a frozen profile (baseline arm); the
+    step is exact, so the second one confirms the first and ends the run."""
     def step(state, counts):
         w, u = state
         counts["w"] += 1
         w = sca_w_step(u.v, w, channels, cfg).w
         return (w, u), harvested_power(w, u, channels, cfg.zeta)
 
-    return alternate(channels, cfg, u, step, INNER_TOL, MAX_INNER_W)
+    return alternate(channels, cfg, u, step, OUTER_TOL, cfg.max_outer_iters)
 
 
 def _point_config(base, mode, value):

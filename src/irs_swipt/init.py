@@ -1,13 +1,16 @@
 """What the alternating-optimization solvers share: the starting phase
 profile, the full-power secrecy-maximizing beamformer used as a feasibility
-probe and as a strictly feasible starting point, and the alternation loop
-that sdr_ao, sca_ao and the beamformer-only baselines all run (sdr_ao also
-maps its final relaxed state to a rank-one pair once, after the loop)."""
+probe and as a strictly feasible starting point, the exact fixed-profile
+beamformer step (rank_one_w, through its 1-D dual) that sdr_ao, sca_ao and
+the beamformer-only baselines all take, and the alternation loop they all run
+(sdr_ao also maps its final relaxed state to a rank-one pair once, after the
+loop)."""
 
 import time
 
 import numpy as np
 
+from .errors import SubproblemInfeasible
 from .linalg import herm_eig
 from .metrics import Beamformer, PhaseProfile, SolveResult, harvested_power, secrecy_rate
 
@@ -42,6 +45,108 @@ def max_sr_beamformer(v, channels, cfg):
     w = np.sqrt(cfg.ps_w) * x / np.linalg.norm(x)
     sr_max = float(np.log2(max(vals[-1], 1.0)))
     return w, sr_max
+
+
+# Relative bracket width at which the multiplier search stops.  The segment
+# between the two ends' eigenvectors follows e(lam) to second order in the
+# width, so the objective is far more accurate than the multiplier.
+BISECT_REL_WIDTH = 1e-10
+MAX_DOUBLINGS = 60
+# Bounds the search when the multiplier is 0 at a repeated top eigenvalue of
+# Rr: there the relative width shrinks only once rounding makes eigh return
+# the lam = 0 eigenvector again.
+MAX_HALVINGS = 200
+
+
+def rank_one_w(Rr, A, c):
+    """Unit e maximizing e^H Rr e subject to e^H A e >= c (Rr PSD).
+
+    The SDP max tr(Rr W) s.t. tr(A W) >= c, tr(W) <= 1, W PSD has two trace
+    constraints, so it has a rank-one optimum e e^H; its dual is the convex
+    1-D problem min_{lam >= 0} lambda_max(Rr + lam A) - lam c, whose
+    derivative e(lam)^H A e(lam) - c, e(lam) the top eigenvector of
+    Rr + lam A, is nondecreasing.  lam = 0 settles it when the secrecy
+    constraint is slack there; otherwise lam is bracketed (from the bound
+    lambda_max(Rr) / (lambda_max(A) - c) on the dual optimum, doubled while
+    the bound is hit by rounding) and bisected.  The two ends' eigenvectors
+    then span the top eigenspace at the optimum, which is two-dimensional
+    when eigenvalues cross there: e is the point of their segment where
+    e^H A e reaches c, on its feasible side.
+
+    Raises SubproblemInfeasible when lambda_max(A) < c.
+    """
+    vals_a, vecs_a = np.linalg.eigh(A)
+    if vals_a[-1] < c:
+        raise SubproblemInfeasible("secrecy target unattainable for the fixed profile")
+
+    def top(lam):
+        e = np.linalg.eigh(Rr + lam * A)[1][:, -1]
+        return e, float(np.real(np.vdot(e, A @ e)))
+
+    e_lo, g_lo = top(0.0)
+    if g_lo >= c:
+        return e_lo
+    top_r = float(np.real(np.vdot(e_lo, Rr @ e_lo)))  # lambda_max(Rr)
+    if top_r <= 0 or vals_a[-1] == c:
+        return vecs_a[:, -1]  # every feasible direction is optimal, or only this one is feasible
+    lo, hi = 0.0, 2.0 * top_r / (vals_a[-1] - c)
+    e_hi, g_hi = top(hi)
+    for _ in range(MAX_DOUBLINGS):
+        if g_hi >= c:
+            break
+        lo, e_lo, g_lo = hi, e_hi, g_hi
+        hi *= 2.0
+        e_hi, g_hi = top(hi)
+    else:
+        return vecs_a[:, -1]  # lambda_max(A) - c is at rounding level
+    for _ in range(MAX_HALVINGS):
+        if hi - lo <= BISECT_REL_WIDTH * hi:
+            break
+        mid = 0.5 * (lo + hi)
+        e, g = top(mid)
+        if g >= c:
+            hi, e_hi, g_hi = mid, e, g
+        else:
+            lo, e_lo, g_lo = mid, e, g
+    return _feasible_combination(e_lo, g_lo, e_hi, g_hi, A, c)
+
+
+def _feasible_combination(e_lo, g_lo, e_hi, g_hi, A, c):
+    """Unit e on the segment from e_lo (e^H A e = g_lo < c) to e_hi (g_hi >= c)
+    with e^H A e >= c, as close to c as bisection on the segment gets."""
+    s = np.vdot(e_hi, e_lo)
+    if s != 0:
+        e_hi = e_hi * (s / abs(s))  # phase-align the ends so the segment avoids 0
+    beta = float(np.real(np.vdot(e_lo, A @ e_hi))) - c * float(np.real(np.vdot(e_lo, e_hi)))
+    a, g = g_lo - c, g_hi - c
+
+    def q(t):  # (x^H A x - c x^H x) at x = (1 - t) e_lo + t e_hi
+        return a * (1 - t) ** 2 + 2 * beta * t * (1 - t) + g * t ** 2
+
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if q(mid) >= 0:
+            hi = mid
+        else:
+            lo = mid
+    x = (1 - hi) * e_lo + hi * e_hi
+    return x / np.linalg.norm(x)
+
+
+def keep_if_infeasible(solve, kept):
+    """solve(), or kept() when solve raises SubproblemInfeasible.
+
+    The AO methods call their W step from a beamformer that meets the secrecy
+    constraint for the profile at hand by construction, so that raise is
+    rounding in rank_one_w's test lambda_max(A) < c at r0 = the attainable
+    maximum (the cancellation in A scales with the channel gains, not with
+    c); kept() gives the W step's result for that beamformer.
+    """
+    try:
+        return solve()
+    except SubproblemInfeasible:
+        return kept()
 
 
 def feasibility_probe(channels, cfg, u0):

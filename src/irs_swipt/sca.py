@@ -1,35 +1,31 @@
 """Low-complexity successive-convex-approximation alternating optimization.
 
-Each outer round first ascends the beamformer through a sequence of convex
-surrogate programs (the convex quadratics are minorized by their first-order
-expansions at the previous iterate), then updates the phase profile in
-semi-closed form: the surrogate phase subproblem is solved by entrywise phase
-alignment of d + mu*f, with the multiplier mu found by bisection driven by
-complementary slackness.  Every surrogate constraint is a restriction of the
-original secrecy constraint and every surrogate objective a lower bound that
-is tight at the expansion point, so the true harvested power never decreases.
+Each outer round first takes the exact beamformer step for the current
+profile, then updates the profile in semi-closed form: the surrogate phase
+subproblem is solved by entrywise phase alignment of d + mu*f, with the
+multiplier mu found by bisection driven by complementary slackness.  The
+surrogate secrecy constraint is a restriction of the original one and the
+surrogate objective a lower bound that is tight at the expansion point, so
+the true harvested power never decreases.
 
-The beamformer surrogate (a linear objective over the power ball intersected
-with one convex quadratic whose quadratic part is rank one) is solved exactly
-through its Lagrange dual in noise-normalized coordinates: Sherman-Morrison
-reduces the Lagrangian maximizer to scalar arithmetic, Newton finds the ball
-multiplier and bisection the secrecy multiplier.  The phase step's majorizer
-lambda_max(A) of the rank-two A comes from a 2x2 eigenproblem.  No
-semidefinite or iterative matrix machinery is involved.
+For a fixed profile the beamformer problem is a QCQP with two constraints
+whose semidefinite relaxation is tight, so sca_w_step solves it exactly
+through the same 1-D dual as the SDR W step (init.rank_one_w), built from
+the three M-dimensional gain vectors.  The phase step's majorizer
+lambda_max(A) of the rank-two A comes from a 2x2 eigenproblem, which is what
+spares this method the profile SDP.
 """
 
 import math
 from dataclasses import dataclass
 import numpy as np
 
-from .errors import NumericalFailure, PhaseStepInfeasible
-from .init import OUTER_TOL, alternate, initial_phase_profile
-from .metrics import POWER_SLACK_TOL, Beamformer, PhaseProfile, harvested_power
+from .errors import PhaseStepInfeasible
+from .init import OUTER_TOL, alternate, initial_phase_profile, keep_if_infeasible, rank_one_w
+from .metrics import Beamformer, PhaseProfile, harvested_power
 
-MAX_INNER_W = 30  # beamformer steps per outer round
 MAX_INNER_U = 30  # phase steps per outer round
-INNER_TOL = 1e-6  # relative objective increase that ends either inner sequence
-QCQP_TOL = 1e-8   # relative bracket width of the beamformer step's secrecy multiplier
+INNER_TOL = 1e-6  # relative objective increase that ends the phase steps
 
 
 @dataclass
@@ -127,24 +123,25 @@ def bisect_mu(data, eps_bisect=1e-8):
     if g_limit < c2 - tol:
         raise PhaseStepInfeasible("linearized secrecy constraint unreachable")
 
-    hi = 1.0
+    hi, g_hi = 1.0, _g_of_mu(d, f, 1.0)
     for _ in range(200):
-        if _g_of_mu(d, f, hi) >= c2:
+        if g_hi >= c2:
             break
         hi *= 2.0
+        g_hi = _g_of_mu(d, f, hi)
     else:
-        if abs(_g_of_mu(d, f, hi) - c2) <= tol:
+        if abs(g_hi - c2) <= tol:
             return hi, u_of_mu(d, f, hi)
         raise PhaseStepInfeasible("bisection bracket not found")
 
     lo = 0.0
     for _ in range(200):
-        g_hi = _g_of_mu(d, f, hi)
         if abs(g_hi - c2) <= tol:
             break
         mid = 0.5 * (lo + hi)
-        if _g_of_mu(d, f, mid) >= c2:
-            hi = mid
+        g_mid = _g_of_mu(d, f, mid)
+        if g_mid >= c2:
+            hi, g_hi = mid, g_mid
         else:
             lo = mid
         if hi - lo <= 1e-16 * max(1.0, hi):
@@ -152,155 +149,28 @@ def bisect_mu(data, eps_bisect=1e-8):
     return hi, u_of_mu(d, f, hi)
 
 
-class _WSurrogate:
-    """The beamformer surrogate program in noise-normalized coordinates.
-
-    maximize   2 Re(x^H q)                     (q = g_r g_r^H x_prev)
-    subject to ||x||^2 <= 1
-               2^r0 |g_e^H x|^2 - 2 Re(x^H p) + kappa <= 0
-
-    with x = w / sqrt(Ps) and channels scaled by sqrt(Ps)/sigma.  f1, f2 and
-    objective evaluate the ball, the secrecy constraint and the objective at a
-    complex x.
-    """
-
-    def __init__(self, v, w_prev, channels, cfg):
-        scale = np.sqrt(cfg.ps_w / cfg.sigma2_w)
-        self.g_r = (channels.H_r.conj().T @ v) * scale
-        self.g_b = (channels.H_b.conj().T @ v) * scale
-        self.g_e = (channels.H_e.conj().T @ v) * scale
-        self.gain = 2.0 ** cfg.r0
-        self.x_prev = np.asarray(w_prev, dtype=complex) / np.sqrt(cfg.ps_w)
-        tb = complex(self.g_b.conj() @ self.x_prev)
-        self.q = self.g_r * complex(self.g_r.conj() @ self.x_prev)
-        self.p = self.g_b * tb
-        self.kappa = self.gain - 1.0 + abs(tb) ** 2
-
-    def f1(self, x):
-        return float(np.real(np.vdot(x, x))) - 1.0
-
-    def f2(self, x):
-        return (self.gain * abs(np.vdot(self.g_e, x)) ** 2
-                - 2.0 * float(np.real(np.vdot(self.p, x))) + self.kappa)
-
-    def objective(self, x):
-        return 2.0 * float(np.real(np.vdot(self.q, x)))
-
-
-def _ball_multiplier(a, b, c):
-    """Root lam >= 0 of ||x||^2 = a/lam^2 + b/(lam + c)^2 = 1 (0 if the ball is
-    inactive).  1/||x|| is concave increasing in lam, so Newton on it climbs
-    monotonically from the lower bound max(sqrt(a), sqrt(b) - c) to the root."""
-    if a == 0.0:
-        return max(math.sqrt(b) - c, 0.0)
-    lam = max(math.sqrt(a), math.sqrt(b) - c)
-    for _ in range(100):
-        e1, e2 = a / lam ** 2, b / (lam + c) ** 2
-        phi = e1 + e2
-        step = phi * (math.sqrt(phi) - 1.0) / (e1 / lam + e2 / (lam + c))
-        if step <= 4e-16 * lam:
-            break
-        lam += step
-    return lam
-
-
-def _dual_solve(sur, tol, slack, floor):
-    """Exact surrogate maximizer via the multipliers lam1 (power ball) and lam2
-    (secrecy constraint); None when no lam2 brings the constraint value below
-    -slack, i.e. the surrogate has no interior beyond rounding.
-
-    The Lagrangian maximizer x = (lam1 I + lam2 k g g^H)^-1 (q + lam2 p), with
-    g = g_e/||g_e|| and k = 2^r0 ||g_e||^2, is r_perp/lam1 + s g by
-    Sherman-Morrison (r_perp: the part of q + lam2 p orthogonal to g), so
-    ||x||^2 and the constraint value are scalar arithmetic.  The constraint
-    value at x(lam2) is minus the slope of the convex dual function, hence
-    non-increasing: lam2 = 0 if x(0) = q/||q|| meets it, else lam2 is bisected
-    to relative width tol, keeping the feasible end (Boyd & Vandenberghe,
-    Convex Optimization, 5.2 and B.1).  Past that width bisection goes on, to
-    rounding at most, while the objective at the feasible end is below floor
-    (the value at the expansion point, which the optimum cannot be below).
-    """
-    q, p = sur.q, sur.p
-    gn = float(np.linalg.norm(sur.g_e))
-    g = sur.g_e / gn if gn > 0 else np.zeros_like(q)
-    gq, gp = complex(np.vdot(g, q)), complex(np.vdot(g, p))
-    if q.shape[0] == 1 and gn > 0:  # g spans the whole space
-        q_perp = p_perp = np.zeros_like(q)
-    else:
-        q_perp, p_perp = q - gq * g, p - gp * g
-    qq = float(np.real(np.vdot(q_perp, q_perp)))
-    pp = float(np.real(np.vdot(p_perp, p_perp)))
-    qp = float(np.real(np.vdot(q_perp, p_perp)))
-    k = sur.gain * gn * gn
-
-    def at(lam2):
-        """(1/lam1, or 0 when r_perp = 0; s; constraint value; objective) at x(lam2)."""
-        a = gq + lam2 * gp
-        c = lam2 * k
-        perp2 = max(qq + lam2 * (2.0 * qp + lam2 * pp), 0.0)
-        lam1 = _ball_multiplier(perp2, abs(a) ** 2, c)
-        t = 1.0 / lam1 if perp2 > 0.0 else 0.0
-        s = a / (lam1 + c) if a != 0 else 0j
-        h = (k * abs(s) ** 2 - 2.0 * (t * (qp + lam2 * pp) + (gp.conjugate() * s).real)
-             + sur.kappa)
-        return t, s, h, 2.0 * (t * (qq + lam2 * qp) + (gq.conjugate() * s).real)
-
-    lam2, best = 0.0, at(0.0)
-    if best[2] > 0.0:
-        scale = math.sqrt(pp + abs(gp) ** 2) + k  # ||p|| + k
-        hi = math.sqrt(qq + abs(gq) ** 2) / scale if scale > 0.0 else 0.0
-        if hi == 0.0:  # p = g_e = 0 leaves the constraint value constant
-            return None
-        lo = 0.0
-        # past 1e17 times the scale ||q|| / (||p|| + k), q is below the
-        # rounding of q + lam2 p and x(lam2) no longer moves
-        cap = 1e17 * hi
-        best = at(hi)
-        while best[2] > -slack:
-            if best[2] > 0.0:
-                lo = hi
-            hi *= 2.0
-            if hi > cap:
-                return None
-            best = at(hi)
-        while hi - lo > tol * hi or (best[3] < floor and hi - lo > 1e-15 * hi):
-            mid = 0.5 * (lo + hi)
-            cand = at(mid)
-            if cand[2] > 0.0:
-                lo = mid
-            else:
-                hi, best = mid, cand
-        lam2 = hi
-    t, s = best[:2]
-    x = t * (q_perp + lam2 * p_perp) + s * g
-    return x / max(1.0, float(np.linalg.norm(x)))
-
-
 def sca_w_step(v, w_prev, channels, cfg):
-    """One surrogate beamformer maximization at expansion point w_prev.
+    """Exact beamformer step for the fixed profile v: sqrt(Ps) e with
+    e = rank_one_w(g_r g_r^H, g_b g_b^H - 2^r0 g_e g_e^H, 2^r0 - 1), the gains
+    g_x = H_x^H v sqrt(Ps)/sigma.
 
-    The output never lowers the true objective |v^H H_r w|^2 (the surrogate is
-    tight at w_prev and a global lower bound).  When no point of the surrogate
-    feasible set ascends, w_prev is returned unchanged; NumericalFailure
-    signals an infeasible expansion point, which cannot happen for feasible
-    w_prev.
+    w_prev is returned when it does at least as well, so the true objective
+    |v^H H_r w|^2 never decreases, and when rank_one_w finds the target
+    unattainable, which for a feasible w_prev is rounding (see
+    init.keep_if_infeasible).
     """
     v = np.asarray(getattr(v, "v", v), dtype=complex)
     w_prev = np.asarray(getattr(w_prev, "w", w_prev), dtype=complex)
-    sur = _WSurrogate(v, w_prev, channels, cfg)
-    if np.linalg.norm(sur.q) < 1e-300:
+    scale = np.sqrt(cfg.ps_w / cfg.sigma2_w)
+    g_r, g_b, g_e = ((H.conj().T @ v) * scale for H in (channels.H_r, channels.H_b, channels.H_e))
+    gain = 2.0 ** cfg.r0
+    A = np.outer(g_b, g_b.conj()) - gain * np.outer(g_e, g_e.conj())
+    x_prev = w_prev / np.sqrt(cfg.ps_w)
+    e = keep_if_infeasible(lambda: rank_one_w(np.outer(g_r, g_r.conj()), A, gain - 1.0),
+                           lambda: x_prev)
+    if abs(np.vdot(g_r, e)) <= abs(np.vdot(g_r, x_prev)):
         return Beamformer(w_prev)
-    slack = 1e-9 * (1.0 + abs(sur.kappa))
-    if sur.f2(sur.x_prev) > slack:
-        raise NumericalFailure("expansion point violates the secrecy constraint")
-
-    floor = sur.objective(sur.x_prev)
-    x = _dual_solve(sur, QCQP_TOL, slack, floor)
-    if x is None:
-        return Beamformer(w_prev)
-    if sur.f1(x) > POWER_SLACK_TOL or sur.f2(x) > slack or sur.objective(x) < floor:
-        return Beamformer(w_prev)
-    return Beamformer(x * np.sqrt(cfg.ps_w))
+    return Beamformer(np.sqrt(cfg.ps_w) * e)
 
 
 def _true_w_objective(v, w, channels):
@@ -315,16 +185,8 @@ def sca_ao(channels, cfg):
     """
     def step(state, counts):
         w, u = state
-        v = u.v
-        val = _true_w_objective(v, w, channels)
-        for _ in range(MAX_INNER_W):
-            w = sca_w_step(v, w, channels, cfg).w
-            counts["w"] += 1
-            new_val = _true_w_objective(v, w, channels)
-            if new_val - val <= INNER_TOL * max(new_val, 1e-300):
-                break
-            val = new_val
-
+        w = sca_w_step(u.v, w, channels, cfg).w
+        counts["w"] += 1
         if cfg.N > 0:
             val = _true_w_objective(u.v, w, channels)
             for _ in range(MAX_INNER_U):

@@ -5,8 +5,10 @@ V = v v^H with the rank-one constraints dropped.  With one variable fixed the
 other subproblem is a linear SDP, so the two are alternated; both half-steps
 can only raise the relaxed objective.  The W half-step has two trace
 constraints and therefore a rank-one optimum W = Ps e e^H, found exactly
-through its 1-D dual (rank_one_w), so the alternation carries w = sqrt(Ps) e
-instead of W.  The V half-step is solved by the interior-point method of
+through its 1-D dual (init.rank_one_w, which sca_ao's beamformer step shares),
+so the alternation carries w = sqrt(Ps) e instead of W; when rounding makes
+that solver find the secrecy target unattainable, the state's w, feasible for
+the state's V by construction, is kept with its relaxed value.  The V half-step is solved by the interior-point method of
 sdp.py, with the secrecy row scaled to unit size apart from the objective;
 a V step that the solver's tolerance leaves below the W step's value keeps
 the previous V, which stays feasible, so the relaxed objective never
@@ -26,7 +28,7 @@ conditioned, and rescaled on the way out.
 import numpy as np
 
 from .errors import NumericalFailure, RecoveryFailed, SubproblemInfeasible
-from .init import OUTER_TOL, alternate, initial_phase_profile
+from .init import OUTER_TOL, alternate, initial_phase_profile, keep_if_infeasible, rank_one_w
 from .linalg import herm_eig, psd_sqrt
 from .metrics import Beamformer, PhaseProfile
 from .sdp import SdpProblem, solve_sdp
@@ -37,93 +39,6 @@ RAND_COUNT = 1000  # Gaussian randomization candidates per recovery
 def _snr_stacks(channels, cfg):
     scale = np.sqrt(cfg.ps_w) / np.sqrt(cfg.sigma2_w)
     return channels.H_r * scale, channels.H_b * scale, channels.H_e * scale
-
-
-# Relative bracket width at which the multiplier search stops.  The segment
-# between the two ends' eigenvectors follows e(lam) to second order in the
-# width, so the objective is far more accurate than the multiplier.
-BISECT_REL_WIDTH = 1e-10
-MAX_DOUBLINGS = 60
-# Bounds the search when the multiplier is 0 at a repeated top eigenvalue of
-# Rr: there the relative width shrinks only once rounding makes eigh return
-# the lam = 0 eigenvector again.
-MAX_HALVINGS = 200
-
-
-def rank_one_w(Rr, A, c):
-    """Unit e maximizing e^H Rr e subject to e^H A e >= c (Rr PSD).
-
-    The SDP max tr(Rr W) s.t. tr(A W) >= c, tr(W) <= 1, W PSD has two trace
-    constraints, so it has a rank-one optimum e e^H; its dual is the convex
-    1-D problem min_{lam >= 0} lambda_max(Rr + lam A) - lam c, whose
-    derivative e(lam)^H A e(lam) - c, e(lam) the top eigenvector of
-    Rr + lam A, is nondecreasing.  lam = 0 settles it when the secrecy
-    constraint is slack there; otherwise lam is bracketed (from the bound
-    lambda_max(Rr) / (lambda_max(A) - c) on the dual optimum, doubled while
-    the bound is hit by rounding) and bisected.  The two ends' eigenvectors
-    then span the top eigenspace at the optimum, which is two-dimensional
-    when eigenvalues cross there: e is the point of their segment where
-    e^H A e reaches c, on its feasible side.
-
-    Raises SubproblemInfeasible when lambda_max(A) < c.
-    """
-    vals_a, vecs_a = np.linalg.eigh(A)
-    if vals_a[-1] < c:
-        raise SubproblemInfeasible("secrecy target unattainable for the fixed profile")
-
-    def top(lam):
-        e = np.linalg.eigh(Rr + lam * A)[1][:, -1]
-        return e, float(np.real(np.vdot(e, A @ e)))
-
-    e_lo, g_lo = top(0.0)
-    if g_lo >= c:
-        return e_lo
-    top_r = float(np.real(np.vdot(e_lo, Rr @ e_lo)))  # lambda_max(Rr)
-    if top_r <= 0 or vals_a[-1] == c:
-        return vecs_a[:, -1]  # every feasible direction is optimal, or only this one is feasible
-    lo, hi = 0.0, 2.0 * top_r / (vals_a[-1] - c)
-    e_hi, g_hi = top(hi)
-    for _ in range(MAX_DOUBLINGS):
-        if g_hi >= c:
-            break
-        lo, e_lo, g_lo = hi, e_hi, g_hi
-        hi *= 2.0
-        e_hi, g_hi = top(hi)
-    else:
-        return vecs_a[:, -1]  # lambda_max(A) - c is at rounding level
-    for _ in range(MAX_HALVINGS):
-        if hi - lo <= BISECT_REL_WIDTH * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        e, g = top(mid)
-        if g >= c:
-            hi, e_hi, g_hi = mid, e, g
-        else:
-            lo, e_lo, g_lo = mid, e, g
-    return _feasible_combination(e_lo, g_lo, e_hi, g_hi, A, c)
-
-
-def _feasible_combination(e_lo, g_lo, e_hi, g_hi, A, c):
-    """Unit e on the segment from e_lo (e^H A e = g_lo < c) to e_hi (g_hi >= c)
-    with e^H A e >= c, as close to c as bisection on the segment gets."""
-    s = np.vdot(e_hi, e_lo)
-    if s != 0:
-        e_hi = e_hi * (s / abs(s))  # phase-align the ends so the segment avoids 0
-    beta = float(np.real(np.vdot(e_lo, A @ e_hi))) - c * float(np.real(np.vdot(e_lo, e_hi)))
-    a, g = g_lo - c, g_hi - c
-
-    def q(t):  # (x^H A x - c x^H x) at x = (1 - t) e_lo + t e_hi
-        return a * (1 - t) ** 2 + 2 * beta * t * (1 - t) + g * t ** 2
-
-    lo, hi = 0.0, 1.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if q(mid) >= 0:
-            hi = mid
-        else:
-            lo = mid
-    x = (1 - hi) * e_lo + hi * e_hi
-    return x / np.linalg.norm(x)
 
 
 def solve_w_sdp(V, channels, cfg):
@@ -263,15 +178,21 @@ def sdr_ao(channels, cfg):
     profile drawn from the last V, can only sit at or below its final value.
     A V step that the interior-point solve leaves below the W step's value
     keeps the previous V, which meets the secrecy row for the new w, so the
-    trace never decreases.
+    trace never decreases.  A W step that rounding finds infeasible keeps the
+    previous w (init.keep_if_infeasible).
     """
     rng = np.random.default_rng(cfg.seed)
 
     def step(state, counts):
-        _, V = state
+        w_prev, V = state
         if isinstance(V, PhaseProfile):  # the starting profile
             V = np.outer(V.v, V.v.conj())
-        w, obj = solve_w_sdp(V, channels, cfg)
+
+        def kept():
+            y = channels.H_r @ w_prev
+            return w_prev, float(np.real(np.vdot(y, V @ y)))
+
+        w, obj = keep_if_infeasible(lambda: solve_w_sdp(V, channels, cfg), kept)
         counts["w"] += 1
         if cfg.N > 0:
             V_new, obj_new = solve_v_sdp(w, channels, cfg)

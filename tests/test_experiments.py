@@ -8,7 +8,7 @@ import pytest
 from irs_swipt.channel import ChannelSet, ScenarioConfig, generate_scenario
 from irs_swipt.config import parse_config_text
 from irs_swipt.errors import InvalidInput
-from irs_swipt.experiments import (ExperimentSpec, ResultRow, _openblas_function,
+from irs_swipt.experiments import (METHODS, ExperimentSpec, ResultRow, _openblas_function,
                                    _single_blas_thread, compare_complexity, emit_csv,
                                    parse_csv, run_experiment)
 from irs_swipt.metrics import PhaseProfile, harvested_power, secrecy_rate
@@ -128,16 +128,20 @@ class TestRunExperiment:
         assert all(r.harvested_w == 0.0 for r in rows)
 
     def test_worker_pool_matches_serial(self, tmp_path):
-        base = small_base()
-        spec_s = ExperimentSpec(mode="single", methods=("sca",), seeds_per_point=3,
-                                base=base, out_dir=str(tmp_path / "s"), workers=1)
-        spec_p = ExperimentSpec(mode="single", methods=("sca",), seeds_per_point=3,
-                                base=base, out_dir=str(tmp_path / "p"), workers=2)
-        rows_s = run_experiment(spec_s)
-        rows_p = run_experiment(spec_p)
-        for a, b in zip(rows_s, rows_p):
-            assert (a.method, a.seed, a.harvested_w, a.sr_bps_hz, a.status) == \
-                (b.method, b.seed, b.harvested_w, b.sr_bps_hz, b.status)
+        # every method: solutions.json bit for bit, results.csv but for seconds
+        runs = {}
+        for workers in (1, 2):
+            out = tmp_path / str(workers)
+            run_experiment(ExperimentSpec(mode="single", methods=METHODS, seeds_per_point=3,
+                                          base=small_base(), out_dir=str(out), workers=workers,
+                                          dump_solutions=True))
+            csv = [line.split(",") for line in (out / "results.csv").read_text().splitlines()]
+            col = csv[0].index("seconds")
+            runs[workers] = ((out / "solutions.json").read_bytes(),
+                             [row[:col] + row[col + 1:] for row in csv])
+        assert runs[1] == runs[2]
+        methods = {entry["method"] for entry in json.loads(runs[1][0])}
+        assert methods == set(METHODS)
 
     def test_pool_workers_run_one_blas_thread(self):
         # One worker per core, each running a BLAS thread per core,

@@ -6,10 +6,9 @@ from irs_swipt.errors import PhaseStepInfeasible
 from irs_swipt.init import feasibility_probe, initial_phase_profile, max_sr_beamformer
 from irs_swipt.linalg import max_eigval
 from irs_swipt.metrics import PhaseProfile, check_feasible, harvested_power
-from irs_swipt.sca import (PhaseSubproblemData, _WSurrogate, _ball_multiplier,
-                           _rank_two_max_eigval, bisect_mu, build_phase_data, sca_ao,
-                           sca_w_step, u_of_mu)
-from irs_swipt.sdr import solve_w_sdp
+from irs_swipt.oracle import _profile_values
+from irs_swipt.sca import (PhaseSubproblemData, _rank_two_max_eigval, bisect_mu,
+                           build_phase_data, sca_ao, sca_w_step, u_of_mu)
 
 DESK = dict(d_ap_bob=10.0, d_ap_eve=20.0, d_ap_ehr=6.0,
             d_irs_bob=12.0, d_irs_eve=25.0, d_irs_ehr=4.0)
@@ -26,38 +25,24 @@ def true_objective(v, w, channels):
     return abs(np.vdot(v, channels.H_r @ w)) ** 2
 
 
-def surrogate_values(sur, X):
-    """Objective, ||x||^2 - 1 and secrecy-constraint value of each row of X."""
-    obj = 2.0 * np.real(X @ sur.q.conj())
-    f1 = np.sum(np.abs(X) ** 2, axis=1) - 1.0
-    f2 = (sur.gain * np.abs(X @ sur.g_e.conj()) ** 2
-          - 2.0 * np.real(X @ sur.p.conj()) + sur.kappa)
-    return obj, f1, f2
+def oracle_value(v, channels, cfg):
+    """max |v^H H_r x|^2 over unit x meeting the secrecy constraint, from the
+    joint oracle's per-profile kernel, which shares no code with the solvers."""
+    rbe = [(v @ H.conj())[None, :] for H in (channels.H_r, channels.H_b, channels.H_e)]
+    gain = 2.0 ** cfg.r0
+    return float(_profile_values(*rbe, gain, (gain - 1.0) * cfg.sigma2_w / cfg.ps_w)[0])
 
 
-def assert_step_optimal(v, w_prev, channels, cfg, rng, samples=2000):
-    """The step's output is feasible for the surrogate at w_prev, ascends, and
-    no random feasible point of the surrogate near it or in the ball beats it."""
-    sur = _WSurrogate(v, w_prev, channels, cfg)
-    x = sca_w_step(v, w_prev, channels, cfg).w / np.sqrt(cfg.ps_w)
-    best = sur.objective(x)
-    assert sur.f1(x) <= 1e-12
-    assert sur.f2(x) <= 1e-12 * (1.0 + abs(sur.kappa))
-    # x went through w = sqrt(Ps) x and back, which may cost an ulp
-    assert best >= sur.objective(sur.x_prev) * (1.0 - 1e-14)
-
-    m = x.shape[0]
-    z = rng.standard_normal((samples, m)) + 1j * rng.standard_normal((samples, m))
-    z /= np.linalg.norm(z, axis=1, keepdims=True)
-    near = x + np.logspace(-7, 0, samples // 2)[:, None] * z[: samples // 2]
-    ball = z[samples // 2:] * rng.random((samples - samples // 2, 1)) ** (1.0 / (2 * m))
-    X = np.vstack([near, ball])
-    X /= np.maximum(1.0, np.linalg.norm(X, axis=1, keepdims=True))
-    obj, f1s, f2s = surrogate_values(sur, X)
-    feasible = (f1s <= 0.0) & (f2s <= 0.0)
-    assert feasible.sum() >= 50
-    assert obj[feasible].max() <= best + 1e-8 * abs(best)
-    return sur, x
+def assert_step_exact(v, w_prev, channels, cfg):
+    """The step's value is the oracle's for the profile, its pair is feasible,
+    and it is at least w_prev's value; returns the step's beamformer."""
+    w = sca_w_step(v, w_prev, channels, cfg).w
+    value = true_objective(v, w, channels) / cfg.ps_w
+    assert value == pytest.approx(oracle_value(v, channels, cfg), rel=1e-12)
+    report = check_feasible(w, PhaseProfile(v[:-1] / v[-1]), cfg, channels)
+    assert report.feasible, report.violations
+    assert true_objective(v, w, channels) >= true_objective(v, w_prev, channels)
+    return w
 
 
 class TestScaWStep:
@@ -88,99 +73,37 @@ class TestScaWStep:
                 assert cur >= prev * (1 - 1e-9)
                 prev = cur
 
-    def test_surrogate_tight_at_expansion_point(self):
-        cfg = ScenarioConfig(M=3, N=4, seed=3, r0=1.0, **DESK)
-        ch = generate_scenario(cfg)
-        u = initial_phase_profile(cfg)
-        ok, w, _ = feasibility_probe(ch, cfg, u)
-        assert ok
-        sur = _WSurrogate(u.v, w, ch, cfg)
-        x = sur.x_prev
-        # objective surrogate 2Re(x^H q) - |g_r^H x_prev|^2 equals the truth at x_prev
-        quad = abs(np.vdot(sur.g_r, sur.x_prev)) ** 2
-        assert sur.objective(x) - quad == pytest.approx(quad, rel=1e-9)
-
-    def test_surrogate_lower_bounds_truth(self):
-        rng = np.random.default_rng(4)
-        cfg = ScenarioConfig(M=3, N=4, seed=5, r0=1.0, **DESK)
-        ch = generate_scenario(cfg)
-        u = initial_phase_profile(cfg)
-        ok, w, _ = feasibility_probe(ch, cfg, u)
-        assert ok
-        sur = _WSurrogate(u.v, w, ch, cfg)
-        for _ in range(200):
-            x = rng.standard_normal(6)
-            x /= np.linalg.norm(x) * rng.uniform(1.0, 3.0)
-            xc = x[:3] + 1j * x[3:]
-            truth = abs(np.vdot(sur.g_r, xc)) ** 2
-            surrogate = sur.objective(xc) - abs(np.vdot(sur.g_r, sur.x_prev)) ** 2
-            assert surrogate <= truth + 1e-9 * (1.0 + truth)
-
-    def test_matches_sdr_w_subproblem(self):
-        # inner-converged surrogate ascent vs the exact SDR W half-step
+    def test_matches_profile_oracle(self):
+        # random profiles, M = 1 to 4, from the max-SR beamformer and from a
+        # scaled-down copy of it, with targets from slack to nearly the maximum
         rng = np.random.default_rng(6)
         checked = 0
-        for seed in range(80):
-            if checked >= 50:
-                break
-            m = 2 + seed % 3
-            cfg = ScenarioConfig(M=m, N=3, seed=seed, r0=0.8, **DESK)
-            ch = generate_scenario(cfg)
-            u = PhaseProfile(np.exp(2j * np.pi * rng.random(3)))
-            ok, w, _ = feasibility_probe(ch, cfg, u)
-            if not ok:
-                continue
-            checked += 1
-            v = u.v
-            prev = true_objective(v, w, ch)
-            for _ in range(60):
-                w = sca_w_step(v, w, ch, cfg).w
-                cur = true_objective(v, w, ch)
-                if cur - prev <= 1e-9 * max(cur, 1e-300):
-                    break
-                prev = cur
-            V = np.outer(v, v.conj())
-            w_sdr, _ = solve_w_sdp(V, ch, cfg)
-            sdr_val = true_objective(v, w_sdr, ch)
-            assert true_objective(v, w, ch) >= sdr_val * 0.98
-        assert checked == 50
-
-    @pytest.mark.parametrize("m", [1, 2, 3, 4])
-    def test_step_is_surrogate_optimal(self, m):
-        # the first expansion point is the max-SR beamformer; the third lies
-        # where the previous surrogate steps left it, usually on the boundary
-        rng = np.random.default_rng(40 + m)
-        checked = 0
-        for seed in range(12):
+        for seed in range(40):
+            m = 1 + seed % 4
             cfg = ScenarioConfig(M=m, N=3, seed=seed, **DESK)
             ch = generate_scenario(cfg)
             u = PhaseProfile(np.exp(2j * np.pi * rng.random(3)))
             w, sr_max = max_sr_beamformer(u.v, ch, cfg)
             if sr_max < 0.5:
                 continue
-            for frac in (0.3, 0.9):
+            for frac in (0.3, 0.8, 0.99):
                 cfg_r = cfg.with_updates(r0=frac * sr_max)
-                w_prev = w
-                for _ in range(3):
-                    _, x = assert_step_optimal(u.v, w_prev, ch, cfg_r, rng)
-                    w_prev = x * np.sqrt(cfg.ps_w)
+                assert_step_exact(u.v, w, ch, cfg_r)
+                assert_step_exact(u.v, 0.6 * w, ch, cfg_r)
                 checked += 1
-        assert checked >= 8
+        assert checked >= 60
 
     def test_eve_free_channels(self):
-        # g_e = 0: the secrecy surrogate is a half-space and g/||g|| is undefined
-        rng = np.random.default_rng(50)
+        # g_e = 0: the secrecy constraint involves Bob's gain only
         for seed in range(4):
             cfg = ScenarioConfig(M=3, N=4, seed=seed, **DESK)
             ch = no_eve_channels(cfg)
             u = initial_phase_profile(cfg)
             w, sr_max = max_sr_beamformer(u.v, ch, cfg)
             cfg = cfg.with_updates(r0=0.95 * sr_max)
-            sur, _ = assert_step_optimal(u.v, w, ch, cfg, rng)
-            assert np.all(sur.g_e == 0)
+            assert_step_exact(u.v, w, ch, cfg)
 
     def test_single_antenna(self):
-        rng = np.random.default_rng(51)
         found = 0
         for seed in range(10):
             cfg = ScenarioConfig(M=1, N=2, seed=seed, **DESK)
@@ -191,43 +114,36 @@ class TestScaWStep:
                 continue
             found += 1
             cfg = cfg.with_updates(r0=0.5 * sr_max)
-            _, x = assert_step_optimal(u.v, 0.6 * w, ch, cfg, rng)
-            assert abs(x[0]) == pytest.approx(1.0, rel=1e-12)
+            step = assert_step_exact(u.v, 0.6 * w, ch, cfg)
+            assert abs(step[0]) == pytest.approx(np.sqrt(cfg.ps_w), rel=1e-12)
         assert found >= 2
 
     def test_single_antenna_inactive_ball(self):
-        # unit noise and power: the surrogate's secrecy disk |x - p/k|^2 <= |p|^2/k^2 - kappa/k
-        # lies inside the unit disk, so the ball multiplier is 0 and the optimum is
-        # the disk's far point along q
+        # one antenna and no IRS: every full-power phase is optimal and the
+        # secrecy constraint does not depend on the phase
         cfg = ScenarioConfig(M=1, N=0, ps_w=1.0, sigma2_w=1.0, r0=np.log2(1.5))
         ch = ChannelSet(G=np.zeros((0, 1)), h_ab=np.array([3.0 * np.exp(0.4j)]),
                         h_ah=np.array([1.0 - 0.5j]), h_ae=np.array([2.0 * np.exp(-1.1j)]),
                         h_ib=np.zeros(0), h_ih=np.zeros(0), h_ie=np.zeros(0))
         v = np.ones(1, dtype=complex)
         w_prev = np.array([0.45 * np.exp(0.7j)])
-        sur = _WSurrogate(v, w_prev, ch, cfg)
-        k = sur.gain * abs(sur.g_e[0]) ** 2
-        z0 = sur.p[0] / k
-        rho = np.sqrt(abs(z0) ** 2 - sur.kappa / k)
-        expected = z0 + rho * sur.q[0] / abs(sur.q[0])
-        assert abs(expected) < 0.95
-        step = sca_w_step(v, w_prev, ch, cfg).w
-        assert step[0] == pytest.approx(expected, rel=1e-7)
+        step = assert_step_exact(v, w_prev, ch, cfg)
+        assert abs(step[0]) == pytest.approx(1.0, rel=1e-12)
 
     def test_slack_constraint_gives_normalized_q(self):
+        # the target is slack at maximum-ratio transmission, which is then the step
         cfg = ScenarioConfig(M=4, N=3, seed=1, r0=1e-3, **DESK)
         ch = generate_scenario(cfg)
         u = initial_phase_profile(cfg)
         _, w, _ = feasibility_probe(ch, cfg, u)
-        sur = _WSurrogate(u.v, w, ch, cfg)
-        step = sca_w_step(u.v, w, ch, cfg).w
-        q_hat = sur.q / np.linalg.norm(sur.q)
-        assert sur.f2(q_hat) < -0.5 * (1.0 + sur.kappa)  # the ball maximizer is feasible
-        assert np.allclose(step, np.sqrt(cfg.ps_w) * q_hat, rtol=0, atol=1e-12 * np.sqrt(cfg.ps_w))
+        step = assert_step_exact(u.v, w, ch, cfg)
+        g_r = ch.H_r.conj().T @ u.v
+        mrt = g_r / np.linalg.norm(g_r)
+        assert abs(np.vdot(mrt, step)) == pytest.approx(np.sqrt(cfg.ps_w), rel=1e-12)
 
     def test_no_interior_returns_w_prev(self):
         # unit noise and power, Bob on the first antenna, no Eve, r0 = log2(1 + |h_ab|^2):
-        # the surrogate 2 - 2 Re(x_1) <= 0 meets the ball only at x_prev = e_1
+        # only x = e_1 (up to phase) meets the constraint, so w_prev = e_1 is kept
         cfg = ScenarioConfig(M=2, N=0, ps_w=1.0, sigma2_w=1.0, r0=1.0)
         ch = ChannelSet(G=np.zeros((0, 2)), h_ab=np.array([1.0, 0.0]),
                         h_ah=np.array([1.0, 1.0j]), h_ae=np.zeros(2),
@@ -235,8 +151,8 @@ class TestScaWStep:
         v = np.ones(1, dtype=complex)
         w_prev = np.array([1.0, 0.0], dtype=complex)
         assert np.array_equal(sca_w_step(v, w_prev, ch, cfg).w, w_prev)
-        # single antenna at the maximum secrecy rate: the true feasible set is
-        # the full-power circle, so the convex surrogate holds x_prev alone
+        # single antenna at the maximum secrecy rate: the feasible set is the
+        # full-power circle, and rounding may find the target unattainable
         base = ScenarioConfig(M=1, N=2, seed=1, **DESK)
         ch = generate_scenario(base)
         u = initial_phase_profile(base)
@@ -245,31 +161,16 @@ class TestScaWStep:
         assert np.allclose(sca_w_step(u.v, w, ch, cfg).w, w, rtol=0, atol=1e-14 * abs(w[0]))
 
     def test_expansion_point_on_boundary(self):
-        rng = np.random.default_rng(52)
         cfg = ScenarioConfig(M=3, N=4, seed=6, **DESK)
         ch = generate_scenario(cfg)
         u = initial_phase_profile(cfg)
         w, sr_max = max_sr_beamformer(u.v, ch, cfg)
         cfg = cfg.with_updates(r0=0.9 * sr_max)
-        for _ in range(8):
-            w = sca_w_step(u.v, w, ch, cfg).w
-        sur = _WSurrogate(u.v, w, ch, cfg)
-        assert abs(sur.f2(sur.x_prev)) <= 1e-7 * (1.0 + sur.kappa)
-        assert np.linalg.norm(sur.x_prev) == pytest.approx(1.0, rel=1e-12)
-        assert_step_optimal(u.v, w, ch, cfg, rng)
-
-
-class TestBallMultiplier:
-    def test_root_of_secular_equation(self):
-        rng = np.random.default_rng(53)
-        for _ in range(200):
-            a, b, c = rng.random(3) * np.array([1.0, 4.0, 2.0])
-            lam = _ball_multiplier(a, b, c)
-            assert a / lam ** 2 + b / (lam + c) ** 2 == pytest.approx(1.0, rel=1e-13)
-
-    def test_inactive_ball_without_orthogonal_part(self):
-        assert _ball_multiplier(0.0, 1.0, 2.0) == 0.0
-        assert _ball_multiplier(0.0, 9.0, 1.0) == pytest.approx(2.0)
+        w = sca_w_step(u.v, w, ch, cfg).w
+        report = check_feasible(w, u, cfg, ch)
+        assert abs(report.sr_slack) <= 1e-7
+        assert np.linalg.norm(w) == pytest.approx(np.sqrt(cfg.ps_w), rel=1e-12)
+        assert_step_exact(u.v, w, ch, cfg)
 
 
 def dense_A(data, cfg):

@@ -5,12 +5,12 @@ import pytest
 
 from irs_swipt.channel import ChannelSet, ScenarioConfig, generate_scenario
 from irs_swipt.errors import SubproblemInfeasible
-from irs_swipt.init import feasibility_probe, initial_phase_profile, max_sr_beamformer
+from irs_swipt.init import feasibility_probe, initial_phase_profile, max_sr_beamformer, rank_one_w
 from irs_swipt.metrics import PhaseProfile, check_feasible, harvested_power
 from irs_swipt.linalg import psd_sqrt
 from irs_swipt.sdp import DEFAULT_TOL, SdpProblem, solve_sdp
 from irs_swipt.sdr import (
-    _snr_stacks, randomize_v, randomize_w, rank_one_w, sdr_ao, solve_v_sdp, solve_w_sdp)
+    _snr_stacks, randomize_v, randomize_w, sdr_ao, solve_v_sdp, solve_w_sdp)
 
 from direction_grid import unit_directions
 
