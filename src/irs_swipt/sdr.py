@@ -8,14 +8,15 @@ constraints and therefore a rank-one optimum W = Ps e e^H, found exactly
 through its 1-D dual (init.rank_one_w, which sca_ao's beamformer step shares),
 so the alternation carries w = sqrt(Ps) e instead of W; when rounding makes
 that solver find the secrecy target unattainable, the state's w, feasible for
-the state's V by construction, is kept with its relaxed value.  The V half-step is solved by the interior-point method of
-sdp.py, with the secrecy row scaled to unit size apart from the objective;
-a V step that the solver's tolerance leaves below the W step's value keeps
-the previous V, which stays feasible, so the relaxed objective never
-decreases.  Only the profile is recovered, by Gaussian randomization against
-that w, so the returned pair is jointly feasible; _best_candidate draws, maps
-and scores all candidates at once (it also backs randomize_w, kept for a
-general lifted W, which sdr_ao does not need).
+the state's V by construction, is kept with its relaxed value.  The V
+half-step is solved by the interior-point method of sdp.py, with the secrecy
+row scaled to unit size apart from the objective; a V step that the
+solver's tolerance leaves below the W step's value keeps the previous V,
+which stays feasible, so the relaxed objective never decreases.  Only the
+profile is recovered, by Gaussian randomization against that w, so the
+returned pair is jointly feasible; _best_candidate draws, maps and scores
+all candidates at once (it also backs randomize_w, kept for a general
+lifted W, which sdr_ao does not need).
 
 sdr_ao runs the alternation loop of init.py with the W-step/V-SDP round as
 its step and the profile recovery as its recover callable.
