@@ -93,18 +93,22 @@ def build_phase_data(w, u_prev, channels, cfg):
                                lambda_max_A=lam, d=d, f=f, c1=c1, c2=c2)
 
 
-def u_of_mu(d, f, mu):
-    """Entrywise phase alignment u_n = e^{j arg(d_n + mu f_n)}; zero entries
-    (measure-zero ties) get phase 0."""
-    z = np.asarray(d) + mu * np.asarray(f)
+def _aligned(z):
+    """The phases z_n / |z_n|; zero entries (measure-zero ties) get phase 0."""
     u = np.ones_like(z)
     nz = z != 0
     u[nz] = z[nz] / np.abs(z[nz])
-    return PhaseProfile(u)
+    return u
+
+
+def u_of_mu(d, f, mu):
+    """The profile of entrywise phase alignment u_n = e^{j arg(d_n + mu f_n)},
+    phase 0 at zero entries."""
+    return PhaseProfile(_aligned(np.asarray(d) + mu * np.asarray(f)))
 
 
 def _g_of_mu(d, f, mu):
-    return 2.0 * float(np.real(u_of_mu(d, f, mu).u.conj() @ f))
+    return 2.0 * float(np.real(_aligned(d + mu * f).conj() @ f))
 
 
 def bisect_mu(data, eps_bisect=1e-8):

@@ -1,25 +1,34 @@
 """A small dense semidefinite-program solver.
 
-Problems are stated over complex Hermitian PSD blocks with a real linear
+Problems are stated over one complex Hermitian PSD block X with a real linear
 objective (maximized) and linear trace constraints; the iterates stay in
 native complex Hermitian arithmetic, with no real embedding.  The inner
 product is Re tr(A^H B), so objective and constraint values are the complex
 traces the caller wrote down.
 
-The solver is an infeasible-start primal-dual path-following method with the
-XZ (HKM) search direction and a Mehrotra predictor-corrector step.  Each
-iteration factors every X and Z block once as L L^H: L^-1 whitens both the
-predictor's and the corrector's step to the boundary (one eigvalsh of
-L^-1 dS L^-H per block and step) and gives Z^-1 = L^-H L^-1.  The Schur
-matrix tr(A_i X A_j Z^-1) is positive definite while X, Z are and the
+solve_sdp is one infeasible-start primal-dual path-following loop with the
+XZ (HKM) search direction and a Mehrotra predictor-corrector step.  It sees
+the constraints only through an operator: apply, A(Y)_i = Re tr(A_i Y);
+adjoint, A*(y) = sum_i y_i A_i; schur, M_ij = Re tr(A_i X A_j Z^-1); the
+data C and b; and the norms that scale the start and the stopping tests.
+_Assembled is the generic operator of an SdpProblem.  UnitDiagonalSdp is the
+profile SDP's own: a unit diagonal and one Hermitian inequality row, whose
+Schur matrix comes in closed form as Re(X .* Z^-T) bordered by that row.
+Inequality constraints become equalities with a vector of slacks s >= 0 (dual
+z >= 0), which the loop carries beside the block.
+
+Each iteration factors X and Z in one stacked Cholesky call as L L^H and
+inverts both factors in one stacked call: L^-1 whitens the predictor's and
+the corrector's step to the boundary (one stacked eigvalsh of L^-1 dS L^-H
+for the primal and dual block per step) and gives Z^-1 = L^-H L^-1.  The
+Schur matrix is positive definite while X, Z, s and z are and the
 constraints are independent, so it is solved by Cholesky alone.  A breakdown
-of any of these factorizations or eigvalsh calls ends the solve as
-NumericalFailure; nothing is regularized.  Dense factorizations are fine at
-the dimensions used here (<= ~64).
-Inequality constraints become equalities with 1x1 slack blocks (Hermitian,
-hence real once the iterate is symmetrized).  Constraint terms are taken as
-given: a 1-D array is the real diagonal of a diagonal matrix and a 2-D array
-is dense; dense data is not scanned for structure.
+of any of these factorizations or eigvalsh calls, or a slack that is not
+positive, ends the solve as NumericalFailure; nothing is regularized.  Dense
+factorizations are fine at the dimensions used here (<= ~64).
+Constraint terms of an SdpProblem are taken as given: a 1-D array is the
+real diagonal of a diagonal matrix and a 2-D array is dense; dense data is
+not scanned for structure.
 The convergence history lives in the result: SdpSolution.history holds the
 gap, residuals and objectives of every iterate.
 """
@@ -58,28 +67,31 @@ class SdpSolution:
 
 
 class SdpProblem:
-    """Maximize sum_k tr(C_k X_k) over Hermitian PSD blocks X_k subject to
-    linear trace constraints.  Blocks are added first, then objective terms
-    and constraints referencing them by index."""
+    """Maximize tr(C X) over one Hermitian PSD block X subject to linear trace
+    constraints.  The block is added first, then objective terms and
+    constraints referencing it by its index."""
 
     def __init__(self):
         self._dims = []
         self.objective = {}    # block index -> matrix
         self.constraints = []  # (terms dict, sense, rhs)
 
-    @property
-    def n_blocks(self):
-        return len(self._dims)
-
     def add_hermitian_block(self, dim):
         if dim < 1:
             raise InvalidInput("block dimension must be >= 1")
+        if self._dims:
+            raise InvalidInput("an SdpProblem has one Hermitian block")
         self._dims.append(dim)
         return len(self._dims) - 1
 
+    def _dim(self, block):
+        if block not in range(len(self._dims)):
+            raise InvalidInput(f"no block with index {block!r}")
+        return self._dims[block]
+
     def _check_matrix(self, block, mat):
         mat = np.asarray(mat)
-        d = self._dims[block]
+        d = self._dim(block)
         if mat.shape != (d, d):
             raise InvalidInput(f"matrix shape {mat.shape} does not match block dim {d}")
         mat = mat.astype(complex)
@@ -96,7 +108,7 @@ class SdpProblem:
 
     def _check_diagonal(self, block, diag):
         diag = np.asarray(diag)
-        d = self._dims[block]
+        d = self._dim(block)
         if diag.shape != (d,):
             raise InvalidInput(f"diagonal shape {diag.shape} does not match block dim {d}")
         if np.iscomplexobj(diag) and np.any(diag.imag != 0):
@@ -127,152 +139,187 @@ class SdpProblem:
 
 
 class _Assembled:
-    """Standard form: min Re tr(C X), A(X) = b, X >= 0 (blockwise)."""
+    """The generic operator of an SdpProblem, in the standard form
+    min Re tr(C X) s.t. A(X) + (slack terms) = b, X >= 0, slacks >= 0.
+
+    An inequality row i has one slack, with coefficient slack_sign = +1 for
+    '<=' and -1 for '>='; slack_rows lists those rows."""
 
     def __init__(self, problem):
-        self.dims = list(problem._dims)
-
+        if not problem.constraints:
+            raise InvalidInput("problem has no constraints")
+        (n,) = problem._dims
         # internal minimization: flip the sign of the (maximized) objective
-        self.C = [np.zeros((d, d), dtype=complex) for d in self.dims]
-        for blk, mat in problem.objective.items():
-            self.C[blk] = self.C[blk] - mat
+        self.C = np.zeros((n, n), dtype=complex)
+        for mat in problem.objective.values():
+            self.C = self.C - mat
 
-        rows = [dict(tdict) for tdict, _, _ in problem.constraints]
+        terms = [tdict[0] for tdict, _, _ in problem.constraints]
+        senses = [sense for _, sense, _ in problem.constraints]
         self.b = np.array([b for _, _, b in problem.constraints], dtype=float)
-        # slacks turn inequalities into equalities
-        for i, (_, sense, _) in enumerate(problem.constraints):
-            if sense == "==":
-                continue
-            self.dims.append(1)
-            self.C.append(np.zeros((1, 1), dtype=complex))
-            rows[i][len(self.dims) - 1] = np.array([1.0 if sense == "<=" else -1.0])
-        self.m = len(rows)
+        self.slack_rows = np.array([i for i, s in enumerate(senses) if s != "=="], dtype=int)
+        self.slack_sign = np.array([1.0 if s == "<=" else -1.0 for s in senses if s != "=="])
 
-        # per-block constraint footprints: a 1-D term is a diagonal, a 2-D one dense
-        self.block_terms = []  # (diagonal rows, their diagonals D, [(row, dense matrix)])
-        for k, d in enumerate(self.dims):
-            terms = [(i, row[k]) for i, row in enumerate(rows) if k in row]
-            diag = [(i, t) for i, t in terms if t.ndim == 1]
-            self.block_terms.append((
-                np.array([i for i, _ in diag], dtype=int),
-                np.array([t for _, t in diag]) if diag else np.zeros((0, d)),
-                [(i, t) for i, t in terms if t.ndim == 2],
-            ))
+        # constraint footprints: a 1-D term is a diagonal, a 2-D one dense
+        diag = [(i, t) for i, t in enumerate(terms) if t.ndim == 1]
+        self.diag_rows = np.array([i for i, _ in diag], dtype=int)
+        self.D = np.array([t for _, t in diag]) if diag else np.zeros((0, n))
+        self.dense = [(i, t) for i, t in enumerate(terms) if t.ndim == 2]
 
         self.norm_b = max(1.0, float(np.linalg.norm(self.b)))
-        self.norm_C = max(1.0, max((np.linalg.norm(c) for c in self.C), default=1.0))
+        self.norm_C = max(1.0, float(np.linalg.norm(self.C)))
         self.norm_A = max(
             [1.0]
-            + [float(np.linalg.norm(a)) for _, _, dense in self.block_terms for _, a in dense]
-            + [float(np.linalg.norm(D)) for _, D, _ in self.block_terms if D.size]
+            + [float(np.linalg.norm(a)) for _, a in self.dense]
+            + ([float(np.linalg.norm(self.D))] if diag else [])
         )
 
-    def apply(self, mats):
-        """A(Y): the vector Re tr(A_i Y) at blocks Y (not nec. Hermitian)."""
-        out = np.zeros(self.m)
-        for (rows, D, dense), y in zip(self.block_terms, mats):
-            if D.size:
-                out[rows] += D @ np.diag(y).real
-            for i, a in dense:
-                out[i] += _inner(a, y)
+    def apply(self, Y):
+        """A(Y): the vector Re tr(A_i Y) (Y not nec. Hermitian)."""
+        out = np.zeros(len(self.b))
+        if self.D.size:
+            out[self.diag_rows] += self.D @ np.diag(Y).real
+        for i, a in self.dense:
+            out[i] += _inner(a, Y)
         return out
 
     def adjoint(self, y):
-        """A*(y): per-block sum of y_i A_i."""
-        out = []
-        for (rows, D, dense), d in zip(self.block_terms, self.dims):
-            s = np.zeros((d, d), dtype=complex)
-            if D.size:
-                s[np.diag_indices(d)] += D.T @ y[rows]
-            for i, a in dense:
-                s += y[i] * a
-            out.append(s)
+        """A*(y): the sum of y_i A_i."""
+        n = self.C.shape[0]
+        out = np.zeros((n, n), dtype=complex)
+        if self.D.size:
+            out[np.diag_indices(n)] += self.D.T @ y[self.diag_rows]
+        for i, a in self.dense:
+            out += y[i] * a
         return out
 
     def schur(self, X, Zi):
-        """M_ij = sum_k Re tr(A_i X A_j Z^{-1}), assembled blockwise.
+        """M_ij = Re tr(A_i X A_j Z^{-1}).
 
         Diagonal-diagonal pairs reduce to D Re(X .* Zi^T) D^T; dense terms
         fill whole rows/columns which are mirrored by symmetry.
         """
-        M = np.zeros((self.m, self.m))
-        for (rows, D, dense), x, zi in zip(self.block_terms, X, Zi):
+        rows, D, dense = self.diag_rows, self.D, self.dense
+        M = np.zeros((len(self.b), len(self.b)))
+        if D.size:
+            M[np.ix_(rows, rows)] += D @ (X * Zi.T).real @ D.T
+        for jt, (j, a) in enumerate(dense):
+            u = X @ a @ Zi  # X A_j Zi
             if D.size:
-                M[np.ix_(rows, rows)] += D @ (x * zi.T).real @ D.T
-            for jt, (j, a) in enumerate(dense):
-                u = x @ a @ zi  # X A_j Zi
-                if D.size:
-                    vals = D @ np.diag(u).real
-                    M[rows, j] += vals
-                    M[j, rows] += vals
-                for i, s in dense[:jt + 1]:  # lower triangle; Re tr(A_i X A_j Zi) is symmetric
-                    val = _inner(s, u)
-                    M[i, j] += val
-                    if i != j:
-                        M[j, i] += val
+                vals = D @ np.diag(u).real
+                M[rows, j] += vals
+                M[j, rows] += vals
+            for i, s in dense[:jt + 1]:  # lower triangle; Re tr(A_i X A_j Zi) is symmetric
+                val = _inner(s, u)
+                M[i, j] += val
+                if i != j:
+                    M[j, i] += val
         return 0.5 * (M + M.T)
 
 
-def _whitener(s):
-    """L^-1 for the Cholesky factor s = L L^H; LinAlgError if s is not positive definite."""
-    if s.shape[0] == 1:  # slack blocks
-        if not s[0, 0].real > 0:
-            raise np.linalg.LinAlgError("slack block is not positive")
-        return 1.0 / np.sqrt(s.real)
-    return np.linalg.inv(np.linalg.cholesky(s))
+class UnitDiagonalSdp:
+    """max Re tr(C X) s.t. diag(X) = 1, Re tr(R X) >= r, X >= 0 (C, R
+    Hermitian): the profile SDP, with its structured operator.
+
+    The rows are the n unit-diagonal ones, then R's.  The Schur matrix is
+    Re(X .* Zi^T) on the diagonal rows, bordered by d = Re diag(u) and
+    Re tr(R u) for u = X R Zi; the loop adds R's slack term.  The data and
+    norms equal those _Assembled forms for the same problem stated as an
+    SdpProblem, so both start alike and take the same steps up to rounding.
+    """
+
+    def __init__(self, C, R, r):
+        n = C.shape[0]
+        C, R = _herm(C), _herm(R)  # as SdpProblem symmetrizes its data
+        self.C = -C  # internal minimization
+        self.R = R
+        self.b = np.append(np.ones(n), float(r))
+        self.slack_rows = np.array([n])
+        self.slack_sign = np.array([-1.0])
+        self.norm_b = max(1.0, float(np.linalg.norm(self.b)))
+        self.norm_C = max(1.0, float(np.linalg.norm(C)))
+        self.norm_A = max(1.0, float(np.linalg.norm(R)), float(np.sqrt(n)))
+
+    def apply(self, Y):
+        out = np.empty(len(self.b))
+        out[:-1] = Y.diagonal().real
+        out[-1] = _inner(self.R, Y)
+        return out
+
+    def adjoint(self, y):
+        out = y[-1] * self.R
+        out.flat[::out.shape[0] + 1] += y[:-1]
+        return out
+
+    def schur(self, X, Zi):
+        n = X.shape[0]
+        u = X @ self.R @ Zi
+        M = np.empty((n + 1, n + 1))
+        M[:n, :n] = (X * Zi.T).real
+        M[:n, n] = M[n, :n] = u.diagonal().real
+        M[n, n] = _inner(self.R, u)
+        return 0.5 * (M + M.T)
 
 
-def _step_to_boundary(whiteners, deltas):
-    """Largest alpha with S + alpha*dS PSD in every block, S = L L^H given by
-    L^-1: the bound is -1/lambda_min(L^-1 dS L^-H) when that is negative."""
-    alpha = np.inf
-    for li, ds in zip(whiteners, deltas):
-        w = li @ ds @ li.conj().T
-        lam = w[0, 0].real if w.shape[0] == 1 else np.linalg.eigvalsh(w)[0]
-        if lam < 0:
-            alpha = min(alpha, -1.0 / lam)
-    return alpha
+def _step_lengths(L, LH, dX, dZ, s, ds, z, dz):
+    """(primal, dual) step: STEP_FRACTION of the largest alpha keeping
+    (X + alpha dX, s + alpha ds), resp. (Z + alpha dZ, z + alpha dz), in the
+    cone, capped at 1.  With X = Lx Lx^H given by L[0] = Lx^-1 (Z likewise by
+    L[1], LH = L^H) a block's bound is -1/lambda_min(Lx^-1 dX Lx^-H) when
+    that is negative; one stacked eigvalsh serves both blocks."""
+    lam = np.linalg.eigvalsh(L @ np.stack([dX, dZ]) @ LH)[:, 0]
+    steps = []
+    for lam_k, t, dt in ((lam[0], s, ds), (lam[1], z, dz)):
+        bounds = [-1.0 / lam_k] if lam_k < 0 else []
+        bounds += [-a / b for a, b in zip(t.tolist(), dt.tolist()) if b < 0]
+        steps.append(min(1.0, STEP_FRACTION * min(bounds, default=np.inf)))
+    return steps
 
 
 def solve_sdp(problem, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS):
-    """Solve an SdpProblem; the objective is maximized.
+    """Solve an SdpProblem or a UnitDiagonalSdp; the objective is maximized.
 
     Returns an SdpSolution.  status is 'Optimal' when the relative duality gap
     and the feasibility residuals are all below tol; 'Infeasible' when a
     primal-infeasibility certificate is found; 'NumericalFailure' when
     max_iters steps pass without gap closure or an iteration breaks down
-    (an iterate block or the Schur matrix fails its Cholesky factorization,
-    or a step-length eigvalsh fails).  history[k] is the iterate after k
-    steps, as (mu, relgap, pres, dres, pobj, dobj), so it holds
-    iterations + 1 entries.
+    (the stacked X, Z or the Schur matrix fails its Cholesky factorization,
+    a slack is not positive, or a step-length eigvalsh fails).  history[k]
+    is the iterate after k steps, as (mu, relgap, pres, dres, pobj, dobj), so
+    it holds iterations + 1 entries.
     """
     if not tol > 0:
         raise InvalidInput(f"tol must be > 0, got {tol}")
-    asm = _Assembled(problem)
-    m = asm.m
-    if m == 0:
-        raise InvalidInput("problem has no constraints")
-    n_total = sum(asm.dims)
+    op = _Assembled(problem) if isinstance(problem, SdpProblem) else problem
+    b, C, rows, sign = op.b, op.C, op.slack_rows, op.slack_sign
+    n = C.shape[0]
+    n_total = n + len(rows)
 
-    tau_p = 10.0 * max(1.0, float(np.max(np.abs(asm.b))) / asm.norm_A)
-    tau_d = 10.0 * max(1.0, asm.norm_C / np.sqrt(n_total), asm.norm_A)
-    X = [tau_p * np.eye(d, dtype=complex) for d in asm.dims]
-    Z = [tau_d * np.eye(d, dtype=complex) for d in asm.dims]
-    y = np.zeros(m)
+    def A(Y, t):
+        """The constraint map on a block Y and a slack vector t."""
+        out = op.apply(Y)
+        out[rows] += sign * t
+        return out
+
+    tau_p = 10.0 * max(1.0, float(np.max(np.abs(b))) / op.norm_A)
+    tau_d = 10.0 * max(1.0, op.norm_C / np.sqrt(n_total), op.norm_A)
+    X, s = tau_p * np.eye(n, dtype=complex), np.full(len(rows), tau_p)
+    Z, z = tau_d * np.eye(n, dtype=complex), np.full(len(rows), tau_d)
+    y = np.zeros(len(b))
 
     history = []
     status = "NumericalFailure"
     for it in range(max_iters + 1):
-        mu = sum(_inner(x, z) for x, z in zip(X, Z)) / n_total
-        rp = asm.b - asm.apply(X)
-        Ay = asm.adjoint(y)
-        Rd = [c - z - ay for c, z, ay in zip(asm.C, Z, Ay)]
+        mu = (_inner(X, Z) + float(s @ z)) / n_total
+        rp = b - A(X, s)
+        Rd = C - Z - op.adjoint(y)
+        rd = -z - sign * y[rows]  # the slacks' dual residual; their cost is 0
 
-        pobj_int = sum(_inner(c, x) for c, x in zip(asm.C, X))
-        dobj_int = float(asm.b @ y)
+        pobj_int = _inner(C, X)
+        dobj_int = float(b @ y)
         relgap = abs(pobj_int - dobj_int) / (1.0 + abs(pobj_int))
-        pres = float(np.linalg.norm(rp)) / asm.norm_b
-        dres = max(float(np.linalg.norm(r)) for r in Rd) / asm.norm_C
+        pres = float(np.linalg.norm(rp)) / op.norm_b
+        dres = max([float(np.linalg.norm(Rd))] + np.abs(rd).tolist()) / op.norm_C
         # reported in the user's (maximization) orientation
         history.append((mu, relgap, pres, dres, -pobj_int, -dobj_int))
 
@@ -285,52 +332,56 @@ def solve_sdp(problem, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS):
         try:
             # primal-infeasibility certificate: A*(y) <= 0 with b^T y > 0
             ynorm = float(np.linalg.norm(y))
-            if ynorm > 1e6 * asm.norm_b:
+            if ynorm > 1e6 * op.norm_b:
                 yhat = y / ynorm
-                lam = max(float(np.linalg.eigvalsh(r)[-1]) for r in asm.adjoint(yhat))
-                if asm.b @ yhat > 1e-8 and lam <= 1e-8:
+                lam = max(float(np.linalg.eigvalsh(op.adjoint(yhat))[-1]),
+                          float(np.max(sign * yhat[rows], initial=-np.inf)))
+                if b @ yhat > 1e-8 and lam <= 1e-8:
                     status = "Infeasible"
                     break
 
-            Lx = [_whitener(x) for x in X]
-            Lz = [_whitener(z) for z in Z]
-            Zi = [lz.conj().T @ lz for lz in Lz]
+            if not all(v > 0 for v in s.tolist() + z.tolist()):
+                raise np.linalg.LinAlgError("a slack is not positive")
+            L = np.linalg.inv(np.linalg.cholesky(np.stack([X, Z])))  # Lx^-1, Lz^-1
+            LH = L.conj().transpose(0, 2, 1)
+            Zi = LH[1] @ L[1]
+            zi = 1.0 / z
+            M = op.schur(X, Zi)
+            M[rows, rows] += s * zi
             # the Schur matrix is positive definite while X, Z are (HKM direction)
-            Ls = np.linalg.inv(np.linalg.cholesky(asm.schur(X, Zi)))  # M^-1 = Ls^T Ls
-            XRZ = [x @ r @ zi for x, r, zi in zip(X, Rd, Zi)]
-            base_rhs = asm.b + asm.apply(XRZ)
-            a_zi = asm.apply(Zi)
+            Ls = np.linalg.inv(np.linalg.cholesky(M))  # M^-1 = Ls^T Ls
+            base_rhs = b + A(X @ Rd @ Zi, s * rd * zi)
+            a_zi = A(Zi, zi)
 
             # predictor (affine scaling, sigma = 0)
             dy_a = Ls.T @ (Ls @ base_rhs)
-            Ady_a = asm.adjoint(dy_a)
-            dZ_a = [r - a for r, a in zip(Rd, Ady_a)]
-            dX_a = [_herm(-x - x @ dz @ zi) for x, dz, zi in zip(X, dZ_a, Zi)]
-            ap_a = min(1.0, STEP_FRACTION * _step_to_boundary(Lx, dX_a))
-            ad_a = min(1.0, STEP_FRACTION * _step_to_boundary(Lz, dZ_a))
-            mu_aff = sum(_inner(x + ap_a * dx, z + ad_a * dz)
-                         for x, dx, z, dz in zip(X, dX_a, Z, dZ_a)) / n_total
+            dZ_a = Rd - op.adjoint(dy_a)
+            dz_a = rd - sign * dy_a[rows]
+            dX_a = _herm(-X - X @ dZ_a @ Zi)
+            ds_a = -s - s * dz_a * zi
+            ap_a, ad_a = _step_lengths(L, LH, dX_a, dZ_a, s, ds_a, z, dz_a)
+            mu_aff = (_inner(X + ap_a * dX_a, Z + ad_a * dZ_a)
+                      + float((s + ap_a * ds_a) @ (z + ad_a * dz_a))) / n_total
             sigma = min(1.0, max(1e-8, (max(mu_aff, 0.0) / mu) ** 3))
 
             # corrector with the Mehrotra second-order term
-            corr = [dx @ dz @ zi for dx, dz, zi in zip(dX_a, dZ_a, Zi)]
-            rhs = base_rhs - sigma * mu * a_zi + asm.apply(corr)
+            Corr = dX_a @ dZ_a @ Zi
+            corr = ds_a * dz_a * zi
+            rhs = base_rhs - sigma * mu * a_zi + A(Corr, corr)
             dy = Ls.T @ (Ls @ rhs)
-            Ady = asm.adjoint(dy)
-            dZ = [r - a for r, a in zip(Rd, Ady)]
-            dX = [_herm(sigma * mu * zi - x - x @ dz @ zi - co)
-                  for x, dz, zi, co in zip(X, dZ, Zi, corr)]
-
-            ap = min(1.0, STEP_FRACTION * _step_to_boundary(Lx, dX))
-            ad = min(1.0, STEP_FRACTION * _step_to_boundary(Lz, dZ))
+            dZ = Rd - op.adjoint(dy)
+            dz = rd - sign * dy[rows]
+            dX = _herm(sigma * mu * Zi - X - X @ dZ @ Zi - Corr)
+            ds = sigma * mu * zi - s - s * dz * zi - corr
+            ap, ad = _step_lengths(L, LH, dX, dZ, s, ds, z, dz)
         except np.linalg.LinAlgError:  # a breakdown: status stays NumericalFailure
             break
-        X = [_herm(x + ap * dx) for x, dx in zip(X, dX)]
-        Z = [_herm(z + ad * dz) for z, dz in zip(Z, dZ)]
+        X, s = _herm(X + ap * dX), s + ap * ds
+        Z, z = _herm(Z + ad * dZ), z + ad * dz
         y = y + ad * dy
 
     return SdpSolution(
-        blocks=X[:problem.n_blocks],
+        blocks=[X],
         objective_value=float(-pobj_int),
         dual_value=float(-dobj_int),
         duality_gap=float(abs(pobj_int - dobj_int)),

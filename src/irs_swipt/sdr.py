@@ -9,10 +9,11 @@ through its 1-D dual (init.rank_one_w, which sca_ao's beamformer step shares),
 so the alternation carries w = sqrt(Ps) e instead of W; when rounding makes
 that solver find the secrecy target unattainable, the state's w, feasible for
 the state's V by construction, is kept with its relaxed value.  The V
-half-step is solved by the interior-point method of sdp.py, with the secrecy
-row scaled to unit size apart from the objective; a V step that the
-solver's tolerance leaves below the W step's value keeps the previous V,
-which stays feasible, so the relaxed objective never decreases.  Only the
+half-step is solved by the interior-point method of sdp.py through its
+structured unit-diagonal operator, with the secrecy row scaled to unit size
+apart from the objective; a V step that the solver's tolerance leaves below
+the W step's value keeps the previous V, which stays feasible, so the
+relaxed objective never decreases.  Only the
 profile is recovered, by Gaussian randomization against that w, so the
 returned pair is jointly feasible; _best_candidate draws, maps and scores
 all candidates at once (it also backs randomize_w, kept for a general
@@ -32,7 +33,7 @@ from .errors import NumericalFailure, RecoveryFailed, SubproblemInfeasible
 from .init import OUTER_TOL, alternate, initial_phase_profile, keep_if_infeasible, rank_one_w
 from .linalg import herm_eig, psd_sqrt
 from .metrics import Beamformer, PhaseProfile
-from .sdp import SdpProblem, solve_sdp
+from .sdp import UnitDiagonalSdp, solve_sdp
 
 RAND_COUNT = 1000  # Gaussian randomization candidates per recovery
 
@@ -77,9 +78,9 @@ def solve_v_sdp(w, channels, cfg):
     sqrt(N + 1 + (rs (2^r0 - 1))^2) <= sqrt(N + 2), so the returned V meets
     the secrecy row up to about
     sdp.DEFAULT_TOL * sqrt(N + 2) * max(||row||_F, 2^r0 - 1)
-    in the noise-normalized units of y_x.
+    in the noise-normalized units of y_x.  The problem goes to sdp.solve_sdp
+    as a sdp.UnitDiagonalSdp, whose Schur matrix is in closed form.
     """
-    n1 = cfg.N + 1
     yr, yb, ye = (H @ w / np.sqrt(cfg.sigma2_w)
                   for H in (channels.H_r, channels.H_b, channels.H_e))
     Sr = np.outer(yr, yr.conj())
@@ -87,15 +88,9 @@ def solve_v_sdp(w, channels, cfg):
     norm = np.linalg.norm(Sr)
     scale = V_OBJECTIVE_NORM / norm if norm > 0 else 1.0
 
-    prob = SdpProblem()
-    blk = prob.add_hermitian_block(n1)
-    prob.add_objective(blk, scale * Sr)
-    for e_n in np.eye(n1):  # unit diagonal, passed as diagonals
-        prob.add_constraint([(blk, e_n)], "==", 1.0)
     row = np.outer(yb, yb.conj()) - gain * np.outer(ye, ye.conj())
     rs = 1.0 / max(np.linalg.norm(row), gain - 1.0)
-    prob.add_constraint([(blk, rs * row)], ">=", rs * (gain - 1.0))
-    sol = solve_sdp(prob)
+    sol = solve_sdp(UnitDiagonalSdp(scale * Sr, rs * row, rs * (gain - 1.0)))
     if sol.status == "Infeasible":
         raise SubproblemInfeasible("secrecy target unattainable for the fixed beamformer")
     if sol.status != "Optimal":

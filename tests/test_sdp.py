@@ -3,7 +3,7 @@ import pytest
 
 from irs_swipt.errors import InvalidInput
 from irs_swipt.linalg import max_eigval
-from irs_swipt.sdp import DEFAULT_TOL, SdpProblem, solve_sdp
+from irs_swipt.sdp import DEFAULT_TOL, SdpProblem, UnitDiagonalSdp, _Assembled, solve_sdp
 
 
 def random_hermitian(rng, dim):
@@ -17,6 +17,28 @@ def lambda_max_problem(c):
     p.add_objective(blk, c)
     p.add_constraint([(blk, np.eye(c.shape[0]))], "==", 1.0)
     return p
+
+
+def unit_diagonal_problem(op):
+    """The problem of a UnitDiagonalSdp stated as an SdpProblem, for the
+    generic operator: max tr(C X) s.t. diag(X) = 1, tr(R X) >= r."""
+    n = op.C.shape[0]
+    p = SdpProblem()
+    blk = p.add_hermitian_block(n)
+    p.add_objective(blk, -op.C)
+    for e_n in np.eye(n):
+        p.add_constraint([(blk, e_n)], "==", 1.0)
+    p.add_constraint([(blk, op.R)], ">=", op.b[-1])
+    return p
+
+
+def v_sdp_data(rng, n):
+    """Data of the profile SDP's shape: a rank-one objective and a rank-two
+    secrecy row at unit norm, which V = I meets strictly."""
+    yr, yb, ye = (rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(3))
+    row = np.outer(3.0 * yb, 3.0 * yb.conj()) - 2.0 * np.outer(ye, ye.conj())
+    rs = 1.0 / max(np.linalg.norm(row), 1.0)
+    return 1e3 * np.outer(yr, yr.conj()) / np.linalg.norm(yr) ** 2, rs * row, rs
 
 
 class TestSolveSdp:
@@ -93,21 +115,22 @@ class TestSolveSdp:
     def test_failed_factorization_reports_numerical_failure(self, monkeypatch):
         # An iterate that fails its Cholesky factorization ends the solve with
         # a documented status instead of an exception.
-        import irs_swipt.sdp as sdp
         calls = []
-        original = sdp._whitener
+        original = np.linalg.cholesky
 
-        def failing_on_fifth(s):
-            calls.append(s)
-            if len(calls) == 5:
-                raise np.linalg.LinAlgError("not positive definite")
-            return original(s)
+        def failing_on_third_stack(a):
+            if np.ndim(a) == 3:  # X and Z stacked; the Schur matrix is 2-D
+                calls.append(1)
+                if len(calls) == 3:
+                    raise np.linalg.LinAlgError("not positive definite")
+            return original(a)
 
-        monkeypatch.setattr(sdp, "_whitener", failing_on_fifth)
+        monkeypatch.setattr(np.linalg, "cholesky", failing_on_third_stack)
         rng = np.random.default_rng(10)
         sol = solve_sdp(lambda_max_problem(random_hermitian(rng, 4)))
         assert sol.status == "NumericalFailure"
-        assert sol.iterations == 2  # one X and one Z factor per iteration: the third failed
+        assert sol.iterations == 2  # one stacked X, Z factorization per iteration: the third failed
+        assert len(sol.history) == 3
 
     def test_failed_schur_factorization_reports_numerical_failure(self, monkeypatch):
         # A Schur matrix that is not positive definite is a breakdown, not
@@ -132,17 +155,19 @@ class TestSolveSdp:
         calls = []
         original = np.linalg.eigvalsh
 
-        def failing_on_sixth(a, *args, **kwargs):
+        def failing_on_fourth(a, *args, **kwargs):
             calls.append(1)
-            if len(calls) == 6:
+            if len(calls) == 4:
                 raise np.linalg.LinAlgError("Eigenvalues did not converge")
             return original(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", failing_on_sixth)
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing_on_fourth)
         rng = np.random.default_rng(10)
         sol = solve_sdp(lambda_max_problem(random_hermitian(rng, 4)))
         assert sol.status == "NumericalFailure"
-        assert sol.iterations == 1  # four step lengths per iteration: the second's failed
+        # one stacked call per step length, two per iteration: the second iteration's corrector failed
+        assert sol.iterations == 1
+        assert len(sol.history) == 2
 
     def test_mixed_constraint_senses(self):
         # max tr(X) with 0.5 <= tr(X) <= 2 and X <= I elementwise via traces
@@ -155,17 +180,14 @@ class TestSolveSdp:
         assert sol.status == "Optimal"
         assert sol.objective_value == pytest.approx(2.0, abs=1e-6)
 
-    def test_multiblock_coupling(self):
-        # max tr(X) + s  s.t. tr(X) + s = 1  ->  1
+    def test_one_block_per_problem(self):
         p = SdpProblem()
-        blk = p.add_hermitian_block(2)
-        slack = p.add_hermitian_block(1)
-        p.add_objective(blk, np.eye(2))
-        p.add_objective(slack, np.array([[1.0]]))
-        p.add_constraint([(blk, np.eye(2)), (slack, np.array([[1.0]]))], "==", 1.0)
-        sol = solve_sdp(p)
-        assert sol.status == "Optimal"
-        assert sol.objective_value == pytest.approx(1.0, abs=1e-6)
+        p.add_hermitian_block(2)
+        with pytest.raises(InvalidInput):
+            p.add_hermitian_block(1)
+        for block in (1, -1):  # terms may reference only the block
+            with pytest.raises(InvalidInput):
+                p.add_constraint([(block, np.eye(2))], "==", 1.0)
 
     def test_mixed_senses_match_exact_dual(self):
         # The W-SDP shape: max tr(C X) s.t. tr(B X) >= c, tr(X) <= 1, X >= 0.
@@ -265,3 +287,39 @@ class TestSolveSdp:
         p.add_objective(blk, np.eye(2))
         with pytest.raises(InvalidInput):
             solve_sdp(p)
+
+
+class TestUnitDiagonalSdp:
+    def test_operator_matches_generic_assembly(self):
+        # The structured operator and _Assembled agree on the same data: C, b,
+        # the slack, the norms that set the start, and apply, adjoint, schur.
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 9, 25):
+            op = UnitDiagonalSdp(*v_sdp_data(rng, n))
+            ref = _Assembled(unit_diagonal_problem(op))
+            assert np.array_equal(op.C, ref.C) and np.array_equal(op.b, ref.b)
+            assert np.array_equal(op.slack_rows, ref.slack_rows)
+            assert np.array_equal(op.slack_sign, ref.slack_sign)
+            for name in ("norm_A", "norm_b", "norm_C"):
+                assert getattr(op, name) == pytest.approx(getattr(ref, name), rel=1e-15)
+
+            def close(a, b):
+                return np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+
+            G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            X = G @ G.conj().T + np.eye(n)
+            Zi = np.linalg.inv(random_hermitian(rng, n) @ random_hermitian(rng, n).conj().T
+                               + np.eye(n))
+            y = rng.standard_normal(n + 1)
+            assert close(op.apply(G), ref.apply(G))  # apply takes non-Hermitian products
+            assert close(op.adjoint(y), ref.adjoint(y))
+            assert close(op.schur(X, Zi), ref.schur(X, Zi))
+
+    def test_solves_like_the_generic_operator(self):
+        rng = np.random.default_rng(12)
+        for n in (1, 4, 9, 25):
+            op = UnitDiagonalSdp(*v_sdp_data(rng, n))
+            got, want = solve_sdp(op), solve_sdp(unit_diagonal_problem(op))
+            assert got.status == want.status == "Optimal"
+            assert got.iterations == want.iterations
+            assert got.objective_value == pytest.approx(want.objective_value, rel=1e-9)

@@ -13,6 +13,7 @@ from irs_swipt.sdr import (
     _snr_stacks, randomize_v, randomize_w, sdr_ao, solve_v_sdp, solve_w_sdp)
 
 from direction_grid import unit_directions
+from test_sdp import unit_diagonal_problem
 
 DESK = dict(d_ap_bob=10.0, d_ap_eve=20.0, d_ap_ehr=6.0,
             d_irs_bob=12.0, d_irs_eve=25.0, d_irs_ehr=4.0)
@@ -179,7 +180,35 @@ class TestRankOneW:
         assert np.allclose(np.abs(e), [0.0, 0.0, 1.0])
 
 
+def sdr_ao_checking_v_sdps(monkeypatch, channels, cfg):
+    """sdr_ao's result; every V-SDP it solves through the structured operator
+    is solved again as an SdpProblem, by the generic operator, and must end
+    with the same status and iteration count and an objective within 1e-9
+    relative."""
+    import irs_swipt.sdr as sdr
+    checked = []
+
+    def checking(problem, *args, **kwargs):
+        sol = solve_sdp(problem, *args, **kwargs)
+        ref = solve_sdp(unit_diagonal_problem(problem), *args, **kwargs)
+        assert (sol.status, sol.iterations) == (ref.status, ref.iterations)
+        assert sol.objective_value == pytest.approx(ref.objective_value, rel=1e-9)
+        checked.append(1)
+        return sol
+
+    monkeypatch.setattr(sdr, "solve_sdp", checking)
+    res = sdr_ao(channels, cfg)
+    assert len(checked) == res.iters_inner_u
+    return res
+
+
 class TestSolveVSdp:
+    @pytest.mark.parametrize("n,seed", [(8, 0), (8, 1), (24, 2), (24, 3)])
+    def test_structured_operator_solves_like_the_generic_problem(self, n, seed, monkeypatch):
+        cfg = ScenarioConfig(M=4, N=n, r0=3.0, seed=seed)
+        res = sdr_ao_checking_v_sdps(monkeypatch, generate_scenario(cfg), cfg)
+        assert res.status == "Converged" and res.iters_inner_u > 0
+
     def test_rank_one_profiles_are_feasible(self):
         cfg = ScenarioConfig(M=3, N=5, seed=6, r0=0.5, **DESK)
         ch = generate_scenario(cfg)
@@ -468,15 +497,18 @@ class TestSdrAo:
         assert res.status == "Converged"
         assert check_feasible(res.w.w, res.u, cfg, ch).feasible
 
-    @pytest.mark.parametrize("index,m,n", [(26, 2, 9), (30, 5, 2)])
-    def test_random_geometry_regressions(self, index, m, n):
+    @pytest.mark.parametrize("index,m,n", [(26, 2, 9), (30, 5, 2), (198, 4, 1), (389, 3, 1)])
+    def test_random_geometry_regressions(self, index, m, n, monkeypatch):
         # Index 26: with the secrecy row at the objective's scale, the V-SDP's
         # dual iterate overflowed and a step-length eigvalsh then failed.
         # Index 30: a V-SDP solved to DEFAULT_TOL returned 1.05e-8 (relative)
         # below the W step's value, a trace dip the V step now refuses.
+        # Indices 198 and 389 (N = 1, y_b parallel to y_e to 1e-15): a V-SDP
+        # operator that built its Schur matrix from the secrecy row's rank-two
+        # factors instead of the formed row ended in NumericalFailure.
         cfg, ch = sweep_instance(index)
         assert (cfg.M, cfg.N) == (m, n)
-        res = sdr_ao(ch, cfg)
+        res = sdr_ao_checking_v_sdps(monkeypatch, ch, cfg)
         assert res.status == "Converged"
         assert check_feasible(res.w.w, res.u, cfg, ch).feasible
         tr = res.harvested_trace
