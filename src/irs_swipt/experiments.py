@@ -38,7 +38,7 @@ OK_STATUSES = ("Converged", "MaxIters")
 @dataclass
 class ExperimentSpec:
     mode: str = "single"
-    methods: tuple = ("sdr", "sca", "random_phase", "no_irs")
+    methods: tuple = METHODS
     sweep: tuple = ()
     seeds_per_point: int = 50
     base: ScenarioConfig = field(default_factory=ScenarioConfig)
@@ -85,8 +85,8 @@ class ResultRow:
     iters: int
     seconds: float
     status: str
-    w: list = None          # retained only with dump_solutions
-    u: list = None
+    w: list = None          # None on Infeasible, Error and read-back CSV rows;
+    u: list = None          # written out only with --dump-solutions
     trace: list = None
 
     def sort_key(self):

@@ -11,11 +11,13 @@ XZ (HKM) search direction and a Mehrotra predictor-corrector step.  It sees
 the constraints only through an operator: apply, A(Y)_i = Re tr(A_i Y);
 adjoint, A*(y) = sum_i y_i A_i; schur, M_ij = Re tr(A_i X A_j Z^-1); the
 data C and b; and the norms that scale the start and the stopping tests.
-_Assembled is the generic operator of an SdpProblem.  UnitDiagonalSdp is the
-profile SDP's own: a unit diagonal and one Hermitian inequality row, whose
-Schur matrix comes in closed form as Re(X .* Z^-T) bordered by that row.
-Inequality constraints become equalities with a vector of slacks s >= 0 (dual
-z >= 0), which the loop carries beside the block.
+Two operators are peers: SdpProblem(C, rows) is the generic one, built from
+the objective and a list of rows, each a Hermitian matrix or a real diagonal;
+UnitDiagonalSdp is the profile SDP's own, a unit diagonal and one Hermitian
+inequality row, whose Schur matrix comes in closed form as Re(X .* Z^-T)
+bordered by that row.  Inequality constraints become equalities with a
+vector of slacks s >= 0 (dual z >= 0), which the loop carries beside the
+block.
 
 Each iteration factors X and Z in one stacked Cholesky call as L L^H and
 inverts both factors in one stacked call: L^-1 whitens the predictor's and
@@ -26,9 +28,8 @@ constraints are independent, so it is solved by Cholesky alone.  A breakdown
 of any of these factorizations or eigvalsh calls, or a slack that is not
 positive, ends the solve as NumericalFailure; nothing is regularized.  Dense
 factorizations are fine at the dimensions used here (<= ~64).
-Constraint terms of an SdpProblem are taken as given: a 1-D array is the
-real diagonal of a diagonal matrix and a 2-D array is dense; dense data is
-not scanned for structure.
+The rows of an SdpProblem are taken as given: dense data is not scanned for
+structure.
 The convergence history lives in the result: SdpSolution.history holds the
 gap, residuals and objectives of every iterate.
 """
@@ -55,7 +56,7 @@ def _inner(a, b):
 
 @dataclass
 class SdpSolution:
-    blocks: list
+    X: np.ndarray
     objective_value: float
     dual_value: float
     duality_gap: float
@@ -66,97 +67,48 @@ class SdpSolution:
     history: list         # (mu, relgap, pres, dres, pobj, dobj) per iterate
 
 
+def _checked(mat, n):
+    """A Hermitian n x n matrix, or a real diagonal of length n, as given."""
+    mat = np.asarray(mat)
+    if mat.shape not in ((n,), (n, n)):
+        raise InvalidInput(f"shape {mat.shape} does not match dim {n}")
+    if mat.ndim == 1:
+        if np.iscomplexobj(mat) and np.any(mat.imag != 0):
+            raise InvalidInput("the diagonal of a Hermitian row must be real")
+        return mat.real.astype(float)
+    mat = mat.astype(complex)
+    if not is_hermitian(mat):
+        raise InvalidInput("problem data must be Hermitian")
+    return _herm(mat)
+
+
 class SdpProblem:
-    """Maximize tr(C X) over one Hermitian PSD block X subject to linear trace
-    constraints.  The block is added first, then objective terms and
-    constraints referencing it by its index."""
+    """max Re tr(C X) s.t. Re tr(A_i X) (sense_i) b_i, X >= 0: the generic
+    operator, in the standard form
+    min Re tr(-C X) s.t. A(X) + (slack terms) = b, X >= 0, slacks >= 0.
 
-    def __init__(self):
-        self._dims = []
-        self.objective = {}    # block index -> matrix
-        self.constraints = []  # (terms dict, sense, rhs)
+    C is Hermitian; rows is an iterable of (A_i, sense, b_i) with sense in
+    {'==', '<=', '>='} and A_i a Hermitian matrix or a real 1-D array, the
+    diagonal of a diagonal matrix.  An inequality row i has one slack, with
+    coefficient slack_sign = +1 for '<=' and -1 for '>='; slack_rows lists
+    those rows."""
 
-    def add_hermitian_block(self, dim):
-        if dim < 1:
-            raise InvalidInput("block dimension must be >= 1")
-        if self._dims:
-            raise InvalidInput("an SdpProblem has one Hermitian block")
-        self._dims.append(dim)
-        return len(self._dims) - 1
+    def __init__(self, C, rows):
+        n = np.shape(C)[0] if np.ndim(C) == 2 else 0
+        if n < 1:
+            raise InvalidInput(f"objective shape {np.shape(C)} is not a non-empty square")
+        self.C = -_checked(C, n)  # internal minimization
 
-    def _dim(self, block):
-        if block not in range(len(self._dims)):
-            raise InvalidInput(f"no block with index {block!r}")
-        return self._dims[block]
-
-    def _check_matrix(self, block, mat):
-        mat = np.asarray(mat)
-        d = self._dim(block)
-        if mat.shape != (d, d):
-            raise InvalidInput(f"matrix shape {mat.shape} does not match block dim {d}")
-        mat = mat.astype(complex)
-        if not is_hermitian(mat):
-            raise InvalidInput("block data must be Hermitian")
-        return _herm(mat)
-
-    def add_objective(self, block, mat):
-        mat = self._check_matrix(block, mat)
-        if block in self.objective:
-            self.objective[block] = self.objective[block] + mat
-        else:
-            self.objective[block] = mat
-
-    def _check_diagonal(self, block, diag):
-        diag = np.asarray(diag)
-        d = self._dim(block)
-        if diag.shape != (d,):
-            raise InvalidInput(f"diagonal shape {diag.shape} does not match block dim {d}")
-        if np.iscomplexobj(diag) and np.any(diag.imag != 0):
-            raise InvalidInput("the diagonal of a Hermitian term must be real")
-        return diag.real.astype(float)
-
-    def add_constraint(self, terms, sense, rhs):
-        """terms: iterable of (block index, matrix), a 1-D array standing for
-        the diagonal of a diagonal matrix; sense in {'==','<=','>='}."""
-        if sense not in ("==", "<=", ">="):
-            raise InvalidInput(f"unknown sense {sense!r}")
-        tdict = {}
-        for block, mat in terms:
-            if np.ndim(mat) == 1:
-                mat = self._check_diagonal(block, mat)
-            else:
-                mat = self._check_matrix(block, mat)
-            if block in tdict:
-                old = tdict[block]
-                if old.ndim != mat.ndim:  # a diagonal plus a dense term is dense
-                    old, mat = (np.diag(x) if x.ndim == 1 else x for x in (old, mat))
-                tdict[block] = old + mat
-            else:
-                tdict[block] = mat
-        if not tdict:
-            raise InvalidInput("constraint references no blocks")
-        self.constraints.append((tdict, sense, float(rhs)))
-
-
-class _Assembled:
-    """The generic operator of an SdpProblem, in the standard form
-    min Re tr(C X) s.t. A(X) + (slack terms) = b, X >= 0, slacks >= 0.
-
-    An inequality row i has one slack, with coefficient slack_sign = +1 for
-    '<=' and -1 for '>='; slack_rows lists those rows."""
-
-    def __init__(self, problem):
-        if not problem.constraints:
+        terms, senses, b = [], [], []
+        for mat, sense, rhs in rows:
+            if sense not in ("==", "<=", ">="):
+                raise InvalidInput(f"unknown sense {sense!r}")
+            terms.append(_checked(mat, n))
+            senses.append(sense)
+            b.append(float(rhs))
+        if not terms:
             raise InvalidInput("problem has no constraints")
-        (n,) = problem._dims
-        # internal minimization: flip the sign of the (maximized) objective
-        self.C = np.zeros((n, n), dtype=complex)
-        for mat in problem.objective.values():
-            self.C = self.C - mat
-
-        terms = [tdict[0] for tdict, _, _ in problem.constraints]
-        senses = [sense for _, sense, _ in problem.constraints]
-        self.b = np.array([b for _, _, b in problem.constraints], dtype=float)
+        self.b = np.array(b, dtype=float)
         self.slack_rows = np.array([i for i, s in enumerate(senses) if s != "=="], dtype=int)
         self.slack_sign = np.array([1.0 if s == "<=" else -1.0 for s in senses if s != "=="])
 
@@ -224,8 +176,8 @@ class UnitDiagonalSdp:
     The rows are the n unit-diagonal ones, then R's.  The Schur matrix is
     Re(X .* Zi^T) on the diagonal rows, bordered by d = Re diag(u) and
     Re tr(R u) for u = X R Zi; the loop adds R's slack term.  The data and
-    norms equal those _Assembled forms for the same problem stated as an
-    SdpProblem, so both start alike and take the same steps up to rounding.
+    norms equal those of the same problem stated as an SdpProblem, so both
+    start alike and take the same steps up to rounding.
     """
 
     def __init__(self, C, R, r):
@@ -276,8 +228,9 @@ def _step_lengths(L, LH, dX, dZ, s, ds, z, dz):
     return steps
 
 
-def solve_sdp(problem, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS):
-    """Solve an SdpProblem or a UnitDiagonalSdp; the objective is maximized.
+def solve_sdp(op, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS):
+    """Solve the SDP of an operator, an SdpProblem or a UnitDiagonalSdp; the
+    objective is maximized.
 
     Returns an SdpSolution.  status is 'Optimal' when the relative duality gap
     and the feasibility residuals are all below tol; 'Infeasible' when a
@@ -290,7 +243,8 @@ def solve_sdp(problem, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS):
     """
     if not tol > 0:
         raise InvalidInput(f"tol must be > 0, got {tol}")
-    op = _Assembled(problem) if isinstance(problem, SdpProblem) else problem
+    if not (isinstance(max_iters, (int, np.integer)) and max_iters >= 0):
+        raise InvalidInput(f"max_iters must be an integer >= 0, got {max_iters!r}")
     b, C, rows, sign = op.b, op.C, op.slack_rows, op.slack_sign
     n = C.shape[0]
     n_total = n + len(rows)
@@ -381,7 +335,7 @@ def solve_sdp(problem, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS):
         y = y + ad * dy
 
     return SdpSolution(
-        blocks=[X],
+        X=X,
         objective_value=float(-pobj_int),
         dual_value=float(-dobj_int),
         duality_gap=float(abs(pobj_int - dobj_int)),

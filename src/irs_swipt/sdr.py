@@ -95,7 +95,7 @@ def solve_v_sdp(w, channels, cfg):
         raise SubproblemInfeasible("secrecy target unattainable for the fixed beamformer")
     if sol.status != "Optimal":
         raise NumericalFailure("profile SDP did not converge")
-    return sol.blocks[0], float(cfg.sigma2_w * sol.objective_value / scale)
+    return sol.X, float(cfg.sigma2_w * sol.objective_value / scale)
 
 
 def _best_candidate(X, to_candidates, gains, cfg, count, rng, what):

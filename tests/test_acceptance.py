@@ -233,10 +233,7 @@ def test_criterion_08_sdp_validation():
         dim = int(rng.integers(2, 17))
         a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         c = 0.5 * (a + a.conj().T)
-        prob = SdpProblem()
-        blk = prob.add_hermitian_block(dim)
-        prob.add_objective(blk, c)
-        prob.add_constraint([(blk, np.eye(dim))], "==", 1.0)
+        prob = SdpProblem(c, [(np.eye(dim), "==", 1.0)])
         sol = solve_sdp(prob, tol=1e-8)
         if sol.status != "Optimal":
             not_optimal += 1

@@ -172,10 +172,7 @@ def test_removed_solver_knob_is_unknown_key(key, value):
 @pytest.mark.parametrize("knob", [pytest.param(0.0, id="knob1"), pytest.param(-1.0, id="knob2")])
 def test_solver_knobs_must_be_valid(knob):
     # the SDP tolerance left the config for sdp.DEFAULT_TOL; solve_sdp still checks its range
-    prob = SdpProblem()
-    blk = prob.add_hermitian_block(2)
-    prob.add_objective(blk, np.eye(2))
-    prob.add_constraint([(blk, np.ones(2))], "==", 1.0)
+    prob = SdpProblem(np.eye(2), [(np.ones(2), "==", 1.0)])
     with pytest.raises(InvalidInput, match="tol must be > 0"):
         solve_sdp(prob, tol=knob)
 

@@ -3,7 +3,7 @@ import pytest
 
 from irs_swipt.errors import InvalidInput
 from irs_swipt.linalg import max_eigval
-from irs_swipt.sdp import DEFAULT_TOL, SdpProblem, UnitDiagonalSdp, _Assembled, solve_sdp
+from irs_swipt.sdp import DEFAULT_TOL, SdpProblem, UnitDiagonalSdp, solve_sdp
 
 
 def random_hermitian(rng, dim):
@@ -12,24 +12,14 @@ def random_hermitian(rng, dim):
 
 
 def lambda_max_problem(c):
-    p = SdpProblem()
-    blk = p.add_hermitian_block(c.shape[0])
-    p.add_objective(blk, c)
-    p.add_constraint([(blk, np.eye(c.shape[0]))], "==", 1.0)
-    return p
+    return SdpProblem(c, [(np.eye(c.shape[0]), "==", 1.0)])
 
 
 def unit_diagonal_problem(op):
     """The problem of a UnitDiagonalSdp stated as an SdpProblem, for the
     generic operator: max tr(C X) s.t. diag(X) = 1, tr(R X) >= r."""
-    n = op.C.shape[0]
-    p = SdpProblem()
-    blk = p.add_hermitian_block(n)
-    p.add_objective(blk, -op.C)
-    for e_n in np.eye(n):
-        p.add_constraint([(blk, e_n)], "==", 1.0)
-    p.add_constraint([(blk, op.R)], ">=", op.b[-1])
-    return p
+    unit_rows = [(e_n, "==", 1.0) for e_n in np.eye(op.C.shape[0])]
+    return SdpProblem(-op.C, unit_rows + [(op.R, ">=", op.b[-1])])
 
 
 def v_sdp_data(rng, n):
@@ -50,11 +40,7 @@ class TestSolveSdp:
         assert sol.objective_value == pytest.approx(max_eigval(c), abs=1e-6)
 
     def test_scalar_lp(self):
-        p = SdpProblem()
-        t = p.add_hermitian_block(1)
-        p.add_objective(t, np.array([[1.0]]))
-        p.add_constraint([(t, np.array([[1.0]]))], "<=", 3.0)
-        sol = solve_sdp(p)
+        sol = solve_sdp(SdpProblem(np.array([[1.0]]), [(np.array([[1.0]]), "<=", 3.0)]))
         assert sol.status == "Optimal"
         assert sol.objective_value == pytest.approx(3.0, abs=1e-6)
 
@@ -81,7 +67,7 @@ class TestSolveSdp:
         for _ in range(10):
             c = random_hermitian(rng, 7)
             sol = solve_sdp(lambda_max_problem(c))
-            x = sol.blocks[0]
+            x = sol.X
             assert np.linalg.eigvalsh(x)[0] >= -1e-8 * max(np.linalg.norm(x), 1e-30)
 
     def test_sampled_feasible_points_lower_bound(self):
@@ -99,11 +85,7 @@ class TestSolveSdp:
         assert sol.objective_value >= best - 1e-6
 
     def test_primal_infeasibility_detected(self):
-        p = SdpProblem()
-        blk = p.add_hermitian_block(3)
-        p.add_objective(blk, np.eye(3))
-        p.add_constraint([(blk, np.eye(3))], "==", -1.0)
-        sol = solve_sdp(p, max_iters=100)
+        sol = solve_sdp(SdpProblem(np.eye(3), [(np.eye(3), "==", -1.0)]), max_iters=100)
         assert sol.status == "Infeasible"
 
     def test_iteration_cap_reports_numerical_failure(self):
@@ -111,6 +93,18 @@ class TestSolveSdp:
         c = random_hermitian(rng, 6)
         sol = solve_sdp(lambda_max_problem(c), max_iters=2)
         assert sol.status == "NumericalFailure"
+
+    def test_zero_iteration_cap_evaluates_the_start(self):
+        rng = np.random.default_rng(6)
+        sol = solve_sdp(lambda_max_problem(random_hermitian(rng, 6)), max_iters=0)
+        assert sol.status == "NumericalFailure"
+        assert sol.iterations == 0 and len(sol.history) == 1
+        assert np.all(np.isfinite(sol.history))
+
+    @pytest.mark.parametrize("max_iters", [-1, 2.5])
+    def test_rejects_bad_iteration_cap(self, max_iters):
+        with pytest.raises(InvalidInput, match="max_iters must be an integer >= 0"):
+            solve_sdp(lambda_max_problem(np.eye(2)), max_iters=max_iters)
 
     def test_failed_factorization_reports_numerical_failure(self, monkeypatch):
         # An iterate that fails its Cholesky factorization ends the solve with
@@ -137,14 +131,14 @@ class TestSolveSdp:
         # something to regularize: the solve ends with a documented status.
         import irs_swipt.sdp as sdp
         calls = []
-        original = sdp._Assembled.schur
+        original = sdp.SdpProblem.schur
 
         def indefinite_on_third(self, X, Zi):
             calls.append(1)
             M = original(self, X, Zi)
             return -M if len(calls) == 3 else M
 
-        monkeypatch.setattr(sdp._Assembled, "schur", indefinite_on_third)
+        monkeypatch.setattr(sdp.SdpProblem, "schur", indefinite_on_third)
         rng = np.random.default_rng(10)
         sol = solve_sdp(lambda_max_problem(random_hermitian(rng, 4)))
         assert sol.status == "NumericalFailure"
@@ -171,23 +165,9 @@ class TestSolveSdp:
 
     def test_mixed_constraint_senses(self):
         # max tr(X) with 0.5 <= tr(X) <= 2 and X <= I elementwise via traces
-        p = SdpProblem()
-        blk = p.add_hermitian_block(2)
-        p.add_objective(blk, np.eye(2))
-        p.add_constraint([(blk, np.eye(2))], ">=", 0.5)
-        p.add_constraint([(blk, np.eye(2))], "<=", 2.0)
-        sol = solve_sdp(p)
+        sol = solve_sdp(SdpProblem(np.eye(2), [(np.eye(2), ">=", 0.5), (np.eye(2), "<=", 2.0)]))
         assert sol.status == "Optimal"
         assert sol.objective_value == pytest.approx(2.0, abs=1e-6)
-
-    def test_one_block_per_problem(self):
-        p = SdpProblem()
-        p.add_hermitian_block(2)
-        with pytest.raises(InvalidInput):
-            p.add_hermitian_block(1)
-        for block in (1, -1):  # terms may reference only the block
-            with pytest.raises(InvalidInput):
-                p.add_constraint([(block, np.eye(2))], "==", 1.0)
 
     def test_mixed_senses_match_exact_dual(self):
         # The W-SDP shape: max tr(C X) s.t. tr(B X) >= c, tr(X) <= 1, X >= 0.
@@ -217,12 +197,7 @@ class TestSolveSdp:
                     lo = m1
             exact = dual(0.5 * (lo + hi))
 
-            p = SdpProblem()
-            blk = p.add_hermitian_block(dim)
-            p.add_objective(blk, c_mat)
-            p.add_constraint([(blk, b_mat)], ">=", rhs)
-            p.add_constraint([(blk, np.eye(dim))], "<=", 1.0)
-            sol = solve_sdp(p)
+            sol = solve_sdp(SdpProblem(c_mat, [(b_mat, ">=", rhs), (np.eye(dim), "<=", 1.0)]))
             assert sol.status == "Optimal"
             assert sol.objective_value == pytest.approx(exact, rel=1e-6)
 
@@ -235,34 +210,30 @@ class TestSolveSdp:
         b_mat = random_hermitian(rng, dim)
         sols = []
         for as_diag in (True, False):
-            p = SdpProblem()
-            blk = p.add_hermitian_block(dim)
-            p.add_objective(blk, c)
-            for e_n in np.eye(dim):
-                p.add_constraint([(blk, e_n if as_diag else np.diag(e_n))], "==", 1.0)
-            p.add_constraint([(blk, b_mat)], ">=", -1.0)
-            sols.append(solve_sdp(p))
+            rows = [(e_n if as_diag else np.diag(e_n), "==", 1.0) for e_n in np.eye(dim)]
+            sols.append(solve_sdp(SdpProblem(c, rows + [(b_mat, ">=", -1.0)])))
         diag, dense = sols
         assert diag.status == dense.status == "Optimal"
         assert diag.iterations == dense.iterations
         assert diag.objective_value == pytest.approx(dense.objective_value, rel=1e-9)
 
-    def test_diagonal_and_dense_terms_of_one_block_add_up(self):
-        p = SdpProblem()
-        blk = p.add_hermitian_block(2)
-        p.add_objective(blk, np.eye(2))
-        p.add_constraint([(blk, np.array([1.0, 0.0])), (blk, np.diag([0.0, 1.0]))], "<=", 2.0)
-        sol = solve_sdp(p)
-        assert sol.status == "Optimal"
-        assert sol.objective_value == pytest.approx(2.0, abs=1e-6)
-
-    def test_rejects_bad_diagonal_terms(self):
-        p = SdpProblem()
-        blk = p.add_hermitian_block(2)
+    @pytest.mark.parametrize("C, rows", [
+        pytest.param(np.zeros((0, 0)), [], id="empty-objective"),
+        pytest.param(np.ones((2, 3)), [(np.ones(2), "==", 1.0)], id="non-square-objective"),
+        pytest.param(np.ones(2), [(np.ones(2), "==", 1.0)], id="1-D-objective"),
+        pytest.param(np.array([[0.0, 1.0], [2.0, 0.0]]), [(np.ones(2), "==", 1.0)],
+                     id="non-hermitian-objective"),
+        pytest.param(np.eye(2), [], id="no-rows"),
+        pytest.param(np.eye(2), [(np.ones(2), "=", 1.0)], id="unknown-sense"),
+        pytest.param(np.eye(2), [(np.eye(3), "<=", 1.0)], id="dense-row-wrong-shape"),
+        pytest.param(np.eye(2), [(np.ones(3), "==", 1.0)], id="diagonal-wrong-length"),
+        pytest.param(np.eye(2), [(np.array([1.0, 1.0j]), "==", 1.0)], id="complex-diagonal"),
+        pytest.param(np.eye(2), [(np.array([[0.0, 1.0], [2.0, 0.0]]), ">=", 1.0)],
+                     id="non-hermitian-row"),
+    ])
+    def test_constructor_rejects_bad_input(self, C, rows):
         with pytest.raises(InvalidInput):
-            p.add_constraint([(blk, np.ones(3))], "==", 1.0)
-        with pytest.raises(InvalidInput):
-            p.add_constraint([(blk, np.array([1.0, 1.0j]))], "==", 1.0)
+            SdpProblem(C, rows)
 
     def test_history_records_every_iterate(self):
         rng = np.random.default_rng(7)
@@ -275,28 +246,15 @@ class TestSolveSdp:
         assert max(relgap, pres, dres) <= DEFAULT_TOL
         assert (pobj, dobj) == (sol.objective_value, sol.dual_value)
 
-    def test_rejects_non_hermitian_data(self):
-        p = SdpProblem()
-        blk = p.add_hermitian_block(2)
-        with pytest.raises(InvalidInput):
-            p.add_objective(blk, np.array([[0.0, 1.0], [2.0, 0.0]]))
-
-    def test_rejects_empty_constraint_set(self):
-        p = SdpProblem()
-        blk = p.add_hermitian_block(2)
-        p.add_objective(blk, np.eye(2))
-        with pytest.raises(InvalidInput):
-            solve_sdp(p)
-
 
 class TestUnitDiagonalSdp:
     def test_operator_matches_generic_assembly(self):
-        # The structured operator and _Assembled agree on the same data: C, b,
+        # The structured operator and SdpProblem agree on the same data: C, b,
         # the slack, the norms that set the start, and apply, adjoint, schur.
         rng = np.random.default_rng(11)
         for n in (1, 2, 9, 25):
             op = UnitDiagonalSdp(*v_sdp_data(rng, n))
-            ref = _Assembled(unit_diagonal_problem(op))
+            ref = unit_diagonal_problem(op)
             assert np.array_equal(op.C, ref.C) and np.array_equal(op.b, ref.b)
             assert np.array_equal(op.slack_rows, ref.slack_rows)
             assert np.array_equal(op.slack_sign, ref.slack_sign)

@@ -110,12 +110,7 @@ class TestSolveWSdp:
 
 def w_sdp_reference(Rr, A, c, tol):
     """The W-SDP max tr(Rr W) s.t. tr(A W) >= c, tr(W) <= 1 by interior point."""
-    p = SdpProblem()
-    blk = p.add_hermitian_block(Rr.shape[0])
-    p.add_objective(blk, Rr)
-    p.add_constraint([(blk, A)], ">=", c)
-    p.add_constraint([(blk, np.eye(Rr.shape[0]))], "<=", 1.0)
-    return solve_sdp(p, tol=tol)
+    return solve_sdp(SdpProblem(Rr, [(A, ">=", c), (np.eye(Rr.shape[0]), "<=", 1.0)]), tol=tol)
 
 
 class TestRankOneW:
@@ -182,7 +177,7 @@ class TestRankOneW:
 
 def sdr_ao_checking_v_sdps(monkeypatch, channels, cfg):
     """sdr_ao's result; every V-SDP it solves through the structured operator
-    is solved again as an SdpProblem, by the generic operator, and must end
+    is solved again as an SdpProblem, the generic operator, and must end
     with the same status and iteration count and an objective within 1e-9
     relative."""
     import irs_swipt.sdr as sdr
