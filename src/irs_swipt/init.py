@@ -51,10 +51,13 @@ def max_sr_beamformer(v, channels, cfg):
 # between the two ends' eigenvectors follows e(lam) to second order in the
 # width, so the objective is far more accurate than the multiplier.
 BISECT_REL_WIDTH = 1e-10
+# Relative excess e^H A e - c <= NEWTON_REL_TOL * c at which the search
+# returns the top eigenvector of a point on the feasible side outright.
+NEWTON_REL_TOL = 1e-12
 MAX_DOUBLINGS = 60
-# Bounds the search when the multiplier is 0 at a repeated top eigenvalue of
-# Rr: there the relative width shrinks only once rounding makes eigh return
-# the lam = 0 eigenvector again.
+# Bounds the Newton and bisection steps, for when the multiplier is 0 at a
+# repeated top eigenvalue of Rr: there the relative width shrinks only once
+# rounding makes eigh return the lam = 0 eigenvector again.
 MAX_HALVINGS = 200
 
 
@@ -68,10 +71,17 @@ def rank_one_w(Rr, A, c):
     Rr + lam A, is nondecreasing.  lam = 0 settles it when the secrecy
     constraint is slack there; otherwise lam is bracketed (from the bound
     lambda_max(Rr) / (lambda_max(A) - c) on the dual optimum, doubled while
-    the bound is hit by rounding) and bisected.  The two ends' eigenvectors
-    then span the top eigenspace at the optimum, which is two-dimensional
-    when eigenvalues cross there: e is the point of their segment where
-    e^H A e reaches c, on its feasible side.
+    the bound is hit by rounding) and narrowed by safeguarded Newton steps on
+    h(lam) = e(lam)^H A e(lam) = c.  The slope comes from the same eigh as h:
+    h'(lam) = 2 sum_k |e_k^H A e|^2 / (lambda_top - lambda_k) over the other
+    eigenpairs.  A Newton point outside the open bracket, or one at a zero
+    slope, is replaced by the bracket's midpoint.
+    The search returns e(lam) once h(lam) - c lies in
+    [0, NEWTON_REL_TOL * c].  Otherwise, at a bracket of relative width
+    BISECT_REL_WIDTH, the two ends' eigenvectors span the top eigenspace at
+    the optimum, which is two-dimensional when eigenvalues cross there (h
+    jumps past c): e is the point of their segment where e^H A e reaches c,
+    on its feasible side.
 
     Raises SubproblemInfeasible when lambda_max(A) < c.
     """
@@ -80,34 +90,46 @@ def rank_one_w(Rr, A, c):
         raise SubproblemInfeasible("secrecy target unattainable for the fixed profile")
 
     def top(lam):
-        e = np.linalg.eigh(Rr + lam * A)[1][:, -1]
-        return e, float(np.real(np.vdot(e, A @ e)))
+        """(e(lam), h(lam), h'(lam)); the slope is 0 where the top eigenvalue
+        is repeated, and the search bisects there."""
+        vals, vecs = np.linalg.eigh(Rr + lam * A)
+        e = vecs[:, -1]
+        Ae = A @ e
+        gaps = vals[-1] - vals[:-1]
+        slope = 0.0
+        if np.all(gaps > 0):
+            slope = 2.0 * float(np.sum(np.abs(vecs[:, :-1].conj().T @ Ae) ** 2 / gaps))
+        return e, float(np.real(np.vdot(e, Ae))), slope
 
-    e_lo, g_lo = top(0.0)
+    e_lo, g_lo, _ = top(0.0)
     if g_lo >= c:
         return e_lo
     top_r = float(np.real(np.vdot(e_lo, Rr @ e_lo)))  # lambda_max(Rr)
     if top_r <= 0 or vals_a[-1] == c:
         return vecs_a[:, -1]  # every feasible direction is optimal, or only this one is feasible
     lo, hi = 0.0, 2.0 * top_r / (vals_a[-1] - c)
-    e_hi, g_hi = top(hi)
+    e_hi, g_hi, slope = top(hi)
     for _ in range(MAX_DOUBLINGS):
         if g_hi >= c:
             break
         lo, e_lo, g_lo = hi, e_hi, g_hi
         hi *= 2.0
-        e_hi, g_hi = top(hi)
+        e_hi, g_hi, slope = top(hi)
     else:
         return vecs_a[:, -1]  # lambda_max(A) - c is at rounding level
+    lam, g = hi, g_hi
     for _ in range(MAX_HALVINGS):
+        if 0 <= g - c <= NEWTON_REL_TOL * c:
+            return e_hi
         if hi - lo <= BISECT_REL_WIDTH * hi:
             break
-        mid = 0.5 * (lo + hi)
-        e, g = top(mid)
+        newton = lam - (g - c) / slope if slope > 0 else hi  # hi is outside: bisect
+        lam = newton if lo < newton < hi else 0.5 * (lo + hi)
+        e, g, slope = top(lam)
         if g >= c:
-            hi, e_hi, g_hi = mid, e, g
+            hi, e_hi, g_hi = lam, e, g
         else:
-            lo, e_lo, g_lo = mid, e, g
+            lo, e_lo, g_lo = lam, e, g
     return _feasible_combination(e_lo, g_lo, e_hi, g_hi, A, c)
 
 

@@ -3,7 +3,7 @@
 Each outer round first takes the exact beamformer step for the current
 profile, then updates the profile in semi-closed form: the surrogate phase
 subproblem is solved by entrywise phase alignment of d + mu*f, with the
-multiplier mu found by bisection driven by complementary slackness.  The
+multiplier mu set by complementary slackness (see bisect_mu).  The
 surrogate secrecy constraint is a restriction of the original one and the
 surrogate objective a lower bound that is tight at the expansion point, so
 the true harvested power never decreases.
@@ -108,16 +108,29 @@ def u_of_mu(d, f, mu):
 
 
 def _g_of_mu(d, f, mu):
-    return 2.0 * float(np.real(_aligned(d + mu * f).conj() @ f))
+    """g(mu) = 2 Re(u(mu)^H f); for an array of multipliers, one g per entry."""
+    return 2.0 * np.real(_aligned(d + np.multiply.outer(mu, f)).conj() @ f)
+
+
+# The bracket's candidate upper ends hi = 2^0 ... 2^200 (1 and 200 doublings
+# of it), of which DOUBLINGS_PER_PASS are evaluated together in one array pass.
+_BRACKET_ENDS = np.ldexp(1.0, np.arange(201))
+DOUBLINGS_PER_PASS = 64
 
 
 def bisect_mu(data, eps_bisect=1e-8):
     """Multiplier search for the phase subproblem.
 
     If the constraint already holds at mu = 0 complementary slackness gives
-    mu = 0; otherwise g(mu) = 2Re(u(mu)^H f) is non-decreasing, so bisection
-    on [0, mu_hi] drives |g(mu) - c2| below eps_bisect*(1+|c2|).  When even
-    the mu -> inf limit 2*sum|f_n| cannot reach c2 the step is infeasible.
+    mu = 0; otherwise g(mu) = 2Re(u(mu)^H f) is non-decreasing.  The bracket's
+    upper end is the first hi = 2^k, k = 0, 1, ..., with g(hi) >= c2, found
+    by evaluating g at DOUBLINGS_PER_PASS of them per array pass; bisection on
+    [0, hi] then stops once |g(hi) - c2| <= eps_bisect*(1+|c2|).  That
+    tolerance is absolute when |c2| << 1, as it is on the paper's scales,
+    where it usually holds at the doubling's hi already: the doubling, not
+    the bisection, then decides mu, which can be up to twice the exact root.
+    When even the mu -> inf limit 2*sum|f_n| cannot reach c2 the step is
+    infeasible.
     """
     d, f, c2 = data.d, data.f, data.c2
     tol = eps_bisect * (1.0 + abs(c2))
@@ -127,13 +140,15 @@ def bisect_mu(data, eps_bisect=1e-8):
     if g_limit < c2 - tol:
         raise PhaseStepInfeasible("linearized secrecy constraint unreachable")
 
-    hi, g_hi = 1.0, _g_of_mu(d, f, 1.0)
-    for _ in range(200):
-        if g_hi >= c2:
+    for start in range(0, len(_BRACKET_ENDS), DOUBLINGS_PER_PASS):
+        his = _BRACKET_ENDS[start:start + DOUBLINGS_PER_PASS]
+        g_his = _g_of_mu(d, f, his)
+        cleared = np.flatnonzero(g_his >= c2)
+        if cleared.size:
+            hi, g_hi = float(his[cleared[0]]), float(g_his[cleared[0]])
             break
-        hi *= 2.0
-        g_hi = _g_of_mu(d, f, hi)
     else:
+        hi, g_hi = float(his[-1]), float(g_his[-1])
         if abs(g_hi - c2) <= tol:
             return hi, u_of_mu(d, f, hi)
         raise PhaseStepInfeasible("bisection bracket not found")

@@ -11,9 +11,10 @@ that solver find the secrecy target unattainable, the state's w, feasible for
 the state's V by construction, is kept with its relaxed value.  The V
 half-step is solved by the interior-point method of sdp.py through its
 structured unit-diagonal operator, with the secrecy row scaled to unit size
-apart from the objective; a V step that the solver's tolerance leaves below
-the W step's value keeps the previous V, which stays feasible, so the
-relaxed objective never decreases.  Only the
+apart from the objective, and warm-started from the previous V-SDP's final
+iterate, since consecutive rounds differ only through w; a V step that the
+solver's tolerance leaves below the W step's value keeps the previous V,
+which stays feasible, so the relaxed objective never decreases.  Only the
 profile is recovered, by Gaussian randomization against that w, so the
 returned pair is jointly feasible; _best_candidate draws, maps and scores
 all candidates at once (it also backs randomize_w, kept for a general
@@ -62,9 +63,12 @@ def solve_w_sdp(V, channels, cfg):
 V_OBJECTIVE_NORM = 1e3  # Frobenius norm the V-SDP objective is scaled to
 
 
-def solve_v_sdp(w, channels, cfg):
+def solve_v_sdp(w, channels, cfg, warm=None):
     """Profile half-step: maximize tr(H_r^H V H_r W) over PSD V with unit
     diagonal and the trace secrecy constraint, W = w w^H fixed.
+
+    Returns (V, relaxed objective in watts, the sdp.SdpSolution); warm, the
+    SdpSolution of a profile SDP of the same N, warm-starts the solve.
 
     The objective (rank one) and the secrecy row (rank two) are outer
     products of y_x = H_x w / sigma.  The objective is scaled to norm
@@ -90,12 +94,12 @@ def solve_v_sdp(w, channels, cfg):
 
     row = np.outer(yb, yb.conj()) - gain * np.outer(ye, ye.conj())
     rs = 1.0 / max(np.linalg.norm(row), gain - 1.0)
-    sol = solve_sdp(UnitDiagonalSdp(scale * Sr, rs * row, rs * (gain - 1.0)))
+    sol = solve_sdp(UnitDiagonalSdp(scale * Sr, rs * row, rs * (gain - 1.0)), warm=warm)
     if sol.status == "Infeasible":
         raise SubproblemInfeasible("secrecy target unattainable for the fixed beamformer")
     if sol.status != "Optimal":
         raise NumericalFailure("profile SDP did not converge")
-    return sol.X, float(cfg.sigma2_w * sol.objective_value / scale)
+    return sol.X, float(cfg.sigma2_w * sol.objective_value / scale), sol
 
 
 def _best_candidate(X, to_candidates, gains, cfg, count, rng, what):
@@ -175,11 +179,15 @@ def sdr_ao(channels, cfg):
     A V step that the interior-point solve leaves below the W step's value
     keeps the previous V, which meets the secrecy row for the new w, so the
     trace never decreases.  A W step that rounding finds infeasible keeps the
-    previous w (init.keep_if_infeasible).
+    previous w (init.keep_if_infeasible).  Each V-SDP after the first is
+    warm-started from the previous one's solution, whether or not that
+    solution's V was kept: consecutive rounds differ only through w.
     """
     rng = np.random.default_rng(cfg.seed)
+    last_v_sdp = None
 
     def step(state, counts):
+        nonlocal last_v_sdp
         w_prev, V = state
         if isinstance(V, PhaseProfile):  # the starting profile
             V = np.outer(V.v, V.v.conj())
@@ -191,7 +199,7 @@ def sdr_ao(channels, cfg):
         w, obj = keep_if_infeasible(lambda: solve_w_sdp(V, channels, cfg), kept)
         counts["w"] += 1
         if cfg.N > 0:
-            V_new, obj_new = solve_v_sdp(w, channels, cfg)
+            V_new, obj_new, last_v_sdp = solve_v_sdp(w, channels, cfg, warm=last_v_sdp)
             counts["u"] += 1
             if obj_new >= obj:
                 V, obj = V_new, obj_new

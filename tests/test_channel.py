@@ -182,7 +182,7 @@ def test_zero_rand_count_recovers_principal_eigenvector():
     cfg = ScenarioConfig(M=2, N=4, seed=3)
     ch = generate_scenario(cfg)
     w = sdr_ao(ch, cfg).w.w
-    V, _ = solve_v_sdp(w, ch, cfg)
+    V, _, _ = solve_v_sdp(w, ch, cfg)
     u = randomize_v(V, w, ch, cfg, count=0)
     e = np.linalg.eigh(V)[1][:, -1]
     assert np.allclose(u.u, np.exp(1j * np.angle(e[:-1] / e[-1])), atol=1e-12)

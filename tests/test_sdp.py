@@ -22,13 +22,25 @@ def unit_diagonal_problem(op):
     return SdpProblem(-op.C, unit_rows + [(op.R, ">=", op.b[-1])])
 
 
-def v_sdp_data(rng, n):
+def v_sdp_data(rng, n, ys=None):
     """Data of the profile SDP's shape: a rank-one objective and a rank-two
-    secrecy row at unit norm, which V = I meets strictly."""
-    yr, yb, ye = (rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(3))
+    secrecy row at unit norm, which V = I meets strictly.  ys = (yr, yb, ye)
+    gives the vectors they are built from; by default they are drawn."""
+    if ys is None:
+        ys = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(3)]
+    yr, yb, ye = ys
     row = np.outer(3.0 * yb, 3.0 * yb.conj()) - 2.0 * np.outer(ye, ye.conj())
     rs = 1.0 / max(np.linalg.norm(row), 1.0)
     return 1e3 * np.outer(yr, yr.conj()) / np.linalg.norm(yr) ** 2, rs * row, rs
+
+
+def neighbouring_v_sdps(rng, n, m=4, step=0.1):
+    """Two profile SDPs built from y_x = H_x w at a beamformer w and at
+    w + step * (a random direction), as consecutive sdr_ao rounds are."""
+    def draw(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    H, w, dw = draw(3, n, m), draw(m), draw(m)
+    return [UnitDiagonalSdp(*v_sdp_data(rng, n, H @ x)) for x in (w, w + step * dw)]
 
 
 class TestSolveSdp:
@@ -281,3 +293,46 @@ class TestUnitDiagonalSdp:
             assert got.status == want.status == "Optimal"
             assert got.iterations == want.iterations
             assert got.objective_value == pytest.approx(want.objective_value, rel=1e-9)
+
+
+class TestWarmStart:
+    def test_neighbour_solves_in_fewer_iterations(self):
+        rng = np.random.default_rng(13)
+        for n in (4, 9, 25):
+            first, second = neighbouring_v_sdps(rng, n)
+            prev = solve_sdp(first)
+            cold, warm = solve_sdp(second), solve_sdp(second, warm=prev)
+            assert prev.status == cold.status == warm.status == "Optimal"
+            assert warm.iterations < cold.iterations
+            assert abs(warm.objective_value - cold.objective_value) <= (
+                DEFAULT_TOL * (1.0 + abs(cold.objective_value)))
+
+    def test_warm_start_solves_like_the_generic_operator(self):
+        rng = np.random.default_rng(14)
+        for n in (1, 4, 9):
+            first, second = neighbouring_v_sdps(rng, n)
+            prev = solve_sdp(first)
+            got = solve_sdp(second, warm=prev)
+            want = solve_sdp(unit_diagonal_problem(second), warm=prev)
+            assert got.status == want.status == "Optimal"
+            assert got.iterations == want.iterations
+            assert got.objective_value == pytest.approx(want.objective_value, rel=1e-9)
+
+    def test_returns_the_final_iterate(self):
+        first, _ = neighbouring_v_sdps(np.random.default_rng(15), 5)
+        sol = solve_sdp(first)
+        mu, *_ = sol.history[-1]
+        assert sol.Z.shape == sol.X.shape and sol.y.shape == first.b.shape
+        assert sol.s.shape == sol.z.shape == first.slack_rows.shape
+        assert (np.vdot(sol.X, sol.Z).real + sol.s @ sol.z) / (sol.X.shape[0] + 1) == (
+            pytest.approx(mu, rel=1e-12))
+
+    @pytest.mark.parametrize("other", [
+        pytest.param(lambda rng: UnitDiagonalSdp(*v_sdp_data(rng, 6)), id="block-size"),
+        pytest.param(lambda rng: lambda_max_problem(random_hermitian(rng, 4)), id="slack-count"),
+    ])
+    def test_rejects_a_mismatched_warm_start(self, other):
+        rng = np.random.default_rng(16)
+        warm = solve_sdp(other(rng))
+        with pytest.raises(InvalidInput, match="warm start"):
+            solve_sdp(UnitDiagonalSdp(*v_sdp_data(rng, 4)), warm=warm)

@@ -197,6 +197,62 @@ def sdr_ao_checking_v_sdps(monkeypatch, channels, cfg):
     return res
 
 
+# The instance list of the count guards below.
+COUNT_GUARD_CONFIGS = [ScenarioConfig(M=4, N=n, r0=3.0, seed=seed)
+                       for n in (8, 24) for seed in range(3)]
+
+
+class TestInnerSolveCounts:
+    """Counts, not wall-clock: the AO loop's inner solves restart less."""
+
+    def test_warm_started_v_sdps_take_fewer_iterations(self, monkeypatch):
+        # sdr_ao warm-starts each V-SDP from the previous one; the same runs
+        # with the warm start stripped take at least 1/0.7 times the iterations.
+        import irs_swipt.sdr as sdr
+        iters = {}
+        for warm in (True, False):
+            iters[warm] = 0
+
+            def counting(problem, *args, _warm=warm, **kwargs):
+                if not _warm:
+                    kwargs.pop("warm")
+                sol = solve_sdp(problem, *args, **kwargs)
+                iters[_warm] += sol.iterations
+                return sol
+
+            monkeypatch.setattr(sdr, "solve_sdp", counting)
+            for cfg in COUNT_GUARD_CONFIGS:
+                assert sdr_ao(generate_scenario(cfg), cfg).status == "Converged"
+        assert iters[True] <= 0.7 * iters[False], iters
+
+    def test_w_step_multiplier_search_takes_few_eigh_calls(self, monkeypatch):
+        # Newton steps on the W step's multiplier: at most 20 eigh calls per
+        # rank_one_w call on average (bisection alone took about 40).
+        import irs_swipt.sdr as sdr
+        counts = {"calls": 0, "eigh": 0}
+        inside = [False]
+        original_eigh = np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            counts["eigh"] += inside[0]
+            return original_eigh(a, *args, **kwargs)
+
+        def counting_rank_one_w(*args):
+            counts["calls"] += 1
+            inside[0] = True
+            try:
+                return rank_one_w(*args)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(sdr, "rank_one_w", counting_rank_one_w)
+        for cfg in COUNT_GUARD_CONFIGS:
+            assert sdr_ao(generate_scenario(cfg), cfg).status == "Converged"
+        assert counts["calls"] > 0
+        assert counts["eigh"] <= 20 * counts["calls"], counts
+
+
 class TestSolveVSdp:
     @pytest.mark.parametrize("n,seed", [(8, 0), (8, 1), (24, 2), (24, 3)])
     def test_structured_operator_solves_like_the_generic_problem(self, n, seed, monkeypatch):
@@ -228,7 +284,7 @@ class TestSolveVSdp:
         bb = abs(nd.h_ib.conj() @ nd.G @ w) ** 2
         ee = abs(0.01 * ch.h_ie.conj() @ nd.G @ w) ** 2
         assert bb + cfg.sigma2_w >= gain * (ee + cfg.sigma2_w)
-        V, obj = solve_v_sdp(w, nd, cfg)
+        V, obj, _ = solve_v_sdp(w, nd, cfg)
         levels = 4096
         phases = np.exp(2j * np.pi * np.arange(levels) / levels)
         vals = [abs(np.conj(p) * (nd.h_ih.conj() @ nd.G @ w)) ** 2 for p in phases]
@@ -240,12 +296,12 @@ class TestSolveVSdp:
         rng = np.random.default_rng(1)
         w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         w *= np.sqrt(cfg.ps_w) / np.linalg.norm(w)
-        _, obj1 = solve_v_sdp(w, ch, cfg)
+        _, obj1, _ = solve_v_sdp(w, ch, cfg)
         # rotate the per-element phases of every IRS-side vector coherently
         d = np.exp(2j * np.pi * rng.random(3))
         rot = ChannelSet(G=ch.G * d[:, None], h_ab=ch.h_ab, h_ah=ch.h_ah, h_ae=ch.h_ae,
                          h_ib=ch.h_ib, h_ih=ch.h_ih, h_ie=ch.h_ie)
-        _, obj2 = solve_v_sdp(w, rot, cfg)
+        _, obj2, _ = solve_v_sdp(w, rot, cfg)
         assert obj1 == pytest.approx(obj2, rel=1e-5)
 
 
@@ -297,7 +353,7 @@ class TestRandomization:
     def test_unit_modulus_contract(self):
         cfg, ch = self.setup(seed=15)
         w = np.sqrt(cfg.ps_w / 3) * np.ones(3, dtype=complex)
-        V, _ = solve_v_sdp(w, ch, cfg)
+        V, _, _ = solve_v_sdp(w, ch, cfg)
         u = randomize_v(V, w, ch, cfg, rng=np.random.default_rng(6))
         assert np.max(np.abs(np.abs(u.u) - 1.0)) <= 1e-12
 
@@ -312,7 +368,7 @@ class TestRandomization:
         rng = np.random.default_rng(8)
         u = PhaseProfile(np.exp(2j * np.pi * rng.random(6)))
         w_step, _ = solve_w_sdp(np.outer(u.v, u.v.conj()), ch, cfg)
-        V, _ = solve_v_sdp(w_step, ch, cfg)
+        V, _, _ = solve_v_sdp(w_step, ch, cfg)
         # spread the draws over all of C^M
         W = np.outer(w_step, w_step.conj()) + 0.2 * cfg.ps_w * np.eye(3) / 3
 
@@ -356,7 +412,7 @@ class TestRandomization:
             if not ok:
                 continue
             try:
-                V, _ = solve_v_sdp(w, ch, cfg)
+                V, _, _ = solve_v_sdp(w, ch, cfg)
                 u = randomize_v(V, w, ch, cfg, count=300, rng=rng)
             except Exception:
                 continue
@@ -397,7 +453,7 @@ class TestSdrAo:
         for _ in range(4):
             w, obj_w = solve_w_sdp(V, ch, cfg)
             assert obj_w >= prev * (1 - 1e-8)
-            V, obj_v = solve_v_sdp(w, ch, cfg)
+            V, obj_v, _ = solve_v_sdp(w, ch, cfg)
             assert obj_v >= obj_w * (1 - 1e-8)
             prev = obj_v
 
@@ -437,7 +493,7 @@ class TestSdrAo:
         v0 = np.ones(5, dtype=complex)
         V = np.outer(v0, v0.conj())
         w, _ = solve_w_sdp(V, ch, cfg)
-        V, obj = solve_v_sdp(w, ch, cfg)
+        V, obj, _ = solve_v_sdp(w, ch, cfg)
         tol = 1e-6
         assert np.linalg.norm(w) ** 2 <= cfg.ps_w * (1 + tol)
         assert np.max(np.abs(np.diag(V).real - 1.0)) <= tol
