@@ -10,9 +10,23 @@ spherical angles modulo the irrelevant global phase.
 import numpy as np
 
 from irs_swipt.errors import InvalidInput, SubproblemInfeasible
-from irs_swipt.oracle import _phase_chunks
 
 CHUNK = 2048  # profiles per (profiles, directions, powers) block
+
+
+def phase_chunks(n, levels, chunk=CHUNK):
+    """Yield the full levels**n unit-modulus grid in blocks of rows U, in
+    mixed-radix candidate order (element 0 varies slowest)."""
+    total = levels ** n
+    roots = np.exp(2j * np.pi * np.arange(levels) / levels)
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total))
+        digits = np.empty((idx.size, n), dtype=int)
+        rem = idx
+        for j in range(n - 1, -1, -1):
+            digits[:, j] = rem % levels
+            rem = rem // levels
+        yield roots[digits] if n else np.zeros((idx.size, 0), dtype=complex)
 
 
 def unit_directions(rank, count):
@@ -54,7 +68,7 @@ def direction_grid_search(channels, cfg, grid):
     s2 = cfg.sigma2_w
     best = (-np.inf, None, None)  # value, w, u
 
-    for U in _phase_chunks(cfg.N, grid.phase_levels, CHUNK):
+    for U in phase_chunks(cfg.N, grid.phase_levels):
         V = np.concatenate([U, np.ones((U.shape[0], 1))], axis=1)
         rows = [V.conj() @ H for H in (channels.H_r, channels.H_b, channels.H_e)]
         span = np.stack([r.conj() for r in rows], axis=2)  # (B, M, 3)

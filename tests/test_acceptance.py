@@ -120,10 +120,15 @@ def test_criterion_02_oracle_equivalence(crit2_runs):
     runs, elapsed = crit2_runs
     worst = min(min(s, d) / g for g, s, d, _ in runs)
     ub_ok = all(relax + 1e-8 >= max(s, d) for _, s, d, relax in runs)
+    # sdr_ao's final relaxed value is a local AO value, not a bound: the check
+    # passes on its 1e-8 W slack, so print how much of it is left
+    slack, slack_seed = min((relax + 1e-8 - max(s, d), seed)
+                            for seed, (_, s, d, relax) in enumerate(runs))
     ok = worst >= 0.98 and ub_ok and elapsed < 900.0
     assert report(2, "oracle equivalence", ok,
                   f"worst solver/grid ratio {worst:.4f} (need >= 0.98), "
-                  f"relaxation bound {'holds' if ub_ok else 'VIOLATED'}, {elapsed:.0f}s")
+                  f"relaxation bound {'holds' if ub_ok else 'VIOLATED'} "
+                  f"(least slack {slack:.2e} W, seed {slack_seed}), {elapsed:.0f}s")
 
 
 def test_criterion_03_irs_gain(paper_n50_runs):

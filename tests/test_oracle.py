@@ -4,13 +4,14 @@ import pytest
 from irs_swipt.channel import ChannelSet, ScenarioConfig, generate_scenario
 from irs_swipt.errors import GridTooLarge, InvalidInput, SubproblemInfeasible
 from irs_swipt.metrics import PhaseProfile, check_feasible, harvested_power
-from irs_swipt.oracle import (GridSpec, _dual_minimum, _dual_minimum_2x2, _lam_max_a, _outer,
-                               _phase_chunks, _recover_direction, grid_search_joint,
-                               grid_search_phases)
+import irs_swipt.oracle as oracle
+from irs_swipt.oracle import (GridSpec, _dual_bound, _dual_minimum, _dual_minimum_2x2,
+                               _lam_max_a, _outer, _profile_values, _recover_direction,
+                               grid_search_joint, grid_search_phases)
 from irs_swipt.sca import build_phase_data, bisect_mu, sca_ao
 from irs_swipt.sdr import sdr_ao
 
-from direction_grid import direction_grid_search
+from direction_grid import direction_grid_search, phase_chunks
 
 DESK = dict(d_ap_bob=10.0, d_ap_eve=20.0, d_ap_ehr=6.0,
             d_irs_bob=12.0, d_irs_eve=25.0, d_irs_ehr=4.0)
@@ -29,6 +30,39 @@ def no_eve_channels(cfg):
     ch = generate_scenario(cfg)
     return ChannelSet(G=ch.G, h_ab=ch.h_ab, h_ah=ch.h_ah, h_ae=np.zeros(cfg.M),
                       h_ib=ch.h_ib, h_ih=ch.h_ih, h_ie=np.zeros(cfg.N))
+
+
+def full_scan(ch, cfg, levels):
+    """Reference for grid_search_joint: every profile's rows V @ H^*, over
+    phase_chunks, through _profile_values, the lowest-index argmax, and the
+    beamformer recovered there.  Returns (u, harvested watts)."""
+    gain = 2.0 ** cfg.r0
+    c = (gain - 1.0) * cfg.sigma2_w / cfg.ps_w
+    best, best_u, best_rbe = -np.inf, None, None
+    for U in phase_chunks(cfg.N, levels):
+        V = np.concatenate([U, np.ones((U.shape[0], 1))], axis=1)
+        rbe = [V @ H.conj() for H in (ch.H_r, ch.H_b, ch.H_e)]
+        vals, _ = _profile_values(*rbe, gain, c)
+        k = int(np.argmax(vals))
+        if vals[k] > best:
+            best, best_u, best_rbe = vals[k], U[k], [x[k] for x in rbe]
+    if best_u is None:
+        raise SubproblemInfeasible("no profile of the phase grid meets the secrecy target")
+    w = np.sqrt(cfg.ps_w) * _recover_direction(*best_rbe, gain, c)
+    return best_u, harvested_power(w, best_u, ch, cfg.zeta)
+
+
+def assert_matches_full_scan(ch, cfg, levels):
+    try:
+        want_u, want = full_scan(ch, cfg, levels)
+    except SubproblemInfeasible:
+        with pytest.raises(SubproblemInfeasible):
+            grid_search_joint(ch, cfg, GridSpec(levels, 100, 1))
+        return None
+    _, u, val = grid_search_joint(ch, cfg, GridSpec(levels, 100, 1))
+    assert np.array_equal(u, want_u)
+    assert val == pytest.approx(want, rel=1e-12)
+    return u
 
 
 class TestGridSearchJoint:
@@ -95,6 +129,73 @@ class TestGridSearchJoint:
             grid_search_joint(generate_scenario(cfg), cfg, GridSpec(8, 50, 1))
 
 
+class TestAgainstFullScan:
+    """The separable rows and the two screens of grid_search_joint return the
+    full scan's profile.  The r0 values span grids where MRT wins, grids where
+    the constraint binds on every feasible profile, and unattainable targets."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_same_profile_and_value(self, m, n):
+        for levels in (2, 3, 8):
+            for r0 in (0.01, 1.0, 3.0, 6.0):
+                cfg = ScenarioConfig(M=m, N=n, seed=40 + 4 * m + n, r0=r0, **DESK)
+                assert_matches_full_scan(generate_scenario(cfg), cfg, levels)
+
+    @pytest.mark.parametrize("chunk", [4, 16, 64])
+    def test_small_chunks(self, chunk, monkeypatch):
+        # chunk 4 < levels: every element is summed per head run; 16: the
+        # heads span two elements; 64: one
+        monkeypatch.setattr(oracle, "CHUNK", chunk)
+        for r0 in (0.01, 1.0):
+            cfg = ScenarioConfig(M=2, N=3, seed=50, r0=r0, **DESK)
+            assert_matches_full_scan(generate_scenario(cfg), cfg, 8)
+
+    def test_tied_element_takes_level_zero(self):
+        # element 1 has no IRS link at all, so its levels tie exactly
+        for r0 in (0.01, 1.0):
+            cfg = ScenarioConfig(M=2, N=3, seed=51, r0=r0, **DESK)
+            ch = generate_scenario(cfg)
+            dead = np.array([1.0, 0.0, 1.0])
+            ch = ChannelSet(G=ch.G, h_ab=ch.h_ab, h_ah=ch.h_ah, h_ae=ch.h_ae,
+                            h_ib=ch.h_ib * dead, h_ih=ch.h_ih * dead, h_ie=ch.h_ie * dead)
+            u = assert_matches_full_scan(ch, cfg, 8)
+            assert u[1] == 1.0
+
+    def test_three_elements_at_32_levels(self):
+        cfg = ScenarioConfig(M=2, N=3, seed=0, r0=1.0, **DESK)
+        assert_matches_full_scan(generate_scenario(cfg), cfg, 32)
+
+
+class TestScreenCounts:
+    """Counts, not wall-clock: how many profiles reach the per-profile kernel."""
+
+    @staticmethod
+    def counted_search(seed, monkeypatch):
+        rows = [0]
+
+        def counting(r, *args):
+            rows[0] += r.shape[0]
+            return _profile_values(r, *args)
+
+        monkeypatch.setattr(oracle, "_profile_values", counting)
+        cfg = ScenarioConfig(M=2, N=2, seed=seed, r0=1.0, **DESK)
+        _, _, val = grid_search_joint(generate_scenario(cfg), cfg, GridSpec(256, 1500, 1))
+        return val, rows[0]
+
+    def test_mrt_won_search_evaluates_under_one_percent(self, monkeypatch):
+        # desk seed 1: MRT meets the target at the profile of largest ||r||^2
+        _, rows = self.counted_search(1, monkeypatch)
+        assert rows < 0.01 * 256 ** 2
+
+    def test_all_binding_search_keeps_its_value(self, monkeypatch):
+        # desk seed 0: the constraint binds on every profile, so the ||r||^2
+        # screen keeps them all and the dual-function screen does the work
+        val, rows = self.counted_search(0, monkeypatch)
+        assert val == pytest.approx(JOINT_DESK_W[0], rel=1e-12)
+        assert rows < 0.1 * 256 ** 2
+
+
 class TestAgainstDirectionGrid:
     @pytest.mark.parametrize("m,n", SMALL)
     def test_never_below_the_grid(self, m, n):
@@ -150,7 +251,7 @@ def binding_stack(r, b, e, gain, u):
 
 
 def golden(r, b, e, gain, hi, c):
-    return _dual_minimum(_outer(r), _outer(b) - gain * _outer(e), hi, c)
+    return _dual_minimum(_outer(r), _outer(b) - gain * _outer(e), hi, c)[0]
 
 
 class TestKernel:
@@ -175,9 +276,12 @@ class TestKernel:
         for gain in (2.0 ** 0.05, 2.0, 8.0, 64.0):
             r, b, e = (cnormal(rng, n, 2) * 10.0 ** rng.uniform(-3, 1, (n, 1)) for _ in range(3))
             c, hi = binding_stack(r, b, e, gain, rng.uniform(0.01, 0.99, n))
-            got = _dual_minimum_2x2(r, b, e, gain, hi, c)
+            got, lam = _dual_minimum_2x2(r, b, e, gain, hi, c)
             want = golden(r, b, e, gain, hi, c)
             assert np.all(np.abs(got - want) <= 1e-11 * want)
+            # the returned multiplier attains the minimum
+            assert np.all((lam >= 0) & (lam <= hi))
+            assert np.array_equal(_dual_bound(r, b, e, gain, lam, c), got)
 
     def test_closed_form_on_degenerate_stacks(self):
         rng = np.random.default_rng(25)
@@ -189,10 +293,10 @@ class TestKernel:
         c, hi = binding_stack(r, b, e, 2.0, np.full(5, 0.5))
         hi[4] *= 1e-6                                           # the minimizer at hi
         with np.errstate(divide="raise", invalid="raise"):
-            got = _dual_minimum_2x2(r, b, e, 2.0, hi, c)
+            got, _ = _dual_minimum_2x2(r, b, e, 2.0, hi, c)
             # no stationary point: A = b b^H - 4 e e^H = 0 (p = 0), and A = diag(1, 0)
             # with c = 0 (beta^2 = p); f is monotone, so its minimum is at hi or at 0
-            flat = _dual_minimum_2x2(r[:2], np.array([[1.0, 1j], [1.0, 0.0]]),
+            flat, _ = _dual_minimum_2x2(r[:2], np.array([[1.0, 1j], [1.0, 0.0]]),
                                      np.array([[0.5, 0.5j], [0.0, 0.0]]), 4.0, np.ones(2),
                                      np.array([c[0], 0.0]))
         want = golden(r, b, e, 2.0, hi, c)
@@ -209,11 +313,11 @@ class TestKernel:
             ch = generate_scenario(cfg)
             gain = 2.0 ** cfg.r0
             c = (gain - 1.0) * cfg.sigma2_w / cfg.ps_w
-            U = next(_phase_chunks(2, 8))
+            U = next(phase_chunks(2, 8))
             V = np.concatenate([U, np.ones((U.shape[0], 1))], axis=1)
             r, b, e = (V @ H.conj() for H in (ch.H_r, ch.H_b, ch.H_e))
             rr = np.sum(np.abs(r) ** 2, axis=1)
-            values = _dual_minimum_2x2(r, b, e, gain, rr / (_lam_max_a(b, e, gain) - c), c)
+            values, _ = _dual_minimum_2x2(r, b, e, gain, rr / (_lam_max_a(b, e, gain) - c), c)
             assert np.all(values < rr)  # every profile binds
             for k in range(U.shape[0]):
                 x = _recover_direction(r[k], b[k], e[k], gain, c)
@@ -241,6 +345,25 @@ class TestGridSearchPhases:
         ang = abs(np.angle(u[0] * np.conj(want)))
         assert min(ang, 2 * np.pi - ang) <= np.pi / levels + 1e-12
         assert val == pytest.approx((abs(rw[0]) + abs(rw[1])) ** 2, rel=1e-6)
+
+    @pytest.mark.parametrize("chunk", [4, 64, 2 ** 14])
+    def test_matches_full_scan(self, chunk, monkeypatch):
+        monkeypatch.setattr(oracle, "CHUNK", chunk)
+        for n in range(5):
+            cfg = ScenarioConfig(M=2, N=n, seed=14, r0=0.5, **DESK)
+            ch = generate_scenario(cfg)
+            w = np.sqrt(cfg.ps_w) * np.array([0.6, 0.8j])
+            rw, bw, ew = ch.H_r @ w, ch.H_b @ w, ch.H_e @ w
+            want, want_u = -np.inf, None
+            for U in phase_chunks(n, 6):
+                ar, ab, ae = (np.abs(U.conj() @ x[:n] + x[n]) ** 2 for x in (rw, bw, ew))
+                vals = np.where(ab + cfg.sigma2_w >= 2.0 ** cfg.r0 * (ae + cfg.sigma2_w), ar, -np.inf)
+                k = int(np.argmax(vals))
+                if vals[k] > want:
+                    want, want_u = vals[k], U[k]
+            u, val = grid_search_phases(ch, w, cfg, 6)
+            assert np.array_equal(u, want_u)
+            assert val == pytest.approx(want, rel=1e-12)
 
     def test_refinement(self):
         cfg = ScenarioConfig(M=2, N=2, seed=11, r0=0.5, **DESK)

@@ -30,7 +30,8 @@ def oracle_value(v, channels, cfg):
     joint oracle's per-profile kernel, which shares no code with the solvers."""
     rbe = [(v @ H.conj())[None, :] for H in (channels.H_r, channels.H_b, channels.H_e)]
     gain = 2.0 ** cfg.r0
-    return float(_profile_values(*rbe, gain, (gain - 1.0) * cfg.sigma2_w / cfg.ps_w)[0])
+    values, _ = _profile_values(*rbe, gain, (gain - 1.0) * cfg.sigma2_w / cfg.ps_w)
+    return float(values[0])
 
 
 def assert_step_exact(v, w_prev, channels, cfg):
