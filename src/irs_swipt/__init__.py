@@ -10,7 +10,7 @@ updates.  Brute-force grid oracles and a batch experiment harness round out
 the package.
 """
 
-from .channel import ChannelSet, ScenarioConfig, dbm_to_watt, generate_scenario, path_loss_gain, stack_effective, watt_to_dbm
+from .channel import ChannelSet, ScenarioConfig, dbm_to_watt, generate_scenario, path_loss_gain, stack_effective
 from .errors import (GridTooLarge, InvalidInput, IrsSwiptError, NotPSD, NumericalFailure,
                      PhaseStepInfeasible, RecoveryFailed, SubproblemInfeasible)
 from .experiments import ExperimentSpec, ResultRow, compare_complexity, emit_csv, parse_csv, run_experiment

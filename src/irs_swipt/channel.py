@@ -27,10 +27,6 @@ def dbm_to_watt(dbm):
     return 10.0 ** ((dbm - DBM_PER_WATT_OFFSET) / 10.0)
 
 
-def watt_to_dbm(watt):
-    return 10.0 * np.log10(watt) + DBM_PER_WATT_OFFSET
-
-
 @dataclass
 class ScenarioConfig:
     """Physical parameters of one scenario, the solvers' outer cap and start.
@@ -115,14 +111,6 @@ class ChannelSet:
         self.H_r, self.H_b, self.H_e = stack_effective(
             self.G, self.h_ab, self.h_ah, self.h_ae, self.h_ib, self.h_ih, self.h_ie)
 
-    @property
-    def M(self):
-        return self.h_ab.shape[0]
-
-    @property
-    def N(self):
-        return self.G.shape[0]
-
 
 def path_loss_gain(distance, exponent, pl_ref_db):
     """Linear power gain 10^(-pl_ref_db/10) * distance^(-exponent)."""
@@ -159,7 +147,7 @@ def stack_effective(G, h_ab, h_ah, h_ae, h_ib, h_ih, h_ie):
     return one(h_ih, h_ah), one(h_ib, h_ab), one(h_ie, h_ae)
 
 
-def generate_scenario(cfg, rng=None):
+def generate_scenario(cfg):
     """Draw one channel realization for cfg.
 
     AP->user and IRS->user links are i.i.d. circularly-symmetric complex
@@ -168,8 +156,7 @@ def generate_scenario(cfg, rng=None):
     steering outer product scaled by the root path-loss gain.  Reproducible:
     the same seed yields a bit-identical ChannelSet.
     """
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(cfg.seed)
 
     def rayleigh(size, gain):
         scale = np.sqrt(gain / 2.0)

@@ -25,7 +25,6 @@ from dataclasses import fields
 from .channel import ScenarioConfig, dbm_to_watt
 from .errors import InvalidInput
 
-EXPERIMENT_KEYS = ("mode", "methods", "sweep", "seeds_per_point")
 _SCENARIO_FIELDS = {f.name.lower(): f for f in fields(ScenarioConfig)}
 
 

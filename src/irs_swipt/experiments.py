@@ -21,7 +21,7 @@ import numpy as np
 
 from .channel import ScenarioConfig, generate_scenario
 from .errors import InvalidInput
-from .init import OUTER_TOL, alternate
+from .init import alternate
 from .metrics import PhaseProfile, harvested_power
 from .sca import sca_ao, sca_w_step
 from .sdr import sdr_ao
@@ -102,7 +102,7 @@ def optimize_w_fixed_profile(channels, cfg, u):
         w = sca_w_step(u.v, w, channels, cfg).w
         return (w, u), harvested_power(w, u, channels, cfg.zeta)
 
-    return alternate(channels, cfg, u, step, OUTER_TOL, cfg.max_outer_iters)
+    return alternate(channels, cfg, u, step)
 
 
 def _point_config(base, mode, value):

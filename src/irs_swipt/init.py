@@ -83,7 +83,11 @@ def rank_one_w(Rr, A, c):
     jumps past c): e is the point of their segment where e^H A e reaches c,
     on its feasible side.
 
-    Raises SubproblemInfeasible when lambda_max(A) < c.
+    Raises SubproblemInfeasible when lambda_max(A) < c.  The AO methods take
+    this step from a beamformer that meets the secrecy constraint for the
+    profile at hand by construction, so for them the raise is rounding in
+    that test at r0 = the attainable maximum (the cancellation in A scales
+    with the channel gains, not with c), and they keep that beamformer.
     """
     vals_a, vecs_a = np.linalg.eigh(A)
     if vals_a[-1] < c:
@@ -156,21 +160,6 @@ def _feasible_combination(e_lo, g_lo, e_hi, g_hi, A, c):
     return x / np.linalg.norm(x)
 
 
-def keep_if_infeasible(solve, kept):
-    """solve(), or kept() when solve raises SubproblemInfeasible.
-
-    The AO methods call their W step from a beamformer that meets the secrecy
-    constraint for the profile at hand by construction, so that raise is
-    rounding in rank_one_w's test lambda_max(A) < c at r0 = the attainable
-    maximum (the cancellation in A scales with the channel gains, not with
-    c); kept() gives the W step's result for that beamformer.
-    """
-    try:
-        return solve()
-    except SubproblemInfeasible:
-        return kept()
-
-
 def feasibility_probe(channels, cfg, u0):
     """(feasible, w, sr_max): whether the secrecy target r0 is attainable with
     the initial profile, and the probing beamformer."""
@@ -178,12 +167,12 @@ def feasibility_probe(channels, cfg, u0):
     return sr_max >= cfg.r0, w, sr_max
 
 
-def alternate(channels, cfg, u, step, eps, max_iters, recover=None):
+def alternate(channels, cfg, u, step, recover=None):
     """Repeat ``state, value = step(state, counts)`` from the probe's (w, u)
-    until the trace's relative increase drops below eps (Converged) or for
-    max_iters steps (MaxIters); Infeasible with an empty trace if the probe
-    cannot meet the secrecy target at u.  step adds its inner beamformer and
-    phase steps to counts["w"] and counts["u"].
+    until the trace's relative increase drops below OUTER_TOL (Converged) or
+    for cfg.max_outer_iters steps (MaxIters); Infeasible with an empty trace
+    if the probe cannot meet the secrecy target at u.  step adds its inner
+    beamformer and phase steps to counts["w"] and counts["u"].
 
     Without recover the state is the (w, u) pair and the trace starts at its
     harvested power.  With recover the state is a relaxation, so the trace
@@ -199,10 +188,10 @@ def alternate(channels, cfg, u, step, eps, max_iters, recover=None):
     trace = [harvested_power(w, u, channels, cfg.zeta)] if recover is None else []
     counts = {"w": 0, "u": 0}
     status = "MaxIters"
-    for it in range(1, max_iters + 1):
+    for it in range(1, cfg.max_outer_iters + 1):
         state, value = step(state, counts)
         trace.append(value)
-        if len(trace) >= 2 and trace[-1] > 0 and (trace[-1] - trace[-2]) / trace[-1] < eps:
+        if len(trace) >= 2 and trace[-1] > 0 and (trace[-1] - trace[-2]) / trace[-1] < OUTER_TOL:
             status = "Converged"
             break
     w, u = state if recover is None else recover(state)

@@ -18,11 +18,11 @@ def _as_square_complex(h):
     return h
 
 
-def is_hermitian(h, tol=HERM_TOL):
-    """True if h equals its conjugate transpose within tol (relative)."""
+def is_hermitian(h):
+    """True if h equals its conjugate transpose within HERM_TOL (relative)."""
     h = np.asarray(h)
     scale = np.linalg.norm(h) + 1.0
-    return np.linalg.norm(h - h.conj().T) <= tol * scale
+    return np.linalg.norm(h - h.conj().T) <= HERM_TOL * scale
 
 
 def herm_eig(h):

@@ -27,18 +27,9 @@ class PhaseProfile:
         if self.u.size and np.max(np.abs(np.abs(self.u) - 1.0)) > MODULUS_TOL:
             raise InvalidInput("phase profile entries must be unit modulus")
 
-    @classmethod
-    def from_reflection_phases(cls, theta):
-        # the surface applies e^{j theta}; u stores the conjugate convention
-        return cls(np.exp(-1j * np.asarray(theta, dtype=float)))
-
     @property
     def v(self):
         return np.concatenate([self.u, [1.0 + 0.0j]])
-
-    @property
-    def N(self):
-        return self.u.shape[0]
 
 
 @dataclass
@@ -49,10 +40,6 @@ class Beamformer:
 
     def __post_init__(self):
         self.w = np.asarray(self.w, dtype=complex).reshape(-1)
-
-    @property
-    def power(self):
-        return float(np.real(np.vdot(self.w, self.w)))
 
 
 @dataclass

@@ -373,8 +373,11 @@ def grid_search_phases(channels, w, cfg, levels):
     n = cfg.N
     if n > 4:
         raise InvalidInput("phase grid search is limited to N <= 4")
-    if levels ** max(n, 1) > EVAL_CAP:
-        raise GridTooLarge(f"{levels ** n} evaluations exceed the cap {EVAL_CAP}")
+    if levels < 2:
+        raise InvalidInput("grid levels must be >= 2")
+    profiles = levels ** n
+    if profiles > EVAL_CAP:
+        raise GridTooLarge(f"{profiles} evaluations exceed the cap {EVAL_CAP}")
     w = np.asarray(getattr(w, "w", w), dtype=complex)
     # conj(u)^H (H w) per receiver: the conjugate rows have the same modulus
     coef = np.stack([channels.H_r @ w, channels.H_b @ w, channels.H_e @ w]).T.conj()

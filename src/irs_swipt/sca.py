@@ -20,12 +20,13 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .errors import PhaseStepInfeasible
-from .init import OUTER_TOL, alternate, initial_phase_profile, keep_if_infeasible, rank_one_w
+from .errors import PhaseStepInfeasible, SubproblemInfeasible
+from .init import alternate, initial_phase_profile, rank_one_w
 from .metrics import Beamformer, PhaseProfile, harvested_power
 
 MAX_INNER_U = 30  # phase steps per outer round
 INNER_TOL = 1e-6  # relative objective increase that ends the phase steps
+MU_TOL = 1e-8  # bisect_mu stops once |g(mu) - c2| <= MU_TOL * (1 + |c2|)
 
 
 @dataclass
@@ -118,14 +119,14 @@ _BRACKET_ENDS = np.ldexp(1.0, np.arange(201))
 DOUBLINGS_PER_PASS = 64
 
 
-def bisect_mu(data, eps_bisect=1e-8):
+def bisect_mu(data):
     """Multiplier search for the phase subproblem.
 
     If the constraint already holds at mu = 0 complementary slackness gives
     mu = 0; otherwise g(mu) = 2Re(u(mu)^H f) is non-decreasing.  The bracket's
     upper end is the first hi = 2^k, k = 0, 1, ..., with g(hi) >= c2, found
     by evaluating g at DOUBLINGS_PER_PASS of them per array pass; bisection on
-    [0, hi] then stops once |g(hi) - c2| <= eps_bisect*(1+|c2|).  That
+    [0, hi] then stops once |g(hi) - c2| <= MU_TOL*(1+|c2|).  That
     tolerance is absolute when |c2| << 1, as it is on the paper's scales,
     where it usually holds at the doubling's hi already: the doubling, not
     the bisection, then decides mu, which can be up to twice the exact root.
@@ -133,7 +134,7 @@ def bisect_mu(data, eps_bisect=1e-8):
     infeasible.
     """
     d, f, c2 = data.d, data.f, data.c2
-    tol = eps_bisect * (1.0 + abs(c2))
+    tol = MU_TOL * (1.0 + abs(c2))
     if _g_of_mu(d, f, 0.0) >= c2:
         return 0.0, u_of_mu(d, f, 0.0)
     g_limit = 2.0 * float(np.sum(np.abs(f)))
@@ -175,8 +176,7 @@ def sca_w_step(v, w_prev, channels, cfg):
 
     w_prev is returned when it does at least as well, so the true objective
     |v^H H_r w|^2 never decreases, and when rank_one_w finds the target
-    unattainable, which for a feasible w_prev is rounding (see
-    init.keep_if_infeasible).
+    unattainable, which for a feasible w_prev is rounding (see rank_one_w).
     """
     v = np.asarray(getattr(v, "v", v), dtype=complex)
     w_prev = np.asarray(getattr(w_prev, "w", w_prev), dtype=complex)
@@ -184,10 +184,11 @@ def sca_w_step(v, w_prev, channels, cfg):
     g_r, g_b, g_e = ((H.conj().T @ v) * scale for H in (channels.H_r, channels.H_b, channels.H_e))
     gain = 2.0 ** cfg.r0
     A = np.outer(g_b, g_b.conj()) - gain * np.outer(g_e, g_e.conj())
-    x_prev = w_prev / np.sqrt(cfg.ps_w)
-    e = keep_if_infeasible(lambda: rank_one_w(np.outer(g_r, g_r.conj()), A, gain - 1.0),
-                           lambda: x_prev)
-    if abs(np.vdot(g_r, e)) <= abs(np.vdot(g_r, x_prev)):
+    try:
+        e = rank_one_w(np.outer(g_r, g_r.conj()), A, gain - 1.0)
+    except SubproblemInfeasible:
+        return Beamformer(w_prev)
+    if abs(np.vdot(g_r, e)) <= abs(np.vdot(g_r, w_prev / np.sqrt(cfg.ps_w))):
         return Beamformer(w_prev)
     return Beamformer(np.sqrt(cfg.ps_w) * e)
 
@@ -224,5 +225,4 @@ def sca_ao(channels, cfg):
                 val = new_val
         return (w, u), harvested_power(w, u, channels, cfg.zeta)
 
-    return alternate(channels, cfg, initial_phase_profile(cfg), step,
-                     OUTER_TOL, cfg.max_outer_iters)
+    return alternate(channels, cfg, initial_phase_profile(cfg), step)

@@ -31,7 +31,7 @@ conditioned, and rescaled on the way out.
 import numpy as np
 
 from .errors import NumericalFailure, RecoveryFailed, SubproblemInfeasible
-from .init import OUTER_TOL, alternate, initial_phase_profile, keep_if_infeasible, rank_one_w
+from .init import alternate, initial_phase_profile, rank_one_w
 from .linalg import herm_eig, psd_sqrt
 from .metrics import Beamformer, PhaseProfile
 from .sdp import UnitDiagonalSdp, solve_sdp
@@ -179,9 +179,10 @@ def sdr_ao(channels, cfg):
     A V step that the interior-point solve leaves below the W step's value
     keeps the previous V, which meets the secrecy row for the new w, so the
     trace never decreases.  A W step that rounding finds infeasible keeps the
-    previous w (init.keep_if_infeasible).  Each V-SDP after the first is
-    warm-started from the previous one's solution, whether or not that
-    solution's V was kept: consecutive rounds differ only through w.
+    previous w with its relaxed value (see init.rank_one_w).  Each V-SDP
+    after the first is warm-started from the previous one's solution, whether
+    or not that solution's V was kept: consecutive rounds differ only through
+    w.
     """
     rng = np.random.default_rng(cfg.seed)
     last_v_sdp = None
@@ -191,12 +192,11 @@ def sdr_ao(channels, cfg):
         w_prev, V = state
         if isinstance(V, PhaseProfile):  # the starting profile
             V = np.outer(V.v, V.v.conj())
-
-        def kept():
+        try:
+            w, obj = solve_w_sdp(V, channels, cfg)
+        except SubproblemInfeasible:
             y = channels.H_r @ w_prev
-            return w_prev, float(np.real(np.vdot(y, V @ y)))
-
-        w, obj = keep_if_infeasible(lambda: solve_w_sdp(V, channels, cfg), kept)
+            w, obj = w_prev, float(np.real(np.vdot(y, V @ y)))
         counts["w"] += 1
         if cfg.N > 0:
             V_new, obj_new, last_v_sdp = solve_v_sdp(w, channels, cfg, warm=last_v_sdp)
@@ -209,5 +209,4 @@ def sdr_ao(channels, cfg):
         w, V = state
         return w, randomize_v(V, w, channels, cfg, rng=rng)
 
-    return alternate(channels, cfg, initial_phase_profile(cfg, rng), step,
-                     OUTER_TOL, cfg.max_outer_iters, recover)
+    return alternate(channels, cfg, initial_phase_profile(cfg, rng), step, recover)

@@ -5,15 +5,16 @@ import math
 WIDTH, HEIGHT = 720, 480
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 20, 30, 50
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
+TICKS = 6  # an axis spans at most this many tick intervals
 
 
-def _ticks(lo, hi, count=6):
+def _ticks(lo, hi):
     if hi <= lo:
         hi = lo + 1.0
     span = hi - lo
-    step = 10.0 ** math.floor(math.log10(span / max(count - 1, 1)))
+    step = 10.0 ** math.floor(math.log10(span / (TICKS - 1)))
     for mult in (1, 2, 5, 10):
-        if span / (step * mult) <= count:
+        if span / (step * mult) <= TICKS:
             step *= mult
             break
     first = step * round(lo / step)

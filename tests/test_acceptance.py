@@ -219,7 +219,7 @@ def test_criterion_07_monotone_dual_function():
         data = PhaseSubproblemData(a=np.zeros(n), b=np.zeros(n), c=np.zeros(n),
                                    alpha=0j, beta=0j, gamma=0j,
                                    lambda_max_A=0.0, d=d, f=f, c1=0.0, c2=c2)
-        mu_star, prof = bisect_mu(data, eps_bisect=1e-8)
+        mu_star, prof = bisect_mu(data)
         if mu_star > 0:
             resid = abs(2.0 * float(np.real(prof.u.conj() @ f)) - c2) / (1 + abs(c2))
             worst_resid = max(worst_resid, resid)

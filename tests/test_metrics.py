@@ -3,7 +3,7 @@ import pytest
 
 from irs_swipt.channel import ChannelSet, ScenarioConfig, generate_scenario
 from irs_swipt.errors import InvalidInput
-from irs_swipt.metrics import (Beamformer, PhaseProfile, check_feasible, harvested_power,
+from irs_swipt.metrics import (PhaseProfile, check_feasible, harvested_power,
                                rate_bob, rate_eve, secrecy_rate)
 
 
@@ -176,12 +176,3 @@ class TestTypes:
         p = PhaseProfile(np.exp(1j * np.linspace(0, 3, 7)))
         assert p.v.shape == (8,)
         assert p.v[-1] == 1.0
-
-    def test_phase_profile_from_reflection_phases(self):
-        theta = np.array([0.0, np.pi / 2])
-        p = PhaseProfile.from_reflection_phases(theta)
-        assert np.allclose(p.u, np.exp(-1j * theta))
-
-    def test_beamformer_power(self):
-        b = Beamformer([3.0, 4.0j])
-        assert b.power == pytest.approx(25.0)

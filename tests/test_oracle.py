@@ -402,6 +402,12 @@ class TestGridSearchPhases:
         with pytest.raises(InvalidInput):
             grid_search_phases(generate_scenario(cfg5), w, cfg5, 4)
 
+    @pytest.mark.parametrize("levels", [1, 0, -3])
+    def test_fewer_than_two_levels_rejected(self, levels):
+        cfg = ScenarioConfig(M=2, N=2, seed=13, **DESK)
+        with pytest.raises(InvalidInput):
+            grid_search_phases(generate_scenario(cfg), np.ones(2, dtype=complex), cfg, levels)
+
     def test_unattainable_target_raises(self):
         cfg = ScenarioConfig(M=2, N=2, seed=0, r0=40.0, **DESK)
         w = np.sqrt(cfg.ps_w) * np.ones(2) / np.sqrt(2)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from irs_swipt.channel import ChannelSet, ScenarioConfig, generate_scenario
-from irs_swipt.errors import PhaseStepInfeasible
+from irs_swipt.errors import PhaseStepInfeasible, SubproblemInfeasible
 from irs_swipt.init import feasibility_probe, initial_phase_profile, max_sr_beamformer
 from irs_swipt.linalg import max_eigval
 from irs_swipt.metrics import PhaseProfile, check_feasible, harvested_power
@@ -160,6 +160,22 @@ class TestScaWStep:
         w, sr_max = max_sr_beamformer(u.v, ch, base)
         cfg = base.with_updates(r0=sr_max)
         assert np.allclose(sca_w_step(u.v, w, ch, cfg).w, w, rtol=0, atol=1e-14 * abs(w[0]))
+
+    def test_unattainable_target_returns_w_prev(self, monkeypatch):
+        # the step keeps w_prev when rank_one_w raises, even where the step
+        # without the raise would move
+        import irs_swipt.sca as sca
+        cfg = ScenarioConfig(M=4, N=3, seed=2, r0=0.5, **DESK)
+        ch = generate_scenario(cfg)
+        u = initial_phase_profile(cfg)
+        w_prev, _ = max_sr_beamformer(u.v, ch, cfg)
+        assert not np.array_equal(sca_w_step(u.v, w_prev, ch, cfg).w, w_prev)
+
+        def unattainable(*args):
+            raise SubproblemInfeasible("rounding")
+
+        monkeypatch.setattr(sca, "rank_one_w", unattainable)
+        assert np.array_equal(sca_w_step(u.v, w_prev, ch, cfg).w, w_prev)
 
     def test_expansion_point_on_boundary(self):
         cfg = ScenarioConfig(M=3, N=4, seed=6, **DESK)
@@ -343,7 +359,7 @@ class TestBisectMu:
             gmax = 2 * np.sum(np.abs(f))
             c2 = g0 + 0.7 * (gmax - g0)
             data = self.make_data(d, f, c2)
-            mu, prof = bisect_mu(data, eps_bisect=1e-8)
+            mu, prof = bisect_mu(data)
             assert mu > 0
             g = 2 * np.real(prof.u.conj() @ f)
             assert abs(g - c2) <= 1e-8 * (1 + abs(c2))

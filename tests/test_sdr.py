@@ -532,6 +532,33 @@ class TestSdrAo:
                          "randomize_v": 1}
         assert res.iters_inner_w == res.iters_inner_u == res.iters_outer
 
+    def test_infeasible_w_step_keeps_the_previous_w(self, monkeypatch):
+        # From the second round on the W step raises; sdr_ao keeps the first
+        # round's w, hands it to the next V-SDP and still ends normally.
+        import irs_swipt.sdr as sdr
+        w_steps, v_sdp_ws = [], []
+
+        def first_only(V, channels, cfg):
+            if w_steps:
+                raise SubproblemInfeasible("rounding")
+            w, obj = solve_w_sdp(V, channels, cfg)
+            w_steps.append(w)
+            return w, obj
+
+        def recording(w, *args, **kwargs):
+            v_sdp_ws.append(w)
+            return solve_v_sdp(w, *args, **kwargs)
+
+        monkeypatch.setattr(sdr, "solve_w_sdp", first_only)
+        monkeypatch.setattr(sdr, "solve_v_sdp", recording)
+        cfg = ScenarioConfig(M=4, N=8, r0=3.0, seed=0)
+        res = sdr_ao(generate_scenario(cfg), cfg)
+        assert res.status in ("Converged", "MaxIters")
+        assert len(v_sdp_ws) >= 2
+        assert np.array_equal(v_sdp_ws[1], w_steps[0])
+        tr = res.harvested_trace  # the kept w's value is recomputed: equal up to rounding
+        assert all(b >= a * (1 - 1e-12) for a, b in zip(tr, tr[1:])), tr
+
     @pytest.mark.parametrize("seed", [65, 68, 134, 148])
     def test_strong_eavesdropper_without_irs(self, seed):
         # The W step's beamformer meets the secrecy target on its feasible
