@@ -15,7 +15,7 @@ each stacked matrix ``H_x`` the cascaded-plus-direct channel satisfies
     v^H H_x w == (h_ix^H Theta G + h_ax^H) w,   Theta = diag(u.conj()).
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .errors import InvalidInput
@@ -62,6 +62,9 @@ class ScenarioConfig:
     init_phases: str = "zero"       # "zero" or "random" initial IRS profile
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type is float and not np.isfinite(getattr(self, f.name)):
+                raise InvalidInput(f"{f.name} must be finite")
         if self.M < 1:
             raise InvalidInput("M must be >= 1")
         if self.N < 0:

@@ -70,6 +70,8 @@ class ExperimentSpec:
             else:
                 self.sweep = (self.base.r0,)
         self.sweep = tuple(float(v) for v in self.sweep)
+        if not np.all(np.isfinite(self.sweep)):
+            raise InvalidInput("sweep values must be finite")
         if any(b <= a for a, b in zip(self.sweep, self.sweep[1:])):
             raise InvalidInput("sweep values must be strictly increasing")
 

@@ -54,7 +54,6 @@ BISECT_REL_WIDTH = 1e-10
 # Relative excess e^H A e - c <= NEWTON_REL_TOL * c at which the search
 # returns the top eigenvector of a point on the feasible side outright.
 NEWTON_REL_TOL = 1e-12
-MAX_DOUBLINGS = 60
 # Bounds the Newton and bisection steps, for when the multiplier is 0 at a
 # repeated top eigenvalue of Rr: there the relative width shrinks only once
 # rounding makes eigh return the lam = 0 eigenvector again.
@@ -69,10 +68,12 @@ def rank_one_w(Rr, A, c):
     1-D problem min_{lam >= 0} lambda_max(Rr + lam A) - lam c, whose
     derivative e(lam)^H A e(lam) - c, e(lam) the top eigenvector of
     Rr + lam A, is nondecreasing.  lam = 0 settles it when the secrecy
-    constraint is slack there; otherwise lam is bracketed (from the bound
-    lambda_max(Rr) / (lambda_max(A) - c) on the dual optimum, doubled while
-    the bound is hit by rounding) and narrowed by safeguarded Newton steps on
-    h(lam) = e(lam)^H A e(lam) = c.  The slope comes from the same eigh as h:
+    constraint is slack there; otherwise lam is bracketed by 0 and hi, twice
+    the bound lambda_max(Rr) / (lambda_max(A) - c) on the dual optimum, and
+    narrowed by safeguarded Newton steps on h(lam) = e(lam)^H A e(lam) = c.
+    By convexity h(hi) - c >= (lambda_max(A) - c) / 2; where rounding leaves
+    h(hi) < c, that margin is at rounding level, and A's top eigenvector is
+    returned.  The slope comes from the same eigh as h:
     h'(lam) = 2 sum_k |e_k^H A e|^2 / (lambda_top - lambda_k) over the other
     eigenpairs.  A Newton point outside the open bracket, or one at a zero
     slope, is replaced by the bracket's midpoint.
@@ -113,13 +114,7 @@ def rank_one_w(Rr, A, c):
         return vecs_a[:, -1]  # every feasible direction is optimal, or only this one is feasible
     lo, hi = 0.0, 2.0 * top_r / (vals_a[-1] - c)
     e_hi, g_hi, slope = top(hi)
-    for _ in range(MAX_DOUBLINGS):
-        if g_hi >= c:
-            break
-        lo, e_lo, g_lo = hi, e_hi, g_hi
-        hi *= 2.0
-        e_hi, g_hi, slope = top(hi)
-    else:
+    if g_hi < c:
         return vecs_a[:, -1]  # lambda_max(A) - c is at rounding level
     lam, g = hi, g_hi
     for _ in range(MAX_HALVINGS):

@@ -24,7 +24,7 @@ class PhaseProfile:
 
     def __post_init__(self):
         self.u = np.asarray(self.u, dtype=complex).reshape(-1)
-        if self.u.size and np.max(np.abs(np.abs(self.u) - 1.0)) > MODULUS_TOL:
+        if self.u.size and not np.max(np.abs(np.abs(self.u) - 1.0)) <= MODULUS_TOL:
             raise InvalidInput("phase profile entries must be unit modulus")
 
     @property
@@ -99,10 +99,14 @@ def check_feasible(w, u, cfg, channels):
     |v^H H_b w|^2 + sigma2 >= 2^r0 (|v^H H_e w|^2 + sigma2), i.e. the slack is
     log2 of the power ratio minus r0 (equivalent to the max{0,.}-free secrecy
     rate for r0 > 0).  Returns (feasible, violations) where violations is a
-    list of human-readable strings, plus the individual slacks.
+    list of human-readable strings, plus the individual slacks; a non-finite
+    entry of w or u is a violation, with every slack NaN.
     """
     w_arr = _vec(w)
     u_arr = u.u if isinstance(u, PhaseProfile) else np.asarray(u, dtype=complex).reshape(-1)
+    if not (np.all(np.isfinite(w_arr)) and np.all(np.isfinite(u_arr))):
+        nan = float("nan")
+        return FeasibilityReport(False, ["non-finite entries in w or u"], nan, nan, nan)
     v = np.concatenate([u_arr, [1.0 + 0.0j]])
     gb = abs(v.conj() @ channels.H_b @ w_arr) ** 2
     ge = abs(v.conj() @ channels.H_e @ w_arr) ** 2
@@ -112,11 +116,11 @@ def check_feasible(w, u, cfg, channels):
     modulus_dev = float(np.max(np.abs(np.abs(u_arr) - 1.0))) if u_arr.size else 0.0
 
     violations = []
-    if sr_slack < -SR_SLACK_TOL:
+    if not sr_slack >= -SR_SLACK_TOL:
         violations.append(f"secrecy-rate slack {sr_slack:.3e} bits/s/Hz")
-    if power_slack < -POWER_SLACK_TOL:
+    if not power_slack >= -POWER_SLACK_TOL:
         violations.append(f"power budget exceeded, relative slack {power_slack:.3e}")
-    if modulus_dev > MODULUS_TOL:
+    if not modulus_dev <= MODULUS_TOL:
         violations.append(f"unit-modulus deviation {modulus_dev:.3e}")
 
     return FeasibilityReport(

@@ -10,9 +10,11 @@ solve_sdp is one infeasible-start primal-dual path-following loop with the
 XZ (HKM) search direction and a Mehrotra predictor-corrector step.  It sees
 the constraints only through an operator: apply, A(Y)_i = Re tr(A_i Y);
 adjoint, A*(y) = sum_i y_i A_i; schur, M_ij = Re tr(A_i X A_j Z^-1); the
-data C and b; and the norms that scale the start and the stopping tests.
-Two operators are peers: SdpProblem(C, rows) is the generic one, built from
-the objective and a list of rows, each a Hermitian matrix or a real diagonal;
+data C and b; and norm_A, which scales the start (solve_sdp derives the
+norms of b and C itself).  Two operators are peers: SdpProblem(C, rows) is
+the generic one, the reference that states every row as a dense matrix and
+each map by its definition; it is built from the objective and a list of
+rows, each a Hermitian matrix or a real diagonal;
 UnitDiagonalSdp is the profile SDP's own, a unit diagonal and one Hermitian
 inequality row, whose Schur matrix comes in closed form as Re(X .* Z^-T)
 bordered by that row.  Inequality constraints become equalities with a
@@ -28,8 +30,6 @@ constraints are independent, so it is solved by Cholesky alone.  A breakdown
 of any of these factorizations or eigvalsh calls, or a slack that is not
 positive, ends the solve as NumericalFailure; nothing is regularized.  Dense
 factorizations are fine at the dimensions used here (<= ~64).
-The rows of an SdpProblem are taken as given: dense data is not scanned for
-structure.
 The convergence history lives in the result: SdpSolution.history holds the
 gap, residuals and objectives of every iterate, and the final iterate
 (X, Z, y and the slack pair s, z) is returned with it.
@@ -108,7 +108,7 @@ class SdpProblem:
     {'==', '<=', '>='} and A_i a Hermitian matrix or a real 1-D array, the
     diagonal of a diagonal matrix.  An inequality row i has one slack, with
     coefficient slack_sign = +1 for '<=' and -1 for '>='; slack_rows lists
-    those rows."""
+    those rows.  A holds every row as a dense matrix, stacked (k, n, n)."""
 
     def __init__(self, C, rows):
         n = np.shape(C)[0] if np.ndim(C) == 2 else 0
@@ -129,60 +129,26 @@ class SdpProblem:
         self.slack_rows = np.array([i for i, s in enumerate(senses) if s != "=="], dtype=int)
         self.slack_sign = np.array([1.0 if s == "<=" else -1.0 for s in senses if s != "=="])
 
-        # constraint footprints: a 1-D term is a diagonal, a 2-D one dense
-        diag = [(i, t) for i, t in enumerate(terms) if t.ndim == 1]
-        self.diag_rows = np.array([i for i, _ in diag], dtype=int)
-        self.D = np.array([t for _, t in diag]) if diag else np.zeros((0, n))
-        self.dense = [(i, t) for i, t in enumerate(terms) if t.ndim == 2]
-
-        self.norm_b = max(1.0, float(np.linalg.norm(self.b)))
-        self.norm_C = max(1.0, float(np.linalg.norm(self.C)))
-        self.norm_A = max(
-            [1.0]
-            + [float(np.linalg.norm(a)) for _, a in self.dense]
-            + ([float(np.linalg.norm(self.D))] if diag else [])
-        )
+        # norm_A: each dense row's norm on its own, the 1-D rows' together --
+        # sqrt(n) for a unit diagonal, where UnitDiagonalSdp starts too
+        diag = [t for t in terms if t.ndim == 1]
+        self.norm_A = max([1.0] + [float(np.linalg.norm(t)) for t in terms if t.ndim == 2]
+                          + ([float(np.linalg.norm(diag))] if diag else []))
+        self.A = np.array([np.diag(t) if t.ndim == 1 else t for t in terms], dtype=complex)
 
     def apply(self, Y):
         """A(Y): the vector Re tr(A_i Y) (Y not nec. Hermitian)."""
-        out = np.zeros(len(self.b))
-        if self.D.size:
-            out[self.diag_rows] += self.D @ np.diag(Y).real
-        for i, a in self.dense:
-            out[i] += _inner(a, Y)
-        return out
+        return (self.A.reshape(len(self.A), -1).conj() @ Y.ravel()).real
 
     def adjoint(self, y):
         """A*(y): the sum of y_i A_i."""
-        n = self.C.shape[0]
-        out = np.zeros((n, n), dtype=complex)
-        if self.D.size:
-            out[np.diag_indices(n)] += self.D.T @ y[self.diag_rows]
-        for i, a in self.dense:
-            out += y[i] * a
-        return out
+        return np.tensordot(y, self.A, 1)
 
     def schur(self, X, Zi):
-        """M_ij = Re tr(A_i X A_j Z^{-1}).
-
-        Diagonal-diagonal pairs reduce to D Re(X .* Zi^T) D^T; dense terms
-        fill whole rows/columns which are mirrored by symmetry.
-        """
-        rows, D, dense = self.diag_rows, self.D, self.dense
-        M = np.zeros((len(self.b), len(self.b)))
-        if D.size:
-            M[np.ix_(rows, rows)] += D @ (X * Zi.T).real @ D.T
-        for jt, (j, a) in enumerate(dense):
-            u = X @ a @ Zi  # X A_j Zi
-            if D.size:
-                vals = D @ np.diag(u).real
-                M[rows, j] += vals
-                M[j, rows] += vals
-            for i, s in dense[:jt + 1]:  # lower triangle; Re tr(A_i X A_j Zi) is symmetric
-                val = _inner(s, u)
-                M[i, j] += val
-                if i != j:
-                    M[j, i] += val
+        """M_ij = Re tr(A_i X A_j Z^{-1}), symmetrized."""
+        k = len(self.A)
+        U = X @ self.A @ Zi  # X A_j Zi
+        M = (self.A.reshape(k, -1).conj() @ U.reshape(k, -1).T).real
         return 0.5 * (M + M.T)
 
 
@@ -193,7 +159,7 @@ class UnitDiagonalSdp:
     The rows are the n unit-diagonal ones, then R's.  The Schur matrix is
     Re(X .* Zi^T) on the diagonal rows, bordered by d = Re diag(u) and
     Re tr(R u) for u = X R Zi; the loop adds R's slack term.  The data and
-    norms equal those of the same problem stated as an SdpProblem, so both
+    norm_A equal those of the same problem stated as an SdpProblem, so both
     start alike and take the same steps up to rounding.
     """
 
@@ -205,8 +171,6 @@ class UnitDiagonalSdp:
         self.b = np.append(np.ones(n), float(r))
         self.slack_rows = np.array([n])
         self.slack_sign = np.array([-1.0])
-        self.norm_b = max(1.0, float(np.linalg.norm(self.b)))
-        self.norm_C = max(1.0, float(np.linalg.norm(C)))
         self.norm_A = max(1.0, float(np.linalg.norm(R)), float(np.sqrt(n)))
 
     def apply(self, Y):
@@ -267,6 +231,8 @@ def solve_sdp(op, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS, warm=None):
     b, C, rows, sign = op.b, op.C, op.slack_rows, op.slack_sign
     n = C.shape[0]
     n_total = n + len(rows)
+    norm_b = max(1.0, float(np.linalg.norm(b)))
+    norm_C = max(1.0, float(np.linalg.norm(C)))
 
     def A(Y, t):
         """The constraint map on a block Y and a slack vector t."""
@@ -275,7 +241,7 @@ def solve_sdp(op, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS, warm=None):
         return out
 
     tau_p = 10.0 * max(1.0, float(np.max(np.abs(b))) / op.norm_A)
-    tau_d = 10.0 * max(1.0, op.norm_C / np.sqrt(n_total), op.norm_A)
+    tau_d = 10.0 * max(1.0, norm_C / np.sqrt(n_total), op.norm_A)
     X, s = tau_p * np.eye(n, dtype=complex), np.full(len(rows), tau_p)
     Z, z = tau_d * np.eye(n, dtype=complex), np.full(len(rows), tau_d)
     y = np.zeros(len(b))
@@ -301,8 +267,8 @@ def solve_sdp(op, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS, warm=None):
         pobj_int = _inner(C, X)
         dobj_int = float(b @ y)
         relgap = abs(pobj_int - dobj_int) / (1.0 + abs(pobj_int))
-        pres = float(np.linalg.norm(rp)) / op.norm_b
-        dres = max([float(np.linalg.norm(Rd))] + np.abs(rd).tolist()) / op.norm_C
+        pres = float(np.linalg.norm(rp)) / norm_b
+        dres = max([float(np.linalg.norm(Rd))] + np.abs(rd).tolist()) / norm_C
         # reported in the user's (maximization) orientation
         history.append((mu, relgap, pres, dres, -pobj_int, -dobj_int))
 
@@ -315,7 +281,7 @@ def solve_sdp(op, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS, warm=None):
         try:
             # primal-infeasibility certificate: A*(y) <= 0 with b^T y > 0
             ynorm = float(np.linalg.norm(y))
-            if ynorm > 1e6 * op.norm_b:
+            if ynorm > 1e6 * norm_b:
                 yhat = y / ynorm
                 lam = max(float(np.linalg.eigvalsh(op.adjoint(yhat))[-1]),
                           float(np.max(sign * yhat[rows], initial=-np.inf)))

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -142,6 +144,17 @@ def test_config_validation():
         ScenarioConfig(r0=0.0)
     with pytest.raises(InvalidInput):
         ScenarioConfig(ps_w=-1.0)
+
+
+FLOAT_FIELDS = [f.name for f in fields(ScenarioConfig) if f.type is float]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+def test_config_rejects_non_finite_floats(name, value):
+    # nan <= 0 is False, so a sign check alone lets NaN through
+    with pytest.raises(InvalidInput, match=f"{name} must be finite"):
+        ScenarioConfig(**{name: value})
 
 
 def test_max_outer_iters_must_be_positive():

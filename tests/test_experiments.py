@@ -49,6 +49,11 @@ class TestExperimentSpec:
         with pytest.raises(InvalidInput):
             ExperimentSpec(mode="sweep_sr", sweep=(2.0, 1.0))
 
+    @pytest.mark.parametrize("sweep", [(1.0, float("nan")), (float("nan"),), (1.0, float("inf"))])
+    def test_non_finite_sweep_rejected(self, sweep):
+        with pytest.raises(InvalidInput, match="finite"):
+            ExperimentSpec(mode="sweep_sr", sweep=sweep)
+
     def test_negative_workers_rejected(self):
         with pytest.raises(InvalidInput, match="workers"):
             ExperimentSpec(workers=-1)
@@ -263,6 +268,19 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(InvalidInput):
             parse_config_text("unknown_knob = 3")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", ["r0", "ps_w", "d_ap_bob", "sigma2_dbm", "zeta",
+                                     "alpha_irs", "pl_ref_db", "los_arrival_deg"])
+    def test_non_finite_value_rejected(self, key, value):
+        with pytest.raises(InvalidInput):
+            parse_config_text(f"{key} = {value}")
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_sweep_value_rejected(self, value):
+        _, exp = parse_config_text(f"mode = sweep_sr\nsweep = 1, {value}")
+        with pytest.raises(InvalidInput, match="finite"):
+            ExperimentSpec(**exp)
 
     def test_malformed_line_rejected(self):
         with pytest.raises(InvalidInput):

@@ -168,11 +168,25 @@ class TestCheckFeasible:
         assert not rep.feasible
         assert any("secrecy" in v for v in rep.violations)
 
+    @pytest.mark.parametrize("entry", [float("nan"), float("inf"), complex(1.0, float("nan"))])
+    @pytest.mark.parametrize("where", ["w", "u"])
+    def test_non_finite_entry_reported(self, where, entry):
+        # NaN compares False against every threshold; it must not read as feasible
+        w, u = self.feasible_point()
+        w, u = w.astype(complex), u.u.copy()
+        (w if where == "w" else u)[0] = entry
+        rep = check_feasible(w, u, self.cfg, self.ch)
+        assert not rep.feasible
+        assert any("non-finite" in v for v in rep.violations)
+
 
 class TestTypes:
     def test_phase_profile_validates_modulus(self):
         with pytest.raises(InvalidInput):
             PhaseProfile([0.5])
+        for bad in ([np.nan, 1.0], [np.inf, 1.0], [complex(1.0, np.nan)]):
+            with pytest.raises(InvalidInput):
+                PhaseProfile(bad)
         p = PhaseProfile(np.exp(1j * np.linspace(0, 3, 7)))
         assert p.v.shape == (8,)
         assert p.v[-1] == 1.0

@@ -259,10 +259,39 @@ class TestSolveSdp:
         assert (pobj, dobj) == (sol.objective_value, sol.dual_value)
 
 
+class TestSdpProblem:
+    def test_maps_match_their_trace_definitions(self):
+        # The reference operator against explicit traces, entry by entry, on
+        # rows of every form (1-D diagonals, dense matrices) and every sense.
+        rng = np.random.default_rng(17)
+        for n in (1, 3, 7):
+            mats = [rng.standard_normal(n), random_hermitian(rng, n), np.eye(n),
+                    rng.standard_normal(n), random_hermitian(rng, n)]
+            senses = ["==", ">=", "<=", "==", ">="]
+            prob = SdpProblem(random_hermitian(rng, n),
+                              [(a, sense, 1.0) for a, sense in zip(mats, senses)])
+            dense = [np.diag(a) if a.ndim == 1 else a for a in mats]
+            assert np.array_equal(prob.slack_rows, [1, 2, 4])
+            assert np.array_equal(prob.slack_sign, [-1.0, 1.0, -1.0])
+
+            G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            P = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            X = G @ G.conj().T + np.eye(n)
+            Zi = np.linalg.inv(P @ P.conj().T + np.eye(n))
+            y = rng.standard_normal(len(mats))
+            apply_ = [np.trace(a @ G).real for a in dense]  # G is not Hermitian
+            adjoint = sum(y_i * a for y_i, a in zip(y, dense))
+            schur = [[np.trace(a @ X @ b @ Zi).real for b in dense] for a in dense]
+            np.testing.assert_allclose(prob.apply(G), apply_, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(prob.adjoint(y), adjoint, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(prob.schur(X, Zi), schur, rtol=1e-12, atol=1e-12)
+
+
 class TestUnitDiagonalSdp:
     def test_operator_matches_generic_assembly(self):
         # The structured operator and SdpProblem agree on the same data: C, b,
-        # the slack, the norms that set the start, and apply, adjoint, schur.
+        # the slack, norm_A, which sets the start with the norms of b and C, and
+        # apply, adjoint and schur, whose Zi is Hermitian PD as solve_sdp passes it.
         rng = np.random.default_rng(11)
         for n in (1, 2, 9, 25):
             op = UnitDiagonalSdp(*v_sdp_data(rng, n))
@@ -270,16 +299,15 @@ class TestUnitDiagonalSdp:
             assert np.array_equal(op.C, ref.C) and np.array_equal(op.b, ref.b)
             assert np.array_equal(op.slack_rows, ref.slack_rows)
             assert np.array_equal(op.slack_sign, ref.slack_sign)
-            for name in ("norm_A", "norm_b", "norm_C"):
-                assert getattr(op, name) == pytest.approx(getattr(ref, name), rel=1e-15)
+            assert op.norm_A == pytest.approx(ref.norm_A, rel=1e-15)
 
             def close(a, b):
                 return np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
 
             G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             X = G @ G.conj().T + np.eye(n)
-            Zi = np.linalg.inv(random_hermitian(rng, n) @ random_hermitian(rng, n).conj().T
-                               + np.eye(n))
+            P = random_hermitian(rng, n) @ random_hermitian(rng, n).conj().T
+            Zi = np.linalg.inv(P @ P.conj().T + np.eye(n))
             y = rng.standard_normal(n + 1)
             assert close(op.apply(G), ref.apply(G))  # apply takes non-Hermitian products
             assert close(op.adjoint(y), ref.adjoint(y))
