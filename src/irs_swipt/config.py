@@ -59,7 +59,11 @@ def parse_config_text(text):
     exp = {}
     for lineno, key, value in _parse_lines(text):
         if key == "sigma2_dbm":
-            scen["sigma2_w"] = dbm_to_watt(_convert(float, value, lineno, key))
+            dbm = _convert(float, value, lineno, key)
+            try:
+                scen["sigma2_w"] = dbm_to_watt(dbm)
+            except OverflowError:
+                raise InvalidInput(f"line {lineno}: {key}: {dbm:g} dBm overflows in watts") from None
         elif key in _SCENARIO_FIELDS:
             f = _SCENARIO_FIELDS[key]
             scen[f.name] = _convert(f.type, value, lineno, key)  # int, float or str

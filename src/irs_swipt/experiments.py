@@ -74,6 +74,13 @@ class ExperimentSpec:
             raise InvalidInput("sweep values must be finite")
         if any(b <= a for a, b in zip(self.sweep, self.sweep[1:])):
             raise InvalidInput("sweep values must be strictly increasing")
+        if self.mode in ("sweep_n", "sweep_m") and any(v != int(v) for v in self.sweep):
+            raise InvalidInput(f"{self.mode} values must be integers")
+        for v in self.sweep:  # an out-of-range point fails here, not mid-batch
+            try:
+                _point_config(self.base, self.mode, v)
+            except InvalidInput as exc:
+                raise InvalidInput(f"{self.mode} value {v:g}: {exc}") from None
 
 
 @dataclass
@@ -111,9 +118,9 @@ def _point_config(base, mode, value):
     if mode == "sweep_sr":
         return replace(base, r0=value)
     if mode == "sweep_n":
-        return replace(base, N=int(round(value)))
+        return replace(base, N=int(value))
     if mode == "sweep_m":
-        return replace(base, M=int(round(value)))
+        return replace(base, M=int(value))
     return base
 
 

@@ -1,12 +1,12 @@
 """Low-complexity successive-convex-approximation alternating optimization.
 
 Each outer round first takes the exact beamformer step for the current
-profile, then updates the profile in semi-closed form: the surrogate phase
-subproblem is solved by entrywise phase alignment of d + mu*f, with the
-multiplier mu set by complementary slackness (see bisect_mu).  The
-surrogate secrecy constraint is a restriction of the original one and the
-surrogate objective a lower bound that is tight at the expansion point, so
-the true harvested power never decreases.
+profile, then updates the profile in semi-closed form: the phase subproblem
+(d, f, c2) of build_phase_data, max 2 Re(u^H d) s.t. 2 Re(u^H f) >= c2, is
+solved by entrywise phase alignment of d + mu*f, with mu set by complementary
+slackness (bisect_mu).  The surrogate constraint restricts the original one
+and the surrogate objective is, up to a constant, a lower bound tight at the
+expansion point, so the true harvested power never decreases.
 
 For a fixed profile the beamformer problem is a QCQP with two constraints
 whose semidefinite relaxation is tight, so sca_w_step solves it exactly
@@ -17,7 +17,6 @@ spares this method the profile SDP.
 """
 
 import math
-from dataclasses import dataclass
 import numpy as np
 
 from .errors import PhaseStepInfeasible, SubproblemInfeasible
@@ -27,28 +26,6 @@ from .metrics import Beamformer, PhaseProfile, harvested_power
 MAX_INNER_U = 30  # phase steps per outer round
 INNER_TOL = 1e-6  # relative objective increase that ends the phase steps
 MU_TOL = 1e-8  # bisect_mu stops once |g(mu) - c2| <= MU_TOL * (1 + |c2|)
-
-
-@dataclass
-class PhaseSubproblemData:
-    """Coefficients of the linearized phase subproblem at expansion point u_prev.
-
-    The surrogate objective is 2*Re(u^H d) + c1 and the surrogate secrecy
-    constraint is 2*Re(u^H f) >= c2; A = 2^r0 c c^H - b b^H is majorized by
-    lambda_max(A) * I.
-    """
-
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    alpha: complex
-    beta: complex
-    gamma: complex
-    lambda_max_A: float
-    d: np.ndarray
-    f: np.ndarray
-    c1: float
-    c2: float
 
 
 def _rank_two_max_eigval(gain, c, b):
@@ -67,7 +44,14 @@ def _rank_two_max_eigval(gain, c, b):
 
 
 def build_phase_data(w, u_prev, channels, cfg):
-    """Assemble the phase-subproblem coefficients for a fixed beamformer."""
+    """The phase subproblem (d, f, c2) at u_prev for a fixed beamformer:
+    maximize 2 Re(u^H d) s.t. 2 Re(u^H f) >= c2.  With a, b, c the IRS rows
+    and alpha, beta, gamma the direct entries of H_r w, H_b w, H_e w, the
+    objective plus |alpha|^2 - |a^H u_prev|^2 is a lower bound on
+    |u^H a + alpha|^2, tight at u_prev.  The constraint majorizes
+    A = 2^r0 c c^H - b b^H by lambda_max(A) * I, so it restricts the true
+    secrecy constraint.
+    """
     w = np.asarray(getattr(w, "w", w), dtype=complex)
     ut = u_prev.u if isinstance(u_prev, PhaseProfile) else np.asarray(u_prev, dtype=complex)
     n = ut.shape[0]
@@ -86,12 +70,10 @@ def build_phase_data(w, u_prev, channels, cfg):
 
     au = complex(a.conj() @ ut)  # a^H u_prev
     d = a * au + a * np.conj(alpha)
-    c1 = abs(alpha) ** 2 - abs(au) ** 2
     f = m_minus_a_u + (b * np.conj(beta) - gain * c * np.conj(gamma))
     c2 = (n * lam + float(np.real(ut.conj() @ m_minus_a_u))
           + gain * (abs(gamma) ** 2 + cfg.sigma2_w) - abs(beta) ** 2 - cfg.sigma2_w)
-    return PhaseSubproblemData(a=a, b=b, c=c, alpha=alpha, beta=beta, gamma=gamma,
-                               lambda_max_A=lam, d=d, f=f, c1=c1, c2=c2)
+    return d, f, c2
 
 
 def _aligned(z):
@@ -119,7 +101,7 @@ _BRACKET_ENDS = np.ldexp(1.0, np.arange(201))
 DOUBLINGS_PER_PASS = 64
 
 
-def bisect_mu(data):
+def bisect_mu(d, f, c2):
     """Multiplier search for the phase subproblem.
 
     If the constraint already holds at mu = 0 complementary slackness gives
@@ -133,7 +115,6 @@ def bisect_mu(data):
     When even the mu -> inf limit 2*sum|f_n| cannot reach c2 the step is
     infeasible.
     """
-    d, f, c2 = data.d, data.f, data.c2
     tol = MU_TOL * (1.0 + abs(c2))
     if _g_of_mu(d, f, 0.0) >= c2:
         return 0.0, u_of_mu(d, f, 0.0)
@@ -210,9 +191,8 @@ def sca_ao(channels, cfg):
         if cfg.N > 0:
             val = _true_w_objective(u.v, w, channels)
             for _ in range(MAX_INNER_U):
-                data = build_phase_data(w, u, channels, cfg)
                 try:
-                    _, u_new = bisect_mu(data)
+                    _, u_new = bisect_mu(*build_phase_data(w, u, channels, cfg))
                 except PhaseStepInfeasible:
                     break
                 counts["u"] += 1

@@ -203,7 +203,7 @@ def test_criterion_07_monotone_dual_function():
     mus = np.linspace(0.0, 200.0, 10_000)
     worst_viol = 0.0
     worst_resid = 0.0
-    from irs_swipt.sca import PhaseSubproblemData, bisect_mu
+    from irs_swipt.sca import bisect_mu
     for _ in range(100):
         n = int(rng.integers(2, 9))
         d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -216,10 +216,7 @@ def test_criterion_07_monotone_dual_function():
         # force an active constraint and check the bisection residual
         g0, gmax = g[0], 2.0 * float(np.sum(np.abs(f)))
         c2 = g0 + 0.6 * (gmax - g0)
-        data = PhaseSubproblemData(a=np.zeros(n), b=np.zeros(n), c=np.zeros(n),
-                                   alpha=0j, beta=0j, gamma=0j,
-                                   lambda_max_A=0.0, d=d, f=f, c1=0.0, c2=c2)
-        mu_star, prof = bisect_mu(data)
+        mu_star, prof = bisect_mu(d, f, c2)
         if mu_star > 0:
             resid = abs(2.0 * float(np.real(prof.u.conj() @ f)) - c2) / (1 + abs(c2))
             worst_resid = max(worst_resid, resid)

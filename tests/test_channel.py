@@ -173,6 +173,12 @@ def test_malformed_number_names_line_and_key(line):
         parse_config_text(f"# header\n{line}\n")
 
 
+def test_sigma2_dbm_overflow_names_line_and_key():
+    # 10^((1e5 - 30)/10) W overflows a float; the error names the line and key
+    with pytest.raises(InvalidInput, match="line 2: sigma2_dbm: 100000 dBm overflows"):
+        parse_config_text("m = 2\nsigma2_dbm = 1e5\n")
+
+
 @pytest.mark.parametrize("key, value", [
     ("eps", "1e-3"), ("max_inner_w", "30"), ("max_inner_u", "30"), ("inner_tol", "1e-6"),
     ("sdp_tol", "1e-7"), ("qcqp_tol", "1e-8"), ("eps_bisect", "1e-8"), ("rand_count", "1000")])

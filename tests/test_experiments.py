@@ -34,6 +34,14 @@ def small_base(**kw):
     return ScenarioConfig(**args)
 
 
+BAD_SWEEPS = [("sweep_m", (0.4,), "sweep_m values must be integers"),
+              ("sweep_m", (0.0, 2.0), "sweep_m value 0: M must be >= 1"),
+              ("sweep_n", (-1.0, 8.0), "sweep_n value -1: N must be >= 0"),
+              ("sweep_sr", (-1.0, 1.0), "sweep_sr value -1: r0 must be > 0"),
+              ("sweep_n", (8.2, 8.4), "sweep_n values must be integers"),
+              ("sweep_m", (2.5,), "sweep_m values must be integers")]
+
+
 class TestExperimentSpec:
     def test_mode_validation(self):
         with pytest.raises(InvalidInput):
@@ -58,6 +66,12 @@ class TestExperimentSpec:
         with pytest.raises(InvalidInput, match="workers"):
             ExperimentSpec(workers=-1)
         assert ExperimentSpec(workers=0).workers == 0
+
+    @pytest.mark.parametrize("mode, sweep, match", BAD_SWEEPS)
+    def test_bad_sweep_point_rejected(self, mode, sweep, match):
+        # rejected at construction, so it neither aborts a batch nor runs rounded
+        with pytest.raises(InvalidInput, match=match):
+            ExperimentSpec(mode=mode, sweep=sweep)
 
     def test_single_mode_gets_one_point(self):
         spec = ExperimentSpec(mode="single", sweep=(1.0, 2.0, 3.0))
@@ -281,6 +295,12 @@ class TestConfig:
         _, exp = parse_config_text(f"mode = sweep_sr\nsweep = 1, {value}")
         with pytest.raises(InvalidInput, match="finite"):
             ExperimentSpec(**exp)
+
+    @pytest.mark.parametrize("mode, sweep, match", BAD_SWEEPS)
+    def test_bad_sweep_point_rejected(self, mode, sweep, match):
+        base, exp = parse_config_text(f"mode = {mode}\nsweep = {', '.join(map(str, sweep))}")
+        with pytest.raises(InvalidInput, match=match):
+            ExperimentSpec(base=base, **exp)
 
     def test_malformed_line_rejected(self):
         with pytest.raises(InvalidInput):

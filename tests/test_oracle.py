@@ -385,9 +385,7 @@ class TestGridSearchPhases:
             if not ok:
                 continue
             for _ in range(20):
-                data = build_phase_data(w, u, ch, cfg)
-                mu, u_new = bisect_mu(data)
-                u = u_new
+                _, u = bisect_mu(*build_phase_data(w, u, ch, cfg))
             val_sca = abs(np.vdot(u.v, ch.H_r @ w)) ** 2
             _, val_grid = grid_search_phases(ch, w, cfg, 256)
             assert val_sca >= val_grid * 0.99

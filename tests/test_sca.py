@@ -7,8 +7,8 @@ from irs_swipt.init import feasibility_probe, initial_phase_profile, max_sr_beam
 from irs_swipt.linalg import max_eigval
 from irs_swipt.metrics import PhaseProfile, check_feasible, harvested_power
 from irs_swipt.oracle import _profile_values
-from irs_swipt.sca import (PhaseSubproblemData, _rank_two_max_eigval, bisect_mu,
-                           build_phase_data, sca_ao, sca_w_step, u_of_mu)
+from irs_swipt.sca import (_rank_two_max_eigval, bisect_mu, build_phase_data, sca_ao,
+                           sca_w_step, u_of_mu)
 
 DESK = dict(d_ap_bob=10.0, d_ap_eve=20.0, d_ap_ehr=6.0,
             d_irs_bob=12.0, d_irs_eve=25.0, d_irs_ehr=4.0)
@@ -190,9 +190,18 @@ class TestScaWStep:
         assert_step_exact(u.v, w, ch, cfg)
 
 
-def dense_A(data, cfg):
+def channel_slices(w, channels):
+    """(a, alpha), (b, beta), (c, gamma): the IRS rows and the direct entry of
+    H_r w, H_b w and H_e w."""
+    n = channels.H_r.shape[0] - 1
+    rows = (H @ w for H in (channels.H_r, channels.H_b, channels.H_e))
+    return tuple((y[:n], complex(y[n])) for y in rows)
+
+
+def dense_A(w, channels, cfg):
     """A = 2^r0 c c^H - b b^H, which build_phase_data applies without forming."""
-    return 2.0 ** cfg.r0 * np.outer(data.c, data.c.conj()) - np.outer(data.b, data.b.conj())
+    _, (b, _), (c, _) = channel_slices(w, channels)
+    return 2.0 ** cfg.r0 * np.outer(c, c.conj()) - np.outer(b, b.conj())
 
 
 class TestBuildPhaseData:
@@ -204,29 +213,38 @@ class TestBuildPhaseData:
         assert ok
         return cfg, ch, u, w
 
-    def test_majorization_tight_at_expansion(self):
-        cfg, ch, u, w = self.make()
-        data = build_phase_data(w, u, ch, cfg)
-        A = dense_A(data, cfg)
-        ut = u.u
-        n = ut.shape[0]
-        lhs = float(np.real(ut.conj() @ A @ ut))
-        rhs = (n * data.lambda_max_A
-               + 2.0 * float(np.real(ut.conj() @ (A - data.lambda_max_A * np.eye(n)) @ ut))
-               + float(np.real(ut.conj() @ (data.lambda_max_A * np.eye(n) - A) @ ut)))
-        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12 * (1 + abs(lhs)))
+    @pytest.mark.parametrize("n", [1, 5, 24])
+    def test_surrogates_tight_at_expansion(self, n):
+        # both surrogates meet the true functions at the expansion point, so a
+        # conjugated or dropped direct entry shows up here
+        cfg, ch, u, w = self.make(n=n)
+        d, f, c2 = build_phase_data(w, u, ch, cfg)
+        (a, alpha), (b, beta), (c, gamma) = channel_slices(w, ch)
+        gain, ut, s2 = 2.0 ** cfg.r0, u.u, cfg.sigma2_w
+        c1 = abs(alpha) ** 2 - abs(np.vdot(a, ut)) ** 2
+        r = abs(np.vdot(ut, a) + alpha) ** 2
+        assert 2.0 * float(np.real(np.vdot(ut, d))) + c1 == pytest.approx(r, rel=1e-12)
+        bb = abs(np.vdot(ut, b) + beta) ** 2
+        ee = abs(np.vdot(ut, c) + gamma) ** 2
+        scale = n * (gain * np.vdot(c, c).real + np.vdot(b, b).real) + bb + gain * ee + s2
+        lhs = 2.0 * float(np.real(np.vdot(ut, f))) - c2
+        assert abs(lhs - (bb + s2 - gain * (ee + s2))) <= 1e-12 * scale
 
     @pytest.mark.parametrize("n", [1, 5, 24])
     def test_f_and_c2_match_dense_A(self, n):
         cfg, ch, u, w = self.make(n=n)
-        data = build_phase_data(w, u, ch, cfg)
+        _, f, c2 = build_phase_data(w, u, ch, cfg)
+        _, (b, beta), (c, gamma) = channel_slices(w, ch)
         gain, ut = 2.0 ** cfg.r0, u.u
-        m_minus_a_u = (data.lambda_max_A * np.eye(n) - dense_A(data, cfg)) @ ut
-        f = m_minus_a_u + data.b * np.conj(data.beta) - gain * data.c * np.conj(data.gamma)
-        c2 = (n * data.lambda_max_A + float(np.real(ut.conj() @ m_minus_a_u))
-              + gain * (abs(data.gamma) ** 2 + cfg.sigma2_w) - abs(data.beta) ** 2 - cfg.sigma2_w)
-        assert np.allclose(data.f, f, rtol=1e-12, atol=1e-12 * np.linalg.norm(f))
-        assert data.c2 == pytest.approx(c2, rel=1e-12)
+        A = dense_A(w, ch, cfg)
+        lam = max_eigval(A)
+        m_minus_a_u = (lam * np.eye(n) - A) @ ut
+        f_ref = m_minus_a_u + b * np.conj(beta) - gain * c * np.conj(gamma)
+        c2_ref = (n * lam + float(np.real(ut.conj() @ m_minus_a_u))
+                  + gain * (abs(gamma) ** 2 + cfg.sigma2_w) - abs(beta) ** 2 - cfg.sigma2_w)
+        scale = n * np.linalg.norm(A) + np.linalg.norm(f_ref)
+        assert np.allclose(f, f_ref, rtol=1e-12, atol=1e-12 * scale)
+        assert c2 == pytest.approx(c2_ref, rel=1e-12, abs=1e-12 * (scale + abs(c2_ref)))
 
     def test_degenerate_secrecy_data(self):
         cfg = ScenarioConfig(M=3, N=4, seed=8, r0=1.0, **DESK)
@@ -235,18 +253,18 @@ class TestBuildPhaseData:
                         h_ib=np.zeros(4), h_ih=ch.h_ih, h_ie=np.zeros(4))
         u = initial_phase_profile(cfg)
         w = np.ones(3, dtype=complex)
-        data = build_phase_data(w, u, nb, cfg)
-        assert np.allclose(dense_A(data, cfg), 0)
-        assert np.allclose(data.f, 0)
+        _, f, _ = build_phase_data(w, u, nb, cfg)
+        assert np.allclose(dense_A(w, nb, cfg), 0)
+        assert np.allclose(f, 0)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 24])
     def test_lambda_max_matches_eigensolver(self, n):
         for seed in range(3):
             cfg, ch, u, w = self.make(seed=seed, n=n)
-            data = build_phase_data(w, u, ch, cfg)
-            A = dense_A(data, cfg)
+            _, (b, _), (c, _) = channel_slices(w, ch)
+            A = dense_A(w, ch, cfg)
             scale = np.linalg.norm(A)
-            assert abs(data.lambda_max_A - max_eigval(A)) <= 1e-12 * scale
+            assert abs(_rank_two_max_eigval(2.0 ** cfg.r0, c, b) - max_eigval(A)) <= 1e-12 * scale
 
     @pytest.mark.parametrize("n", [1, 2, 3, 24])
     def test_rank_two_max_eigval_special_pairs(self, n):
@@ -270,26 +288,29 @@ class TestBuildPhaseData:
     def test_objective_minorant_random_profiles(self):
         rng = np.random.default_rng(9)
         cfg, ch, u, w = self.make(seed=10)
-        data = build_phase_data(w, u, ch, cfg)
+        d, _, _ = build_phase_data(w, u, ch, cfg)
+        (a, alpha), _, _ = channel_slices(w, ch)
+        c1 = abs(alpha) ** 2 - abs(np.vdot(a, u.u)) ** 2
         for _ in range(1000):
             uu = np.exp(2j * np.pi * rng.random(5))
-            bound = 2.0 * float(np.real(uu.conj() @ data.d)) + data.c1
-            truth = abs(uu.conj() @ data.a + data.alpha) ** 2
+            bound = 2.0 * float(np.real(uu.conj() @ d)) + c1
+            truth = abs(uu.conj() @ a + alpha) ** 2
             assert bound <= truth + 1e-9 * (1.0 + truth)
 
     def test_constraint_surrogate_restricts_original(self):
         # any u satisfying 2Re(u^H f) >= c2 satisfies the true secrecy constraint
         rng = np.random.default_rng(10)
         cfg, ch, u, w = self.make(seed=11)
-        data = build_phase_data(w, u, ch, cfg)
+        _, f, c2 = build_phase_data(w, u, ch, cfg)
+        _, (b, beta), (c, gamma) = channel_slices(w, ch)
         gain = 2.0 ** cfg.r0
         found = 0
         for _ in range(3000):
             uu = np.exp(2j * np.pi * rng.random(5))
-            if 2.0 * float(np.real(uu.conj() @ data.f)) >= data.c2:
+            if 2.0 * float(np.real(uu.conj() @ f)) >= c2:
                 found += 1
-                bb = abs(uu.conj() @ data.b + data.beta) ** 2
-                ee = abs(uu.conj() @ data.c + data.gamma) ** 2
+                bb = abs(uu.conj() @ b + beta) ** 2
+                ee = abs(uu.conj() @ c + gamma) ** 2
                 assert bb + cfg.sigma2_w >= gain * (ee + cfg.sigma2_w) * (1 - 1e-9)
         assert found > 0
 
@@ -323,19 +344,11 @@ class TestUOfMu:
 
 
 class TestBisectMu:
-    def make_data(self, d, f, c2):
-        n = len(d)
-        return PhaseSubproblemData(a=np.zeros(n), b=np.zeros(n), c=np.zeros(n),
-                                   alpha=0j, beta=0j, gamma=0j,
-                                   lambda_max_A=0.0, d=np.asarray(d, complex),
-                                   f=np.asarray(f, complex), c1=0.0, c2=float(c2))
-
     def test_slack_constraint_gives_zero_multiplier(self):
         d = np.array([1.0 + 1.0j, -2.0])
         f = np.array([1.0, 1.0j])
         g0 = 2 * np.real(u_of_mu(d, f, 0.0).u.conj() @ f)
-        data = self.make_data(d, f, g0 - 1.0)
-        mu, prof = bisect_mu(data)
+        mu, prof = bisect_mu(d, f, g0 - 1.0)
         assert mu == 0.0
         assert np.allclose(prof.u, np.exp(1j * np.angle(d)))
 
@@ -358,8 +371,7 @@ class TestBisectMu:
             g0 = 2 * np.real(u_of_mu(d, f, 0.0).u.conj() @ f)
             gmax = 2 * np.sum(np.abs(f))
             c2 = g0 + 0.7 * (gmax - g0)
-            data = self.make_data(d, f, c2)
-            mu, prof = bisect_mu(data)
+            mu, prof = bisect_mu(d, f, c2)
             assert mu > 0
             g = 2 * np.real(prof.u.conj() @ f)
             assert abs(g - c2) <= 1e-8 * (1 + abs(c2))
@@ -368,9 +380,24 @@ class TestBisectMu:
     def test_unreachable_constraint_raises(self):
         d = np.array([1.0, 1.0j])
         f = np.array([0.1, 0.1])
-        data = self.make_data(d, f, 2 * np.sum(np.abs(f)) + 1.0)
         with pytest.raises(PhaseStepInfeasible):
-            bisect_mu(data)
+            bisect_mu(d, f, 2 * np.sum(np.abs(f)) + 1.0)
+
+    def test_no_bracket_raises(self):
+        # 2 sum|f_n| = 4 clears c2, but the entry of d that f must outweigh
+        # stays negative up to the last bracket end 2^200
+        d = np.array([1.0, -1e70], dtype=complex)
+        f = np.array([1.0, 1.0], dtype=complex)
+        with pytest.raises(PhaseStepInfeasible, match="bisection bracket not found"):
+            bisect_mu(d, f, 3.5)
+
+    def test_no_bracket_within_tolerance_returns_last_end(self):
+        # g stays just below c2 on every bracket end, within MU_TOL*(1 + |c2|)
+        d = np.array([1.0, 1.0], dtype=complex)
+        f = np.array([1.0, -1e-80], dtype=complex)
+        mu, prof = bisect_mu(d, f, 2.0 + 1e-9)
+        assert mu == 2.0 ** 200
+        assert np.array_equal(prof.u, [1.0, 1.0])
 
 
 class TestScaAo:
@@ -405,6 +432,30 @@ class TestScaAo:
         assert res.iters_outer <= 30
         first99 = int(np.argmax(tr >= 0.99 * tr[-1]))
         assert first99 <= 15
+
+    def test_infeasible_phase_step_keeps_profile(self, monkeypatch):
+        # from its second call on, the phase step finds the linearized secrecy
+        # constraint unreachable; sca_ao keeps the profile it has
+        import irs_swipt.sca as sca
+        cfg = ScenarioConfig(M=3, N=6, seed=0, r0=1.0, **DESK)
+        ch = generate_scenario(cfg)
+        calls = []
+
+        def first_only(d, f, c2):
+            if calls:
+                calls.append(None)
+                raise PhaseStepInfeasible("linearized secrecy constraint unreachable")
+            calls.append(bisect_mu(d, f, c2))
+            return calls[0]
+
+        monkeypatch.setattr(sca, "bisect_mu", first_only)
+        res = sca_ao(ch, cfg)
+        assert len(calls) > 1
+        assert np.array_equal(res.u.u, calls[0][1].u)
+        assert res.status in ("Converged", "MaxIters")
+        tr = res.harvested_trace
+        assert all(tr[i + 1] >= tr[i] * (1 - 1e-8) for i in range(len(tr) - 1))
+        assert check_feasible(res.w.w, res.u, cfg, ch).feasible
 
     def test_infeasible_scenario_flagged(self):
         cfg = ScenarioConfig(M=2, N=2, seed=22, r0=30.0)
