@@ -3,16 +3,17 @@
 A multi-antenna access point serves an information receiver under a secrecy
 constraint while an energy harvester collects power from the same signal; an
 IRS with unit-modulus phase shifts assists.  Two alternating-optimization
-solvers maximize the harvested power: a semidefinite-relaxation method with
-Gaussian randomization (own interior-point SDP solver included), and a
+solvers maximize the harvested power: a semidefinite-relaxation method (own
+interior-point SDP solver included) that recovers its phase profile by
+Gaussian randomization and takes the exact beamformer for it, and a
 low-complexity successive-convex-approximation method with closed-form phase
-updates.  Brute-force grid oracles and a batch experiment harness round out
-the package.
+updates; both share the exact fixed-profile beamformer step.  Brute-force
+grid oracles and a batch experiment harness round out the package.
 """
 
 from .channel import ChannelSet, ScenarioConfig, dbm_to_watt, generate_scenario, path_loss_gain, stack_effective
 from .errors import (GridTooLarge, InvalidInput, IrsSwiptError, NotPSD, NumericalFailure,
-                     PhaseStepInfeasible, RecoveryFailed, SubproblemInfeasible)
+                     PhaseStepInfeasible, SubproblemInfeasible)
 from .experiments import ExperimentSpec, ResultRow, compare_complexity, emit_csv, parse_csv, run_experiment
 from .linalg import herm_eig, max_eigval, psd_sqrt
 from .metrics import (Beamformer, FeasibilityReport, PhaseProfile, SolveResult, check_feasible,

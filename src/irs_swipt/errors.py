@@ -21,10 +21,6 @@ class SubproblemInfeasible(IrsSwiptError):
     """A convex subproblem has no feasible point (e.g. the secrecy target is unattainable)."""
 
 
-class RecoveryFailed(IrsSwiptError):
-    """Gaussian randomization produced no feasible candidate and the fallback failed too."""
-
-
 class PhaseStepInfeasible(IrsSwiptError):
     """The linearized phase-shift subproblem cannot meet its secrecy constraint."""
 

@@ -1,10 +1,10 @@
 """What the alternating-optimization solvers share: the starting phase
 profile, the full-power secrecy-maximizing beamformer used as a feasibility
-probe and as a strictly feasible starting point, the exact fixed-profile
-beamformer step (rank_one_w, through its 1-D dual) that sdr_ao, sca_ao and
-the beamformer-only baselines all take, and the alternation loop they all run
-(sdr_ao also maps its final relaxed state to a rank-one pair once, after the
-loop)."""
+probe and as a strictly feasible starting point, the exact beamformer for a
+fixed profile (exact_w, through the 1-D dual of rank_one_w, which sdr_ao's W
+half-step also solves) that sca_ao, the beamformer-only baselines and sdr_ao's
+profile recovery all take, and the alternation loop they all run (sdr_ao also
+maps its final relaxed state to a rank-one pair once, after the loop)."""
 
 import time
 
@@ -153,6 +153,19 @@ def _feasible_combination(e_lo, g_lo, e_hi, g_hi, A, c):
             lo = mid
     x = (1 - hi) * e_lo + hi * e_hi
     return x / np.linalg.norm(x)
+
+
+def exact_w(v, channels, cfg):
+    """Unit e of the exact beamformer sqrt(Ps) e for the profile v = [u; 1]:
+    e = rank_one_w(g_r g_r^H, g_b g_b^H - 2^r0 g_e g_e^H, 2^r0 - 1), with the
+    gains g_x = H_x^H v sqrt(Ps)/sigma.  Raises SubproblemInfeasible as
+    rank_one_w does.
+    """
+    scale = np.sqrt(cfg.ps_w / cfg.sigma2_w)
+    g_r, g_b, g_e = ((H.conj().T @ v) * scale for H in (channels.H_r, channels.H_b, channels.H_e))
+    gain = 2.0 ** cfg.r0
+    A = np.outer(g_b, g_b.conj()) - gain * np.outer(g_e, g_e.conj())
+    return rank_one_w(np.outer(g_r, g_r.conj()), A, gain - 1.0)
 
 
 def feasibility_probe(channels, cfg, u0):

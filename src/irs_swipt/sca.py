@@ -10,17 +10,17 @@ expansion point, so the true harvested power never decreases.
 
 For a fixed profile the beamformer problem is a QCQP with two constraints
 whose semidefinite relaxation is tight, so sca_w_step solves it exactly
-through the same 1-D dual as the SDR W step (init.rank_one_w), built from
-the three M-dimensional gain vectors.  The phase step's majorizer
-lambda_max(A) of the rank-two A comes from a 2x2 eigenproblem, which is what
-spares this method the profile SDP.
+(init.exact_w, the same 1-D dual as the SDR W step, built from the three
+M-dimensional gain vectors).  The phase step's majorizer lambda_max(A) of
+the rank-two A comes from a 2x2 eigenproblem, which is what spares this
+method the profile SDP.
 """
 
 import math
 import numpy as np
 
 from .errors import PhaseStepInfeasible, SubproblemInfeasible
-from .init import alternate, initial_phase_profile, rank_one_w
+from .init import alternate, exact_w, initial_phase_profile
 from .metrics import Beamformer, PhaseProfile, harvested_power
 
 MAX_INNER_U = 30  # phase steps per outer round
@@ -151,24 +151,19 @@ def bisect_mu(d, f, c2):
 
 
 def sca_w_step(v, w_prev, channels, cfg):
-    """Exact beamformer step for the fixed profile v: sqrt(Ps) e with
-    e = rank_one_w(g_r g_r^H, g_b g_b^H - 2^r0 g_e g_e^H, 2^r0 - 1), the gains
-    g_x = H_x^H v sqrt(Ps)/sigma.
+    """Exact beamformer step for the fixed profile v: sqrt(Ps) init.exact_w(v).
 
     w_prev is returned when it does at least as well, so the true objective
-    |v^H H_r w|^2 never decreases, and when rank_one_w finds the target
+    |v^H H_r w|^2 never decreases, and when exact_w finds the target
     unattainable, which for a feasible w_prev is rounding (see rank_one_w).
     """
     v = np.asarray(getattr(v, "v", v), dtype=complex)
     w_prev = np.asarray(getattr(w_prev, "w", w_prev), dtype=complex)
-    scale = np.sqrt(cfg.ps_w / cfg.sigma2_w)
-    g_r, g_b, g_e = ((H.conj().T @ v) * scale for H in (channels.H_r, channels.H_b, channels.H_e))
-    gain = 2.0 ** cfg.r0
-    A = np.outer(g_b, g_b.conj()) - gain * np.outer(g_e, g_e.conj())
     try:
-        e = rank_one_w(np.outer(g_r, g_r.conj()), A, gain - 1.0)
+        e = exact_w(v, channels, cfg)
     except SubproblemInfeasible:
         return Beamformer(w_prev)
+    g_r = (channels.H_r.conj().T @ v) * np.sqrt(cfg.ps_w / cfg.sigma2_w)
     if abs(np.vdot(g_r, e)) <= abs(np.vdot(g_r, w_prev / np.sqrt(cfg.ps_w))):
         return Beamformer(w_prev)
     return Beamformer(np.sqrt(cfg.ps_w) * e)

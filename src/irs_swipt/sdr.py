@@ -14,14 +14,17 @@ structured unit-diagonal operator, with the secrecy row scaled to unit size
 apart from the objective, and warm-started from the previous V-SDP's final
 iterate, since consecutive rounds differ only through w; a V step that the
 solver's tolerance leaves below the W step's value keeps the previous V,
-which stays feasible, so the relaxed objective never decreases.  Only the
-profile is recovered, by Gaussian randomization against that w, so the
-returned pair is jointly feasible; _best_candidate draws, maps and scores
-all candidates at once (it also backs randomize_w, kept for a general
-lifted W, which sdr_ao does not need).
+which stays feasible, so the relaxed objective never decreases.
 
-sdr_ao runs the alternation loop of init.py with the W-step/V-SDP round as
-its step and the profile recovery as its recover callable.
+sdr_ao runs the alternation loop of init.py with this round as its step; its
+recover callable maps the last state to a pair in two steps.  The profile is
+drawn from the last V by Gaussian randomization against the last W step's w
+(randomize_v): V is not always rank one, and there the draws can beat V's top
+eigenvector.  The beamformer is then the exact one for that profile
+(init.exact_w, the step sca_ao takes), which does at least as well as w.
+Where rounding at r0 = the attainable maximum makes exact_w raise, w is kept
+if the pair passes check_feasible, and the feasibility probe's pair is
+returned otherwise.
 
 Subproblems are assembled in noise-normalized units (channels scaled by
 sqrt(Ps)/sigma, trace budget 1) to keep the interior-point iterations well
@@ -30,10 +33,10 @@ conditioned, and rescaled on the way out.
 
 import numpy as np
 
-from .errors import NumericalFailure, RecoveryFailed, SubproblemInfeasible
-from .init import alternate, initial_phase_profile, rank_one_w
+from .errors import NumericalFailure, SubproblemInfeasible
+from .init import alternate, exact_w, initial_phase_profile, max_sr_beamformer, rank_one_w
 from .linalg import herm_eig, psd_sqrt
-from .metrics import Beamformer, PhaseProfile
+from .metrics import Beamformer, PhaseProfile, check_feasible
 from .sdp import UnitDiagonalSdp, solve_sdp
 
 RAND_COUNT = 1000  # Gaussian randomization candidates per recovery
@@ -102,62 +105,33 @@ def solve_v_sdp(w, channels, cfg, warm=None):
     return sol.X, float(cfg.sigma2_w * sol.objective_value / scale), sol
 
 
-def _best_candidate(X, to_candidates, gains, cfg, count, rng, what):
-    """Gaussian randomization of a lifted variable X.
+def randomize_w(W, fixed_profile, channels, cfg):
+    """The beamformer of a lifted W: its principal factor sqrt(lambda_max) e_max,
+    scaled down to the power budget when over it.
 
-    Draws count candidates to_candidate(psd_sqrt(X) @ r), r circular
-    Gaussian, all at once: to_candidates maps the rows
-    (psd_sqrt(X) @ r_k)^T to candidate rows and gains maps those to rows of
-    squared (EHR, Bob, Eve) gains.  Returns the secrecy-feasible candidate with
-    the largest harvested gain (the first one on ties).  When no draw is
-    secrecy-feasible it falls back to the candidate of the principal factor
-    sqrt(lambda_max) e_max of X, and raises RecoveryFailed if that fails too.
+    A W-SDP optimum is rank one (two trace constraints), so Gaussian draws
+    from it only return this factor up to phase and scale; the profile and
+    channels are not used.  sdr_ao does not call this: the name is kept for
+    the per-layer spans of perfbench/layers.py, which look it up.
     """
-    rng = np.random.default_rng(cfg.seed) if rng is None else rng
-    gain, s2 = 2.0 ** cfg.r0, cfg.sigma2_w
-    secure = lambda g: g[:, 1] + s2 >= gain * (g[:, 2] + s2) * (1.0 - 1e-12)
-    shape = (count, X.shape[0])
-    r = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
-    cands = to_candidates(r @ psd_sqrt(X).T)
-    g = gains(cands)
-    ok = secure(g)
-    if ok.any():
-        return cands[np.argmax(np.where(ok, g[:, 0], -np.inf))].copy()
-    vals, vecs = herm_eig(X)
-    best = to_candidates(np.sqrt(max(vals[-1], 0.0)) * vecs[:, -1:].T)
-    if not secure(gains(best))[0]:
-        raise RecoveryFailed(f"no secrecy-feasible {what} candidate")
-    return best[0]
-
-
-def randomize_w(W, fixed_profile, channels, cfg, count=RAND_COUNT, rng=None):
-    """Recover a rank-one beamformer from a lifted W by Gaussian randomization.
-
-    Candidates are psd_sqrt(W) @ r with circular Gaussian r, rescaled to the
-    power budget when over it; the best secrecy-feasible candidate by harvested
-    power wins, with the scaled principal eigenvector as fallback.
-    """
-    v = getattr(fixed_profile, "v", fixed_profile)
-    G = np.stack([H.conj().T @ v for H in (channels.H_r, channels.H_b, channels.H_e)], axis=1)
-
-    def within_budget(w):
-        p = np.sum(np.abs(w) ** 2, axis=1, keepdims=True)
-        return w * np.sqrt(cfg.ps_w / np.maximum(p, cfg.ps_w))
-
-    gains = lambda w: np.abs(w @ G.conj()) ** 2
-    return Beamformer(_best_candidate(W, within_budget, gains, cfg, count, rng, "beamformer"))
+    vals, vecs = herm_eig(W)
+    w = np.sqrt(max(vals[-1], 0.0)) * vecs[:, -1]
+    return Beamformer(w * np.sqrt(cfg.ps_w / max(np.real(np.vdot(w, w)), cfg.ps_w)))
 
 
 def randomize_v(V, fixed_beam, channels, cfg, count=RAND_COUNT, rng=None):
     """Recover a unit-modulus profile from a lifted V by Gaussian randomization.
 
-    Candidates are normalized by their last entry and projected entrywise to
-    unit modulus; the best secrecy-feasible candidate by harvested power
-    against the beamformer fixed_beam wins, falling back to the phases of the
-    principal eigenvector.
+    Draws count candidates psd_sqrt(V) r, r circular Gaussian, all at once,
+    normalizes each by its last entry and projects it entrywise to unit
+    modulus.  Returns the candidate with the largest harvested gain among
+    those that meet the secrecy target with the beamformer fixed_beam (the
+    first one on ties); when no draw does, the same projection of V's
+    principal factor sqrt(lambda_max) e_max, secure or not.
     """
     if cfg.N == 0:
         return PhaseProfile(np.zeros(0, dtype=complex))
+    rng = np.random.default_rng(cfg.seed) if rng is None else rng
     w = np.asarray(getattr(fixed_beam, "w", fixed_beam))
     Y = np.stack([H @ w for H in (channels.H_r, channels.H_b, channels.H_e)], axis=1)
 
@@ -166,25 +140,30 @@ def randomize_v(V, fixed_beam, channels, cfg, count=RAND_COUNT, rng=None):
         vt = vt / np.where(last != 0, last, 1.0)
         return np.exp(1j * np.angle(vt[:, :-1]))
 
-    gains = lambda u: np.abs(np.concatenate([u, np.ones((len(u), 1))], axis=1).conj() @ Y) ** 2
-    return PhaseProfile(_best_candidate(V, project, gains, cfg, count, rng, "profile"))
+    shape = (count, V.shape[0])
+    r = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+    cands = project(r @ psd_sqrt(V).T)
+    g = np.abs(np.concatenate([cands, np.ones((count, 1))], axis=1).conj() @ Y) ** 2
+    s2 = cfg.sigma2_w
+    ok = g[:, 1] + s2 >= 2.0 ** cfg.r0 * (g[:, 2] + s2) * (1.0 - 1e-12)
+    if ok.any():
+        return PhaseProfile(cands[np.argmax(np.where(ok, g[:, 0], -np.inf))].copy())
+    vals, vecs = herm_eig(V)
+    return PhaseProfile(project(np.sqrt(max(vals[-1], 0.0)) * vecs[:, -1:].T)[0])
 
 
 def sdr_ao(channels, cfg):
     """Full SDR-based alternating optimization with randomization recovery.
 
     harvested_trace holds the relaxed objective zeta*tr(H_r^H V H_r W) per
-    outer iteration; the recovered pair, the last W step's beamformer with a
-    profile drawn from the last V, can only sit at or below its final value.
-    A V step that the interior-point solve leaves below the W step's value
-    keeps the previous V, which meets the secrecy row for the new w, so the
-    trace never decreases.  A W step that rounding finds infeasible keeps the
-    previous w with its relaxed value (see init.rank_one_w).  Each V-SDP
-    after the first is warm-started from the previous one's solution, whether
-    or not that solution's V was kept: consecutive rounds differ only through
-    w.
+    outer iteration; the V and W steps' fallbacks (see the module docstring)
+    keep it non-decreasing.  Each V-SDP after the first is warm-started from
+    the previous one's solution, whether or not its V was kept.  The
+    recovered pair is not bounded by the final relaxed value, a local value
+    of the alternation: its exact beamformer can exceed it.
     """
     rng = np.random.default_rng(cfg.seed)
+    u0 = initial_phase_profile(cfg, rng)
     last_v_sdp = None
 
     def step(state, counts):
@@ -206,7 +185,13 @@ def sdr_ao(channels, cfg):
         return (w, V), cfg.zeta * obj
 
     def recover(state):
-        w, V = state
-        return w, randomize_v(V, w, channels, cfg, rng=rng)
+        w_last, V = state
+        u = randomize_v(V, w_last, channels, cfg, rng=rng)
+        try:
+            return np.sqrt(cfg.ps_w) * exact_w(u.v, channels, cfg), u
+        except SubproblemInfeasible:  # rounding at r0 = the attainable maximum
+            if check_feasible(w_last, u, cfg, channels).feasible:
+                return w_last, u
+            return max_sr_beamformer(u0.v, channels, cfg)[0], u0
 
-    return alternate(channels, cfg, initial_phase_profile(cfg, rng), step, recover)
+    return alternate(channels, cfg, u0, step, recover)

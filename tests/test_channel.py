@@ -7,9 +7,7 @@ from irs_swipt.channel import (ScenarioConfig, dbm_to_watt, generate_scenario,
                                path_loss_gain, stack_effective)
 from irs_swipt.config import parse_config_text
 from irs_swipt.errors import InvalidInput
-from irs_swipt.metrics import check_feasible
 from irs_swipt.sdp import SdpProblem, solve_sdp
-from irs_swipt.sdr import randomize_v, sdr_ao, solve_v_sdp
 
 
 class TestPathLossGain:
@@ -194,15 +192,3 @@ def test_solver_knobs_must_be_valid(knob):
     prob = SdpProblem(np.eye(2), [(np.ones(2), "==", 1.0)])
     with pytest.raises(InvalidInput, match="tol must be > 0"):
         solve_sdp(prob, tol=knob)
-
-
-def test_zero_rand_count_recovers_principal_eigenvector():
-    # count = 0 draws no candidate: recovery falls back to the principal eigenvector
-    cfg = ScenarioConfig(M=2, N=4, seed=3)
-    ch = generate_scenario(cfg)
-    w = sdr_ao(ch, cfg).w.w
-    V, _, _ = solve_v_sdp(w, ch, cfg)
-    u = randomize_v(V, w, ch, cfg, count=0)
-    e = np.linalg.eigh(V)[1][:, -1]
-    assert np.allclose(u.u, np.exp(1j * np.angle(e[:-1] / e[-1])), atol=1e-12)
-    assert check_feasible(w, u, cfg, ch).feasible

@@ -162,7 +162,7 @@ class TestScaWStep:
         assert np.allclose(sca_w_step(u.v, w, ch, cfg).w, w, rtol=0, atol=1e-14 * abs(w[0]))
 
     def test_unattainable_target_returns_w_prev(self, monkeypatch):
-        # the step keeps w_prev when rank_one_w raises, even where the step
+        # the step keeps w_prev when exact_w raises, even where the step
         # without the raise would move
         import irs_swipt.sca as sca
         cfg = ScenarioConfig(M=4, N=3, seed=2, r0=0.5, **DESK)
@@ -174,7 +174,7 @@ class TestScaWStep:
         def unattainable(*args):
             raise SubproblemInfeasible("rounding")
 
-        monkeypatch.setattr(sca, "rank_one_w", unattainable)
+        monkeypatch.setattr(sca, "exact_w", unattainable)
         assert np.array_equal(sca_w_step(u.v, w_prev, ch, cfg).w, w_prev)
 
     def test_expansion_point_on_boundary(self):

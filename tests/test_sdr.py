@@ -5,7 +5,8 @@ import pytest
 
 from irs_swipt.channel import ChannelSet, ScenarioConfig, generate_scenario
 from irs_swipt.errors import SubproblemInfeasible
-from irs_swipt.init import feasibility_probe, initial_phase_profile, max_sr_beamformer, rank_one_w
+from irs_swipt.init import (exact_w, feasibility_probe, initial_phase_profile, max_sr_beamformer,
+                            rank_one_w)
 from irs_swipt.metrics import PhaseProfile, check_feasible, harvested_power
 from irs_swipt.linalg import psd_sqrt
 from irs_swipt.sdp import DEFAULT_TOL, SdpProblem, solve_sdp
@@ -316,7 +317,7 @@ class TestRandomization:
         u = PhaseProfile(np.ones(4, dtype=complex))
         w_star, _ = max_sr_beamformer(u.v, ch, cfg)
         W = np.outer(w_star, w_star.conj())
-        w = randomize_w(W, u, ch, cfg, count=50, rng=np.random.default_rng(0))
+        w = randomize_w(W, u, ch, cfg)
         got = abs(np.vdot(u.v, ch.H_r @ w.w)) ** 2
         want = abs(np.vdot(u.v, ch.H_r @ w_star)) ** 2
         assert got == pytest.approx(want, abs=1e-8 * max(want, 1.0), rel=1e-8)
@@ -327,7 +328,7 @@ class TestRandomization:
         V = np.outer(u.v, u.v.conj())
         w_step, obj = solve_w_sdp(V, ch, cfg)
         W = np.outer(w_step, w_step.conj())
-        w = randomize_w(W, u, ch, cfg, count=1000, rng=np.random.default_rng(3))
+        w = randomize_w(W, u, ch, cfg)
         got = abs(np.vdot(u.v, ch.H_r @ w.w)) ** 2
         assert got <= obj * (1.0 + 1e-8)
 
@@ -337,7 +338,7 @@ class TestRandomization:
         V = np.outer(u.v, u.v.conj())
         w_step, _ = solve_w_sdp(V, ch, cfg)
         W = np.outer(w_step, w_step.conj())
-        w = randomize_w(W, u, ch, cfg, rng=np.random.default_rng(4))
+        w = randomize_w(W, u, ch, cfg)
         assert check_feasible(w.w, u, cfg, ch).feasible
 
     def test_rank_one_v_recovered(self):
@@ -359,47 +360,42 @@ class TestRandomization:
 
     def test_vectorized_draws_pick_the_per_draw_loop_choice(self):
         # A per-draw loop with a strict > over the same Gaussian matrix picks
-        # the same candidate as the vectorized selection.  At this instance
-        # most beamformer draws, the best-harvesting one among them, miss the
-        # secrecy target.
+        # the same profile as the vectorized selection.
         cfg = ScenarioConfig(M=3, N=6, seed=18, r0=1.0)
         ch = generate_scenario(cfg)
         gain = 2.0 ** cfg.r0
         rng = np.random.default_rng(8)
         u = PhaseProfile(np.exp(2j * np.pi * rng.random(6)))
-        w_step, _ = solve_w_sdp(np.outer(u.v, u.v.conj()), ch, cfg)
-        V, _, _ = solve_v_sdp(w_step, ch, cfg)
-        # spread the draws over all of C^M
-        W = np.outer(w_step, w_step.conj()) + 0.2 * cfg.ps_w * np.eye(3) / 3
+        w, _ = solve_w_sdp(np.outer(u.v, u.v.conj()), ch, cfg)
+        V, _, _ = solve_v_sdp(w, ch, cfg)
 
-        def loop_choice(X, to_candidate, gains, seed, count=400):
-            draws = np.random.default_rng(seed)
-            shape = (count, X.shape[0])
-            r = (draws.standard_normal(shape) + 1j * draws.standard_normal(shape)) / np.sqrt(2)
-            root = psd_sqrt(X)
-            best, best_val = None, -np.inf
-            for rk in r:
-                cand = to_candidate(root @ rk)
-                g = gains(cand)
-                if g[1] + cfg.sigma2_w >= gain * (g[2] + cfg.sigma2_w) * (1 - 1e-12) \
-                        and g[0] > best_val:
-                    best, best_val = cand, g[0]
-            return best
-
-        g = [H.conj().T @ u.v for H in (ch.H_r, ch.H_b, ch.H_e)]
-        budget = lambda w: w * min(1.0, np.sqrt(cfg.ps_w / np.real(np.vdot(w, w))))
-        want = loop_choice(W, budget, lambda w: [abs(np.vdot(x, w)) ** 2 for x in g], 9)
-        w = randomize_w(W, u, ch, cfg, count=400, rng=np.random.default_rng(9)).w
-        assert want is not None
-        assert np.allclose(w, want, rtol=1e-12, atol=1e-12 * np.linalg.norm(want))
-
+        draws = np.random.default_rng(10)
+        shape = (400, V.shape[0])
+        r = (draws.standard_normal(shape) + 1j * draws.standard_normal(shape)) / np.sqrt(2)
+        root = psd_sqrt(V)
         y = [H @ w for H in (ch.H_r, ch.H_b, ch.H_e)]
-        project = lambda vt: np.exp(1j * np.angle(vt[:-1] / vt[-1]))
-        gains_u = lambda uu: [abs(np.vdot(np.append(uu, 1.0), x)) ** 2 for x in y]
-        want = loop_choice(V, project, gains_u, 10)
+        want, best_val = None, -np.inf
+        for rk in r:
+            vt = root @ rk
+            cand = np.exp(1j * np.angle(vt[:-1] / vt[-1]))
+            g = [abs(np.vdot(np.append(cand, 1.0), x)) ** 2 for x in y]
+            if g[1] + cfg.sigma2_w >= gain * (g[2] + cfg.sigma2_w) * (1 - 1e-12) \
+                    and g[0] > best_val:
+                want, best_val = cand, g[0]
         got = randomize_v(V, w, ch, cfg, count=400, rng=np.random.default_rng(10)).u
         assert want is not None
         assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_zero_rand_count_recovers_principal_eigenvector(self):
+        # count = 0 draws no candidate: recovery falls back to the principal eigenvector
+        cfg = ScenarioConfig(M=2, N=4, seed=3)
+        ch = generate_scenario(cfg)
+        w = sdr_ao(ch, cfg).w.w
+        V, _, _ = solve_v_sdp(w, ch, cfg)
+        u = randomize_v(V, w, ch, cfg, count=0)
+        e = np.linalg.eigh(V)[1][:, -1]
+        assert np.allclose(u.u, np.exp(1j * np.angle(e[:-1] / e[-1])), atol=1e-12)
+        assert check_feasible(w, u, cfg, ch).feasible
 
     def test_beats_random_phase_baseline(self):
         rng = np.random.default_rng(7)
@@ -422,6 +418,30 @@ class TestRandomization:
             wins.append(opt - base)
         assert len(wins) > 50
         assert np.median(wins) > 0
+
+
+def sdr_ao_with_exact_w_raising(monkeypatch, profile=None):
+    """(result, the last W step's w, the drawn profile, cfg, channels) of
+    sdr_ao with exact_w raising; profile, if given, maps the drawn profile,
+    the last w and the channels to the profile the recovery gets instead."""
+    import irs_swipt.sdr as sdr
+    drawn = []
+
+    def spy(V, w, channels, cfg, **kwargs):
+        u = randomize_v(V, w, channels, cfg, **kwargs)
+        drawn.append((w, u if profile is None else profile(u, w, channels)))
+        return drawn[-1][1]
+
+    def unattainable(*args):
+        raise SubproblemInfeasible("rounding")
+
+    monkeypatch.setattr(sdr, "randomize_v", spy)
+    monkeypatch.setattr(sdr, "exact_w", unattainable)
+    cfg = ScenarioConfig(M=4, N=8, r0=3.0, seed=0)
+    ch = generate_scenario(cfg)
+    res = sdr_ao(ch, cfg)
+    assert res.status in ("Converged", "MaxIters") and len(drawn) == 1
+    return (res, *drawn[0], cfg, ch)
 
 
 class TestSdrAo:
@@ -458,11 +478,10 @@ class TestSdrAo:
             prev = obj_v
 
     def test_recovered_pair_feasible_and_bounded(self):
-        # The returned pair is the last W step's beamformer with a profile
-        # drawn from the last V and kept only if secrecy-feasible against it:
-        # a feasible rank-one point of the last V-SDP, so its harvested power
-        # cannot beat that SDP's optimum, trace[-1], beyond the solver
-        # tolerance.  This is why no restart from the recovered pair is needed.
+        # The returned pair is a profile drawn from the last V with the exact
+        # beamformer for it, which can beat the final relaxed value, a local
+        # value of the alternation; so the pair is checked for feasibility and
+        # for that beamformer wherever exact_w does not raise.
         rng = np.random.default_rng(70)
         solved = 0
         grid = itertools.product(range(4), (1, 2, 3, 4), (0.5, 1.0, 3.0), ("zero", "random"),
@@ -476,9 +495,33 @@ class TestSdrAo:
                 continue
             solved += 1
             assert check_feasible(res.w.w, res.u, cfg, ch).feasible, k
-            got = harvested_power(res.w.w, res.u, ch, cfg.zeta)
-            assert got <= res.harvested_trace[-1] * (1 + 2 * DEFAULT_TOL), k
+            try:
+                e = exact_w(res.u.v, ch, cfg)
+            except SubproblemInfeasible:
+                continue
+            assert np.array_equal(res.w.w, np.sqrt(cfg.ps_w) * e), k
         assert solved >= 200
+
+    def test_recovery_on_non_rank_one_v(self, monkeypatch):
+        # A batch instance whose last V is far from rank one: there the draws
+        # beat V's top-eigenvector profile, each with its exact beamformer.
+        import irs_swipt.sdr as sdr
+        lifted = []
+
+        def spy(V, *args, **kwargs):
+            lifted.append(V)
+            return randomize_v(V, *args, **kwargs)
+
+        monkeypatch.setattr(sdr, "randomize_v", spy)
+        cfg = ScenarioConfig(N=24, r0=3.0, seed=1032)
+        ch = generate_scenario(cfg)
+        res = sdr_ao(ch, cfg)
+        vals, vecs = np.linalg.eigh(lifted[-1])
+        assert vals[-1] / np.sum(vals) < 0.99
+        e = vecs[:, -1]
+        u = PhaseProfile(np.exp(1j * np.angle(e[:-1] / e[-1])))
+        top = harvested_power(np.sqrt(cfg.ps_w) * exact_w(u.v, ch, cfg), u, ch, cfg.zeta)
+        assert harvested_power(res.w.w, res.u, ch, cfg.zeta) >= top
 
     def test_infeasible_scenario_flagged(self):
         cfg = ScenarioConfig(M=2, N=2, seed=50, r0=30.0)
@@ -558,6 +601,25 @@ class TestSdrAo:
         assert np.array_equal(v_sdp_ws[1], w_steps[0])
         tr = res.harvested_trace  # the kept w's value is recomputed: equal up to rounding
         assert all(b >= a * (1 - 1e-12) for a, b in zip(tr, tr[1:])), tr
+
+    def test_infeasible_exact_w_keeps_the_last_w(self, monkeypatch):
+        res, w_last, u, cfg, ch = sdr_ao_with_exact_w_raising(monkeypatch)
+        assert check_feasible(w_last, u, cfg, ch).feasible
+        assert np.array_equal(res.w.w, w_last) and np.array_equal(res.u.u, u.u)
+
+    def test_infeasible_exact_w_and_last_w_return_the_probe_pair(self, monkeypatch):
+        # The drawn profile is replaced by the one that aligns Eve's channel,
+        # which misses the secrecy target with the last w.
+        def eve_aligned(u, w, channels):
+            y = channels.H_e @ w
+            return PhaseProfile(np.exp(1j * np.angle(y[:-1] / y[-1])))
+
+        res, w_last, u, cfg, ch = sdr_ao_with_exact_w_raising(monkeypatch, eve_aligned)
+        assert not check_feasible(w_last, u, cfg, ch).feasible
+        u0 = initial_phase_profile(cfg)
+        assert np.array_equal(res.u.u, u0.u)
+        assert np.array_equal(res.w.w, max_sr_beamformer(u0.v, ch, cfg)[0])
+        assert check_feasible(res.w.w, res.u, cfg, ch).feasible
 
     @pytest.mark.parametrize("seed", [65, 68, 134, 148])
     def test_strong_eavesdropper_without_irs(self, seed):
