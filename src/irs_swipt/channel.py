@@ -16,6 +16,7 @@ each stacked matrix ``H_x`` the cascaded-plus-direct channel satisfies
 """
 
 from dataclasses import dataclass, field, fields, replace
+from numbers import Integral
 import numpy as np
 
 from .errors import InvalidInput
@@ -65,10 +66,14 @@ class ScenarioConfig:
         for f in fields(self):
             if f.type is float and not np.isfinite(getattr(self, f.name)):
                 raise InvalidInput(f"{f.name} must be finite")
+            if f.type is int and not isinstance(getattr(self, f.name), Integral):
+                raise InvalidInput(f"{f.name} must be an integer")
         if self.M < 1:
             raise InvalidInput("M must be >= 1")
         if self.N < 0:
             raise InvalidInput("N must be >= 0")
+        if self.seed < 0:
+            raise InvalidInput("seed must be >= 0")
         for name in ("ps_w", "sigma2_w", "d_ap_irs", "d_ap_bob", "d_ap_ehr",
                      "d_ap_eve", "d_irs_bob", "d_irs_ehr", "d_irs_eve"):
             if getattr(self, name) <= 0:

@@ -9,17 +9,16 @@ traces the caller wrote down.
 solve_sdp is one infeasible-start primal-dual path-following loop with the
 XZ (HKM) search direction and a Mehrotra predictor-corrector step.  It sees
 the constraints only through an operator: apply, A(Y)_i = Re tr(A_i Y);
-adjoint, A*(y) = sum_i y_i A_i; schur, M_ij = Re tr(A_i X A_j Z^-1); the
-data C and b; and norm_A, which scales the start (solve_sdp derives the
-norms of b and C itself).  Two operators are peers: SdpProblem(C, rows) is
-the generic one, the reference that states every row as a dense matrix and
-each map by its definition; it is built from the objective and a list of
-rows, each a Hermitian matrix or a real diagonal;
-UnitDiagonalSdp is the profile SDP's own, a unit diagonal and one Hermitian
-inequality row, whose Schur matrix comes in closed form as Re(X .* Z^-T)
-bordered by that row.  Inequality constraints become equalities with a
-vector of slacks s >= 0 (dual z >= 0), which the loop carries beside the
-block.
+adjoint, A*(y) = sum_i y_i A_i; schur, M_ij = Re tr(A_i X A_j Z^-1); and
+the data C and b.  solve_sdp derives every norm that scales the start
+itself: those of b and C, and the largest row norm max_i ||A_i||_F from the
+diagonal of schur(I, I).  Two operators are peers: SdpProblem(C, rows) is
+the generic one, the reference that states every row as a dense Hermitian
+matrix and each map by its definition; UnitDiagonalSdp is the profile
+SDP's own, a unit diagonal and one Hermitian inequality row, whose Schur
+matrix comes in closed form as Re(X .* Z^-T) bordered by that row.
+Inequality constraints become equalities with a vector of slacks s >= 0
+(dual z >= 0), which the loop carries beside the block.
 
 Each iteration factors X and Z in one stacked Cholesky call as L L^H and
 inverts both factors in one stacked call: L^-1 whitens the predictor's and
@@ -75,8 +74,6 @@ class SdpSolution:
     duality_gap: float
     status: str           # Optimal | Infeasible | NumericalFailure
     iterations: int
-    primal_residual: float
-    dual_residual: float
     history: list         # (mu, relgap, pres, dres, pobj, dobj) per iterate
     Z: np.ndarray         # the final iterate's dual block
     y: np.ndarray         # its constraint multipliers
@@ -85,14 +82,10 @@ class SdpSolution:
 
 
 def _checked(mat, n):
-    """A Hermitian n x n matrix, or a real diagonal of length n, as given."""
+    """A Hermitian n x n matrix, as given."""
     mat = np.asarray(mat)
-    if mat.shape not in ((n,), (n, n)):
+    if mat.shape != (n, n):
         raise InvalidInput(f"shape {mat.shape} does not match dim {n}")
-    if mat.ndim == 1:
-        if np.iscomplexobj(mat) and np.any(mat.imag != 0):
-            raise InvalidInput("the diagonal of a Hermitian row must be real")
-        return mat.real.astype(float)
     mat = mat.astype(complex)
     if not is_hermitian(mat):
         raise InvalidInput("problem data must be Hermitian")
@@ -105,10 +98,9 @@ class SdpProblem:
     min Re tr(-C X) s.t. A(X) + (slack terms) = b, X >= 0, slacks >= 0.
 
     C is Hermitian; rows is an iterable of (A_i, sense, b_i) with sense in
-    {'==', '<=', '>='} and A_i a Hermitian matrix or a real 1-D array, the
-    diagonal of a diagonal matrix.  An inequality row i has one slack, with
-    coefficient slack_sign = +1 for '<=' and -1 for '>='; slack_rows lists
-    those rows.  A holds every row as a dense matrix, stacked (k, n, n)."""
+    {'==', '<=', '>='} and A_i a Hermitian n x n matrix.  An inequality row i
+    has one slack, with coefficient slack_sign = +1 for '<=' and -1 for '>=';
+    slack_rows lists those rows.  A holds the rows stacked (k, n, n)."""
 
     def __init__(self, C, rows):
         n = np.shape(C)[0] if np.ndim(C) == 2 else 0
@@ -128,13 +120,7 @@ class SdpProblem:
         self.b = np.array(b, dtype=float)
         self.slack_rows = np.array([i for i, s in enumerate(senses) if s != "=="], dtype=int)
         self.slack_sign = np.array([1.0 if s == "<=" else -1.0 for s in senses if s != "=="])
-
-        # norm_A: each dense row's norm on its own, the 1-D rows' together --
-        # sqrt(n) for a unit diagonal, where UnitDiagonalSdp starts too
-        diag = [t for t in terms if t.ndim == 1]
-        self.norm_A = max([1.0] + [float(np.linalg.norm(t)) for t in terms if t.ndim == 2]
-                          + ([float(np.linalg.norm(diag))] if diag else []))
-        self.A = np.array([np.diag(t) if t.ndim == 1 else t for t in terms], dtype=complex)
+        self.A = np.array(terms)
 
     def apply(self, Y):
         """A(Y): the vector Re tr(A_i Y) (Y not nec. Hermitian)."""
@@ -158,9 +144,9 @@ class UnitDiagonalSdp:
 
     The rows are the n unit-diagonal ones, then R's.  The Schur matrix is
     Re(X .* Zi^T) on the diagonal rows, bordered by d = Re diag(u) and
-    Re tr(R u) for u = X R Zi; the loop adds R's slack term.  The data and
-    norm_A equal those of the same problem stated as an SdpProblem, so both
-    start alike and take the same steps up to rounding.
+    Re tr(R u) for u = X R Zi; the loop adds R's slack term.  The data equal
+    those of the same problem stated as an SdpProblem, so both start alike
+    and take the same steps up to rounding.
     """
 
     def __init__(self, C, R, r):
@@ -171,7 +157,6 @@ class UnitDiagonalSdp:
         self.b = np.append(np.ones(n), float(r))
         self.slack_rows = np.array([n])
         self.slack_sign = np.array([-1.0])
-        self.norm_A = max(1.0, float(np.linalg.norm(R)), float(np.sqrt(n)))
 
     def apply(self, Y):
         out = np.empty(len(self.b))
@@ -240,10 +225,13 @@ def solve_sdp(op, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS, warm=None):
         out[rows] += sign * t
         return out
 
-    tau_p = 10.0 * max(1.0, float(np.max(np.abs(b))) / op.norm_A)
-    tau_d = 10.0 * max(1.0, norm_C / np.sqrt(n_total), op.norm_A)
-    X, s = tau_p * np.eye(n, dtype=complex), np.full(len(rows), tau_p)
-    Z, z = tau_d * np.eye(n, dtype=complex), np.full(len(rows), tau_d)
+    # the largest row norm: at X = Zi = I the Schur diagonal is Re tr(A_i A_i) = ||A_i||_F^2
+    eye = np.eye(n, dtype=complex)
+    norm_A = max(1.0, float(np.sqrt(np.max(np.diag(op.schur(eye, eye))))))
+    tau_p = 10.0 * max(1.0, float(np.max(np.abs(b))) / norm_A)
+    tau_d = 10.0 * max(1.0, norm_C / np.sqrt(n_total), norm_A)
+    X, s = tau_p * eye, np.full(len(rows), tau_p)
+    Z, z = tau_d * eye, np.full(len(rows), tau_d)
     y = np.zeros(len(b))
     if warm is not None:
         if (warm.X.shape, warm.y.shape, warm.s.shape) != (X.shape, y.shape, s.shape):
@@ -300,15 +288,20 @@ def solve_sdp(op, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS, warm=None):
             # the Schur matrix is positive definite while X, Z are (HKM direction)
             Ls = np.linalg.inv(np.linalg.cholesky(M))  # M^-1 = Ls^T Ls
             base_rhs = b + A(X @ Rd @ Zi, s * rd * zi)
-            a_zi = A(Zi, zi)
+
+            def direction(rhs, target, Corr, corr):
+                """The HKM step for the right-hand side rhs toward X Z =
+                target I, with the second-order term (Corr, corr), and its
+                (primal, dual) step lengths."""
+                dy = Ls.T @ (Ls @ rhs)
+                dZ = Rd - op.adjoint(dy)
+                dz = rd - sign * dy[rows]
+                dX = _herm(target * Zi - X - X @ dZ @ Zi - Corr)
+                ds = target * zi - s - s * dz * zi - corr
+                return (dX, ds, dZ, dz, dy), _step_lengths(L, LH, dX, dZ, s, ds, z, dz)
 
             # predictor (affine scaling, sigma = 0)
-            dy_a = Ls.T @ (Ls @ base_rhs)
-            dZ_a = Rd - op.adjoint(dy_a)
-            dz_a = rd - sign * dy_a[rows]
-            dX_a = _herm(-X - X @ dZ_a @ Zi)
-            ds_a = -s - s * dz_a * zi
-            ap_a, ad_a = _step_lengths(L, LH, dX_a, dZ_a, s, ds_a, z, dz_a)
+            (dX_a, ds_a, dZ_a, dz_a, _), (ap_a, ad_a) = direction(base_rhs, 0.0, 0.0, 0.0)
             mu_aff = (_inner(X + ap_a * dX_a, Z + ad_a * dZ_a)
                       + float((s + ap_a * ds_a) @ (z + ad_a * dz_a))) / n_total
             sigma = min(1.0, max(1e-8, (max(mu_aff, 0.0) / mu) ** 3))
@@ -316,13 +309,8 @@ def solve_sdp(op, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS, warm=None):
             # corrector with the Mehrotra second-order term
             Corr = dX_a @ dZ_a @ Zi
             corr = ds_a * dz_a * zi
-            rhs = base_rhs - sigma * mu * a_zi + A(Corr, corr)
-            dy = Ls.T @ (Ls @ rhs)
-            dZ = Rd - op.adjoint(dy)
-            dz = rd - sign * dy[rows]
-            dX = _herm(sigma * mu * Zi - X - X @ dZ @ Zi - Corr)
-            ds = sigma * mu * zi - s - s * dz * zi - corr
-            ap, ad = _step_lengths(L, LH, dX, dZ, s, ds, z, dz)
+            rhs = base_rhs - sigma * mu * A(Zi, zi) + A(Corr, corr)
+            (dX, ds, dZ, dz, dy), (ap, ad) = direction(rhs, sigma * mu, Corr, corr)
         except np.linalg.LinAlgError:  # a breakdown: status stays NumericalFailure
             break
         X, s = _herm(X + ap * dX), s + ap * ds
@@ -336,8 +324,6 @@ def solve_sdp(op, tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS, warm=None):
         duality_gap=float(abs(pobj_int - dobj_int)),
         status=status,
         iterations=it,
-        primal_residual=pres,
-        dual_residual=dres,
         history=history,
         Z=Z, y=y, s=s, z=z,
     )

@@ -22,8 +22,8 @@ from irs_swipt.sca import sca_ao, u_of_mu
 from irs_swipt.sdp import SdpProblem, solve_sdp
 from irs_swipt.sdr import sdr_ao
 
-DESK = dict(d_ap_bob=10.0, d_ap_eve=20.0, d_ap_ehr=6.0,
-            d_irs_bob=12.0, d_irs_eve=25.0, d_irs_ehr=4.0)
+from shared import DESK
+
 
 # (tag, w, u, cfg, channels) for every solution returned under criteria 1-5
 SOLUTIONS = []

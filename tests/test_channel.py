@@ -155,6 +155,30 @@ def test_config_rejects_non_finite_floats(name, value):
         ScenarioConfig(**{name: value})
 
 
+INT_FIELDS = [f.name for f in fields(ScenarioConfig) if f.type is int]
+
+
+@pytest.mark.parametrize("value", [2.0, 2.5])
+@pytest.mark.parametrize("name", INT_FIELDS)
+def test_config_rejects_non_integer_ints(name, value):
+    # a float N or seed would otherwise fail later, inside numpy
+    with pytest.raises(InvalidInput, match=f"{name} must be an integer"):
+        ScenarioConfig(**{name: value})
+
+
+@pytest.mark.parametrize("name", INT_FIELDS)
+def test_config_accepts_numpy_integers(name):
+    assert getattr(ScenarioConfig(**{name: np.int64(3)}), name) == 3
+
+
+def test_seed_must_be_non_negative():
+    with pytest.raises(InvalidInput, match="seed must be >= 0"):
+        ScenarioConfig(seed=-1)
+    with pytest.raises(InvalidInput, match="seed must be >= 0"):
+        parse_config_text("seed = -3\n")
+    assert ScenarioConfig(seed=0).seed == 0
+
+
 def test_max_outer_iters_must_be_positive():
     with pytest.raises(InvalidInput):
         ScenarioConfig(M=2, N=4, seed=3, max_outer_iters=0)
@@ -189,6 +213,6 @@ def test_removed_solver_knob_is_unknown_key(key, value):
 @pytest.mark.parametrize("knob", [pytest.param(0.0, id="knob1"), pytest.param(-1.0, id="knob2")])
 def test_solver_knobs_must_be_valid(knob):
     # the SDP tolerance left the config for sdp.DEFAULT_TOL; solve_sdp still checks its range
-    prob = SdpProblem(np.eye(2), [(np.ones(2), "==", 1.0)])
+    prob = SdpProblem(np.eye(2), [(np.eye(2), "==", 1.0)])
     with pytest.raises(InvalidInput, match="tol must be > 0"):
         solve_sdp(prob, tol=knob)

@@ -13,8 +13,7 @@ from irs_swipt.experiments import (METHODS, ExperimentSpec, ResultRow, _openblas
                                    parse_csv, run_experiment)
 from irs_swipt.metrics import PhaseProfile, harvested_power, secrecy_rate
 
-DESK = dict(d_ap_bob=10.0, d_ap_eve=20.0, d_ap_ehr=6.0,
-            d_irs_bob=12.0, d_irs_eve=25.0, d_irs_ehr=4.0)
+from shared import DESK
 
 
 def blas_threads(set_to=None):

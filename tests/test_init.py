@@ -7,8 +7,7 @@ from irs_swipt.channel import ScenarioConfig, generate_scenario
 from irs_swipt.init import OUTER_TOL, alternate, feasibility_probe, initial_phase_profile
 from irs_swipt.metrics import harvested_power
 
-DESK = dict(d_ap_bob=10.0, d_ap_eve=20.0, d_ap_ehr=6.0,
-            d_irs_bob=12.0, d_irs_eve=25.0, d_irs_ehr=4.0)
+from shared import DESK
 
 
 def scenario(**kw):

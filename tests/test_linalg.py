@@ -4,10 +4,7 @@ import pytest
 from irs_swipt.errors import InvalidInput, NotPSD
 from irs_swipt.linalg import herm_eig, is_hermitian, max_eigval, psd_sqrt
 
-
-def random_hermitian(rng, dim):
-    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return 0.5 * (a + a.conj().T)
+from shared import random_hermitian
 
 
 def random_psd(rng, dim, rank=None):

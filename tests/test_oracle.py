@@ -12,9 +12,8 @@ from irs_swipt.sca import build_phase_data, bisect_mu, sca_ao
 from irs_swipt.sdr import sdr_ao
 
 from direction_grid import direction_grid_search, phase_chunks
+from shared import DESK, no_eve_channels
 
-DESK = dict(d_ap_bob=10.0, d_ap_eve=20.0, d_ap_ehr=6.0,
-            d_irs_bob=12.0, d_irs_eve=25.0, d_irs_ehr=4.0)
 SMALL = [(m, n) for m in (1, 2, 3) for n in (0, 1, 2)]
 # direction_grid_search at desk seed 0 on the acceptance grid GridSpec(256, 1500, 1)
 # (about 5 s and 0.5 GB, so pinned here): its 1,500 directions miss the thin
@@ -24,12 +23,6 @@ DIRECTION_GRID_DESK0_W = 4.6586241818876166e-05
 # dual it replaced; at both seeds the constraint binds on all 65,536 profiles
 # (seed 11 is the oracle_desk benchmark's instance 11 at workload seed 0)
 JOINT_DESK_W = {0: 4.820404496080396e-05, 11: 1.0813786955853802e-05}
-
-
-def no_eve_channels(cfg):
-    ch = generate_scenario(cfg)
-    return ChannelSet(G=ch.G, h_ab=ch.h_ab, h_ah=ch.h_ah, h_ae=np.zeros(cfg.M),
-                      h_ib=ch.h_ib, h_ih=ch.h_ih, h_ie=np.zeros(cfg.N))
 
 
 def full_scan(ch, cfg, levels):

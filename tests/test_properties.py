@@ -14,9 +14,9 @@ from irs_swipt.metrics import PhaseProfile, check_feasible
 from irs_swipt.sca import sca_ao
 from irs_swipt.sdr import sdr_ao
 
+from shared import DESK
+
 STATUSES = {"Converged", "MaxIters", "Infeasible"}
-DESK = dict(d_ap_bob=10.0, d_ap_eve=20.0, d_ap_ehr=6.0,
-            d_irs_bob=12.0, d_irs_eve=25.0, d_irs_ehr=4.0)
 DISTANCES = ("d_ap_irs", "d_ap_bob", "d_ap_ehr", "d_ap_eve", "d_irs_bob", "d_irs_ehr", "d_irs_eve")
 PROPERTY_SETTINGS = settings(max_examples=50, deadline=None, derandomize=True, database=None)
 

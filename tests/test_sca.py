@@ -10,15 +10,7 @@ from irs_swipt.oracle import _profile_values
 from irs_swipt.sca import (_rank_two_max_eigval, bisect_mu, build_phase_data, sca_ao,
                            sca_w_step, u_of_mu)
 
-DESK = dict(d_ap_bob=10.0, d_ap_eve=20.0, d_ap_ehr=6.0,
-            d_irs_bob=12.0, d_irs_eve=25.0, d_irs_ehr=4.0)
-
-
-def no_eve_channels(cfg):
-    ch = generate_scenario(cfg)
-    return ChannelSet(G=ch.G, h_ab=ch.h_ab, h_ah=ch.h_ah,
-                      h_ae=np.zeros(cfg.M), h_ib=ch.h_ib, h_ih=ch.h_ih,
-                      h_ie=np.zeros(cfg.N))
+from shared import DESK, no_eve_channels
 
 
 def true_objective(v, w, channels):

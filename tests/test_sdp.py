@@ -5,10 +5,7 @@ from irs_swipt.errors import InvalidInput
 from irs_swipt.linalg import max_eigval
 from irs_swipt.sdp import DEFAULT_TOL, SdpProblem, UnitDiagonalSdp, solve_sdp
 
-
-def random_hermitian(rng, dim):
-    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return 0.5 * (a + a.conj().T)
+from shared import random_hermitian
 
 
 def lambda_max_problem(c):
@@ -18,7 +15,7 @@ def lambda_max_problem(c):
 def unit_diagonal_problem(op):
     """The problem of a UnitDiagonalSdp stated as an SdpProblem, for the
     generic operator: max tr(C X) s.t. diag(X) = 1, tr(R X) >= r."""
-    unit_rows = [(e_n, "==", 1.0) for e_n in np.eye(op.C.shape[0])]
+    unit_rows = [(np.diag(e_n), "==", 1.0) for e_n in np.eye(op.C.shape[0])]
     return SdpProblem(-op.C, unit_rows + [(op.R, ">=", op.b[-1])])
 
 
@@ -145,16 +142,17 @@ class TestSolveSdp:
         calls = []
         original = sdp.SdpProblem.schur
 
-        def indefinite_on_third(self, X, Zi):
+        def indefinite_on_fourth(self, X, Zi):
             calls.append(1)
             M = original(self, X, Zi)
-            return -M if len(calls) == 3 else M
+            return -M if len(calls) == 4 else M
 
-        monkeypatch.setattr(sdp.SdpProblem, "schur", indefinite_on_third)
+        monkeypatch.setattr(sdp.SdpProblem, "schur", indefinite_on_fourth)
         rng = np.random.default_rng(10)
         sol = solve_sdp(lambda_max_problem(random_hermitian(rng, 4)))
         assert sol.status == "NumericalFailure"
-        assert sol.iterations == 2  # one Schur matrix per iteration: the third failed
+        # one Schur matrix for the start, then one per iteration: the third iteration's failed
+        assert sol.iterations == 2
         assert len(sol.history) == 3
 
     def test_failed_step_length_eigvalsh_reports_numerical_failure(self, monkeypatch):
@@ -213,39 +211,50 @@ class TestSolveSdp:
             assert sol.status == "Optimal"
             assert sol.objective_value == pytest.approx(exact, rel=1e-6)
 
-    def test_diagonal_term_solves_like_its_dense_form(self):
-        # The V-SDP shape: unit-diagonal rows given as 1-D diagonals solve
-        # like the same rows given as dense matrices, up to rounding.
-        rng = np.random.default_rng(9)
-        dim = 6
-        c = random_hermitian(rng, dim)
-        b_mat = random_hermitian(rng, dim)
-        sols = []
-        for as_diag in (True, False):
-            rows = [(e_n if as_diag else np.diag(e_n), "==", 1.0) for e_n in np.eye(dim)]
-            sols.append(solve_sdp(SdpProblem(c, rows + [(b_mat, ">=", -1.0)])))
-        diag, dense = sols
-        assert diag.status == dense.status == "Optimal"
-        assert diag.iterations == dense.iterations
-        assert diag.objective_value == pytest.approx(dense.objective_value, rel=1e-9)
-
-    @pytest.mark.parametrize("C, rows", [
-        pytest.param(np.zeros((0, 0)), [], id="empty-objective"),
-        pytest.param(np.ones((2, 3)), [(np.ones(2), "==", 1.0)], id="non-square-objective"),
-        pytest.param(np.ones(2), [(np.ones(2), "==", 1.0)], id="1-D-objective"),
-        pytest.param(np.array([[0.0, 1.0], [2.0, 0.0]]), [(np.ones(2), "==", 1.0)],
-                     id="non-hermitian-objective"),
-        pytest.param(np.eye(2), [], id="no-rows"),
-        pytest.param(np.eye(2), [(np.ones(2), "=", 1.0)], id="unknown-sense"),
-        pytest.param(np.eye(2), [(np.eye(3), "<=", 1.0)], id="dense-row-wrong-shape"),
-        pytest.param(np.eye(2), [(np.ones(3), "==", 1.0)], id="diagonal-wrong-length"),
-        pytest.param(np.eye(2), [(np.array([1.0, 1.0j]), "==", 1.0)], id="complex-diagonal"),
+    @pytest.mark.parametrize("C, rows, match", [
+        pytest.param(np.zeros((0, 0)), [], "objective shape", id="empty-objective"),
+        pytest.param(np.ones((2, 3)), [(np.eye(2), "==", 1.0)], "does not match dim",
+                     id="non-square-objective"),
+        pytest.param(np.ones(2), [(np.eye(2), "==", 1.0)], "objective shape", id="1-D-objective"),
+        pytest.param(np.array([[0.0, 1.0], [2.0, 0.0]]), [(np.eye(2), "==", 1.0)],
+                     "must be Hermitian", id="non-hermitian-objective"),
+        pytest.param(np.eye(2), [], "no constraints", id="no-rows"),
+        pytest.param(np.eye(2), [(np.eye(2), "=", 1.0)], "unknown sense", id="unknown-sense"),
+        pytest.param(np.eye(2), [(np.eye(3), "<=", 1.0)], "does not match dim",
+                     id="dense-row-wrong-shape"),
+        pytest.param(np.eye(2), [(np.ones(2), "==", 1.0)], "does not match dim", id="1-D-row"),
         pytest.param(np.eye(2), [(np.array([[0.0, 1.0], [2.0, 0.0]]), ">=", 1.0)],
-                     id="non-hermitian-row"),
+                     "must be Hermitian", id="non-hermitian-row"),
     ])
-    def test_constructor_rejects_bad_input(self, C, rows):
-        with pytest.raises(InvalidInput):
+    def test_constructor_rejects_bad_input(self, C, rows, match):
+        with pytest.raises(InvalidInput, match=match):
             SdpProblem(C, rows)
+
+    @pytest.mark.parametrize("c_scale, big_rhs", [
+        pytest.param(1e-2, 20.0, id="row-norm-sets-tau_d"),
+        pytest.param(1e4, 900.0, id="row-norm-scales-tau_p"),
+    ])
+    def test_cold_start_follows_the_largest_row_norm(self, c_scale, big_rhs):
+        # X = tau_p I and Z = tau_d I, so mu_0 = tau_p tau_d, with
+        #   tau_p = 10 max(1, max|b| / norm_A),
+        #   tau_d = 10 max(1, max(1, ||C||) / sqrt(n_total), norm_A),
+        # norm_A = max(1, max_i ||A_i||_F): here one large dense row sets it.
+        rng = np.random.default_rng(18)
+        n = 4
+        C = c_scale * random_hermitian(rng, n)
+        rows = [(np.eye(n), "<=", 1.0), (60.0 * random_hermitian(rng, n), ">=", big_rhs),
+                (np.diag(rng.standard_normal(n)), "==", -2.0)]
+        sol = solve_sdp(SdpProblem(C, rows), max_iters=0)
+
+        def mu_0(norm_A):
+            tau_p = 10.0 * max(1.0, big_rhs / norm_A)
+            tau_d = 10.0 * max(1.0, max(1.0, np.linalg.norm(C)) / np.sqrt(n + 2), norm_A)
+            return tau_p * tau_d
+
+        norm_A = max(1.0, max(np.linalg.norm(a) for a, _, _ in rows))
+        assert norm_A > 2.0 * np.sqrt(n)  # the large row sets it, not the identity
+        assert mu_0(norm_A) != pytest.approx(mu_0(1.0), rel=0.1)  # and it moves the start
+        assert sol.history[0][0] == pytest.approx(mu_0(norm_A), rel=1e-12)
 
     def test_history_records_every_iterate(self):
         rng = np.random.default_rng(7)
@@ -262,15 +271,14 @@ class TestSolveSdp:
 class TestSdpProblem:
     def test_maps_match_their_trace_definitions(self):
         # The reference operator against explicit traces, entry by entry, on
-        # rows of every form (1-D diagonals, dense matrices) and every sense.
+        # diagonal and full Hermitian rows of every sense.
         rng = np.random.default_rng(17)
         for n in (1, 3, 7):
-            mats = [rng.standard_normal(n), random_hermitian(rng, n), np.eye(n),
-                    rng.standard_normal(n), random_hermitian(rng, n)]
+            mats = [np.diag(rng.standard_normal(n)), random_hermitian(rng, n), np.eye(n),
+                    np.diag(rng.standard_normal(n)), random_hermitian(rng, n)]
             senses = ["==", ">=", "<=", "==", ">="]
             prob = SdpProblem(random_hermitian(rng, n),
                               [(a, sense, 1.0) for a, sense in zip(mats, senses)])
-            dense = [np.diag(a) if a.ndim == 1 else a for a in mats]
             assert np.array_equal(prob.slack_rows, [1, 2, 4])
             assert np.array_equal(prob.slack_sign, [-1.0, 1.0, -1.0])
 
@@ -279,9 +287,9 @@ class TestSdpProblem:
             X = G @ G.conj().T + np.eye(n)
             Zi = np.linalg.inv(P @ P.conj().T + np.eye(n))
             y = rng.standard_normal(len(mats))
-            apply_ = [np.trace(a @ G).real for a in dense]  # G is not Hermitian
-            adjoint = sum(y_i * a for y_i, a in zip(y, dense))
-            schur = [[np.trace(a @ X @ b @ Zi).real for b in dense] for a in dense]
+            apply_ = [np.trace(a @ G).real for a in mats]  # G is not Hermitian
+            adjoint = sum(y_i * a for y_i, a in zip(y, mats))
+            schur = [[np.trace(a @ X @ b @ Zi).real for b in mats] for a in mats]
             np.testing.assert_allclose(prob.apply(G), apply_, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(prob.adjoint(y), adjoint, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(prob.schur(X, Zi), schur, rtol=1e-12, atol=1e-12)
@@ -290,8 +298,8 @@ class TestSdpProblem:
 class TestUnitDiagonalSdp:
     def test_operator_matches_generic_assembly(self):
         # The structured operator and SdpProblem agree on the same data: C, b,
-        # the slack, norm_A, which sets the start with the norms of b and C, and
-        # apply, adjoint and schur, whose Zi is Hermitian PD as solve_sdp passes it.
+        # the slack, and apply, adjoint and schur, whose Zi is Hermitian PD as
+        # solve_sdp passes it.
         rng = np.random.default_rng(11)
         for n in (1, 2, 9, 25):
             op = UnitDiagonalSdp(*v_sdp_data(rng, n))
@@ -299,7 +307,6 @@ class TestUnitDiagonalSdp:
             assert np.array_equal(op.C, ref.C) and np.array_equal(op.b, ref.b)
             assert np.array_equal(op.slack_rows, ref.slack_rows)
             assert np.array_equal(op.slack_sign, ref.slack_sign)
-            assert op.norm_A == pytest.approx(ref.norm_A, rel=1e-15)
 
             def close(a, b):
                 return np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
@@ -321,6 +328,21 @@ class TestUnitDiagonalSdp:
             assert got.status == want.status == "Optimal"
             assert got.iterations == want.iterations
             assert got.objective_value == pytest.approx(want.objective_value, rel=1e-9)
+
+    @pytest.mark.parametrize("n, r_norm", [(4, 1.0), (9, 1.0), (25, 1.0), (4, 8.0), (9, 8.0)])
+    def test_starts_like_the_generic_operator(self, n, r_norm):
+        # With an objective this small the row-norm term sets the dual start,
+        # and both operators derive it from their own Schur map: max(1, ||R||_F)
+        # on either side, not sqrt(n) for the unit diagonal.
+        rng = np.random.default_rng(19 + n)
+        C, R, _ = v_sdp_data(rng, n)
+        R *= r_norm / np.linalg.norm(R)
+        op = UnitDiagonalSdp(1e-3 * C, R, np.trace(R).real - 1.0)  # V = I meets it strictly
+        got, want = solve_sdp(op), solve_sdp(unit_diagonal_problem(op))
+        assert got.status == want.status == "Optimal"
+        assert got.history[0][0] == pytest.approx(want.history[0][0], rel=1e-12)
+        assert got.history[0][0] == pytest.approx(100.0 * r_norm, rel=1e-12)
+        assert got.iterations == want.iterations
 
 
 class TestWarmStart:

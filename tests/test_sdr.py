@@ -14,18 +14,10 @@ from irs_swipt.sdr import (
     _snr_stacks, randomize_v, randomize_w, sdr_ao, solve_v_sdp, solve_w_sdp)
 
 from direction_grid import unit_directions
+from shared import DESK, no_eve_channels
 from test_sdp import unit_diagonal_problem
 
-DESK = dict(d_ap_bob=10.0, d_ap_eve=20.0, d_ap_ehr=6.0,
-            d_irs_bob=12.0, d_irs_eve=25.0, d_irs_ehr=4.0)
 NEAR_EVE = dict(d_ap_eve=7.0, d_ap_bob=100.0, d_ap_ehr=140.0)  # a strong eavesdropper
-
-
-def no_eve_channels(cfg):
-    ch = generate_scenario(cfg)
-    return ChannelSet(G=ch.G, h_ab=ch.h_ab, h_ah=ch.h_ah,
-                      h_ae=np.zeros(cfg.M), h_ib=ch.h_ib, h_ih=ch.h_ih,
-                      h_ie=np.zeros(cfg.N))
 
 
 def rank_one_w_oracle(V, channels, cfg, n_dirs=4000):

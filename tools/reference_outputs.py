@@ -1,0 +1,72 @@
+"""Write the reference outputs of two fixed CLI batches, for a byte-identity
+check between two source trees.
+
+    python tools/reference_outputs.py [--src PATH] OUT
+
+runs, against the package under PATH (default: this repository's src/):
+
+- OUT/batch: sweep_n over N = 8, 24 at r0 = 3 with methods sdr, sca and
+  no_irs, 12 seeds per point, 2 workers (the benchmark's batch at more
+  seeds);
+- OUT/paper: configs/paper.cfg in single mode at 4 seeds, 2 workers.
+
+Both dump their solutions.  The wall-clock columns, `seconds` of
+results.csv and `median_seconds` of summary.csv, are removed, so that
+
+    diff -r OUT_A OUT_B
+
+is empty exactly when two trees give the same outputs.
+"""
+
+import argparse
+import os
+from pathlib import Path
+import subprocess
+import sys
+
+REPO = Path(__file__).resolve().parent.parent
+BATCH_CONFIG = ("r0 = 3\nseed = 0\nmode = sweep_n\nmethods = sdr, sca, no_irs\n"
+                "sweep = 8, 24\nseeds_per_point = 12\n")
+TIMED_COLUMNS = {"results.csv": "seconds", "summary.csv": "median_seconds"}
+
+
+def run_cli(src, config, out, *extra):
+    env = dict(os.environ, PYTHONPATH=str(src))
+    # exit code 1 also flags Infeasible or Error rows, which belong in the outputs
+    subprocess.run([sys.executable, "-m", "irs_swipt.cli", "run", "--config", str(config),
+                    "--out", str(out), "--workers", "2", "--dump-solutions", *extra],
+                   env=env, stdout=subprocess.DEVNULL)
+    if not (out / "results.csv").exists():
+        sys.exit(f"irs-swipt run --config {config} wrote no results under {src}")
+
+
+def drop_column(path, name):
+    lines = path.read_text().splitlines()
+    k = lines[0].split(",").index(name)
+    kept = [",".join(p for j, p in enumerate(line.split(",")) if j != k) for line in lines]
+    path.write_text("\n".join(kept) + "\n")
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", type=Path, default=REPO / "src",
+                        help="the src/ tree holding the irs_swipt package")
+    parser.add_argument("out", type=Path, help="output directory, which must not exist")
+    args = parser.parse_args(argv)
+    src, out = args.src.resolve(), args.out.resolve()
+    out.mkdir(parents=True)  # a stale result would pass for a failed run
+
+    batch_config = out / "batch.cfg"
+    batch_config.write_text(BATCH_CONFIG)
+    run_cli(src, batch_config, out / "batch")
+    batch_config.unlink()
+    run_cli(src, REPO / "configs" / "paper.cfg", out / "paper", "--mode", "single",
+            "--seeds", "4")
+
+    for run in ("batch", "paper"):
+        for name, column in TIMED_COLUMNS.items():
+            drop_column(out / run / name, column)
+
+
+if __name__ == "__main__":
+    main()
