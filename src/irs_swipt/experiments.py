@@ -14,6 +14,7 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 from pathlib import Path
 from statistics import median
 
@@ -56,6 +57,9 @@ class ExperimentSpec:
         for m in self.methods:
             if m not in METHODS:
                 raise InvalidInput(f"unknown method {m!r}")
+        for name in ("seeds_per_point", "workers"):
+            if not isinstance(getattr(self, name), Integral):
+                raise InvalidInput(f"{name} must be an integer")
         if self.seeds_per_point < 1:
             raise InvalidInput("at least one seed per point is required")
         if self.workers < 0:

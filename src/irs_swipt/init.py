@@ -6,6 +6,7 @@ half-step also solves) that sca_ao, the beamformer-only baselines and sdr_ao's
 profile recovery all take, and the alternation loop they all run (sdr_ao also
 maps its final relaxed state to a rank-one pair once, after the loop)."""
 
+import math
 import time
 
 import numpy as np
@@ -82,7 +83,7 @@ def rank_one_w(Rr, A, c):
     BISECT_REL_WIDTH, the two ends' eigenvectors span the top eigenspace at
     the optimum, which is two-dimensional when eigenvalues cross there (h
     jumps past c): e is the point of their segment where e^H A e reaches c,
-    on its feasible side.
+    at the root of the segment's quadratic (_feasible_combination).
 
     Raises SubproblemInfeasible when lambda_max(A) < c.  The AO methods take
     this step from a beamformer that meets the secrecy constraint for the
@@ -134,24 +135,18 @@ def rank_one_w(Rr, A, c):
 
 def _feasible_combination(e_lo, g_lo, e_hi, g_hi, A, c):
     """Unit e on the segment from e_lo (e^H A e = g_lo < c) to e_hi (g_hi >= c)
-    with e^H A e >= c, as close to c as bisection on the segment gets."""
+    with e^H A e = c.  With the ends phase-aligned, x = (1 - t) e_lo + t e_hi
+    has x^H A x - c x^H x = q(t) = a (1-t)^2 + 2 beta t (1-t) + g t^2, where
+    a = g_lo - c < 0 <= g = g_hi - c; its root in (0, 1] is
+    t = -a / (beta - a + sqrt(beta^2 - a g)), a form that does not cancel
+    (the discriminant is at least beta^2, the denominator at least -a)."""
     s = np.vdot(e_hi, e_lo)
     if s != 0:
         e_hi = e_hi * (s / abs(s))  # phase-align the ends so the segment avoids 0
     beta = float(np.real(np.vdot(e_lo, A @ e_hi))) - c * float(np.real(np.vdot(e_lo, e_hi)))
     a, g = g_lo - c, g_hi - c
-
-    def q(t):  # (x^H A x - c x^H x) at x = (1 - t) e_lo + t e_hi
-        return a * (1 - t) ** 2 + 2 * beta * t * (1 - t) + g * t ** 2
-
-    lo, hi = 0.0, 1.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if q(mid) >= 0:
-            hi = mid
-        else:
-            lo = mid
-    x = (1 - hi) * e_lo + hi * e_hi
+    t = -a / (beta - a + math.sqrt(beta * beta - a * g))
+    x = (1 - t) * e_lo + t * e_hi
     return x / np.linalg.norm(x)
 
 

@@ -12,10 +12,6 @@ POWER_SLACK_TOL = 1e-9     # relative to the power budget
 MODULUS_TOL = 1e-12        # absolute deviation of |u_n| from 1
 
 
-def _vec(x):
-    return np.asarray(getattr(x, "w", getattr(x, "u", x)), dtype=complex)
-
-
 @dataclass
 class PhaseProfile:
     """Unit-modulus IRS vector u; v = [u; 1] is the augmented profile."""
@@ -64,8 +60,8 @@ class SolveResult:
 
 def effective_gain(w, u, H):
     """v^H H w for one stacked channel matrix."""
-    w = _vec(w)
-    v = u.v if isinstance(u, PhaseProfile) else np.concatenate([_vec(u), [1.0 + 0.0j]])
+    w = np.asarray(w, dtype=complex)
+    v = u.v if isinstance(u, PhaseProfile) else np.append(np.asarray(u, dtype=complex), 1.0)
     return complex(v.conj() @ H @ w)
 
 
@@ -102,7 +98,7 @@ def check_feasible(w, u, cfg, channels):
     list of human-readable strings, plus the individual slacks; a non-finite
     entry of w or u is a violation, with every slack NaN.
     """
-    w_arr = _vec(w)
+    w_arr = np.asarray(w, dtype=complex)
     u_arr = u.u if isinstance(u, PhaseProfile) else np.asarray(u, dtype=complex).reshape(-1)
     if not (np.all(np.isfinite(w_arr)) and np.all(np.isfinite(u_arr))):
         nan = float("nan")

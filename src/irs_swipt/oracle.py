@@ -41,7 +41,8 @@ sdp).  Everything is deterministic: profiles are scanned in a fixed order and
 ties break toward the lowest grid index.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from numbers import Integral
 import numpy as np
 
 from .errors import GridTooLarge, InvalidInput, SubproblemInfeasible
@@ -70,6 +71,9 @@ class GridSpec:
     power_levels: int = 2
 
     def __post_init__(self):
+        for f in fields(self):
+            if not isinstance(getattr(self, f.name), Integral):
+                raise InvalidInput(f"{f.name} must be an integer")
         if self.phase_levels < 2 or self.subspace_points < 2:
             raise InvalidInput("grid levels must be >= 2")
         if self.power_levels < 1:
@@ -373,12 +377,13 @@ def grid_search_phases(channels, w, cfg, levels):
     n = cfg.N
     if n > 4:
         raise InvalidInput("phase grid search is limited to N <= 4")
+    if not isinstance(levels, Integral):
+        raise InvalidInput("levels must be an integer")
     if levels < 2:
         raise InvalidInput("grid levels must be >= 2")
     profiles = levels ** n
     if profiles > EVAL_CAP:
         raise GridTooLarge(f"{profiles} evaluations exceed the cap {EVAL_CAP}")
-    w = np.asarray(getattr(w, "w", w), dtype=complex)
     # conj(u)^H (H w) per receiver: the conjugate rows have the same modulus
     coef = np.stack([channels.H_r @ w, channels.H_b @ w, channels.H_e @ w]).T.conj()
     fast, heads = _separable_rows(coef, levels)

@@ -44,7 +44,8 @@ def _rank_two_max_eigval(gain, c, b):
 
 
 def build_phase_data(w, u_prev, channels, cfg):
-    """The phase subproblem (d, f, c2) at u_prev for a fixed beamformer:
+    """The phase subproblem (d, f, c2) at the PhaseProfile u_prev for a fixed
+    beamformer array w:
     maximize 2 Re(u^H d) s.t. 2 Re(u^H f) >= c2.  With a, b, c the IRS rows
     and alpha, beta, gamma the direct entries of H_r w, H_b w, H_e w, the
     objective plus |alpha|^2 - |a^H u_prev|^2 is a lower bound on
@@ -52,8 +53,7 @@ def build_phase_data(w, u_prev, channels, cfg):
     A = 2^r0 c c^H - b b^H by lambda_max(A) * I, so it restricts the true
     secrecy constraint.
     """
-    w = np.asarray(getattr(w, "w", w), dtype=complex)
-    ut = u_prev.u if isinstance(u_prev, PhaseProfile) else np.asarray(u_prev, dtype=complex)
+    ut = u_prev.u
     n = ut.shape[0]
     gain = 2.0 ** cfg.r0
 
@@ -157,8 +157,6 @@ def sca_w_step(v, w_prev, channels, cfg):
     |v^H H_r w|^2 never decreases, and when exact_w finds the target
     unattainable, which for a feasible w_prev is rounding (see rank_one_w).
     """
-    v = np.asarray(getattr(v, "v", v), dtype=complex)
-    w_prev = np.asarray(getattr(w_prev, "w", w_prev), dtype=complex)
     try:
         e = exact_w(v, channels, cfg)
     except SubproblemInfeasible:

@@ -132,8 +132,7 @@ def randomize_v(V, fixed_beam, channels, cfg, count=RAND_COUNT, rng=None):
     if cfg.N == 0:
         return PhaseProfile(np.zeros(0, dtype=complex))
     rng = np.random.default_rng(cfg.seed) if rng is None else rng
-    w = np.asarray(getattr(fixed_beam, "w", fixed_beam))
-    Y = np.stack([H @ w for H in (channels.H_r, channels.H_b, channels.H_e)], axis=1)
+    Y = np.stack([H @ fixed_beam for H in (channels.H_r, channels.H_b, channels.H_e)], axis=1)
 
     def project(vt):
         last = vt[:, -1:]

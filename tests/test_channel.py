@@ -7,7 +7,12 @@ from irs_swipt.channel import (ScenarioConfig, dbm_to_watt, generate_scenario,
                                path_loss_gain, stack_effective)
 from irs_swipt.config import parse_config_text
 from irs_swipt.errors import InvalidInput
+from irs_swipt.experiments import ExperimentSpec
+from irs_swipt.init import max_sr_beamformer
+from irs_swipt.oracle import GridSpec, grid_search_phases
 from irs_swipt.sdp import SdpProblem, solve_sdp
+
+from shared import DESK
 
 
 class TestPathLossGain:
@@ -169,6 +174,30 @@ def test_config_rejects_non_integer_ints(name, value):
 @pytest.mark.parametrize("name", INT_FIELDS)
 def test_config_accepts_numpy_integers(name):
     assert getattr(ScenarioConfig(**{name: np.int64(3)}), name) == 3
+
+
+# Integer inputs of the Python API outside ScenarioConfig (the CLI converts its own)
+OTHER_INT_FIELDS = [(ExperimentSpec, "seeds_per_point"), (ExperimentSpec, "workers"),
+                    (GridSpec, "phase_levels"), (GridSpec, "subspace_points"),
+                    (GridSpec, "power_levels")]
+
+
+@pytest.mark.parametrize("make,name", OTHER_INT_FIELDS)
+def test_other_integer_inputs_are_checked_up_front(make, name):
+    # a float used to pass here and fail later in range() or the process pool
+    with pytest.raises(InvalidInput, match=f"{name} must be an integer"):
+        make(**{name: 2.5})
+    assert getattr(make(**{name: np.int64(3)}), name) == 3
+
+
+def test_grid_search_phases_levels_must_be_an_integer():
+    cfg = ScenarioConfig(M=2, N=2, r0=1.0, seed=0, **DESK)
+    ch = generate_scenario(cfg)
+    w, _ = max_sr_beamformer(np.ones(cfg.N + 1, dtype=complex), ch, cfg)
+    with pytest.raises(InvalidInput, match="levels must be an integer"):
+        grid_search_phases(ch, w, cfg, 3.5)
+    u, _ = grid_search_phases(ch, w, cfg, np.int64(4))
+    assert u.shape == (cfg.N,)
 
 
 def test_seed_must_be_non_negative():

@@ -1,6 +1,8 @@
 import ctypes
+import importlib.util
 import json
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -349,3 +351,16 @@ class TestCli:
         assert code == 0
         svg = (tmp_path / "out" / "convergence.svg").read_text()
         assert svg.startswith("<svg") and "polyline" in svg
+
+
+def test_reference_tool_rejects_a_src_without_the_package(tmp_path):
+    # With an installed copy of the package on the path, a --src without one
+    # would run that copy and report a false match; it ends before OUT is made.
+    path = Path(__file__).resolve().parents[1] / "tools" / "reference_outputs.py"
+    spec = importlib.util.spec_from_file_location("reference_outputs", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    (tmp_path / "src").mkdir()
+    with pytest.raises(SystemExit, match="not a package"):
+        tool.main(["--src", str(tmp_path / "src"), str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()

@@ -5,8 +5,8 @@ import pytest
 
 from irs_swipt.channel import ChannelSet, ScenarioConfig, generate_scenario
 from irs_swipt.errors import SubproblemInfeasible
-from irs_swipt.init import (exact_w, feasibility_probe, initial_phase_profile, max_sr_beamformer,
-                            rank_one_w)
+from irs_swipt.init import (_feasible_combination, exact_w, feasibility_probe,
+                            initial_phase_profile, max_sr_beamformer, rank_one_w)
 from irs_swipt.metrics import PhaseProfile, check_feasible, harvested_power
 from irs_swipt.linalg import psd_sqrt
 from irs_swipt.sdp import DEFAULT_TOL, SdpProblem, solve_sdp
@@ -14,7 +14,7 @@ from irs_swipt.sdr import (
     _snr_stacks, randomize_v, randomize_w, sdr_ao, solve_v_sdp, solve_w_sdp)
 
 from direction_grid import unit_directions
-from shared import DESK, no_eve_channels
+from shared import DESK, no_eve_channels, random_hermitian
 from test_sdp import unit_diagonal_problem
 
 NEAR_EVE = dict(d_ap_eve=7.0, d_ap_bob=100.0, d_ap_ehr=140.0)  # a strong eavesdropper
@@ -145,6 +145,47 @@ class TestRankOneW:
         e = rank_one_w(Rr, A, c)
         assert np.real(np.vdot(e, Rr @ e)) == pytest.approx((1 - c) / 2, abs=1e-12)
         assert np.real(np.vdot(e, A @ e)) >= c - 1e-12
+
+    def test_optimum_at_an_exact_crossing(self, monkeypatch):
+        # The dual max(1, lam) - lam/2 is minimized at lam = 1, where the
+        # eigenvalues of Rr + lam A = diag(1, lam) cross; the optimum takes
+        # half of each end, and only the segment between them reaches it.
+        import irs_swipt.init as init
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return _feasible_combination(*args)
+
+        monkeypatch.setattr(init, "_feasible_combination", counting)
+        Rr, A = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+        e = rank_one_w(Rr, A, 0.5)
+        assert calls
+        assert np.abs(e) ** 2 == pytest.approx([0.5, 0.5], abs=1e-12)
+        assert np.real(np.vdot(e, Rr @ e)) == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_feasible_combination_lands_on_the_target(self, seed):
+        # Ends as the multiplier search hands them over (top eigenvectors of
+        # Rr + lam A at two multipliers) and orthogonal ends (eigenvectors of
+        # A), each with a random phase: the segment's root meets
+        # e^H A e = c to rounding, for c anywhere in (g_lo, g_hi].
+        rng = np.random.default_rng(seed)
+        m = 2 + seed % 5
+        A = random_hermitian(rng, m)
+        B = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        vals, vecs = np.linalg.eigh(A)
+        i, j = sorted(rng.choice(m, 2, replace=False))
+        tops = [np.linalg.eigh(B @ B.conj().T + lam * A)[1][:, -1]
+                for lam in np.sort(rng.exponential(size=2))]
+        for ends in ((vecs[:, i], vecs[:, j]), tops):
+            e_lo, e_hi = (e * np.exp(2j * np.pi * rng.random()) for e in ends)
+            g_lo, g_hi = (float(np.real(np.vdot(e, A @ e))) for e in (e_lo, e_hi))
+            assert g_lo < g_hi
+            c = g_hi - (g_hi - g_lo) * rng.random()
+            x = _feasible_combination(e_lo, g_lo, e_hi, g_hi, A, c)
+            assert np.linalg.norm(x) == pytest.approx(1.0, rel=1e-14)
+            assert abs(np.real(np.vdot(x, A @ x)) - c) <= 1e-14 * np.max(np.abs(vals))
 
     def test_repeated_top_eigenvalue_at_zero_multiplier(self):
         # Rr = I: the optimum 1 is reached at lam = 0, but the top eigenvector

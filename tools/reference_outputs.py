@@ -19,7 +19,6 @@ is empty exactly when two trees give the same outputs.
 """
 
 import argparse
-import os
 from pathlib import Path
 import subprocess
 import sys
@@ -30,12 +29,25 @@ BATCH_CONFIG = ("r0 = 3\nseed = 0\nmode = sweep_n\nmethods = sdr, sca, no_irs\n"
 TIMED_COLUMNS = {"results.csv": "seconds", "summary.csv": "median_seconds"}
 
 
+# The child imports the package from SRC only: an installed copy (say, the
+# .pth entry of an editable install) must not stand in for it.
+CHILD = """import sys
+from pathlib import Path
+src = Path(sys.argv.pop(1))
+sys.path.insert(0, str(src))
+import irs_swipt
+if Path(irs_swipt.__file__).resolve().parent != src / "irs_swipt":
+    sys.exit(f"imported irs_swipt from {irs_swipt.__file__}, not {src}")
+from irs_swipt.cli import main
+sys.exit(main())
+"""
+
+
 def run_cli(src, config, out, *extra):
-    env = dict(os.environ, PYTHONPATH=str(src))
     # exit code 1 also flags Infeasible or Error rows, which belong in the outputs
-    subprocess.run([sys.executable, "-m", "irs_swipt.cli", "run", "--config", str(config),
+    subprocess.run([sys.executable, "-c", CHILD, str(src), "run", "--config", str(config),
                     "--out", str(out), "--workers", "2", "--dump-solutions", *extra],
-                   env=env, stdout=subprocess.DEVNULL)
+                   stdout=subprocess.DEVNULL)
     if not (out / "results.csv").exists():
         sys.exit(f"irs-swipt run --config {config} wrote no results under {src}")
 
@@ -54,6 +66,8 @@ def main(argv=None):
     parser.add_argument("out", type=Path, help="output directory, which must not exist")
     args = parser.parse_args(argv)
     src, out = args.src.resolve(), args.out.resolve()
+    if not (src / "irs_swipt" / "__init__.py").is_file():
+        sys.exit(f"{src / 'irs_swipt'} is not a package; --src must be a src/ tree")
     out.mkdir(parents=True)  # a stale result would pass for a failed run
 
     batch_config = out / "batch.cfg"
