@@ -4,7 +4,8 @@ Format: one `key = value` pair per line, `#` starts a comment, blank lines
 ignored.  Keys are case-insensitive.  Scenario keys mirror ScenarioConfig
 fields (lowercase); `sigma2_dbm` may replace `sigma2_w` (so -70 dBm parses to
 1e-10 W).  Experiment keys: mode, methods (comma list), sweep (comma list of
-numbers), seeds_per_point.
+numbers), seeds_per_point.  A key may be given once; `sigma2_dbm` and
+`sigma2_w` count as one key.
 
 Example reproducing the headline setup::
 
@@ -57,7 +58,11 @@ def _convert(convert, text, lineno, key):
 def parse_config_text(text):
     scen = {}
     exp = {}
+    first_line = {}
     for lineno, key, value in _parse_lines(text):
+        first = first_line.setdefault("sigma2_w" if key == "sigma2_dbm" else key, lineno)
+        if first != lineno:
+            raise InvalidInput(f"line {lineno}: {key!r} repeats the key of line {first}")
         if key == "sigma2_dbm":
             dbm = _convert(float, value, lineno, key)
             try:

@@ -306,7 +306,8 @@ def _emit_plots(spec, rows, out):
 
 def compare_complexity(rows):
     """Wall-clock and iteration comparison of the two solvers at matched
-    instances.  Rows with N = 0 (no phase subproblem) are excluded.  Returns a
+    instances.  The N = 0 points of an N sweep (no phase subproblem) are
+    excluded; rows of other modes are kept whatever their N.  Returns a
     summary dict; empty (with a warning entry) when either method is missing.
     """
     usable = [r for r in rows if r.status in OK_STATUSES

@@ -102,7 +102,7 @@ def solve_v_sdp(w, channels, cfg, warm=None):
         raise SubproblemInfeasible("secrecy target unattainable for the fixed beamformer")
     if sol.status != "Optimal":
         raise NumericalFailure("profile SDP did not converge")
-    return sol.X, float(cfg.sigma2_w * sol.objective_value / scale), sol
+    return sol.X[:-1, :-1], float(cfg.sigma2_w * sol.objective_value / scale), sol
 
 
 def randomize_w(W, fixed_profile, channels, cfg):

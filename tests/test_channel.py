@@ -230,6 +230,21 @@ def test_sigma2_dbm_overflow_names_line_and_key():
         parse_config_text("m = 2\nsigma2_dbm = 1e5\n")
 
 
+@pytest.mark.parametrize("text, match", [
+    pytest.param("n = 4\nm = 2\nN = 8\n", "line 3: 'n' repeats the key of line 1", id="same-key"),
+    pytest.param("sweep = 1, 2\n# the second sweep\nsweep = 3\n",
+                 "line 3: 'sweep' repeats the key of line 1", id="experiment-key"),
+    pytest.param("n = 4\nsigma2_w = 1e-10\nsigma2_dbm = -60\n",
+                 "line 3: 'sigma2_dbm' repeats the key of line 2", id="sigma2-both-units"),
+    pytest.param("sigma2_dbm = -60\nsigma2_dbm = -70\n",
+                 "line 2: 'sigma2_dbm' repeats the key of line 1", id="sigma2-dbm-twice"),
+])
+def test_repeated_key_names_both_lines(text, match):
+    # a later line would otherwise silently override the first
+    with pytest.raises(InvalidInput, match=match):
+        parse_config_text(text)
+
+
 @pytest.mark.parametrize("key, value", [
     ("eps", "1e-3"), ("max_inner_w", "30"), ("max_inner_u", "30"), ("inner_tol", "1e-6"),
     ("sdp_tol", "1e-7"), ("qcqp_tol", "1e-8"), ("eps_bisect", "1e-8"), ("rand_count", "1000")])

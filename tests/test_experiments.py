@@ -353,14 +353,65 @@ class TestCli:
         assert svg.startswith("<svg") and "polyline" in svg
 
 
+def load_tool(name):
+    path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
 def test_reference_tool_rejects_a_src_without_the_package(tmp_path):
     # With an installed copy of the package on the path, a --src without one
     # would run that copy and report a false match; it ends before OUT is made.
-    path = Path(__file__).resolve().parents[1] / "tools" / "reference_outputs.py"
-    spec = importlib.util.spec_from_file_location("reference_outputs", path)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    tool = load_tool("reference_outputs")
     (tmp_path / "src").mkdir()
     with pytest.raises(SystemExit, match="not a package"):
         tool.main(["--src", str(tmp_path / "src"), str(tmp_path / "out")])
     assert not (tmp_path / "out").exists()
+
+
+REFERENCE_ROWS = [  # results.csv as reference_outputs.py leaves it: no seconds column
+    "method,seed,sweep,variable,harvested_w,sr_bps_hz,iters,status",
+    "sdr,0,8.0,N,1.2345678e-05,3.0,4,Converged",
+    "sca,0,8.0,N,1.2e-05,3.25,6,MaxIters",
+    "no_irs,0,8.0,N,0.0,0.0,0,Infeasible",
+]
+
+
+def reference_tree(root, edit=None):
+    """A batch and a paper run of REFERENCE_ROWS; edit(rows) changes the
+    paper run's."""
+    for run in ("batch", "paper"):
+        rows = list(REFERENCE_ROWS)
+        if edit and run == "paper":
+            edit(rows)
+        (root / run).mkdir(parents=True)
+        (root / run / "results.csv").write_text("\n".join(rows) + "\n")
+    return root
+
+
+def replace(old, new, index=1):
+    def edit(rows):
+        rows[index] = rows[index].replace(old, new)
+    return edit
+
+
+@pytest.mark.parametrize("edit, code, report", [
+    pytest.param(None, 0, "paper: 0 of 3 rows differ", id="identical"),
+    pytest.param(replace("1.2345678e-05", "1.2345679e-05"), 0,
+                 "paper: 1 of 3 rows differ; worst relative difference harvested_w 8.1e-08",
+                 id="within-tolerance"),
+    pytest.param(replace("3.25", "3.2500004", 2), 1, "sr_bps_hz 1.23e-07", id="above-tolerance"),
+    pytest.param(replace(",4,", ",5,"), 1, "paper: the rows differ", id="iters"),
+    pytest.param(replace("MaxIters", "Converged", 2), 1, "paper: the rows differ", id="status"),
+    pytest.param(lambda rows: rows.pop(), 1, "paper: the rows differ", id="row-count"),
+])
+def test_compare_tool_allows_rounding_only(tmp_path, capsys, edit, code, report):
+    # two output trees agree when their results.csv rows match in every key
+    # column and their values differ by at most sdp.DEFAULT_TOL relative
+    tool = load_tool("compare_outputs")
+    a, b = reference_tree(tmp_path / "a"), reference_tree(tmp_path / "b", edit)
+    assert tool.main([str(a), str(b)]) == code
+    out = capsys.readouterr().out
+    assert "batch: 0 of 3 rows differ" in out and report in out

@@ -14,9 +14,11 @@ def lambda_max_problem(c):
 
 def unit_diagonal_problem(op):
     """The problem of a UnitDiagonalSdp stated as an SdpProblem, for the
-    generic operator: max tr(C X) s.t. diag(X) = 1, tr(R X) >= r."""
-    unit_rows = [(np.diag(e_n), "==", 1.0) for e_n in np.eye(op.C.shape[0])]
-    return SdpProblem(-op.C, unit_rows + [(op.R, ">=", op.b[-1])])
+    generic operator: max tr(C X) s.t. diag(X) = 1, tr(R X) >= r, with C and
+    R the leading n x n parts of the operator's padded data."""
+    n = len(op.b) - 1
+    unit_rows = [(np.diag(e_n), "==", 1.0) for e_n in np.eye(n)]
+    return SdpProblem(-op.C[:n, :n], unit_rows + [(op.R[:n, :n], ">=", op.b[-1])])
 
 
 def v_sdp_data(rng, n, ys=None):
@@ -38,6 +40,24 @@ def neighbouring_v_sdps(rng, n, m=4, step=0.1):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     H, w, dw = draw(3, n, m), draw(m), draw(m)
     return [UnitDiagonalSdp(*v_sdp_data(rng, n, H @ x)) for x in (w, w + step * dw)]
+
+
+def assert_slacks_on_the_diagonal(sol, op, n, inequalities):
+    """The solution's X and Z are diag(n x n part, slacks) with no coupling
+    at all, and each slack is its inequality row's signed residual,
+    b_i - tr(A_i X) for '<=' and tr(A_i X) - b_i for '>=', to the tolerance
+    on the primal residual."""
+    for block in (sol.X, sol.Z):
+        split = np.zeros_like(block)
+        split[:n, :n] = block[:n, :n]
+        split[n:, n:] = np.diag(block.diagonal()[n:])
+        assert np.array_equal(block, split)
+    slacks = sol.X.diagonal()[n:].real
+    residuals = [np.trace(a @ sol.X[:n, :n]).real - rhs for a, _, rhs in inequalities]
+    signed = [r if sense == ">=" else -r for r, (_, sense, _) in zip(residuals, inequalities)]
+    assert np.all(slacks > 0) and np.all(sol.Z.diagonal()[n:].real > 0)
+    np.testing.assert_allclose(slacks, signed, rtol=0,
+                               atol=DEFAULT_TOL * max(1.0, np.linalg.norm(op.b)))
 
 
 class TestSolveSdp:
@@ -211,6 +231,20 @@ class TestSolveSdp:
             assert sol.status == "Optimal"
             assert sol.objective_value == pytest.approx(exact, rel=1e-6)
 
+    def test_mixed_sense_slacks_are_the_signed_residuals(self):
+        # one block: the n x n part, then a slack per inequality row, in row order
+        rng = np.random.default_rng(20)
+        for dim in (1, 3, 6):
+            b_mat = random_hermitian(rng, dim)
+            rows = [(np.diag(rng.random(dim)), "<=", 10.0), (np.eye(dim), "==", 1.0),
+                    (b_mat, ">=", 0.5 * max_eigval(b_mat) - 1.0), (np.eye(dim), "<=", 2.0)]
+            inequalities = [row for row in rows if row[1] != "=="]
+            prob = SdpProblem(random_hermitian(rng, dim), rows)
+            sol = solve_sdp(prob)
+            assert sol.status == "Optimal"
+            assert sol.X.shape == (dim + 3, dim + 3)
+            assert_slacks_on_the_diagonal(sol, prob, dim, inequalities)
+
     @pytest.mark.parametrize("C, rows, match", [
         pytest.param(np.zeros((0, 0)), [], "objective shape", id="empty-objective"),
         pytest.param(np.ones((2, 3)), [(np.eye(2), "==", 1.0)], "does not match dim",
@@ -225,6 +259,12 @@ class TestSolveSdp:
         pytest.param(np.eye(2), [(np.ones(2), "==", 1.0)], "does not match dim", id="1-D-row"),
         pytest.param(np.eye(2), [(np.array([[0.0, 1.0], [2.0, 0.0]]), ">=", 1.0)],
                      "must be Hermitian", id="non-hermitian-row"),
+        pytest.param(np.array([[np.nan, 0.0], [0.0, 1.0]]), [(np.eye(2), "==", 1.0)],
+                     "must be finite", id="nan-objective"),
+        pytest.param(np.eye(2), [(np.array([[1.0, np.nan], [np.nan, 1.0]]), "<=", 1.0)],
+                     "must be finite", id="nan-row"),
+        pytest.param(np.eye(2), [(np.eye(2), "==", np.nan)], "not finite", id="nan-rhs"),
+        pytest.param(np.eye(2), [(np.eye(2), ">=", np.inf)], "not finite", id="inf-rhs"),
     ])
     def test_constructor_rejects_bad_input(self, C, rows, match):
         with pytest.raises(InvalidInput, match=match):
@@ -237,8 +277,9 @@ class TestSolveSdp:
     def test_cold_start_follows_the_largest_row_norm(self, c_scale, big_rhs):
         # X = tau_p I and Z = tau_d I, so mu_0 = tau_p tau_d, with
         #   tau_p = 10 max(1, max|b| / norm_A),
-        #   tau_d = 10 max(1, max(1, ||C||) / sqrt(n_total), norm_A),
-        # norm_A = max(1, max_i ||A_i||_F): here one large dense row sets it.
+        #   tau_d = 10 max(1, max(1, ||C||) / sqrt(n + k), norm_A),
+        # norm_A = max(1, max_i ||A_i||_F) over the padded rows, an inequality
+        # row counting its slack coefficient: here one large dense row sets it.
         rng = np.random.default_rng(18)
         n = 4
         C = c_scale * random_hermitian(rng, n)
@@ -251,7 +292,8 @@ class TestSolveSdp:
             tau_d = 10.0 * max(1.0, max(1.0, np.linalg.norm(C)) / np.sqrt(n + 2), norm_A)
             return tau_p * tau_d
 
-        norm_A = max(1.0, max(np.linalg.norm(a) for a, _, _ in rows))
+        norm_A = max(1.0, max(np.sqrt(np.linalg.norm(a) ** 2 + (sense != "=="))
+                              for a, sense, _ in rows))
         assert norm_A > 2.0 * np.sqrt(n)  # the large row sets it, not the identity
         assert mu_0(norm_A) != pytest.approx(mu_0(1.0), rel=0.1)  # and it moves the start
         assert sol.history[0][0] == pytest.approx(mu_0(norm_A), rel=1e-12)
@@ -271,21 +313,31 @@ class TestSolveSdp:
 class TestSdpProblem:
     def test_maps_match_their_trace_definitions(self):
         # The reference operator against explicit traces, entry by entry, on
-        # diagonal and full Hermitian rows of every sense.
+        # diagonal and full Hermitian rows of every sense.  The three slacks
+        # follow the n x n data on the diagonal, in row order, with
+        # coefficient -1 for '>=' and +1 for '<='.
         rng = np.random.default_rng(17)
         for n in (1, 3, 7):
-            mats = [np.diag(rng.standard_normal(n)), random_hermitian(rng, n), np.eye(n),
+            data = [np.diag(rng.standard_normal(n)), random_hermitian(rng, n), np.eye(n),
                     np.diag(rng.standard_normal(n)), random_hermitian(rng, n)]
             senses = ["==", ">=", "<=", "==", ">="]
-            prob = SdpProblem(random_hermitian(rng, n),
-                              [(a, sense, 1.0) for a, sense in zip(mats, senses)])
-            assert np.array_equal(prob.slack_rows, [1, 2, 4])
-            assert np.array_equal(prob.slack_sign, [-1.0, 1.0, -1.0])
+            C = random_hermitian(rng, n)
+            prob = SdpProblem(C, [(a, sense, 1.0) for a, sense in zip(data, senses)])
+            size = n + 3
+            mats = [np.zeros((size, size), dtype=complex) for _ in data]
+            for a, padded in zip(data, mats):
+                padded[:n, :n] = a
+            for i, j, coef in ((1, n, -1.0), (2, n + 1, 1.0), (4, n + 2, -1.0)):
+                mats[i][j, j] = coef
+            assert np.array_equal(prob.A, mats)
+            assert prob.C.shape == (size, size)
+            assert np.array_equal(prob.C[:n, :n], -C) and not np.any(prob.C[n:]) and (
+                not np.any(prob.C[:, n:]))
 
-            G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            P = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            X = G @ G.conj().T + np.eye(n)
-            Zi = np.linalg.inv(P @ P.conj().T + np.eye(n))
+            G = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+            P = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+            X = G @ G.conj().T + np.eye(size)
+            Zi = np.linalg.inv(P @ P.conj().T + np.eye(size))
             y = rng.standard_normal(len(mats))
             apply_ = [np.trace(a @ G).real for a in mats]  # G is not Hermitian
             adjoint = sum(y_i * a for y_i, a in zip(y, mats))
@@ -297,24 +349,30 @@ class TestSdpProblem:
 
 class TestUnitDiagonalSdp:
     def test_operator_matches_generic_assembly(self):
-        # The structured operator and SdpProblem agree on the same data: C, b,
-        # the slack, and apply, adjoint and schur, whose Zi is Hermitian PD as
-        # solve_sdp passes it.
+        # The structured operator and SdpProblem agree on the same data: the
+        # padded C, b, R's row with its slack coefficient -1 last, and apply,
+        # adjoint and schur, whose Zi is Hermitian PD as solve_sdp passes it.
         rng = np.random.default_rng(11)
         for n in (1, 2, 9, 25):
-            op = UnitDiagonalSdp(*v_sdp_data(rng, n))
+            C, R, r = v_sdp_data(rng, n)
+            op = UnitDiagonalSdp(C, R, r)
             ref = unit_diagonal_problem(op)
             assert np.array_equal(op.C, ref.C) and np.array_equal(op.b, ref.b)
-            assert np.array_equal(op.slack_rows, ref.slack_rows)
-            assert np.array_equal(op.slack_sign, ref.slack_sign)
+            assert np.array_equal(op.R, ref.A[-1])
+            assert op.C.shape == op.R.shape == (n + 1, n + 1)
+            herm = [0.5 * (a + a.conj().T) for a in (C, R)]  # as both operators store them
+            assert np.array_equal(op.C[:n, :n], -herm[0]) and np.array_equal(op.R[:n, :n], herm[1])
+            assert op.R[n, n] == -1.0 and not np.any(op.R[n, :n]) and not np.any(op.R[:n, n])
+            assert not np.any(op.C[n]) and not np.any(op.C[:, n])
 
             def close(a, b):
                 return np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
 
-            G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            X = G @ G.conj().T + np.eye(n)
-            P = random_hermitian(rng, n) @ random_hermitian(rng, n).conj().T
-            Zi = np.linalg.inv(P @ P.conj().T + np.eye(n))
+            size = n + 1
+            G = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+            X = G @ G.conj().T + np.eye(size)
+            P = random_hermitian(rng, size) @ random_hermitian(rng, size).conj().T
+            Zi = np.linalg.inv(P @ P.conj().T + np.eye(size))
             y = rng.standard_normal(n + 1)
             assert close(op.apply(G), ref.apply(G))  # apply takes non-Hermitian products
             assert close(op.adjoint(y), ref.adjoint(y))
@@ -329,11 +387,26 @@ class TestUnitDiagonalSdp:
             assert got.iterations == want.iterations
             assert got.objective_value == pytest.approx(want.objective_value, rel=1e-9)
 
+    def test_slack_is_the_signed_residual(self):
+        rng = np.random.default_rng(21)
+        for n in (1, 4, 9):
+            C, R, r = v_sdp_data(rng, n)
+            op = UnitDiagonalSdp(C, R, r)
+            sol = solve_sdp(op)
+            assert sol.status == "Optimal"
+            assert_slacks_on_the_diagonal(sol, op, n, [(R, ">=", r)])
+
+    @pytest.mark.parametrize("r", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_right_hand_side(self, r):
+        with pytest.raises(InvalidInput, match="not finite"):
+            UnitDiagonalSdp(np.eye(3), np.eye(3), r)
+
     @pytest.mark.parametrize("n, r_norm", [(4, 1.0), (9, 1.0), (25, 1.0), (4, 8.0), (9, 8.0)])
     def test_starts_like_the_generic_operator(self, n, r_norm):
         # With an objective this small the row-norm term sets the dual start,
-        # and both operators derive it from their own Schur map: max(1, ||R||_F)
-        # on either side, not sqrt(n) for the unit diagonal.
+        # and both operators derive it from their own Schur map: the norm of
+        # R's padded row, sqrt(||R||_F^2 + 1) with its slack coefficient, on
+        # either side, not sqrt(n) for the unit diagonal.
         rng = np.random.default_rng(19 + n)
         C, R, _ = v_sdp_data(rng, n)
         R *= r_norm / np.linalg.norm(R)
@@ -341,7 +414,7 @@ class TestUnitDiagonalSdp:
         got, want = solve_sdp(op), solve_sdp(unit_diagonal_problem(op))
         assert got.status == want.status == "Optimal"
         assert got.history[0][0] == pytest.approx(want.history[0][0], rel=1e-12)
-        assert got.history[0][0] == pytest.approx(100.0 * r_norm, rel=1e-12)
+        assert got.history[0][0] == pytest.approx(100.0 * np.sqrt(r_norm ** 2 + 1.0), rel=1e-12)
         assert got.iterations == want.iterations
 
 
@@ -372,14 +445,17 @@ class TestWarmStart:
         first, _ = neighbouring_v_sdps(np.random.default_rng(15), 5)
         sol = solve_sdp(first)
         mu, *_ = sol.history[-1]
-        assert sol.Z.shape == sol.X.shape and sol.y.shape == first.b.shape
-        assert sol.s.shape == sol.z.shape == first.slack_rows.shape
-        assert (np.vdot(sol.X, sol.Z).real + sol.s @ sol.z) / (sol.X.shape[0] + 1) == (
+        # the full blocks, 5 x 5 data and then the secrecy row's slack
+        assert sol.X.shape == sol.Z.shape == (6, 6) and sol.y.shape == first.b.shape
+        s, z = sol.X[5, 5].real, sol.Z[5, 5].real
+        assert s > 0 and z > 0
+        assert (np.vdot(sol.X[:5, :5], sol.Z[:5, :5]).real + s * z) / 6 == (
             pytest.approx(mu, rel=1e-12))
 
     @pytest.mark.parametrize("other", [
         pytest.param(lambda rng: UnitDiagonalSdp(*v_sdp_data(rng, 6)), id="block-size"),
         pytest.param(lambda rng: lambda_max_problem(random_hermitian(rng, 4)), id="slack-count"),
+        pytest.param(lambda rng: lambda_max_problem(random_hermitian(rng, 5)), id="row-count"),
     ])
     def test_rejects_a_mismatched_warm_start(self, other):
         rng = np.random.default_rng(16)

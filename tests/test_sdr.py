@@ -294,6 +294,21 @@ class TestSolveVSdp:
         res = sdr_ao_checking_v_sdps(monkeypatch, generate_scenario(cfg), cfg)
         assert res.status == "Converged" and res.iters_inner_u > 0
 
+    @pytest.mark.parametrize("n", [1, 8])
+    def test_returns_the_profile_block(self, n):
+        # V is the SDP's (N+1)-square profile block, without the secrecy
+        # row's slack, and meets the unit diagonal to the tolerance on the
+        # primal residual, whose right-hand side has norm <= sqrt(N + 2)
+        cfg = ScenarioConfig(M=4, N=n, r0=1.0, seed=4)
+        ch = generate_scenario(cfg)
+        u = initial_phase_profile(cfg, np.random.default_rng(0))
+        w, _ = solve_w_sdp(np.outer(u.v, u.v.conj()), ch, cfg)
+        V, _, sol = solve_v_sdp(w, ch, cfg)
+        assert sol.status == "Optimal"
+        assert V.shape == (n + 1, n + 1) and sol.X.shape == (n + 2, n + 2)
+        assert np.array_equal(V, sol.X[:-1, :-1])
+        assert np.max(np.abs(np.diag(V) - 1.0)) <= DEFAULT_TOL * np.sqrt(n + 2)
+
     def test_rank_one_profiles_are_feasible(self):
         cfg = ScenarioConfig(M=3, N=5, seed=6, r0=0.5, **DESK)
         ch = generate_scenario(cfg)

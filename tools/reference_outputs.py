@@ -1,5 +1,5 @@
-"""Write the reference outputs of two fixed CLI batches, for a byte-identity
-check between two source trees.
+"""Write the reference outputs of two fixed CLI batches, for a comparison
+between two source trees.
 
     python tools/reference_outputs.py [--src PATH] OUT
 
@@ -15,7 +15,8 @@ results.csv and `median_seconds` of summary.csv, are removed, so that
 
     diff -r OUT_A OUT_B
 
-is empty exactly when two trees give the same outputs.
+is empty exactly when two trees give the same outputs;
+tools/compare_outputs.py OUT_A OUT_B accepts differences by rounding.
 """
 
 import argparse
