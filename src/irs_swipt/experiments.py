@@ -54,9 +54,11 @@ class ExperimentSpec:
         self.methods = tuple(self.methods)
         if not self.methods:
             raise InvalidInput("at least one method is required")
-        for m in self.methods:
+        for i, m in enumerate(self.methods):
             if m not in METHODS:
                 raise InvalidInput(f"unknown method {m!r}")
+            if m in self.methods[:i]:
+                raise InvalidInput(f"method {m!r} is repeated")
         for name in ("seeds_per_point", "workers"):
             if not isinstance(getattr(self, name), Integral):
                 raise InvalidInput(f"{name} must be an integer")
@@ -111,7 +113,6 @@ def optimize_w_fixed_profile(channels, cfg, u):
     step is exact, so the second one confirms the first and ends the run."""
     def step(state, counts):
         w, u = state
-        counts["w"] += 1
         w = sca_w_step(u.v, w, channels, cfg).w
         return (w, u), harvested_power(w, u, channels, cfg.zeta)
 

@@ -174,8 +174,8 @@ def alternate(channels, cfg, u, step, recover=None):
     """Repeat ``state, value = step(state, counts)`` from the probe's (w, u)
     until the trace's relative increase drops below OUTER_TOL (Converged) or
     for cfg.max_outer_iters steps (MaxIters); Infeasible with an empty trace
-    if the probe cannot meet the secrecy target at u.  step adds its inner
-    beamformer and phase steps to counts["w"] and counts["u"].
+    if the probe cannot meet the secrecy target at u.  Each step takes one
+    beamformer step (iters_inner_w) and adds its phase steps to counts["u"].
 
     Without recover the state is the (w, u) pair and the trace starts at its
     harvested power.  With recover the state is a relaxation, so the trace
@@ -189,7 +189,7 @@ def alternate(channels, cfg, u, step, recover=None):
                            status="Infeasible", wall_clock=time.perf_counter() - t_start)
     state = (w, u)
     trace = [harvested_power(w, u, channels, cfg.zeta)] if recover is None else []
-    counts = {"w": 0, "u": 0}
+    counts = {"u": 0}
     status = "MaxIters"
     for it in range(1, cfg.max_outer_iters + 1):
         state, value = step(state, counts)
@@ -201,5 +201,5 @@ def alternate(channels, cfg, u, step, recover=None):
     return SolveResult(
         w=Beamformer(w), u=u, harvested_trace=trace,
         achieved_sr=secrecy_rate(w, u, channels, cfg.sigma2_w),
-        status=status, iters_outer=it, iters_inner_w=counts["w"], iters_inner_u=counts["u"],
+        status=status, iters_outer=it, iters_inner_w=it, iters_inner_u=counts["u"],
         wall_clock=time.perf_counter() - t_start)

@@ -103,9 +103,8 @@ def check_feasible(w, u, cfg, channels):
     if not (np.all(np.isfinite(w_arr)) and np.all(np.isfinite(u_arr))):
         nan = float("nan")
         return FeasibilityReport(False, ["non-finite entries in w or u"], nan, nan, nan)
-    v = np.concatenate([u_arr, [1.0 + 0.0j]])
-    gb = abs(v.conj() @ channels.H_b @ w_arr) ** 2
-    ge = abs(v.conj() @ channels.H_e @ w_arr) ** 2
+    gb = abs(effective_gain(w_arr, u_arr, channels.H_b)) ** 2
+    ge = abs(effective_gain(w_arr, u_arr, channels.H_e)) ** 2
     sr_slack = float(np.log2((gb + cfg.sigma2_w) / (ge + cfg.sigma2_w)) - cfg.r0)
     power = float(np.real(np.vdot(w_arr, w_arr)))
     power_slack = (cfg.ps_w - power) / cfg.ps_w

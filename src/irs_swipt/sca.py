@@ -6,7 +6,10 @@ profile, then updates the profile in semi-closed form: the phase subproblem
 solved by entrywise phase alignment of d + mu*f, with mu set by complementary
 slackness (bisect_mu).  The surrogate constraint restricts the original one
 and the surrogate objective is, up to a constant, a lower bound tight at the
-expansion point, so the true harvested power never decreases.
+expansion point, so at the exact multiplier a phase step cannot lower the
+true harvested power.  bisect_mu's multiplier can exceed the root, up to
+twice it, and there a step can: sca_ao then keeps the previous profile, which
+is what keeps its trace non-decreasing.
 
 For a fixed profile the beamformer problem is a QCQP with two constraints
 whose semidefinite relaxation is tight, so sca_w_step solves it exactly
@@ -131,8 +134,7 @@ def bisect_mu(d, f, c2):
             break
     else:
         hi, g_hi = float(his[-1]), float(g_his[-1])
-        if abs(g_hi - c2) <= tol:
-            return hi, u_of_mu(d, f, hi)
+    if not g_hi >= c2 - tol:
         raise PhaseStepInfeasible("bisection bracket not found")
 
     lo = 0.0
@@ -150,25 +152,22 @@ def bisect_mu(d, f, c2):
     return hi, u_of_mu(d, f, hi)
 
 
-def sca_w_step(v, w_prev, channels, cfg):
-    """Exact beamformer step for the fixed profile v: sqrt(Ps) init.exact_w(v).
-
-    w_prev is returned when it does at least as well, so the true objective
-    |v^H H_r w|^2 never decreases, and when exact_w finds the target
-    unattainable, which for a feasible w_prev is rounding (see rank_one_w).
-    """
-    try:
-        e = exact_w(v, channels, cfg)
-    except SubproblemInfeasible:
-        return Beamformer(w_prev)
-    g_r = (channels.H_r.conj().T @ v) * np.sqrt(cfg.ps_w / cfg.sigma2_w)
-    if abs(np.vdot(g_r, e)) <= abs(np.vdot(g_r, w_prev / np.sqrt(cfg.ps_w))):
-        return Beamformer(w_prev)
-    return Beamformer(np.sqrt(cfg.ps_w) * e)
-
-
 def _true_w_objective(v, w, channels):
     return abs(np.vdot(v, channels.H_r @ w)) ** 2
+
+
+def sca_w_step(v, w_prev, channels, cfg):
+    """Exact beamformer step for the fixed profile v: sqrt(Ps) init.exact_w(v),
+    or w_prev when it does at least as well in |v^H H_r w|^2 or exact_w finds
+    the target unattainable, which for a feasible w_prev is rounding (see rank_one_w).
+    """
+    try:
+        w = np.sqrt(cfg.ps_w) * exact_w(v, channels, cfg)
+    except SubproblemInfeasible:
+        w = w_prev
+    if _true_w_objective(v, w, channels) <= _true_w_objective(v, w_prev, channels):
+        w = w_prev
+    return Beamformer(w)
 
 
 def sca_ao(channels, cfg):
@@ -180,7 +179,6 @@ def sca_ao(channels, cfg):
     def step(state, counts):
         w, u = state
         w = sca_w_step(u.v, w, channels, cfg).w
-        counts["w"] += 1
         if cfg.N > 0:
             val = _true_w_objective(u.v, w, channels)
             for _ in range(MAX_INNER_U):
@@ -190,9 +188,9 @@ def sca_ao(channels, cfg):
                     break
                 counts["u"] += 1
                 new_val = _true_w_objective(u_new.v, w, channels)
-                if new_val < val * (1.0 - 1e-12):
-                    break  # numerical regression; keep the previous profile
-                u = u_new
+                # a mu above the root (see bisect_mu) can lower the value: keep u then
+                if new_val >= val * (1.0 - 1e-12):
+                    u = u_new
                 if new_val - val <= INNER_TOL * max(new_val, 1e-300):
                     break
                 val = new_val

@@ -92,6 +92,14 @@ def _checked(mat, n):
     return _herm(mat)
 
 
+def _checked_objective(C):
+    """C through _checked, its dimension n taken from its shape."""
+    n = np.shape(C)[0] if np.ndim(C) == 2 else 0
+    if n < 1:
+        raise InvalidInput(f"objective shape {np.shape(C)} is not a non-empty square")
+    return _checked(C, n)
+
+
 def _finite(rhs):
     rhs = float(rhs)
     if not np.isfinite(rhs):
@@ -109,10 +117,8 @@ class SdpProblem:
     diagonal entry.  A holds the padded rows stacked (len(b), n + k, n + k)."""
 
     def __init__(self, C, rows):
-        n = np.shape(C)[0] if np.ndim(C) == 2 else 0
-        if n < 1:
-            raise InvalidInput(f"objective shape {np.shape(C)} is not a non-empty square")
-        C = _checked(C, n)
+        C = _checked_objective(C)
+        n = len(C)
 
         slack_coef = {"==": 0.0, "<=": 1.0, ">=": -1.0}  # an equality row has no slack
         terms, coefs, b = [], [], []
@@ -161,9 +167,10 @@ class UnitDiagonalSdp:
     """
 
     def __init__(self, C, R, r):
-        n = C.shape[0]
-        self.C = np.pad(-_herm(C), (0, 1))  # symmetrized and negated as SdpProblem does
-        self.R = np.pad(_herm(R), (0, 1))
+        C = _checked_objective(C)
+        n = len(C)
+        self.C = np.pad(-C, (0, 1))  # checked and negated as SdpProblem does
+        self.R = np.pad(_checked(R, n), (0, 1))
         self.R[n, n] = -1.0
         self.b = np.append(np.ones(n), _finite(r))
 

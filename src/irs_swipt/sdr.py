@@ -22,9 +22,10 @@ drawn from the last V by Gaussian randomization against the last W step's w
 (randomize_v): V is not always rank one, and there the draws can beat V's top
 eigenvector.  The beamformer is then the exact one for that profile
 (init.exact_w, the step sca_ao takes), which does at least as well as w.
-Where rounding at r0 = the attainable maximum makes exact_w raise, w is kept
-if the pair passes check_feasible, and the feasibility probe's pair is
-returned otherwise.
+Where exact_w raises, w is kept if the pair passes check_feasible, and the
+feasibility probe's pair is returned otherwise.  It raises on rounding at
+r0 = the attainable maximum, and when no beamformer makes the profile
+secure, as randomize_v's fallback when no draw meets the target can be.
 
 Subproblems are assembled in noise-normalized units (channels scaled by
 sqrt(Ps)/sigma, trace budget 1) to keep the interior-point iterations well
@@ -175,7 +176,6 @@ def sdr_ao(channels, cfg):
         except SubproblemInfeasible:
             y = channels.H_r @ w_prev
             w, obj = w_prev, float(np.real(np.vdot(y, V @ y)))
-        counts["w"] += 1
         if cfg.N > 0:
             V_new, obj_new, last_v_sdp = solve_v_sdp(w, channels, cfg, warm=last_v_sdp)
             counts["u"] += 1
@@ -188,7 +188,7 @@ def sdr_ao(channels, cfg):
         u = randomize_v(V, w_last, channels, cfg, rng=rng)
         try:
             return np.sqrt(cfg.ps_w) * exact_w(u.v, channels, cfg), u
-        except SubproblemInfeasible:  # rounding at r0 = the attainable maximum
+        except SubproblemInfeasible:  # rounding, or a profile no beamformer makes secure
             if check_feasible(w_last, u, cfg, channels).feasible:
                 return w_last, u
             return max_sr_beamformer(u0.v, channels, cfg)[0], u0

@@ -1,6 +1,7 @@
 import ctypes
 import importlib.util
 import json
+import re
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -53,6 +54,11 @@ class TestExperimentSpec:
             ExperimentSpec(methods=("sdr", "nope"))
         with pytest.raises(InvalidInput):
             ExperimentSpec(methods=())
+
+    def test_repeated_method_rejected(self):
+        # run twice, it would list each (method, seed) row twice
+        with pytest.raises(InvalidInput, match="method 'sca' is repeated"):
+            ExperimentSpec(methods=("sca", "sca"))
 
     def test_sweep_must_increase(self):
         with pytest.raises(InvalidInput):
@@ -239,6 +245,31 @@ class TestCompareComplexity:
         assert list(summary["points"]) == [16.0]
 
 
+@pytest.mark.parametrize("r0", [0.8, 30.0])
+@pytest.mark.parametrize("method", METHODS)
+def test_one_beamformer_step_per_round(method, r0, monkeypatch):
+    # iters_inner_w counts the beamformer steps taken: one per outer round,
+    # so none on an Infeasible instance
+    import irs_swipt.experiments as experiments
+    import irs_swipt.sca as sca
+    import irs_swipt.sdr as sdr
+    module, name = {"sdr": (sdr, "solve_w_sdp"), "sca": (sca, "sca_w_step")}.get(
+        method, (experiments, "sca_w_step"))
+    calls = []
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a: calls.append(a) or original(*a))
+    cfg = small_base(r0=r0, N=0 if method == "no_irs" else 4)
+    ch = generate_scenario(cfg)
+    if method in ("sdr", "sca"):
+        res = {"sdr": experiments.sdr_ao, "sca": experiments.sca_ao}[method](ch, cfg)
+    else:
+        u = PhaseProfile(np.exp(2j * np.pi * np.random.default_rng(5).random(cfg.N)))
+        res = experiments.optimize_w_fixed_profile(ch, cfg, u)
+    assert res.status == ("Infeasible" if r0 == 30.0 else "Converged")
+    assert res.iters_inner_w == res.iters_outer == len(calls)
+    assert (res.iters_outer > 0) == (r0 == 0.8)
+
+
 def test_random_phase_init_ablation():
     from irs_swipt.sca import sca_ao
     cfg = small_base(N=5, init_phases="random", seed=8)
@@ -329,6 +360,38 @@ class TestCli:
             main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"),
                   "--workers", "-1"])
         assert not (tmp_path / "out").exists()
+
+    def test_run_rejects_a_repeated_method(self, tmp_path):
+        from irs_swipt.cli import main
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("m = 2\nn = 2\nr0 = 0.5\nmode = single\nmethods = sca, sca\n"
+                       "seeds_per_point = 2\n")
+        with pytest.raises(InvalidInput, match="method 'sca' is repeated"):
+            main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"), "--workers", "1"])
+        assert not (tmp_path / "out").exists()
+
+    def test_verbose_prints_one_line_per_run(self, tmp_path, capsys):
+        # methods in non-sorted order: the lines follow results.csv, not the task order
+        from irs_swipt.cli import main
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("m = 2\nn = 3\nseed = 3\n"
+                       "d_ap_bob = 10\nd_ap_eve = 20\nd_ap_ehr = 6\n"
+                       "d_irs_bob = 12\nd_irs_eve = 25\nd_irs_ehr = 4\n"
+                       "methods = sca, no_irs\nmode = sweep_sr\nsweep = 0.5, 0.8\n"
+                       "seeds_per_point = 2\n")
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "--workers", "1", "--verbose"])
+        assert code == 0
+        rows = parse_csv(tmp_path / "out" / "results.csv")
+        *lines, last = capsys.readouterr().out.splitlines()
+        assert last.startswith("8 runs, 8 ok")
+        assert len(lines) == len(rows) == 8
+        for line, r in zip(lines, rows):
+            m = re.fullmatch(r" *(\w+) sweep (\S+) seed (\d+): (\S+) W, SR (\S+), (\w+)", line)
+            assert m, line
+            assert (m[1], float(m[2]), int(m[3]), m[6]) == (r.method, r.sweep, r.seed, r.status)
+            assert float(m[4]) == pytest.approx(r.harvested_w, rel=1e-4)
+            assert float(m[5]) == pytest.approx(r.sr_bps_hz, abs=1e-3)
 
     def test_run_nonzero_on_infeasible(self, tmp_path):
         from irs_swipt.cli import main

@@ -16,12 +16,11 @@ def scenario(**kw):
 
 
 def scripted_step(values):
-    """Keeps the state, counts one beamformer and two phase steps per call,
-    and reports the next of values."""
+    """Keeps the state, counts two phase steps per call, and reports the
+    next of values."""
     values = iter(values)
 
     def step(state, counts):
-        counts["w"] += 1
         counts["u"] += 2
         return state, next(values)
     return step

@@ -449,6 +449,37 @@ class TestScaAo:
         assert all(tr[i + 1] >= tr[i] * (1 - 1e-8) for i in range(len(tr) - 1))
         assert check_feasible(res.w.w, res.u, cfg, ch).feasible
 
+    def test_phase_step_that_lowers_the_value_is_discarded(self, monkeypatch):
+        # bisect_mu's multiplier can exceed the root, and there a phase step
+        # can lower the true objective; sca_ao then keeps the profile it had,
+        # and that keeps its trace non-decreasing
+        import irs_swipt.sca as sca
+        cfg = ScenarioConfig(N=8, r0=3.0, seed=0)
+        ch = generate_scenario(cfg)
+        steps = []  # [w, profile in, profile out] per phase step
+
+        def recording_build(w, u, channels, cfg):
+            steps.append([w, u, None])
+            return build_phase_data(w, u, channels, cfg)
+
+        def recording_bisect(d, f, c2):
+            mu, u_new = bisect_mu(d, f, c2)
+            steps[-1][2] = u_new
+            return mu, u_new
+
+        monkeypatch.setattr(sca, "build_phase_data", recording_build)
+        monkeypatch.setattr(sca, "bisect_mu", recording_bisect)
+        res = sca_ao(ch, cfg)
+        # the profile each step hands on: the next step's input, or the result
+        kept = [u for _, u, _ in steps[1:]] + [res.u]
+        drops = [i for i, (w, u, u_new) in enumerate(steps) if u_new is not None
+                 and true_objective(u_new.v, w, ch) < true_objective(u.v, w, ch) * (1 - 1e-12)]
+        assert drops
+        for i in drops:
+            assert np.array_equal(kept[i].u, steps[i][1].u)
+        tr = res.harvested_trace
+        assert all(b >= a for a, b in zip(tr, tr[1:]))
+
     def test_infeasible_scenario_flagged(self):
         cfg = ScenarioConfig(M=2, N=2, seed=22, r0=30.0)
         ch = generate_scenario(cfg)

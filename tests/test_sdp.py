@@ -401,6 +401,19 @@ class TestUnitDiagonalSdp:
         with pytest.raises(InvalidInput, match="not finite"):
             UnitDiagonalSdp(np.eye(3), np.eye(3), r)
 
+    @pytest.mark.parametrize("C, R, match", [
+        pytest.param(np.diag([np.nan, 1.0, 1.0]), np.eye(3), "must be finite", id="nan-objective"),
+        pytest.param(np.eye(3), np.ones((3, 4)), r"shape \(3, 4\) does not match dim 3",
+                     id="non-square-row"),
+        pytest.param(np.array([[1.0, 1j], [0.0, 1.0]]), np.eye(2), "must be Hermitian",
+                     id="non-hermitian-objective"),
+    ])
+    def test_rejects_bad_data_as_the_generic_operator_does(self, C, R, match):
+        with pytest.raises(InvalidInput, match=match):
+            SdpProblem(C, [(R, ">=", 1.0)])
+        with pytest.raises(InvalidInput, match=match):
+            UnitDiagonalSdp(C, R, 1.0)
+
     @pytest.mark.parametrize("n, r_norm", [(4, 1.0), (9, 1.0), (25, 1.0), (4, 8.0), (9, 8.0)])
     def test_starts_like_the_generic_operator(self, n, r_norm):
         # With an objective this small the row-norm term sets the dual start,
