@@ -3,14 +3,16 @@
     irs-swipt run --config scenario.cfg --mode sweep_sr --out results/ \
         [--seeds K] [--dump-solutions] [--verbose] [--workers W]
 
-Exit code 0 iff every run ended Converged or MaxIters.
+Exit code 0 iff every run ended Converged or MaxIters, 1 when some run did
+not, and 2 on bad input (an unreadable or invalid config, a bad option).
 """
 
 import argparse
 import sys
 
 from .config import parse_config
-from .experiments import ExperimentSpec, OK_STATUSES, compare_complexity, run_experiment
+from .errors import InvalidInput
+from .experiments import MODES, ExperimentSpec, OK_STATUSES, compare_complexity, run_experiment
 
 
 def build_parser():
@@ -22,7 +24,7 @@ def build_parser():
     run = sub.add_parser("run", help="run an experiment batch from a config file")
     run.add_argument("--config", required=True, help="key/value config file")
     run.add_argument("--mode", default=None,
-                     help="override mode: convergence | sweep_sr | sweep_n | sweep_m | single")
+                     help="override mode: " + " | ".join(MODES))
     run.add_argument("--out", default="results", help="output directory")
     run.add_argument("--seeds", type=int, default=None, help="override seeds per sweep point")
     run.add_argument("--dump-solutions", action="store_true",
@@ -33,14 +35,18 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    base, exp_kwargs = parse_config(args.config)
-    if args.mode is not None:
-        exp_kwargs["mode"] = args.mode
-    if args.seeds is not None:
-        exp_kwargs["seeds_per_point"] = args.seeds
-    spec = ExperimentSpec(base=base, out_dir=args.out, dump_solutions=args.dump_solutions,
-                          verbose=args.verbose, workers=args.workers, **exp_kwargs)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        base, exp_kwargs = parse_config(args.config)
+        if args.mode is not None:
+            exp_kwargs["mode"] = args.mode
+        if args.seeds is not None:
+            exp_kwargs["seeds_per_point"] = args.seeds
+        spec = ExperimentSpec(base=base, out_dir=args.out, dump_solutions=args.dump_solutions,
+                              verbose=args.verbose, workers=args.workers, **exp_kwargs)
+    except (InvalidInput, OSError) as exc:
+        parser.error(str(exc))  # exit code 2, as for a bad option
     rows = run_experiment(spec)
 
     summary = compare_complexity(rows)

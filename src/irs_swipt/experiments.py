@@ -13,7 +13,7 @@ import ctypes
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from numbers import Integral
 from pathlib import Path
 from statistics import median
@@ -28,11 +28,15 @@ from .sca import sca_ao, sca_w_step
 from .sdr import sdr_ao
 from .svg import write_chart
 
-MODES = ("convergence", "sweep_sr", "sweep_n", "sweep_m", "single")
+# mode: (the ScenarioConfig field its sweep sets, or "none"; its chart's x label, or None)
+SWEEPS = {"convergence": ("none", "iteration"),
+          "sweep_sr": ("r0", "secrecy-rate target (bits/s/Hz)"),
+          "sweep_n": ("N", "IRS elements N"),
+          "sweep_m": ("M", "AP antennas M"),
+          "single": ("none", None)}
+MODES = tuple(SWEEPS)
 METHODS = ("sdr", "sca", "random_phase", "no_irs")
-CSV_HEADER = "method,seed,sweep,variable,harvested_w,sr_bps_hz,iters,seconds,status"
-SWEEP_VARIABLE = {"sweep_sr": "r0", "sweep_n": "N", "sweep_m": "M",
-                  "convergence": "none", "single": "none"}
+_FIELD_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}
 OK_STATUSES = ("Converged", "MaxIters")
 
 
@@ -66,21 +70,18 @@ class ExperimentSpec:
             raise InvalidInput("at least one seed per point is required")
         if self.workers < 0:
             raise InvalidInput("workers must be >= 0 (0 = one per CPU)")
-        if self.mode in ("single", "convergence"):
+        variable = SWEEPS[self.mode][0]
+        if variable == "none":
             self.sweep = (0.0,)  # one point; the base config is used as-is
         elif not self.sweep:
-            if self.mode == "sweep_m":
-                self.sweep = (float(self.base.M), float(2 * self.base.M))
-            elif self.mode == "sweep_n":
-                self.sweep = (float(self.base.N),)
-            else:
-                self.sweep = (self.base.r0,)
+            value = getattr(self.base, variable)
+            self.sweep = (value, 2 * value) if self.mode == "sweep_m" else (value,)
         self.sweep = tuple(float(v) for v in self.sweep)
         if not np.all(np.isfinite(self.sweep)):
             raise InvalidInput("sweep values must be finite")
         if any(b <= a for a, b in zip(self.sweep, self.sweep[1:])):
             raise InvalidInput("sweep values must be strictly increasing")
-        if self.mode in ("sweep_n", "sweep_m") and any(v != int(v) for v in self.sweep):
+        if _FIELD_TYPES.get(variable) is int and any(v != int(v) for v in self.sweep):
             raise InvalidInput(f"{self.mode} values must be integers")
         for v in self.sweep:  # an out-of-range point fails here, not mid-batch
             try:
@@ -108,6 +109,10 @@ class ResultRow:
         return (self.method, self.sweep, self.seed)
 
 
+CSV_COLUMNS = fields(ResultRow)[:9]
+CSV_HEADER = ",".join(f.name for f in CSV_COLUMNS)
+
+
 def optimize_w_fixed_profile(channels, cfg, u):
     """Beamformer-only optimization for a frozen profile (baseline arm); the
     step is exact, so the second one confirms the first and ends the run."""
@@ -120,13 +125,10 @@ def optimize_w_fixed_profile(channels, cfg, u):
 
 
 def _point_config(base, mode, value):
-    if mode == "sweep_sr":
-        return replace(base, r0=value)
-    if mode == "sweep_n":
-        return replace(base, N=int(value))
-    if mode == "sweep_m":
-        return replace(base, M=int(value))
-    return base
+    variable = SWEEPS[mode][0]
+    if variable == "none":
+        return base
+    return replace(base, **{variable: _FIELD_TYPES[variable](value)})
 
 
 def _run_one(args):
@@ -134,33 +136,25 @@ def _run_one(args):
     cfg = _point_config(base, mode, value).with_updates(seed=scenario_seed)
     if method == "no_irs":
         cfg = cfg.with_updates(N=0)
+    identity = dict(method=method, seed=scenario_seed, sweep=value, variable=SWEEPS[mode][0])
     try:
         channels = generate_scenario(cfg)
-        if method == "sdr":
-            res = sdr_ao(channels, cfg)
-        elif method == "sca":
-            res = sca_ao(channels, cfg)
-        else:
-            if method == "random_phase":
-                rng = np.random.default_rng(scenario_seed + 987654321)
-                u = PhaseProfile(np.exp(-2j * np.pi * rng.random(cfg.N)))
-            else:
-                u = PhaseProfile(np.zeros(0, dtype=complex))
+        if method in ("sdr", "sca"):
+            res = (sdr_ao if method == "sdr" else sca_ao)(channels, cfg)
+        else:  # a uniform random profile; the empty one when N = 0 (no_irs)
+            rng = np.random.default_rng(scenario_seed + 987654321)
+            u = PhaseProfile(np.exp(-2j * np.pi * rng.random(cfg.N)))
             res = optimize_w_fixed_profile(channels, cfg, u)
-        infeasible = res.status == "Infeasible"
-        power = 0.0 if infeasible else harvested_power(res.w.w, res.u, channels, cfg.zeta)
-        return ResultRow(
-            method=method, seed=scenario_seed, sweep=value,
-            variable=SWEEP_VARIABLE[mode], harvested_w=power,
-            sr_bps_hz=res.achieved_sr, iters=res.iters_outer,
-            seconds=res.wall_clock, status=res.status,
-            w=None if infeasible else [[float(x.real), float(x.imag)] for x in res.w.w],
-            u=None if infeasible else [[float(x.real), float(x.imag)] for x in res.u.u],
-            trace=[float(x) for x in res.harvested_trace])
+        row = ResultRow(**identity, harvested_w=0.0, sr_bps_hz=res.achieved_sr,
+                        iters=res.iters_outer, seconds=res.wall_clock, status=res.status,
+                        trace=[float(x) for x in res.harvested_trace])
+        if res.status != "Infeasible":
+            row.harvested_w = harvested_power(res.w.w, res.u, channels, cfg.zeta)
+            row.w, row.u = ([[float(x.real), float(x.imag)] for x in z]
+                            for z in (res.w.w, res.u.u))
+        return row
     except Exception as exc:  # a failed run becomes a row, never aborts the batch
-        return ResultRow(method=method, seed=scenario_seed, sweep=value,
-                         variable=SWEEP_VARIABLE[mode], harvested_w=0.0,
-                         sr_bps_hz=0.0, iters=0, seconds=0.0,
+        return ResultRow(**identity, harvested_w=0.0, sr_bps_hz=0.0, iters=0, seconds=0.0,
                          status=f"Error:{type(exc).__name__}")
 
 
@@ -222,9 +216,8 @@ def emit_csv(rows, path):
         raise InvalidInput("no rows to emit")
     lines = [CSV_HEADER]
     for r in rows:
-        lines.append(",".join([r.method, repr(r.seed), repr(r.sweep), r.variable,
-                               repr(r.harvested_w), repr(r.sr_bps_hz), repr(r.iters),
-                               repr(r.seconds), r.status]))
+        values = (getattr(r, f.name) for f in CSV_COLUMNS)
+        lines.append(",".join(v if isinstance(v, str) else repr(v) for v in values))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     return Path(path)
@@ -239,13 +232,9 @@ def parse_csv(path):
             raise InvalidInput(f"unexpected CSV header {header!r}")
         for line in fh:
             parts = line.rstrip("\n").split(",")
-            if len(parts) != 9:
+            if len(parts) != len(CSV_COLUMNS):
                 raise InvalidInput(f"bad CSV row: {line!r}")
-            rows.append(ResultRow(
-                method=parts[0], seed=int(parts[1]), sweep=float(parts[2]),
-                variable=parts[3], harvested_w=float(parts[4]),
-                sr_bps_hz=float(parts[5]), iters=int(parts[6]),
-                seconds=float(parts[7]), status=parts[8]))
+            rows.append(ResultRow(**{f.name: f.type(p) for f, p in zip(CSV_COLUMNS, parts)}))
     return rows
 
 
@@ -267,42 +256,37 @@ def _emit_summary(rows, path):
 
 
 def _dump_solutions(rows, path):
-    payload = [{"method": r.method, "seed": r.seed, "sweep": r.sweep,
-                "harvested_w": r.harvested_w, "sr_bps_hz": r.sr_bps_hz,
-                "w": r.w, "u": r.u, "trace": r.trace} for r in rows]
+    keys = ("method", "seed", "sweep", "harvested_w", "sr_bps_hz", "w", "u", "trace")
+    payload = [{k: getattr(r, k) for k in keys} for r in rows]
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=1)
     return Path(path)
 
 
 def _emit_plots(spec, rows, out):
-    xlabel = {"sweep_sr": "secrecy-rate target (bits/s/Hz)",
-              "sweep_n": "IRS elements N", "sweep_m": "AP antennas M"}
-    if spec.mode == "convergence":
-        series = []
-        for method in spec.methods:
-            traces = [r.trace for r in rows
-                      if r.method == method and r.trace and r.status in OK_STATUSES]
-            if not traces:
-                continue
-            depth = max(len(t) for t in traces)
+    """Per method, the median harvested power at each sweep point or iteration."""
+    xlabel = SWEEPS[spec.mode][1]
+    if xlabel is None:
+        return
+    convergence = spec.mode == "convergence"
+    series = []
+    for method in spec.methods:
+        ok = [r for r in rows if r.method == method and r.status in OK_STATUSES]
+        if convergence:  # a trace that ended early holds its last value
+            traces = [r.trace for r in ok if r.trace]
+            depth = max(map(len, traces), default=0)
             padded = [t + [t[-1]] * (depth - len(t)) for t in traces]
-            med = [median(col) for col in zip(*padded)]
-            series.append((method, list(range(len(med))), med))
-        write_chart(out / "convergence.svg", series, "iteration",
-                    "harvested power (W)", "Convergence")
-    elif spec.mode in xlabel:
-        series = []
-        for method in spec.methods:
-            pts = {}
-            for r in rows:
-                if r.method == method and r.status in OK_STATUSES:
-                    pts.setdefault(r.sweep, []).append(r.harvested_w)
-            if pts:
-                xs = sorted(pts)
-                series.append((method, xs, [median(pts[x]) for x in xs]))
-        write_chart(out / f"{spec.mode}.svg", series, xlabel[spec.mode],
-                    "median harvested power (W)", spec.mode)
+            points = dict(enumerate(zip(*padded)))
+        else:
+            points = {}
+            for r in ok:
+                points.setdefault(r.sweep, []).append(r.harvested_w)
+        if points:
+            xs = sorted(points)
+            series.append((method, xs, [median(points[x]) for x in xs]))
+    write_chart(out / f"{spec.mode}.svg", series, xlabel,
+                "harvested power (W)" if convergence else "median harvested power (W)",
+                "Convergence" if convergence else spec.mode)
 
 
 def compare_complexity(rows):

@@ -11,9 +11,9 @@ import pytest
 from irs_swipt.channel import ChannelSet, ScenarioConfig, generate_scenario
 from irs_swipt.config import parse_config_text
 from irs_swipt.errors import InvalidInput
-from irs_swipt.experiments import (METHODS, ExperimentSpec, ResultRow, _openblas_function,
-                                   _single_blas_thread, compare_complexity, emit_csv,
-                                   parse_csv, run_experiment)
+from irs_swipt.experiments import (METHODS, MODES, ExperimentSpec, ResultRow,
+                                   _openblas_function, _single_blas_thread,
+                                   compare_complexity, emit_csv, parse_csv, run_experiment)
 from irs_swipt.metrics import PhaseProfile, harvested_power, secrecy_rate
 
 from shared import DESK
@@ -352,22 +352,38 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "out" / "results.csv").exists()
 
-    def test_run_rejects_negative_workers(self, tmp_path):
+    @staticmethod
+    def bad_input_error(capsys, argv):
+        """The stderr message of a cli.main run that ends on bad input."""
         from irs_swipt.cli import main
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return err.splitlines()[-1]
+
+    def test_run_rejects_negative_workers(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("m = 2\nn = 3\nmethods = sca\nmode = single\nseeds_per_point = 1\n")
-        with pytest.raises(InvalidInput, match="workers"):
-            main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"),
-                  "--workers", "-1"])
+        err = self.bad_input_error(capsys, ["run", "--config", str(cfg), "--out",
+                                            str(tmp_path / "out"), "--workers", "-1"])
+        assert err == "irs-swipt: error: workers must be >= 0 (0 = one per CPU)"
         assert not (tmp_path / "out").exists()
 
-    def test_run_rejects_a_repeated_method(self, tmp_path):
-        from irs_swipt.cli import main
+    def test_run_rejects_a_repeated_method(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("m = 2\nn = 2\nr0 = 0.5\nmode = single\nmethods = sca, sca\n"
                        "seeds_per_point = 2\n")
-        with pytest.raises(InvalidInput, match="method 'sca' is repeated"):
-            main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"), "--workers", "1"])
+        err = self.bad_input_error(capsys, ["run", "--config", str(cfg), "--out",
+                                            str(tmp_path / "out"), "--workers", "1"])
+        assert err == "irs-swipt: error: method 'sca' is repeated"
+        assert not (tmp_path / "out").exists()
+
+    def test_run_rejects_a_missing_config(self, tmp_path, capsys):
+        err = self.bad_input_error(capsys, ["run", "--config", str(tmp_path / "none.cfg"),
+                                            "--out", str(tmp_path / "out")])
+        assert err.startswith("irs-swipt: error: ") and "none.cfg" in err
         assert not (tmp_path / "out").exists()
 
     def test_verbose_prints_one_line_per_run(self, tmp_path, capsys):
@@ -469,6 +485,8 @@ def replace(old, new, index=1):
     pytest.param(replace(",4,", ",5,"), 1, "paper: the rows differ", id="iters"),
     pytest.param(replace("MaxIters", "Converged", 2), 1, "paper: the rows differ", id="status"),
     pytest.param(lambda rows: rows.pop(), 1, "paper: the rows differ", id="row-count"),
+    pytest.param(replace("1.2e-05", "nan", 2), 1, "harvested_w inf", id="nan"),
+    pytest.param(replace("1.2e-05", "inf", 2), 1, "harvested_w inf", id="inf"),
 ])
 def test_compare_tool_allows_rounding_only(tmp_path, capsys, edit, code, report):
     # two output trees agree when their results.csv rows match in every key
@@ -478,3 +496,33 @@ def test_compare_tool_allows_rounding_only(tmp_path, capsys, edit, code, report)
     assert tool.main([str(a), str(b)]) == code
     out = capsys.readouterr().out
     assert "batch: 0 of 3 rows differ" in out and report in out
+
+
+def test_compare_tool_rejects_trees_with_different_runs(tmp_path, capsys):
+    tool = load_tool("compare_outputs")
+    a, b = reference_tree(tmp_path / "a"), reference_tree(tmp_path / "b")
+    (b / "paper" / "results.csv").rename(b / "paper" / "old.csv")
+    assert tool.main([str(a), str(b)]) == 1
+    assert "different runs, or none: batch, paper against batch\n" in capsys.readouterr().out
+    (tmp_path / "c").mkdir()
+    assert tool.main([str(tmp_path / "c"), str(tmp_path / "c")]) == 1
+
+
+def test_reference_runs_reach_every_mode_and_method():
+    # each run's config and overrides are valid, and together the runs cover
+    # every mode and every method
+    from irs_swipt.cli import build_parser
+    from irs_swipt.config import parse_config
+    tool = load_tool("reference_outputs")
+    specs = []
+    for text, extra in tool.RUNS.values():
+        base, kwargs = (parse_config(tool.REPO / "configs" / "paper.cfg") if text is None
+                        else parse_config_text(text))
+        args = build_parser().parse_args(["run", "--config", "-", *extra])
+        if args.mode is not None:
+            kwargs["mode"] = args.mode
+        if args.seeds is not None:
+            kwargs["seeds_per_point"] = args.seeds
+        specs.append(ExperimentSpec(base=base, **kwargs))
+    assert {s.mode for s in specs} == set(MODES)
+    assert {m for s in specs for m in s.methods} == set(METHODS)

@@ -3,15 +3,17 @@ the solver tolerance.
 
     python tools/compare_outputs.py A B
 
-For each run, batch and paper, results.csv must list the same rows in the
-same order with identical method, seed, sweep, variable, iters and status;
-harvested_w and sr_bps_hz may differ by rounding.  Prints, per run, how many
-rows differ and the worst relative difference of each value column.  Exits 1
-on a key, iters or status mismatch, or on a relative difference above
-sdp.DEFAULT_TOL.
+The two trees must hold the same runs, at least one.  For each run, results.csv must list
+the same rows in the same order with identical method, seed, sweep,
+variable, iters and status; harvested_w and sr_bps_hz may differ by
+rounding.  Prints, per run, how many rows differ and the worst relative
+difference of each value column.  Exits 1 on different runs, on a key,
+iters or status mismatch, on a relative difference above sdp.DEFAULT_TOL,
+or on a value that differs and is not finite on either side.
 """
 
 import csv
+import math
 from pathlib import Path
 import sys
 
@@ -28,14 +30,29 @@ def read_rows(path):
 
 
 def rel_diff(a, b):
+    """Relative difference of two CSV values; inf when they differ and
+    either is not finite (max() would drop a NaN that does not come first)."""
+    if a == b:
+        return 0.0
     a, b = float(a), float(b)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
     return abs(a - b) / max(abs(a), abs(b)) if a != b else 0.0
+
+
+def runs(tree):
+    return sorted(p.parent.name for p in tree.glob("*/results.csv"))
 
 
 def compare(a, b):
     """Print the comparison of two trees; True when they agree."""
+    names = runs(a)
+    if not names or runs(b) != names:
+        print(f"the trees hold different runs, or none: {', '.join(names)} against "
+              f"{', '.join(runs(b))}")
+        return False
     ok = True
-    for run in ("batch", "paper"):
+    for run in names:
         rows = [read_rows(tree / run / "results.csv") for tree in (a, b)]
         if [[r[k] for k in KEYS] for r in rows[0]] != [[r[k] for k in KEYS] for r in rows[1]]:
             print(f"{run}: the rows differ in {', '.join(KEYS)}")

@@ -1,17 +1,25 @@
-"""Write the reference outputs of two fixed CLI batches, for a comparison
+"""Write the reference outputs of fixed CLI batches, for a comparison
 between two source trees.
 
     python tools/reference_outputs.py [--src PATH] OUT
 
-runs, against the package under PATH (default: this repository's src/):
+runs, against the package under PATH (default: this repository's src/),
+each with 2 workers and --dump-solutions:
 
 - OUT/batch: sweep_n over N = 8, 24 at r0 = 3 with methods sdr, sca and
-  no_irs, 12 seeds per point, 2 workers (the benchmark's batch at more
-  seeds);
-- OUT/paper: configs/paper.cfg in single mode at 4 seeds, 2 workers.
+  no_irs, 12 seeds per point (the benchmark's batch at more seeds);
+- OUT/paper: configs/paper.cfg in single mode at 4 seeds;
+- OUT/edge: the desk layout at M = 3, N = 6, random initial phases and a
+  cap of 3 outer rounds, sweep_sr over r0 = 1, 3, 9, 30 at 5 seeds, so that
+  Converged, Infeasible and MaxIters rows all occur;
+- OUT/small: the desk layout at M = 1, sweep_n over N = 0, 1, 2 at 5 seeds;
+- OUT/convergence: M = 2, N = 8, r0 = 2 in convergence mode at 4 seeds;
+- OUT/sweep_m: M = 2, N = 6, r0 = 2, sweep_m over its default (2, 4) at 3
+  seeds.
 
-Both dump their solutions.  The wall-clock columns, `seconds` of
-results.csv and `median_seconds` of summary.csv, are removed, so that
+Every run but batch uses all four methods.  The wall-clock columns,
+`seconds` of results.csv and `median_seconds` of summary.csv, are removed,
+so that
 
     diff -r OUT_A OUT_B
 
@@ -25,8 +33,24 @@ import subprocess
 import sys
 
 REPO = Path(__file__).resolve().parent.parent
-BATCH_CONFIG = ("r0 = 3\nseed = 0\nmode = sweep_n\nmethods = sdr, sca, no_irs\n"
-                "sweep = 8, 24\nseeds_per_point = 12\n")
+DESK = ("d_ap_bob = 10\nd_ap_eve = 20\nd_ap_ehr = 6\n"
+        "d_irs_bob = 12\nd_irs_eve = 25\nd_irs_ehr = 4\n")
+ALL_METHODS = "methods = sdr, sca, random_phase, no_irs\n"
+# run name: (config file text, or None for configs/paper.cfg; extra CLI arguments)
+RUNS = {
+    "batch": ("r0 = 3\nseed = 0\nmode = sweep_n\nmethods = sdr, sca, no_irs\n"
+              "sweep = 8, 24\nseeds_per_point = 12\n", ()),
+    "paper": (None, ("--mode", "single", "--seeds", "4")),
+    "edge": (DESK + ALL_METHODS + "m = 3\nn = 6\nseed = 11\ninit_phases = random\n"
+             "max_outer_iters = 3\nmode = sweep_sr\nsweep = 1, 3, 9, 30\n"
+             "seeds_per_point = 5\n", ()),
+    "small": (DESK + ALL_METHODS + "m = 1\nseed = 5\nmode = sweep_n\nsweep = 0, 1, 2\n"
+              "seeds_per_point = 5\n", ()),
+    "convergence": (ALL_METHODS + "m = 2\nn = 8\nr0 = 2\nseed = 3\nmode = convergence\n"
+                    "seeds_per_point = 4\n", ()),
+    "sweep_m": (ALL_METHODS + "m = 2\nn = 6\nr0 = 2\nseed = 7\nmode = sweep_m\n"
+                "seeds_per_point = 3\n", ()),
+}
 TIMED_COLUMNS = {"results.csv": "seconds", "summary.csv": "median_seconds"}
 
 
@@ -71,14 +95,11 @@ def main(argv=None):
         sys.exit(f"{src / 'irs_swipt'} is not a package; --src must be a src/ tree")
     out.mkdir(parents=True)  # a stale result would pass for a failed run
 
-    batch_config = out / "batch.cfg"
-    batch_config.write_text(BATCH_CONFIG)
-    run_cli(src, batch_config, out / "batch")
-    batch_config.unlink()
-    run_cli(src, REPO / "configs" / "paper.cfg", out / "paper", "--mode", "single",
-            "--seeds", "4")
-
-    for run in ("batch", "paper"):
+    for run, (text, extra) in RUNS.items():
+        config = out / f"{run}.cfg"
+        config.write_text(text or (REPO / "configs" / "paper.cfg").read_text())
+        run_cli(src, config, out / run, *extra)
+        config.unlink()
         for name, column in TIMED_COLUMNS.items():
             drop_column(out / run / name, column)
 
