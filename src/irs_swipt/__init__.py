@@ -11,7 +11,7 @@ updates; both share the exact fixed-profile beamformer step.  Brute-force
 grid oracles and a batch experiment harness round out the package.
 """
 
-from .channel import ChannelSet, ScenarioConfig, dbm_to_watt, generate_scenario, path_loss_gain, stack_effective
+from .channel import ChannelSet, ScenarioConfig, dbm_to_watt, generate_scenario, path_loss_gain
 from .errors import (GridTooLarge, InvalidInput, IrsSwiptError, NotPSD, NumericalFailure,
                      PhaseStepInfeasible, SubproblemInfeasible)
 from .experiments import ExperimentSpec, ResultRow, compare_complexity, emit_csv, parse_csv, run_experiment

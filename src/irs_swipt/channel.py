@@ -111,13 +111,25 @@ class ChannelSet:
     H_e: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        for name in ("G", "h_ab", "h_ah", "h_ae", "h_ib", "h_ih", "h_ie"):
-            arr = np.asarray(getattr(self, name), dtype=complex)
-            if not np.all(np.isfinite(arr)):
-                raise InvalidInput(f"{name} contains non-finite entries")
-            setattr(self, name, arr)
-        self.H_r, self.H_b, self.H_e = stack_effective(
-            self.G, self.h_ab, self.h_ah, self.h_ae, self.h_ib, self.h_ih, self.h_ie)
+        for f in fields(self):
+            if f.init:
+                arr = np.asarray(getattr(self, f.name), dtype=complex)
+                if not np.all(np.isfinite(arr)):
+                    raise InvalidInput(f"{f.name} contains non-finite entries")
+                setattr(self, f.name, arr)
+        if self.G.ndim != 2:
+            raise InvalidInput("G must be a matrix")
+        n, m = self.G.shape
+        if any(v.shape != (m,) for v in (self.h_ab, self.h_ah, self.h_ae)):
+            raise InvalidInput("AP->user vectors must have length M")
+        if any(v.shape != (n,) for v in (self.h_ib, self.h_ih, self.h_ie)):
+            raise InvalidInput("IRS->user vectors must have length N")
+
+        def one(h_i, h_a):
+            return np.vstack([h_i.conj()[:, None] * self.G, h_a.conj()[None, :]])
+
+        self.H_r, self.H_b, self.H_e = (one(self.h_ih, self.h_ah), one(self.h_ib, self.h_ab),
+                                        one(self.h_ie, self.h_ae))
 
 
 def path_loss_gain(distance, exponent, pl_ref_db):
@@ -133,28 +145,6 @@ def steering_vector(n_elements, angle_deg):
     return np.exp(1j * np.pi * k * np.sin(np.deg2rad(angle_deg)))
 
 
-def stack_effective(G, h_ab, h_ah, h_ae, h_ib, h_ih, h_ie):
-    """Build (H_r, H_b, H_e) from the seven channel responses.
-
-    Raises InvalidInput on inconsistent dimensions.
-    """
-    G = np.asarray(G, dtype=complex)
-    vecs = [np.asarray(v, dtype=complex) for v in (h_ab, h_ah, h_ae, h_ib, h_ih, h_ie)]
-    h_ab, h_ah, h_ae, h_ib, h_ih, h_ie = vecs
-    if G.ndim != 2:
-        raise InvalidInput("G must be a matrix")
-    n, m = G.shape
-    if any(v.shape != (m,) for v in (h_ab, h_ah, h_ae)):
-        raise InvalidInput("AP->user vectors must have length M")
-    if any(v.shape != (n,) for v in (h_ib, h_ih, h_ie)):
-        raise InvalidInput("IRS->user vectors must have length N")
-
-    def one(h_i, h_a):
-        return np.vstack([h_i.conj()[:, None] * G, h_a.conj()[None, :]])
-
-    return one(h_ih, h_ah), one(h_ib, h_ab), one(h_ie, h_ae)
-
-
 def generate_scenario(cfg):
     """Draw one channel realization for cfg.
 
@@ -166,27 +156,17 @@ def generate_scenario(cfg):
     """
     rng = np.random.default_rng(cfg.seed)
 
-    def rayleigh(size, gain):
-        scale = np.sqrt(gain / 2.0)
+    def rayleigh(size, distance, exponent):
+        scale = np.sqrt(path_loss_gain(distance, exponent, cfg.pl_ref_db) / 2.0)
         return scale * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
 
-    g_dir = {name: path_loss_gain(d, cfg.alpha_direct, cfg.pl_ref_db)
-             for name, d in (("b", cfg.d_ap_bob), ("h", cfg.d_ap_ehr), ("e", cfg.d_ap_eve))}
-    g_irs = {name: path_loss_gain(d, cfg.alpha_irs, cfg.pl_ref_db)
-             for name, d in (("b", cfg.d_irs_bob), ("h", cfg.d_irs_ehr), ("e", cfg.d_irs_eve))}
-
     # draw order is fixed so that the direct links match across different N at equal seed
-    h_ab = rayleigh(cfg.M, g_dir["b"])
-    h_ah = rayleigh(cfg.M, g_dir["h"])
-    h_ae = rayleigh(cfg.M, g_dir["e"])
-    h_ib = rayleigh(cfg.N, g_irs["b"])
-    h_ih = rayleigh(cfg.N, g_irs["h"])
-    h_ie = rayleigh(cfg.N, g_irs["e"])
+    direct = [rayleigh(cfg.M, d, cfg.alpha_direct) for d in (cfg.d_ap_bob, cfg.d_ap_ehr, cfg.d_ap_eve)]
+    reflected = [rayleigh(cfg.N, d, cfg.alpha_irs) for d in (cfg.d_irs_bob, cfg.d_irs_ehr, cfg.d_irs_eve)]
 
     gain_g = path_loss_gain(cfg.d_ap_irs, cfg.alpha_irs, cfg.pl_ref_db)
     a_irs = steering_vector(cfg.N, cfg.los_arrival_deg)
     a_ap = steering_vector(cfg.M, cfg.los_departure_deg)
     G = np.sqrt(gain_g) * np.outer(a_irs, a_ap.conj())
 
-    return ChannelSet(G=G, h_ab=h_ab, h_ah=h_ah, h_ae=h_ae,
-                      h_ib=h_ib, h_ih=h_ih, h_ie=h_ie)
+    return ChannelSet(G, *direct, *reflected)

@@ -4,11 +4,13 @@
         [--seeds K] [--dump-solutions] [--verbose] [--workers W]
 
 Exit code 0 iff every run ended Converged or MaxIters, 1 when some run did
-not, and 2 on bad input (an unreadable or invalid config, a bad option).
+not, and 2 on bad input (an unreadable or invalid config, a bad option, an
+output directory that cannot be created).
 """
 
 import argparse
 import sys
+from pathlib import Path
 
 from .config import parse_config
 from .errors import InvalidInput
@@ -45,6 +47,7 @@ def main(argv=None):
             exp_kwargs["seeds_per_point"] = args.seeds
         spec = ExperimentSpec(base=base, out_dir=args.out, dump_solutions=args.dump_solutions,
                               verbose=args.verbose, workers=args.workers, **exp_kwargs)
+        Path(spec.out_dir).mkdir(parents=True, exist_ok=True)
     except (InvalidInput, OSError) as exc:
         parser.error(str(exc))  # exit code 2, as for a bad option
     rows = run_experiment(spec)

@@ -175,7 +175,8 @@ def alternate(channels, cfg, u, step, recover=None):
     until the trace's relative increase drops below OUTER_TOL (Converged) or
     for cfg.max_outer_iters steps (MaxIters); Infeasible with an empty trace
     if the probe cannot meet the secrecy target at u.  Each step takes one
-    beamformer step (iters_inner_w) and adds its phase steps to counts["u"].
+    beamformer step and adds its phase steps to counts["u"], so iters_outer
+    also counts the beamformer steps.
 
     Without recover the state is the (w, u) pair and the trace starts at its
     harvested power.  With recover the state is a relaxation, so the trace
@@ -201,5 +202,5 @@ def alternate(channels, cfg, u, step, recover=None):
     return SolveResult(
         w=Beamformer(w), u=u, harvested_trace=trace,
         achieved_sr=secrecy_rate(w, u, channels, cfg.sigma2_w),
-        status=status, iters_outer=it, iters_inner_w=it, iters_inner_u=counts["u"],
+        status=status, iters_outer=it, iters_inner_u=counts["u"],
         wall_clock=time.perf_counter() - t_start)

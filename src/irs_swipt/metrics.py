@@ -53,7 +53,6 @@ class SolveResult:
     achieved_sr: float = 0.0
     status: str = "Converged"          # Converged | MaxIters | Infeasible
     iters_outer: int = 0
-    iters_inner_w: int = 0
     iters_inner_u: int = 0
     wall_clock: float = 0.0
 

@@ -111,7 +111,8 @@ def bisect_mu(d, f, c2):
     mu = 0; otherwise g(mu) = 2Re(u(mu)^H f) is non-decreasing.  The bracket's
     upper end is the first hi = 2^k, k = 0, 1, ..., with g(hi) >= c2, found
     by evaluating g at DOUBLINGS_PER_PASS of them per array pass; bisection on
-    [0, hi] then stops once |g(hi) - c2| <= MU_TOL*(1+|c2|).  That
+    [0, hi] then stops once |g(hi) - c2| <= MU_TOL*(1+|c2|), or once the
+    bracket cannot shrink in floating point (g jumps past c2).  That
     tolerance is absolute when |c2| << 1, as it is on the paper's scales,
     where it usually holds at the doubling's hi already: the doubling, not
     the bisection, then decides mu, which can be up to twice the exact root.
@@ -142,13 +143,13 @@ def bisect_mu(d, f, c2):
         if abs(g_hi - c2) <= tol:
             break
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         g_mid = _g_of_mu(d, f, mid)
         if g_mid >= c2:
             hi, g_hi = mid, g_mid
         else:
             lo = mid
-        if hi - lo <= 1e-16 * max(1.0, hi):
-            break
     return hi, u_of_mu(d, f, hi)
 
 

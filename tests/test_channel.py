@@ -3,8 +3,8 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from irs_swipt.channel import (ScenarioConfig, dbm_to_watt, generate_scenario,
-                               path_loss_gain, stack_effective)
+from irs_swipt.channel import (ChannelSet, ScenarioConfig, dbm_to_watt, generate_scenario,
+                               path_loss_gain)
 from irs_swipt.config import parse_config_text
 from irs_swipt.errors import InvalidInput
 from irs_swipt.experiments import ExperimentSpec
@@ -97,16 +97,16 @@ class TestGenerateScenario:
 
 
 class TestStackEffective:
+    # ChannelSet stacks each receiver's links into H_x = [diag(conj(h_ix)) G; h_ax^H]
+
     def test_scalar_constructive(self):
-        h_r, h_b, h_e = stack_effective(np.ones((1, 1)), [1.0], [1.0], [1.0],
-                                        [1.0], [1.0], [1.0])
+        h_b = ChannelSet(np.ones((1, 1)), [1.0], [1.0], [1.0], [1.0], [1.0], [1.0]).H_b
         v = np.array([1.0, 1.0], dtype=complex)
         w = np.array([0.7 - 0.2j])
         assert v.conj() @ h_b @ w == pytest.approx(2.0 * w[0], rel=1e-15)
 
     def test_scalar_destructive(self):
-        _, h_b, _ = stack_effective(np.ones((1, 1)), [1.0], [1.0], [1.0],
-                                    [1.0], [1.0], [1.0])
+        h_b = ChannelSet(np.ones((1, 1)), [1.0], [1.0], [1.0], [1.0], [1.0], [1.0]).H_b
         u = np.exp(1j * np.pi)
         v = np.array([u, 1.0])
         w = np.array([1.0])
@@ -131,9 +131,23 @@ class TestStackEffective:
                 assert abs(lhs - rhs) <= 1e-12 * max(abs(rhs), 1e-30)
 
     def test_dimension_mismatch_rejected(self):
-        with pytest.raises(InvalidInput):
-            stack_effective(np.ones((2, 3)), [1.0], [1.0], [1.0],
-                            [1.0, 1.0], [1.0, 1.0], [1.0, 1.0])
+        with pytest.raises(InvalidInput, match="^AP->user vectors must have length M$"):
+            ChannelSet(np.ones((2, 3)), [1.0], [1.0], [1.0], [1.0, 1.0], [1.0, 1.0], [1.0, 1.0])
+
+    @pytest.mark.parametrize("links, message", [
+        ((np.ones((2, 1)), [1.0], [1.0], [1.0], [1.0, np.nan], [1.0, 1.0], [1.0, 1.0]),
+         "h_ib contains non-finite entries"),
+        ((np.ones(2), [1.0], [1.0], [1.0], [1.0, 1.0], [1.0, 1.0], [1.0, 1.0]),
+         "G must be a matrix"),
+        ((np.ones((2, 1)), [1.0], [1.0], [1.0], [1.0, 1.0], [1.0, 1.0], [1.0]),
+         "IRS->user vectors must have length N"),
+        # finiteness is checked before the shapes
+        ((np.full(2, np.inf), [1.0], [1.0], [1.0], [1.0], [1.0], [1.0]),
+         "G contains non-finite entries"),
+    ], ids=["non-finite", "G-not-a-matrix", "length-N", "finiteness-first"])
+    def test_bad_links_rejected(self, links, message):
+        with pytest.raises(InvalidInput, match=f"^{message}$"):
+            ChannelSet(*links)
 
 
 def test_config_validation():

@@ -11,7 +11,7 @@ import pytest
 from irs_swipt.channel import ChannelSet, ScenarioConfig, generate_scenario
 from irs_swipt.config import parse_config_text
 from irs_swipt.errors import InvalidInput
-from irs_swipt.experiments import (METHODS, MODES, ExperimentSpec, ResultRow,
+from irs_swipt.experiments import (METHODS, MODES, OK_STATUSES, ExperimentSpec, ResultRow,
                                    _openblas_function, _single_blas_thread,
                                    compare_complexity, emit_csv, parse_csv, run_experiment)
 from irs_swipt.metrics import PhaseProfile, harvested_power, secrecy_rate
@@ -248,8 +248,7 @@ class TestCompareComplexity:
 @pytest.mark.parametrize("r0", [0.8, 30.0])
 @pytest.mark.parametrize("method", METHODS)
 def test_one_beamformer_step_per_round(method, r0, monkeypatch):
-    # iters_inner_w counts the beamformer steps taken: one per outer round,
-    # so none on an Infeasible instance
+    # one beamformer step per outer round, so none on an Infeasible instance
     import irs_swipt.experiments as experiments
     import irs_swipt.sca as sca
     import irs_swipt.sdr as sdr
@@ -266,7 +265,7 @@ def test_one_beamformer_step_per_round(method, r0, monkeypatch):
         u = PhaseProfile(np.exp(2j * np.pi * np.random.default_rng(5).random(cfg.N)))
         res = experiments.optimize_w_fixed_profile(ch, cfg, u)
     assert res.status == ("Infeasible" if r0 == 30.0 else "Converged")
-    assert res.iters_inner_w == res.iters_outer == len(calls)
+    assert res.iters_outer == len(calls)
     assert (res.iters_outer > 0) == (r0 == 0.8)
 
 
@@ -386,6 +385,16 @@ class TestCli:
         assert err.startswith("irs-swipt: error: ") and "none.cfg" in err
         assert not (tmp_path / "out").exists()
 
+    def test_run_rejects_an_out_that_cannot_be_created(self, tmp_path, capsys, monkeypatch):
+        import irs_swipt.cli as cli
+        monkeypatch.setattr(cli, "run_experiment", lambda spec: pytest.fail("a run started"))
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("m = 2\nn = 3\nmethods = sca\nmode = single\nseeds_per_point = 1\n")
+        (tmp_path / "afile").write_text("")
+        out = tmp_path / "afile" / "x"
+        err = self.bad_input_error(capsys, ["run", "--config", str(cfg), "--out", str(out)])
+        assert err.startswith("irs-swipt: error: ") and str(out) in err
+
     def test_verbose_prints_one_line_per_run(self, tmp_path, capsys):
         # methods in non-sorted order: the lines follow results.csv, not the task order
         from irs_swipt.cli import main
@@ -408,6 +417,35 @@ class TestCli:
             assert (m[1], float(m[2]), int(m[3]), m[6]) == (r.method, r.sweep, r.seed, r.status)
             assert float(m[4]) == pytest.approx(r.harvested_w, rel=1e-4)
             assert float(m[5]) == pytest.approx(r.sr_bps_hz, abs=1e-3)
+
+    @pytest.mark.parametrize("sdp_status, error", [("NumericalFailure", "Error:NumericalFailure"),
+                                                    ("Infeasible", "Error:SubproblemInfeasible")])
+    def test_failed_run_becomes_an_error_row(self, tmp_path, monkeypatch, sdp_status, error):
+        # The batch's first V-SDP ends badly: solve_v_sdp raises, sdr_ao passes
+        # the raise on, and that run becomes an Error row of an unbroken batch.
+        from dataclasses import replace
+        import irs_swipt.sdr as sdr
+        from irs_swipt.cli import main
+        solved = []
+
+        def failing_first(*args, _solve=sdr.solve_sdp, **kwargs):
+            solved.append(_solve(*args, **kwargs))
+            return replace(solved[-1], status=sdp_status) if len(solved) == 1 else solved[-1]
+
+        monkeypatch.setattr(sdr, "solve_sdp", failing_first)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("m = 2\nn = 3\nr0 = 0.8\nseed = 3\n"
+                       "d_ap_bob = 10\nd_ap_eve = 20\nd_ap_ehr = 6\n"
+                       "d_irs_bob = 12\nd_irs_eve = 25\nd_irs_ehr = 4\n"
+                       "methods = sdr, sca, no_irs\nmode = single\nseeds_per_point = 2\n")
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "--workers", "1"])
+        assert code == 1
+        rows = parse_csv(tmp_path / "out" / "results.csv")
+        failed = [(r.method, r.status, r.harvested_w, r.sr_bps_hz, r.iters)
+                  for r in rows if r.status not in OK_STATUSES]
+        assert failed == [("sdr", error, 0.0, 0.0, 0)]
+        assert len(rows) == 6 and len(solved) > 1
 
     def test_run_nonzero_on_infeasible(self, tmp_path):
         from irs_swipt.cli import main

@@ -369,6 +369,20 @@ class TestBisectMu:
             assert abs(g - c2) <= 1e-8 * (1 + abs(c2))
             assert g >= c2 - 1e-8 * (1 + abs(c2))
 
+    def test_jump_past_target_stops_at_rounding(self, monkeypatch):
+        # g jumps from -2 to 2 at mu = 1 and never comes within MU_TOL of c2 = 0,
+        # so only the bracket's width can stop the bisection: about 53 halvings
+        # of [0, 1] reach the neighbouring doubles of the jump
+        import irs_swipt.sca as sca
+        calls = []
+        monkeypatch.setattr(sca, "_g_of_mu",
+                            lambda d, f, mu, _g=sca._g_of_mu: calls.append(mu) or _g(d, f, mu))
+        d, f = np.array([-1.0 + 0j]), np.array([1.0 + 0j])
+        mu, prof = bisect_mu(d, f, 0.0)
+        assert mu == 1.0
+        assert 2 * np.real(prof.u.conj() @ f) >= 0.0
+        assert len(calls) <= 60  # each call counted once, the array pass of bracket ends too
+
     def test_unreachable_constraint_raises(self):
         d = np.array([1.0, 1.0j])
         f = np.array([0.1, 0.1])
