@@ -190,8 +190,9 @@ def run_experiment(spec):
              for si, value in enumerate(spec.sweep)
              for k in range(spec.seeds_per_point)]
 
-    workers = spec.workers or os.cpu_count() or 1
-    if workers > 1 and len(tasks) > 1:
+    # fork starts every worker at the first submit, so never more than the runs
+    workers = min(spec.workers or os.cpu_count() or 1, len(tasks))
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers, initializer=_single_blas_thread) as pool:
             rows = list(pool.map(_run_one, tasks, chunksize=max(1, len(tasks) // (8 * workers))))
     else:

@@ -72,8 +72,10 @@ class GridSpec:
 
     def __post_init__(self):
         for f in fields(self):
-            if not isinstance(getattr(self, f.name), Integral):
+            value = getattr(self, f.name)
+            if not isinstance(value, Integral):
                 raise InvalidInput(f"{f.name} must be an integer")
+            setattr(self, f.name, int(value))  # numpy integers would wrap in levels ** n
         if self.phase_levels < 2 or self.subspace_points < 2:
             raise InvalidInput("grid levels must be >= 2")
         if self.power_levels < 1:
@@ -91,9 +93,12 @@ def _separable_rows(coef, levels):
     the direct row coef[n], for runs of them.  Column i * F + j of
     _block(head, fast) is the profile of grid index start * F + i * F + j, so
     element 0 varies slowest.  A row is summed in the same order however it
-    is formed, so a profile's row is the same to the bit.
+    is formed, so a profile's row is the same to the bit.  Raises GridTooLarge,
+    before any table is built, when the grid holds more than EVAL_CAP profiles.
     """
     n, k = coef.shape[0] - 1, coef.shape[1]
+    if levels ** n > EVAL_CAP:
+        raise GridTooLarge(f"{levels ** n} phase profiles exceed the cap {EVAL_CAP}")
     tables = coef[:-1, :, None] * _roots(levels)  # (n, k, levels)
     slow = next(s for s in range(n + 1) if levels ** (n - s) <= CHUNK)
     fast = np.zeros((k, 1), dtype=complex)
@@ -172,21 +177,19 @@ def _profile_values(r, b, e, gain, c):
     # a feasible profile's value is ||r||^2 even where rounding failed the MRT test
     dual = ~mrt & (gap > 0) & (r.shape[1] > 1)
     if dual.any():
-        r, b, e, hi = r[dual], b[dual], e[dual], rr[dual] / gap[dual]
-        if r.shape[1] == 2:
-            values[dual], lams[dual] = _dual_minimum_2x2(r, b, e, gain, hi, c)
-        else:
-            values[dual], lams[dual] = _dual_minimum(_outer(r), _outer(b) - gain * _outer(e),
-                                                     hi, c)
+        minimum = _dual_minimum_2x2 if r.shape[1] == 2 else _dual_minimum
+        values[dual], lams[dual] = minimum(r[dual], b[dual], e[dual], gain, rr[dual] / gap[dual], c)
     return values, lams
 
 
 def _dual_bound(r, b, e, gain, lam, c):
-    """lambda_max(R + lam A) - lam c per row of r, b, e (B, M), M = 2 or 3: by
-    weak duality an upper bound on the row's value for every lam >= 0."""
+    """lambda_max(R + lam A) - lam c per row of r, b, e (B, M), M = 2 or 3, at a
+    scalar lam or one per row: by weak duality an upper bound on the row's
+    value for every lam >= 0."""
     if r.shape[1] == 2:
         return _dual_2x2_at(_dual_2x2(r, b, e, gain, c), lam)
-    return np.linalg.eigvalsh(_outer(r) + lam * (_outer(b) - gain * _outer(e)))[:, -1] - lam * c
+    lam, A = np.asarray(lam), _outer(b) - gain * _outer(e)
+    return np.linalg.eigvalsh(_outer(r) + lam[..., None, None] * A)[:, -1] - lam * c
 
 
 def _dual_2x2(r, b, e, gain, c):
@@ -229,26 +232,21 @@ def _dual_minimum_2x2(r, b, e, gain, hi, c):
             np.where(f_lam <= ends, lam, np.where(f_0 <= f_hi, 0.0, hi)))
 
 
-def _dual_minimum(R, A, hi, c):
-    """min over lam in [0, hi] of lambda_max(R + lam A) - lam c, per stack
-    entry of (B, M, M) stacks, by golden-section search (the function is
-    convex); it serves M = 3, where the minimizer has no closed form.  hi must
-    bound the minimizer: ||r||^2 / (lambda_max(A) - c) does, as the function
-    is at least lam (lambda_max(A) - c) and equals ||r||^2 at 0.  Returns the
-    minimum and a minimizer."""
-
-    def dual(lam):
-        return np.linalg.eigvalsh(R + lam[:, None, None] * A)[:, -1] - lam * c
-
+def _dual_minimum(r, b, e, gain, hi, c):
+    """min over lam in [0, hi] of _dual_bound per row of r, b, e (B, M), by
+    golden-section search (the function is convex); it serves M = 3, where
+    the minimizer has no closed form.  hi must bound the minimizer: ||r||^2 /
+    (lambda_max(A) - c) does, as the function is at least lam (lambda_max(A) -
+    c) and equals ||r||^2 at 0.  Returns the minimum and a minimizer."""
     lo = np.zeros_like(hi)
     x1, x2 = hi - INV_PHI * hi, INV_PHI * hi
-    f1, f2 = dual(x1), dual(x2)
+    f1, f2 = (_dual_bound(r, b, e, gain, x, c) for x in (x1, x2))
     for _ in range(GOLDEN_STEPS):
         left = f1 <= f2  # a minimizer lies in [lo, x2]
         lo, hi = np.where(left, lo, x1), np.where(left, x2, hi)
         x1, x2 = (np.where(left, hi - INV_PHI * (hi - lo), x2),
                   np.where(left, x1, lo + INV_PHI * (hi - lo)))
-        f_new = dual(np.where(left, x1, x2))
+        f_new = _dual_bound(r, b, e, gain, np.where(left, x1, x2), c)
         f1, f2 = np.where(left, f_new, f2), np.where(left, f1, f_new)
     return np.minimum(f1, f2), np.where(f1 <= f2, x1, x2)
 
@@ -312,9 +310,6 @@ def grid_search_joint(channels, cfg, grid):
     n, m = cfg.N, cfg.M
     if n > 3 or m > 3:
         raise InvalidInput("joint grid search is limited to N <= 3, M <= 3")
-    total = grid.phase_levels ** n
-    if total > EVAL_CAP:
-        raise GridTooLarge(f"{total} phase profiles exceed the cap {EVAL_CAP}")
 
     gain = 2.0 ** cfg.r0
     c = (gain - 1.0) * cfg.sigma2_w / cfg.ps_w
@@ -377,13 +372,7 @@ def grid_search_phases(channels, w, cfg, levels):
     n = cfg.N
     if n > 4:
         raise InvalidInput("phase grid search is limited to N <= 4")
-    if not isinstance(levels, Integral):
-        raise InvalidInput("levels must be an integer")
-    if levels < 2:
-        raise InvalidInput("grid levels must be >= 2")
-    profiles = levels ** n
-    if profiles > EVAL_CAP:
-        raise GridTooLarge(f"{profiles} evaluations exceed the cap {EVAL_CAP}")
+    levels = GridSpec(phase_levels=levels).phase_levels
     # conj(u)^H (H w) per receiver: the conjugate rows have the same modulus
     coef = np.stack([channels.H_r @ w, channels.H_b @ w, channels.H_e @ w]).T.conj()
     fast, heads = _separable_rows(coef, levels)

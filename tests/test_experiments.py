@@ -11,6 +11,7 @@ import pytest
 from irs_swipt.channel import ChannelSet, ScenarioConfig, generate_scenario
 from irs_swipt.config import parse_config_text
 from irs_swipt.errors import InvalidInput
+import irs_swipt.experiments as experiments
 from irs_swipt.experiments import (METHODS, MODES, OK_STATUSES, ExperimentSpec, ResultRow,
                                    _openblas_function, _single_blas_thread,
                                    compare_complexity, emit_csv, parse_csv, run_experiment)
@@ -168,6 +169,33 @@ class TestRunExperiment:
         assert runs[1] == runs[2]
         methods = {entry["method"] for entry in json.loads(runs[1][0])}
         assert methods == set(METHODS)
+
+    def test_no_more_workers_than_runs(self, tmp_path, monkeypatch):
+        opened = []
+
+        class SerialPool:  # records the pool size and starts no process
+            def __init__(self, max_workers, initializer):
+                opened.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        runs = {}
+        for workers in (1, 64):
+            spec = ExperimentSpec(mode="single", methods=METHODS, seeds_per_point=1,
+                                  base=small_base(), out_dir=str(tmp_path / str(workers)),
+                                  workers=workers)
+            runs[workers] = [(r.method, r.seed, r.harvested_w, r.sr_bps_hz, r.iters, r.status)
+                             for r in run_experiment(spec)]
+        assert opened == [len(METHODS)]  # one worker per run, not 64
+        assert runs[64] == runs[1]
 
     def test_pool_workers_run_one_blas_thread(self):
         # One worker per core, each running a BLAS thread per core,

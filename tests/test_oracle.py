@@ -106,6 +106,14 @@ class TestGridSearchJoint:
         b = grid_search_joint(ch, cfg, GridSpec(16, 300, 2))
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1]) and a[2] == b[2]
 
+    def test_numpy_integer_levels_match_python_ints(self):
+        # np.uint8(255) ** 2 wraps to 65025 % 256 = 1 profile; the levels are stored as int
+        cfg = ScenarioConfig(M=2, N=2, seed=0, r0=1.0, **DESK)
+        ch = generate_scenario(cfg)
+        want = grid_search_joint(ch, cfg, GridSpec(phase_levels=255))
+        got = grid_search_joint(ch, cfg, GridSpec(phase_levels=np.uint8(255)))
+        assert all(np.array_equal(g, v) for g, v in zip(got, want))
+
     def test_size_limits(self):
         cfg = ScenarioConfig(M=2, N=3, seed=8, **DESK)
         ch = generate_scenario(cfg)
@@ -244,7 +252,11 @@ def binding_stack(r, b, e, gain, u):
 
 
 def golden(r, b, e, gain, hi, c):
-    return _dual_minimum(_outer(r), _outer(b) - gain * _outer(e), hi, c)[0]
+    """The golden-section minimum of rows (B, 2) padded with a zero third entry,
+    so that _dual_bound takes eigvalsh: lambda_max(R + lam A) >= 0 at M = 2
+    (A is positive on the complement of e), so the zero eigenvalue added
+    leaves the dual function as it was."""
+    return _dual_minimum(*(np.pad(x, ((0, 0), (0, 1))) for x in (r, b, e)), gain, hi, c)[0]
 
 
 class TestKernel:
@@ -393,6 +405,15 @@ class TestGridSearchPhases:
         with pytest.raises(InvalidInput):
             grid_search_phases(generate_scenario(cfg5), w, cfg5, 4)
 
+    def test_numpy_integer_levels_match_python_ints(self):
+        # np.int16(200) ** 2 wraps to 40000 - 65536 < 0 profiles
+        cfg = ScenarioConfig(M=2, N=2, seed=0, r0=0.1, **DESK)
+        ch = generate_scenario(cfg)
+        w = np.sqrt(cfg.ps_w) * np.ones(2) / np.sqrt(2)
+        u, val = grid_search_phases(ch, w, cfg, np.int16(200))
+        want_u, want = grid_search_phases(ch, w, cfg, 200)
+        assert np.array_equal(u, want_u) and val == want
+
     @pytest.mark.parametrize("levels", [1, 0, -3])
     def test_fewer_than_two_levels_rejected(self, levels):
         cfg = ScenarioConfig(M=2, N=2, seed=13, **DESK)
@@ -407,9 +428,26 @@ class TestGridSearchPhases:
 
 
 def test_gridspec_validation():
+    grid = GridSpec(np.uint8(255), np.int16(300), np.int64(2))
+    assert [(type(x), x) for x in vars(grid).values()] == [(int, 255), (int, 300), (int, 2)]
     with pytest.raises(InvalidInput):
         GridSpec(phase_levels=1)
     with pytest.raises(InvalidInput):
         GridSpec(subspace_points=1)
     with pytest.raises(InvalidInput):
         GridSpec(power_levels=0)
+
+
+@pytest.mark.parametrize("levels", [np.int32(65536), np.int64(2 ** 32)])
+def test_numpy_integer_levels_meet_the_cap(levels, monkeypatch):
+    # levels ** 2 wraps to 0 in the numpy type; the cap must see 2^32 or 2^64
+    def no_tables(levels):
+        pytest.fail("a phase table was built before the size cap")
+
+    monkeypatch.setattr(oracle, "_roots", no_tables)
+    cfg = ScenarioConfig(M=2, N=2, seed=0, **DESK)
+    ch = generate_scenario(cfg)
+    with pytest.raises(GridTooLarge, match="phase profiles exceed the cap"):
+        grid_search_joint(ch, cfg, GridSpec(phase_levels=levels))
+    with pytest.raises(GridTooLarge, match="phase profiles exceed the cap"):
+        grid_search_phases(ch, np.ones(2, dtype=complex), cfg, levels)

@@ -10,11 +10,17 @@ problem leaves arbitrary, so no reference values are needed.
 - Phase: a unit phase e^{j theta_x} of each receiver's own, with independent
   theta for Bob, EHR and EVE, multiplies both of its links h_ax and h_ix.
   Every |v^H H_x w|^2 stays the same, so a solution maps to itself.
+- Unit: amplitudes in a unit k times smaller scale G and the direct links
+  h_ax by k and the noise power by k^2.  Every SNR stays the same, a
+  solution maps to itself, and the harvested power scales by k^2.
+- Power: (Ps, noise power) -> (k^2 Ps, k^2 noise power), and a solution
+  (w, u) -> (k w, u); the harvested power scales by k^2.
 
 On each instance and its transformed copy, a solver must end with the same
-status and the same harvested power, and the transformed solution of the
-instance must be feasible on the transformed channels.  The fixed-profile
-baseline takes its profile as an input, so it gets the transformed profile.
+status and the same harvested power, times the case's factor, and the
+transformed solution of the instance must be feasible on the transformed
+instance.  The fixed-profile baseline takes its profile as an input, so it
+gets the transformed profile.
 """
 
 from dataclasses import replace
@@ -39,37 +45,57 @@ PAPER = parse_config(Path(__file__).resolve().parents[1] / "configs" / "paper.cf
 INSTANCES = ([PAPER.with_updates(seed=seed) for seed in range(4)]
              + [ScenarioConfig(N=n, r0=3.0, seed=seed) for n in (8, 24) for seed in range(6)])
 DESK_INSTANCES = [ScenarioConfig(M=2, N=2, seed=seed, **DESK) for seed in range(4)]
+K = 10.0  # scale of the unit and power cases
 
 
-def rotate(channels, rng):
-    """The channels in a random unitary basis of the AP, and the maps of a
-    beamformer and of a profile into that basis."""
+def same(x):
+    return x
+
+
+# Each case maps (channels, cfg, rng) to the transformed channels and config,
+# the maps of a beamformer and of a profile, and the factor of the harvested
+# power.
+def rotate(channels, cfg, rng):
+    """The instance in a random unitary basis of the AP."""
     m = channels.G.shape[1]
     q, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
     moved = replace(channels, G=channels.G @ q,
                     **{h: q.conj().T @ getattr(channels, h) for h in ("h_ab", "h_ah", "h_ae")})
-    return moved, lambda w: q.conj().T @ w, lambda u: u
+    return moved, cfg, lambda w: q.conj().T @ w, same, 1.0
 
 
-def permute(channels, rng):
-    """The channels with the IRS elements in a random order, and the maps of a
-    beamformer and of a profile into that order."""
+def permute(channels, cfg, rng):
+    """The instance with the IRS elements in a random order."""
     perm = rng.permutation(channels.G.shape[0])
     moved = replace(channels, G=channels.G[perm],
                     **{h: getattr(channels, h)[perm] for h in ("h_ib", "h_ih", "h_ie")})
-    return moved, lambda w: w, lambda u: u[perm]
+    return moved, cfg, same, lambda u: u[perm], 1.0
 
 
-def rephase(channels, rng):
-    """The channels with each receiver's links turned by a random phase of its
-    own, and the (identity) maps of a beamformer and of a profile."""
+def rephase(channels, cfg, rng):
+    """The instance with each receiver's links turned by a random phase of its
+    own."""
     turns = np.exp(2j * np.pi * rng.random(3))
     moved = replace(channels, **{f"h_{link}{rx}": turn * getattr(channels, f"h_{link}{rx}")
                                  for rx, turn in zip("bhe", turns) for link in "ai"})
-    return moved, lambda w: w, lambda u: u
+    return moved, cfg, same, same, 1.0
 
 
-CASES = {"rotation": rotate, "permutation": permute, "phase": rephase}
+def rescale_units(channels, cfg, rng):
+    """The instance with amplitudes in a unit K times smaller."""
+    moved = replace(channels, G=K * channels.G,
+                    **{h: K * getattr(channels, h) for h in ("h_ab", "h_ah", "h_ae")})
+    return moved, replace(cfg, sigma2_w=K ** 2 * cfg.sigma2_w), same, same, K ** 2
+
+
+def rescale_power(channels, cfg, rng):
+    """The instance with the power budget and the noise power times K^2."""
+    moved_cfg = replace(cfg, ps_w=K ** 2 * cfg.ps_w, sigma2_w=K ** 2 * cfg.sigma2_w)
+    return channels, moved_cfg, lambda w: K * w, same, K ** 2
+
+
+CASES = {"rotation": rotate, "permutation": permute, "phase": rephase,
+         "unit": rescale_units, "power": rescale_power}
 
 
 def solve(solver, channels, cfg, move_u):
@@ -100,7 +126,8 @@ SOLVERS = {
     # same draws r meet the permuted sqrt(V) in another order, so a permuted
     # instance picks from other candidate profiles
     "sdr_ao": (partial(solve, sdr_ao), INSTANCES,
-               {"rotation": DEFAULT_TOL, "permutation": 1e-4, "phase": DEFAULT_TOL}),
+               {"rotation": DEFAULT_TOL, "permutation": 1e-4, "phase": DEFAULT_TOL,
+                "unit": DEFAULT_TOL, "power": DEFAULT_TOL}),
     "grid_search_joint": (oracle, DESK_INSTANCES, {}),
     # the no_irs baseline is this function at N = 0
     "optimize_w_fixed_profile": (fixed_profile, INSTANCES, {}),
@@ -113,20 +140,27 @@ def untransformed(name, index):
     solved once for all the cases."""
     solver, instances, _ = SOLVERS[name]
     channels = generate_scenario(instances[index])
-    return channels, solver(channels, instances[index], lambda u: u)
+    return channels, solver(channels, instances[index], same)
 
 
-@pytest.mark.parametrize("case", CASES)
-@pytest.mark.parametrize("name", SOLVERS)
+# sca_ao's phase step stops its multiplier search on a test that is absolute
+# in watt units, so its result moves with the unit of power (ROADMAP item 6):
+# it stays out of the unit and power cases until that is fixed
+PAIRS = [(name, case) for name in SOLVERS for case in CASES
+         if not (name == "sca_ao" and case in ("unit", "power"))]
+
+
+@pytest.mark.parametrize("name,case", PAIRS)
 def test_result_is_free_of_basis_and_element_order(name, case):
     solver, instances, rtols = SOLVERS[name]
     for index, cfg in enumerate(instances):
         channels, (status, w, u) = untransformed(name, index)
         assert status in ("Converged", "MaxIters"), (cfg, status)
-        moved, move_w, move_u = CASES[case](channels, np.random.default_rng(cfg.seed))
-        moved_status, moved_w, moved_u = solver(moved, cfg, move_u)
+        moved, moved_cfg, move_w, move_u, factor = CASES[case](
+            channels, cfg, np.random.default_rng(cfg.seed))
+        moved_status, moved_w, moved_u = solver(moved, moved_cfg, move_u)
         assert moved_status == status, cfg
-        report = check_feasible(move_w(w), move_u(u), cfg, moved)
+        report = check_feasible(move_w(w), move_u(u), moved_cfg, moved)
         assert report.feasible, (cfg, report.violations)
-        assert harvested_power(moved_w, moved_u, moved, cfg.zeta) == pytest.approx(
-            harvested_power(w, u, channels, cfg.zeta), rel=rtols.get(case, 1e-8)), cfg
+        assert harvested_power(moved_w, moved_u, moved, moved_cfg.zeta) == pytest.approx(
+            factor * harvested_power(w, u, channels, cfg.zeta), rel=rtols.get(case, 1e-8)), cfg
