@@ -20,7 +20,7 @@ broadcasts the leading elements' sums against that table, in mixed-radix
 order (element 0 slowest), with no matrix product per profile.
 
 No profile is worth more than ||r||^2 (MRT at full power) nor, for any
-lam >= 0, f(lam).  So a first pass over the r rows alone finds the profile of
+lam >= 0, f(lam).  So a first pass over ||r||^2 alone finds the profile of
 largest ||r||^2, and its exact value screens the second pass: only profiles
 with ||r||^2, and f at the incumbent's multiplier, above the incumbent's
 value (with a 1e-12 relative margin for rounding) reach the per-profile
@@ -33,6 +33,21 @@ and by golden-section search over batched eigvalsh at M = 3.  The beamformer
 is recovered at the winning profile only, and the value returned is the
 harvested power of the recovered pair.
 
+The ||r||^2 screens (the first pass, and the second while lam = 0) read no
+rows.  With C = conj(H_r), r = sum_n v_n C[n] (v_N = 1), and with K = C C^H,
+||r||^2 = v^H K v is a real quadratic form in the digits d_n of v_n =
+roots[d_n]: tr K, plus a_p[d_p] = 2 Re(roots[d_p] K[p, N]) per element, plus
+c_pq[(d_q - d_p) mod levels] = 2 Re(conj(roots[j]) K[p, q]) per pair of
+elements.  Three kinds of tables of `levels` entries give it.  The pair
+table is circulant in (d_p, d_q): its row d_p is a window of c_pq repeated
+twice, a zero-copy view.  The part over the trailing elements is summed once;
+each block of profiles adds the leading elements' entries and broadcasts
+their circulant rows along the trailing axes.  The form rounds differently
+from the rows, so these screens keep every profile within delta = 64 eps
+(sum_n ||C[n]||)^2 below the cut (_norm2_form derives the bound).  Where r
+cancels, delta is far above the 1e-12 relative margin.  delta can only keep
+more profiles, and the kernel, on the rows, decides.
+
 grid_search_phases scans the same phase grid, with the same separable rows,
 for a fixed beamformer.
 
@@ -44,6 +59,7 @@ ties break toward the lowest grid index.
 from dataclasses import dataclass, fields
 from numbers import Integral
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GridTooLarge, InvalidInput, SubproblemInfeasible
 from .metrics import harvested_power
@@ -87,12 +103,14 @@ def _separable_rows(coef, levels):
     d of the levels-per-element phase grid (n = coef.shape[0] - 1), stored
     transposed: a row's k entries form a column.
 
-    Returns (fast, heads).  fast (k, F) holds the sums over the trailing
-    elements, as many as fit in CHUNK columns, and is computed once.  heads()
-    yields (start, head): head (k, run) holds the leading elements' sums plus
-    the direct row coef[n], for runs of them.  Column i * F + j of
-    _block(head, fast) is the profile of grid index start * F + i * F + j, so
-    element 0 varies slowest.  A row is summed in the same order however it
+    Returns (fast, heads, slow).  fast (k, F) holds the sums over the
+    trailing elements, as many as fit in CHUNK columns, and is computed once;
+    the leading `slow` elements are summed per block.  heads() yields (start,
+    head, digits): head (k, run) holds the leading elements' sums plus the
+    direct row coef[n], for runs of them, and digits their grid digits, one
+    index per leading element (a slice when there is one).  Column i * F + j
+    of _block(head, fast) is the profile of grid index start * F + i * F + j,
+    so element 0 varies slowest.  A row is summed in the same order however it
     is formed, so a profile's row is the same to the bit.  Raises GridTooLarge,
     before any table is built, when the grid holds more than EVAL_CAP profiles.
     """
@@ -109,13 +127,76 @@ def _separable_rows(coef, levels):
     def heads():
         total = levels ** slow
         for start in range(0, total, run):
-            idx = np.arange(start, min(start + run, total))
-            head = np.repeat(coef[-1][:, None], idx.size, axis=1)
-            for t, d in zip(tables[:slow], np.unravel_index(idx, (levels,) * slow) if slow else ()):
+            stop = min(start + run, total)
+            digits = ((slice(start, stop),) if slow == 1 else
+                      np.unravel_index(np.arange(start, stop), (levels,) * slow) if slow else ())
+            head = np.repeat(coef[-1][:, None], stop - start, axis=1)
+            for t, d in zip(tables[:slow], digits):
                 head += t[:, d]
-            yield start, head
+            yield start, head, digits
 
-    return fast, heads
+    return fast, heads, slow
+
+
+def _norm2_form(C, levels, slow):
+    """||r||^2, r = sum_n v_n C[n] with v_n = roots[d_n] and v_N = 1, of the
+    profiles of the phase grid, as the real quadratic form v^H K v, K = C C^H
+    (see the module docstring), in the layout of _separable_rows with `slow`
+    leading elements.
+
+    Returns (norm2, delta).  norm2(digits), for the digits of a head run,
+    returns the run's values in the order of its profiles.  The part over the
+    trailing elements is built here, the circulant rows are views, and a run
+    takes one entry or row per leading element or pair, with no index
+    arithmetic per profile.
+
+    delta = 64 eps S^2, S = sum_n ||C[n]||, bounds |norm2 - _norm2 of the
+    rows|.  Each product v_p conj(v_q) K[p, q] of ||r||^2 has modulus at most
+    ||C[p]|| ||C[q]||, and these bounds sum to S^2.  So a step that rounds
+    each term, or each partial sum, by a relative k eps moves the total by at
+    most k eps S^2.  To first order, in units of eps:
+    - a root is off by 11: its angle 2 pi d / levels < 2 pi takes three
+      roundings of eps / 2, and exp one unit;
+    - the rows: an entry sums N + 1 complex products (1.5 each) with at most
+      N additions (0.5 each), so ||r|| moves by (12.5 + N / 2) eps S and
+      ||r||^2 by twice that times S; _norm2's squares and sums add M;
+    - the form: K[p, q], an M-term inner product, is off by 1.5 + M / 2 and
+      its product with a root by 11 + 1.5 more, which is 14 + M / 2 over
+      terms of total modulus S^2 (each 2 Re(.) stands for two); adding its
+      1 + N (N + 1) / 2 terms costs N (N + 1) / 4.
+    The sum, 39 + N + 1.5 M + N (N + 1) / 4, is at most 49.5 for N, M <= 3;
+    64 leaves room for the second-order terms.  Where r cancels, ||r||^2 is
+    far below S^2, and a margin relative to ||r||^2 would not cover this.
+    """
+    n = C.shape[0] - 1
+    K = C @ C.conj().T
+    roots = _roots(levels)
+    a = 2.0 * (K[:-1, -1, None] * roots).real  # a[p, d]
+
+    def circulant(p, q):  # row d_p holds c_pq[(d_q - d_p) mod levels] over d_q
+        c = 2.0 * (K[p, q] * roots.conj()).real
+        return sliding_window_view(np.concatenate([c, c]), levels)[levels:0:-1]
+
+    def others(*elements, lead=0):  # the axes of the other trailing elements
+        return tuple(lead + i - slow for i in range(slow, n) if i not in elements)
+
+    fast = np.full((levels,) * (n - slow), np.trace(K).real)
+    for p in range(slow, n):
+        fast = fast + np.expand_dims(a[p], others(p))
+        for q in range(p + 1, n):
+            fast = fast + np.expand_dims(circulant(p, q), others(p, q))
+    slow_pairs = [(p, q, circulant(p, q)) for q in range(slow) for p in range(q)]
+    cross = [(p, circulant(p, q), others(q, lead=1)) for p in range(slow) for q in range(slow, n)]
+
+    def norm2(digits):
+        part = (sum(a[p][d] for p, d in enumerate(digits))
+                + sum(t[digits[p], digits[q]] for p, q, t in slow_pairs))
+        out = np.add.outer(part, fast)
+        for p, t, axes in cross:
+            out += np.expand_dims(t[digits[p]], axes)
+        return out.reshape(-1)
+
+    return norm2, 64 * np.finfo(float).eps * np.linalg.norm(C, axis=1).sum() ** 2
 
 
 def _block(head, fast):
@@ -314,7 +395,8 @@ def grid_search_joint(channels, cfg, grid):
     gain = 2.0 ** cfg.r0
     c = (gain - 1.0) * cfg.sigma2_w / cfg.ps_w
     coef = np.concatenate([H.conj() for H in (channels.H_r, channels.H_b, channels.H_e)], axis=1)
-    fast, heads = _separable_rows(coef, grid.phase_levels)  # rows [r, b, e] = H^H v
+    fast, heads, slow = _separable_rows(coef, grid.phase_levels)  # rows [r, b, e] = H^H v
+    norm2, delta = _norm2_form(coef[:, :m], grid.phase_levels, slow)  # ||r||^2 per profile
     size = fast.shape[1]
 
     def split(rows):
@@ -327,10 +409,12 @@ def grid_search_joint(channels, cfg, grid):
     # dual function at lam.  So the value of the profile of largest ||r||^2,
     # then of the best profile so far, screens the rest by both, with lam its
     # multiplier (0 where MRT wins, and then the dual function adds nothing).
-    # Both passes sum each row in the same order, so the top profile is kept.
+    # ||r||^2 comes from the form, within delta of the rows' value, so the
+    # first pass may pick another profile among ties at rounding level; the
+    # rows give the exact value of the one it picks.
     top, top_rows = -np.inf, None
-    for _, head in heads():
-        rr = _norm2(_block(head[:m], fast[:m]).T)
+    for _, head, digits in heads():
+        rr = norm2(digits)
         i = int(np.argmax(rr))
         if rr[i] > top:
             top, top_rows = rr[i], head[:, i // size] + fast[:, i % size]
@@ -338,12 +422,12 @@ def grid_search_joint(channels, cfg, grid):
     cut, lam = floor(vals[0]), lams[0]
 
     best, best_index, best_rows = -np.inf, None, None
-    for start, head in heads():
+    for start, head, digits in heads():
         if lam > 0:
             block = _block(head, fast).T
             keep = (_norm2(block[:, :m]) >= cut) & (_dual_bound(*split(block), gain, lam, c) >= cut)
         else:
-            keep = _norm2(_block(head[:m], fast[:m]).T) >= cut
+            keep = norm2(digits) >= cut - delta
         idx = np.flatnonzero(keep)
         if idx.size == 0:
             continue
@@ -375,12 +459,12 @@ def grid_search_phases(channels, w, cfg, levels):
     levels = GridSpec(phase_levels=levels).phase_levels
     # conj(u)^H (H w) per receiver: the conjugate rows have the same modulus
     coef = np.stack([channels.H_r @ w, channels.H_b @ w, channels.H_e @ w]).T.conj()
-    fast, heads = _separable_rows(coef, levels)
+    fast, heads, _ = _separable_rows(coef, levels)
     gain = 2.0 ** cfg.r0
     s2 = cfg.sigma2_w
 
     best, best_index = -np.inf, None
-    for start, head in heads():
+    for start, head, _ in heads():
         ar, ab, ae = _abs2(_block(head, fast))
         vals = np.where(ab + s2 >= gain * (ae + s2), ar, -np.inf)
         k = int(np.argmax(vals))

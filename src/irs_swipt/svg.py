@@ -18,11 +18,14 @@ def _ticks(lo, hi):
             step *= mult
             break
     first = step * round(lo / step)
+    if first + step == first:  # a span of a few ulps: steps below half an ulp vanish
+        return [lo, hi]
     if first < lo - 1e-12 * span:
         first += step
     ticks = []
     t = first
-    while t <= hi + 1e-12 * span:
+    # counted, as t += step also stalls where t's ulp grows past twice step
+    while t <= hi + 1e-12 * span and len(ticks) <= TICKS:
         ticks.append(t)
         t += step
     return ticks or [lo, hi]

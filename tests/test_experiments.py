@@ -2,6 +2,7 @@ import ctypes
 import importlib.util
 import json
 import re
+import shutil
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -592,3 +593,58 @@ def test_reference_runs_reach_every_mode_and_method():
         specs.append(ExperimentSpec(base=base, **kwargs))
     assert {s.mode for s in specs} == set(MODES)
     assert {m for s in specs for m in s.methods} == set(METHODS)
+
+
+@pytest.fixture(scope="module")
+def oracle_tree(tmp_path_factory):
+    """The oracle run of tools/reference_outputs.py on this tree's src/."""
+    tool = load_tool("reference_outputs")
+    out = tmp_path_factory.mktemp("reference") / "a"
+    tool.run_oracle(tool.REPO / "src", out / "oracle" / tool.ORACLE_FILE)
+    return out
+
+
+def test_reference_oracle_run_writes_one_line_per_search(oracle_tree):
+    # the 96 desk instances of the benchmark, the M x N x r0 x seed x levels
+    # sweep and N = 3 at 32 levels; unattainable targets give the exception's name
+    tool = load_tool("reference_outputs")
+    lines = (oracle_tree / "oracle" / tool.ORACLE_FILE).read_text().splitlines()
+    assert len(lines) == len(tool.ORACLE_SEARCHES) == 96 + 3 * 4 * 4 * 3 * 3 + 1
+    search, value, w, u = lines[0].split("\t")
+    assert search == "(2, 2, 1.0, 0, 256)" and w.startswith("[(") and u.startswith("[(")
+    assert float(value) == pytest.approx(4.820404496080396e-05, rel=1e-12)
+    assert sum(line.endswith("\tSubproblemInfeasible") for line in lines) > 0
+
+
+def edit_search(edit):
+    """An edit of the first search's line, split at its tabs."""
+    def apply(path):
+        lines = path.read_text().splitlines()
+        lines[0] = "\t".join(edit(lines[0].split("\t")))
+        path.write_text("\n".join(lines) + "\n")
+    return apply
+
+
+def scaled_value(factor):
+    return edit_search(lambda p: [p[0], repr(float(p[1]) * factor), *p[2:]])
+
+
+@pytest.mark.parametrize("edit, code, report", [
+    pytest.param(None, 0, "oracle: 0 of 529 searches differ; worst relative difference value 0",
+                 id="identical"),
+    pytest.param(scaled_value(1 + 1e-13), 0, "oracle: 1 of 529 searches differ", id="rounding"),
+    pytest.param(scaled_value(1 + 1e-11), 1, "value 1e-11", id="above-tolerance"),
+    pytest.param(edit_search(lambda p: [*p[:3], p[3].replace("[", "[(1+0j), ", 1)]), 1,
+                 "oracle: the searches differ", id="u"),
+    pytest.param(edit_search(lambda p: [p[0], "SubproblemInfeasible"]), 1,
+                 "oracle: the searches differ", id="outcome"),
+])
+def test_compare_tool_checks_oracle_searches(oracle_tree, tmp_path, capsys, edit, code, report):
+    # same searches, outcomes and profiles u; values within 1e-12 relative
+    tool = load_tool("compare_outputs")
+    b = tmp_path / "b"
+    shutil.copytree(oracle_tree, b)
+    if edit:
+        edit(b / "oracle" / tool.ORACLE_FILE)
+    assert tool.main([str(oracle_tree), str(b)]) == code
+    assert report in capsys.readouterr().out

@@ -5,8 +5,9 @@ from irs_swipt.channel import ChannelSet, ScenarioConfig, generate_scenario
 from irs_swipt.errors import GridTooLarge, InvalidInput, SubproblemInfeasible
 from irs_swipt.metrics import PhaseProfile, check_feasible, harvested_power
 import irs_swipt.oracle as oracle
-from irs_swipt.oracle import (GridSpec, _dual_bound, _dual_minimum, _dual_minimum_2x2,
-                               _lam_max_a, _outer, _profile_values, _recover_direction,
+from irs_swipt.oracle import (SCREEN_MARGIN, GridSpec, _block, _dual_bound, _dual_minimum,
+                               _dual_minimum_2x2, _lam_max_a, _norm2, _norm2_form, _outer,
+                               _profile_values, _recover_direction, _roots, _separable_rows,
                                grid_search_joint, grid_search_phases)
 from irs_swipt.sca import build_phase_data, bisect_mu, sca_ao
 from irs_swipt.sdr import sdr_ao
@@ -335,6 +336,49 @@ class TestKernel:
         cfg = ScenarioConfig(M=2, N=2, seed=seed, r0=1.0, **DESK)
         _, _, val = grid_search_joint(generate_scenario(cfg), cfg, GridSpec(256, 1500, 1))
         assert val == pytest.approx(JOINT_DESK_W[seed], rel=1e-12)
+
+
+class TestNorm2Form:
+    """The ||r||^2 form of the screens against _norm2 of the separable rows."""
+
+    @staticmethod
+    def form_and_rows(C, levels):
+        """Every profile's ||r||^2 from the form and from the rows, and delta."""
+        fast, heads, slow = _separable_rows(C, levels)
+        norm2, delta = _norm2_form(C, levels, slow)
+        pairs = [(norm2(digits), _norm2(_block(head, fast).T)) for _, head, digits in heads()]
+        return *map(np.concatenate, zip(*pairs)), delta
+
+    @pytest.mark.parametrize("chunk", [4, 16, 64, oracle.CHUNK])
+    def test_matches_the_rows_in_every_layout(self, chunk, monkeypatch):
+        # at 8 levels and N = 3, chunks 4, 16, 64 and the default hold 3, 2, 1
+        # and 0 leading elements
+        monkeypatch.setattr(oracle, "CHUNK", chunk)
+        rng = np.random.default_rng(60)
+        for n in range(4):
+            for m in (1, 2, 3):
+                for levels in (2, 3, 8):
+                    C = cnormal(rng, n + 1, m) * 10.0 ** rng.uniform(-3, 1, (n + 1, 1))
+                    got, want, delta = self.form_and_rows(C, levels)
+                    assert got.shape == want.shape == (levels ** n,)
+                    assert np.all(np.abs(got - want) <= delta)
+
+    @pytest.mark.parametrize("chunk", [4, 16, 64, oracle.CHUNK])
+    def test_cancelling_rows_stay_within_delta(self, chunk, monkeypatch):
+        # the direct row cancels the profile d up to 1e-6 of sum_n ||C[n]||:
+        # delta covers the form's rounding there, the relative margin does not
+        monkeypatch.setattr(oracle, "CHUNK", chunk)
+        rng = np.random.default_rng(61)
+        levels, d = 8, (3, 5, 1)
+        C = cnormal(rng, 4, 2)
+        C[3] = -_roots(levels)[list(d)] @ C[:3]
+        scale = np.linalg.norm(C, axis=1).sum()
+        C[3] += 1e-6 * scale * np.array([0.6, 0.8j])
+        got, want, delta = self.form_and_rows(C, levels)
+        k = np.ravel_multi_index(d, (levels,) * 3)
+        assert want[k] == pytest.approx(1e-12 * scale ** 2, rel=0.1)
+        assert np.all(np.abs(got - want) <= delta)
+        assert abs(got[k] - want[k]) > SCREEN_MARGIN * want[k]
 
 
 class TestGridSearchPhases:

@@ -6,12 +6,17 @@ the solver tolerance.
 The two trees must hold the same runs, at least one.  For each run, results.csv must list
 the same rows in the same order with identical method, seed, sweep,
 variable, iters and status; harvested_w and sr_bps_hz may differ by
-rounding.  Prints, per run, how many rows differ and the worst relative
-difference of each value column.  Exits 1 on different runs, on a key,
-iters or status mismatch, on a relative difference above sdp.DEFAULT_TOL,
-or on a value that differs and is not finite on either side.
+rounding.  An oracle run's searches.txt must list the same searches in the
+same order, each with the same outcome and, where it has one, the same
+profile u and a value within ORACLE_TOL relative (w is not compared: the
+value is its harvested power).  Prints, per run, how many rows differ and
+the worst relative difference of each value column.  Exits 1 on different
+runs, on a key, iters, status, outcome or profile mismatch, on a relative
+difference above sdp.DEFAULT_TOL (ORACLE_TOL for the oracle's values), or
+on a value that differs and is not finite on either side.
 """
 
+import ast
 import csv
 import math
 from pathlib import Path
@@ -22,6 +27,8 @@ from irs_swipt.sdp import DEFAULT_TOL  # noqa: E402
 
 KEYS = ("method", "seed", "sweep", "variable", "iters", "status")
 VALUES = ("harvested_w", "sr_bps_hz")
+ORACLE_FILE = "searches.txt"
+ORACLE_TOL = 1e-12
 
 
 def read_rows(path):
@@ -41,7 +48,36 @@ def rel_diff(a, b):
 
 
 def runs(tree):
-    return sorted(p.parent.name for p in tree.glob("*/results.csv"))
+    return sorted(p.parent.name for name in ("results.csv", ORACLE_FILE)
+                  for p in tree.glob(f"*/{name}"))
+
+
+def read_searches(path):
+    """(search, outcome, value, u) per line of an oracle run: the outcome is
+    "value", or the name of the exception raised, and then value and u are None."""
+    searches = []
+    for line in path.read_text().splitlines():
+        search, *result = line.split("\t")
+        if len(result) == 1:
+            searches.append((search, result[0], None, None))
+        else:
+            searches.append((search, "value", result[0], ast.literal_eval(result[2])))
+    return searches
+
+
+def compare_searches(run, a, b):
+    """Print the comparison of two oracle runs; True when they agree."""
+    searches = [read_searches(tree / run / ORACLE_FILE) for tree in (a, b)]
+    keys = [[(search, outcome, u) for search, outcome, _, u in x] for x in searches]
+    if keys[0] != keys[1]:
+        print(f"{run}: the searches differ in search, outcome or u")
+        return False
+    worst = max((rel_diff(x[2], y[2]) for x, y in zip(*searches) if x[1] == "value"),
+                default=0.0)
+    differ = sum(x != y for x, y in zip(*searches))
+    print(f"{run}: {differ} of {len(keys[0])} searches differ; worst relative difference "
+          f"value {worst:.3g}")
+    return worst <= ORACLE_TOL
 
 
 def compare(a, b):
@@ -53,6 +89,9 @@ def compare(a, b):
         return False
     ok = True
     for run in names:
+        if (a / run / ORACLE_FILE).exists():
+            ok = compare_searches(run, a, b) and ok
+            continue
         rows = [read_rows(tree / run / "results.csv") for tree in (a, b)]
         if [[r[k] for k in KEYS] for r in rows[0]] != [[r[k] for k in KEYS] for r in rows[1]]:
             print(f"{run}: the rows differ in {', '.join(KEYS)}")
