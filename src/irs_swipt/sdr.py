@@ -36,11 +36,12 @@ import numpy as np
 
 from .errors import NumericalFailure, SubproblemInfeasible
 from .init import alternate, exact_w, initial_phase_profile, max_sr_beamformer, rank_one_w
-from .linalg import herm_eig, psd_sqrt
+from .linalg import herm_eig
 from .metrics import Beamformer, PhaseProfile, check_feasible
 from .sdp import UnitDiagonalSdp, solve_sdp
 
 RAND_COUNT = 1000  # Gaussian randomization candidates per recovery
+EIG_FLOOR = 1e-6  # relative eigenvalue below which randomize_v drops an eigenpair of V
 
 
 def _snr_stacks(channels, cfg):
@@ -123,12 +124,19 @@ def randomize_w(W, fixed_profile, channels, cfg):
 def randomize_v(V, fixed_beam, channels, cfg, count=RAND_COUNT, rng=None):
     """Recover a unit-modulus profile from a lifted V by Gaussian randomization.
 
-    Draws count candidates psd_sqrt(V) r, r circular Gaussian, all at once,
-    normalizes each by its last entry and projects it entrywise to unit
+    Draws count candidates F r, r circular Gaussian, all at once, in V's
+    eigenbasis: F = vecs sqrt(lambda) over the eigenpairs with
+    lambda >= EIG_FLOOR * lambda_max, largest first, each column's phase
+    fixed so that its largest-modulus entry is real and positive.  Each
+    candidate is normalized by its last entry and projected entrywise to unit
     modulus.  Returns the candidate with the largest harvested gain among
     those that meet the secrecy target with the beamformer fixed_beam (the
-    first one on ties); when no draw does, the same projection of V's
-    principal factor sqrt(lambda_max) e_max, secure or not.
+    first one on ties); when no draw does, the same projection of F's first
+    column, V's principal factor, secure or not.
+
+    The draws depend on V alone, not on the order of the IRS elements or on
+    V's eigenvalues at the interior-point tolerance, which a square root of V
+    would amplify: a rank-one V gives one candidate for every r.
     """
     if cfg.N == 0:
         return PhaseProfile(np.zeros(0, dtype=complex))
@@ -140,16 +148,20 @@ def randomize_v(V, fixed_beam, channels, cfg, count=RAND_COUNT, rng=None):
         vt = vt / np.where(last != 0, last, 1.0)
         return np.exp(1j * np.angle(vt[:, :-1]))
 
-    shape = (count, V.shape[0])
+    vals, vecs = herm_eig(V)
+    keep = vals >= EIG_FLOOR * vals[-1]
+    F = (vecs[:, keep] * np.sqrt(vals[keep]))[:, ::-1]
+    pivots = F[np.argmax(np.abs(F), axis=0), np.arange(F.shape[1])]
+    F = F * (np.abs(pivots) / pivots)
+    shape = (count, F.shape[1])
     r = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
-    cands = project(r @ psd_sqrt(V).T)
+    cands = project(r @ F.T)
     g = np.abs(np.concatenate([cands, np.ones((count, 1))], axis=1).conj() @ Y) ** 2
     s2 = cfg.sigma2_w
     ok = g[:, 1] + s2 >= 2.0 ** cfg.r0 * (g[:, 2] + s2) * (1.0 - 1e-12)
     if ok.any():
         return PhaseProfile(cands[np.argmax(np.where(ok, g[:, 0], -np.inf))].copy())
-    vals, vecs = herm_eig(V)
-    return PhaseProfile(project(np.sqrt(max(vals[-1], 0.0)) * vecs[:, -1:].T)[0])
+    return PhaseProfile(project(F[:, :1].T)[0])
 
 
 def sdr_ao(channels, cfg):

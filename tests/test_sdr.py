@@ -8,7 +8,7 @@ from irs_swipt.errors import SubproblemInfeasible
 from irs_swipt.init import (_feasible_combination, exact_w, feasibility_probe,
                             initial_phase_profile, max_sr_beamformer, rank_one_w)
 from irs_swipt.metrics import PhaseProfile, check_feasible, harvested_power
-from irs_swipt.linalg import psd_sqrt
+from irs_swipt.linalg import herm_eig
 from irs_swipt.sdp import DEFAULT_TOL, SdpProblem, solve_sdp
 from irs_swipt.sdr import (
     _snr_stacks, randomize_v, randomize_w, sdr_ao, solve_v_sdp, solve_w_sdp)
@@ -417,10 +417,19 @@ class TestRandomization:
         w, _ = solve_w_sdp(np.outer(u.v, u.v.conj()), ch, cfg)
         V, _, _ = solve_v_sdp(w, ch, cfg)
 
+        # the draws' basis: V's eigenpairs above 1e-6 lambda_max, largest first,
+        # each column turned so that its largest-modulus entry is real and positive
+        vals, vecs = herm_eig(V)
+        cols = []
+        for k in reversed(range(len(vals))):
+            if vals[k] >= 1e-6 * vals[-1]:
+                col = np.sqrt(vals[k]) * vecs[:, k]
+                pivot = col[np.argmax(np.abs(col))]
+                cols.append(col * abs(pivot) / pivot)
+        root = np.stack(cols, axis=1)
         draws = np.random.default_rng(10)
-        shape = (400, V.shape[0])
+        shape = (400, root.shape[1])
         r = (draws.standard_normal(shape) + 1j * draws.standard_normal(shape)) / np.sqrt(2)
-        root = psd_sqrt(V)
         y = [H @ w for H in (ch.H_r, ch.H_b, ch.H_e)]
         want, best_val = None, -np.inf
         for rk in r:

@@ -36,7 +36,6 @@ from irs_swipt.experiments import optimize_w_fixed_profile
 from irs_swipt.metrics import PhaseProfile, check_feasible, harvested_power
 from irs_swipt.oracle import GridSpec, grid_search_joint
 from irs_swipt.sca import sca_ao
-from irs_swipt.sdp import DEFAULT_TOL
 from irs_swipt.sdr import sdr_ao
 
 from shared import DESK
@@ -45,17 +44,19 @@ PAPER = parse_config(Path(__file__).resolve().parents[1] / "configs" / "paper.cf
 INSTANCES = ([PAPER.with_updates(seed=seed) for seed in range(4)]
              + [ScenarioConfig(N=n, r0=3.0, seed=seed) for n in (8, 24) for seed in range(6)])
 DESK_INSTANCES = [ScenarioConfig(M=2, N=2, seed=seed, **DESK) for seed in range(4)]
-K = 10.0  # scale of the unit and power cases
+# the scales k of the unit and power cases; 1e-3, not a power of two, moves
+# each SNR by rounding
+SCALES = (10.0, 1e-3)
 
 
 def same(x):
     return x
 
 
-# Each case maps (channels, cfg, rng) to the transformed channels and config,
-# the maps of a beamformer and of a profile, and the factor of the harvested
-# power.
-def rotate(channels, cfg, rng):
+# Each case maps (channels, cfg, rng, k) to the transformed channels and
+# config, the maps of a beamformer and of a profile, and the factor of the
+# harvested power; only the unit and power cases use the scale k.
+def rotate(channels, cfg, rng, k):
     """The instance in a random unitary basis of the AP."""
     m = channels.G.shape[1]
     q, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
@@ -64,7 +65,7 @@ def rotate(channels, cfg, rng):
     return moved, cfg, lambda w: q.conj().T @ w, same, 1.0
 
 
-def permute(channels, cfg, rng):
+def permute(channels, cfg, rng, k):
     """The instance with the IRS elements in a random order."""
     perm = rng.permutation(channels.G.shape[0])
     moved = replace(channels, G=channels.G[perm],
@@ -72,7 +73,7 @@ def permute(channels, cfg, rng):
     return moved, cfg, same, lambda u: u[perm], 1.0
 
 
-def rephase(channels, cfg, rng):
+def rephase(channels, cfg, rng, k):
     """The instance with each receiver's links turned by a random phase of its
     own."""
     turns = np.exp(2j * np.pi * rng.random(3))
@@ -81,21 +82,22 @@ def rephase(channels, cfg, rng):
     return moved, cfg, same, same, 1.0
 
 
-def rescale_units(channels, cfg, rng):
-    """The instance with amplitudes in a unit K times smaller."""
-    moved = replace(channels, G=K * channels.G,
-                    **{h: K * getattr(channels, h) for h in ("h_ab", "h_ah", "h_ae")})
-    return moved, replace(cfg, sigma2_w=K ** 2 * cfg.sigma2_w), same, same, K ** 2
+def rescale_units(channels, cfg, rng, k):
+    """The instance with amplitudes in a unit k times smaller."""
+    moved = replace(channels, G=k * channels.G,
+                    **{h: k * getattr(channels, h) for h in ("h_ab", "h_ah", "h_ae")})
+    return moved, replace(cfg, sigma2_w=k ** 2 * cfg.sigma2_w), same, same, k ** 2
 
 
-def rescale_power(channels, cfg, rng):
-    """The instance with the power budget and the noise power times K^2."""
-    moved_cfg = replace(cfg, ps_w=K ** 2 * cfg.ps_w, sigma2_w=K ** 2 * cfg.sigma2_w)
-    return channels, moved_cfg, lambda w: K * w, same, K ** 2
+def rescale_power(channels, cfg, rng, k):
+    """The instance with the power budget and the noise power times k^2."""
+    moved_cfg = replace(cfg, ps_w=k ** 2 * cfg.ps_w, sigma2_w=k ** 2 * cfg.sigma2_w)
+    return channels, moved_cfg, lambda w: k * w, same, k ** 2
 
 
 CASES = {"rotation": rotate, "permutation": permute, "phase": rephase,
          "unit": rescale_units, "power": rescale_power}
+SCALED = ("unit", "power")
 
 
 def solve(solver, channels, cfg, move_u):
@@ -118,19 +120,13 @@ def oracle(channels, cfg, move_u):
     return "Converged", w, u
 
 
-# name: (solver, instances, relative tolerance on the harvested power where
-# a case needs another than 1e-8)
+# name: (solver, instances)
 SOLVERS = {
-    "sca_ao": (partial(solve, sca_ao), INSTANCES, {}),
-    # sdr_ao's Gaussian draws r sqrt(V)^T are not permutation-equivariant: the
-    # same draws r meet the permuted sqrt(V) in another order, so a permuted
-    # instance picks from other candidate profiles
-    "sdr_ao": (partial(solve, sdr_ao), INSTANCES,
-               {"rotation": DEFAULT_TOL, "permutation": 1e-4, "phase": DEFAULT_TOL,
-                "unit": DEFAULT_TOL, "power": DEFAULT_TOL}),
-    "grid_search_joint": (oracle, DESK_INSTANCES, {}),
+    "sca_ao": (partial(solve, sca_ao), INSTANCES),
+    "sdr_ao": (partial(solve, sdr_ao), INSTANCES),
+    "grid_search_joint": (oracle, DESK_INSTANCES),
     # the no_irs baseline is this function at N = 0
-    "optimize_w_fixed_profile": (fixed_profile, INSTANCES, {}),
+    "optimize_w_fixed_profile": (fixed_profile, INSTANCES),
 }
 
 
@@ -138,29 +134,31 @@ SOLVERS = {
 def untransformed(name, index):
     """The channels of a solver's instance and its (status, w, u) on them,
     solved once for all the cases."""
-    solver, instances, _ = SOLVERS[name]
+    solver, instances = SOLVERS[name]
     channels = generate_scenario(instances[index])
     return channels, solver(channels, instances[index], same)
 
 
-# sca_ao's phase step stops its multiplier search on a test that is absolute
-# in watt units, so its result moves with the unit of power (ROADMAP item 6):
-# it stays out of the unit and power cases until that is fixed
+# sca_ao's phase step stops its multiplier search on a test in watt units
+# (bisect_mu's stop test), the one cause that moves its result with the unit
+# of power (ROADMAP item 6): it stays out of the unit and power cases until
+# that is fixed
 PAIRS = [(name, case) for name in SOLVERS for case in CASES
-         if not (name == "sca_ao" and case in ("unit", "power"))]
+         if not (name == "sca_ao" and case in SCALED)]
 
 
 @pytest.mark.parametrize("name,case", PAIRS)
 def test_result_is_free_of_basis_and_element_order(name, case):
-    solver, instances, rtols = SOLVERS[name]
+    solver, instances = SOLVERS[name]
     for index, cfg in enumerate(instances):
         channels, (status, w, u) = untransformed(name, index)
         assert status in ("Converged", "MaxIters"), (cfg, status)
-        moved, moved_cfg, move_w, move_u, factor = CASES[case](
-            channels, cfg, np.random.default_rng(cfg.seed))
-        moved_status, moved_w, moved_u = solver(moved, moved_cfg, move_u)
-        assert moved_status == status, cfg
-        report = check_feasible(move_w(w), move_u(u), moved_cfg, moved)
-        assert report.feasible, (cfg, report.violations)
-        assert harvested_power(moved_w, moved_u, moved, moved_cfg.zeta) == pytest.approx(
-            factor * harvested_power(w, u, channels, cfg.zeta), rel=rtols.get(case, 1e-8)), cfg
+        for k in SCALES if case in SCALED else (None,):
+            moved, moved_cfg, move_w, move_u, factor = CASES[case](
+                channels, cfg, np.random.default_rng(cfg.seed), k)
+            moved_status, moved_w, moved_u = solver(moved, moved_cfg, move_u)
+            assert moved_status == status, (cfg, k)
+            report = check_feasible(move_w(w), move_u(u), moved_cfg, moved)
+            assert report.feasible, (cfg, k, report.violations)
+            assert harvested_power(moved_w, moved_u, moved, moved_cfg.zeta) == pytest.approx(
+                factor * harvested_power(w, u, channels, cfg.zeta), rel=1e-8), (cfg, k)
