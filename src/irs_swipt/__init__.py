@@ -15,6 +15,7 @@ from .channel import ChannelSet, ScenarioConfig, dbm_to_watt, generate_scenario,
 from .errors import (GridTooLarge, InvalidInput, IrsSwiptError, NotPSD, NumericalFailure,
                      PhaseStepInfeasible, SubproblemInfeasible)
 from .experiments import ExperimentSpec, ResultRow, compare_complexity, emit_csv, parse_csv, run_experiment
+from .init import Problem, normalized
 from .linalg import herm_eig, max_eigval, psd_sqrt
 from .metrics import (Beamformer, FeasibilityReport, PhaseProfile, SolveResult, check_feasible,
                       harvested_power, rate_bob, rate_eve, secrecy_rate)

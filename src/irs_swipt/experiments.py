@@ -22,7 +22,7 @@ import numpy as np
 
 from .channel import ScenarioConfig, generate_scenario
 from .errors import InvalidInput
-from .init import alternate
+from .init import alternate, harvested_snr
 from .metrics import PhaseProfile, harvested_power
 from .sca import sca_ao, sca_w_step
 from .sdr import sdr_ao
@@ -116,10 +116,10 @@ CSV_HEADER = ",".join(f.name for f in CSV_COLUMNS)
 def optimize_w_fixed_profile(channels, cfg, u):
     """Beamformer-only optimization for a frozen profile (baseline arm); the
     step is exact, so the second one confirms the first and ends the run."""
-    def step(state, counts):
+    def step(problem, state, counts):
         w, u = state
-        w = sca_w_step(u.v, w, channels, cfg).w
-        return (w, u), harvested_power(w, u, channels, cfg.zeta)
+        w = sca_w_step(u.v, w, problem).w
+        return (w, u), harvested_snr(u.v, w, problem)
 
     return alternate(channels, cfg, u, step)
 

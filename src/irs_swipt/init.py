@@ -1,21 +1,47 @@
-"""What the alternating-optimization solvers share: the starting phase
-profile, the full-power secrecy-maximizing beamformer used as a feasibility
-probe and as a strictly feasible starting point, the exact beamformer for a
-fixed profile (exact_w, through the 1-D dual of rank_one_w, which sdr_ao's W
-half-step also solves) that sca_ao, the beamformer-only baselines and sdr_ao's
-profile recovery all take, and the alternation loop they all run (sdr_ao also
-maps its final relaxed state to a rank-one pair once, after the loop)."""
+"""What the alternating-optimization solvers share: the noise-normalized
+problem every solver layer takes (normalized), the starting phase profile, the
+full-power secrecy-maximizing beamformer used as a feasibility probe and as a
+strictly feasible starting point, the exact beamformer for a fixed profile
+(exact_w, through the 1-D dual of rank_one_w, which sdr_ao's W half-step also
+solves) that sca_ao, the beamformer-only baselines and sdr_ao's profile
+recovery all take, and the alternation loop they all run (sdr_ao also maps its
+final relaxed state to a rank-one pair once, after the loop).
+
+The subproblems depend on the channels only through SNRs, so every layer
+below alternate works in noise units: the stacks H_x sqrt(Ps)/sigma, a
+beamformer of unit power budget and unit noise power.  alternate builds that
+Problem once per solve and converts to watts once, on the way out.
+"""
 
 import math
 import time
+from collections import namedtuple
 
 import numpy as np
 
 from .errors import SubproblemInfeasible
 from .linalg import herm_eig
-from .metrics import Beamformer, PhaseProfile, SolveResult, harvested_power, secrecy_rate
+from .metrics import Beamformer, PhaseProfile, SolveResult, secrecy_rate
 
 OUTER_TOL = 1e-3  # relative trace increase below which sdr_ao and sca_ao stop
+
+
+# The instance in noise units: the stacks H_x sqrt(Ps/sigma^2), so that
+# |v^H Hr w|^2 is an SNR for a unit-budget w, the secrecy target r0 in bits
+# and its gain 2^r0.  The feasibility probe compares in bits, so that r0 =
+# the probe's own sr_max is feasible without rounding.
+Problem = namedtuple("Problem", ["Hr", "Hb", "He", "r0", "gain"])
+
+
+def normalized(channels, cfg):
+    """The Problem of an instance."""
+    s = np.sqrt(cfg.ps_w / cfg.sigma2_w)
+    return Problem(channels.H_r * s, channels.H_b * s, channels.H_e * s, cfg.r0, 2.0 ** cfg.r0)
+
+
+def harvested_snr(v, w, problem):
+    """|v^H Hr w|^2, the harvested power over zeta sigma^2."""
+    return abs(np.vdot(v, problem.Hr @ w)) ** 2
 
 
 def initial_phase_profile(cfg, rng=None):
@@ -27,23 +53,23 @@ def initial_phase_profile(cfg, rng=None):
     return PhaseProfile(np.ones(cfg.N, dtype=complex))
 
 
-def max_sr_beamformer(v, channels, cfg):
-    """Full-power beamformer maximizing the secrecy rate for a fixed profile v.
+def max_sr_beamformer(v, problem):
+    """Unit-budget beamformer maximizing the secrecy rate for a fixed profile v.
 
     For fixed v the rate ratio is a generalized Rayleigh quotient, so the
     optimum is the principal generalized eigenvector of the Bob/EVE pencil at
     full power.  Returns (w, sr_max in bits/s/Hz).
     """
-    g_b = channels.H_b.conj().T @ v
-    g_e = channels.H_e.conj().T @ v
-    reg = cfg.sigma2_w / cfg.ps_w
-    B = np.outer(g_b, g_b.conj()) + reg * np.eye(cfg.M)
-    E = np.outer(g_e, g_e.conj()) + reg * np.eye(cfg.M)
+    g_b = problem.Hb.conj().T @ v
+    g_e = problem.He.conj().T @ v
+    noise = np.eye(g_b.shape[0])
+    B = np.outer(g_b, g_b.conj()) + noise
+    E = np.outer(g_e, g_e.conj()) + noise
     vals_e, vecs_e = herm_eig(E)
     e_isqrt = (vecs_e / np.sqrt(np.maximum(vals_e, 1e-300))) @ vecs_e.conj().T
     vals, vecs = herm_eig(e_isqrt @ B @ e_isqrt)
     x = e_isqrt @ vecs[:, -1]
-    w = np.sqrt(cfg.ps_w) * x / np.linalg.norm(x)
+    w = x / np.linalg.norm(x)
     sr_max = float(np.log2(max(vals[-1], 1.0)))
     return w, sr_max
 
@@ -150,57 +176,60 @@ def _feasible_combination(e_lo, g_lo, e_hi, g_hi, A, c):
     return x / np.linalg.norm(x)
 
 
-def exact_w(v, channels, cfg):
-    """Unit e of the exact beamformer sqrt(Ps) e for the profile v = [u; 1]:
-    e = rank_one_w(g_r g_r^H, g_b g_b^H - 2^r0 g_e g_e^H, 2^r0 - 1), with the
-    gains g_x = H_x^H v sqrt(Ps)/sigma.  Raises SubproblemInfeasible as
+def exact_w(v, problem):
+    """Unit-budget exact beamformer for the profile v = [u; 1]:
+    rank_one_w(g_r g_r^H, g_b g_b^H - 2^r0 g_e g_e^H, 2^r0 - 1), with the
+    gains g_x = H_x^H v of the problem.  Raises SubproblemInfeasible as
     rank_one_w does.
     """
-    scale = np.sqrt(cfg.ps_w / cfg.sigma2_w)
-    g_r, g_b, g_e = ((H.conj().T @ v) * scale for H in (channels.H_r, channels.H_b, channels.H_e))
-    gain = 2.0 ** cfg.r0
-    A = np.outer(g_b, g_b.conj()) - gain * np.outer(g_e, g_e.conj())
-    return rank_one_w(np.outer(g_r, g_r.conj()), A, gain - 1.0)
+    g_r, g_b, g_e = (H.conj().T @ v for H in (problem.Hr, problem.Hb, problem.He))
+    A = np.outer(g_b, g_b.conj()) - problem.gain * np.outer(g_e, g_e.conj())
+    return rank_one_w(np.outer(g_r, g_r.conj()), A, problem.gain - 1.0)
 
 
-def feasibility_probe(channels, cfg, u0):
+def feasibility_probe(problem, u0):
     """(feasible, w, sr_max): whether the secrecy target r0 is attainable with
     the initial profile, and the probing beamformer."""
-    w, sr_max = max_sr_beamformer(u0.v, channels, cfg)
-    return sr_max >= cfg.r0, w, sr_max
+    w, sr_max = max_sr_beamformer(u0.v, problem)
+    return sr_max >= problem.r0, w, sr_max
 
 
 def alternate(channels, cfg, u, step, recover=None):
-    """Repeat ``state, value = step(state, counts)`` from the probe's (w, u)
-    until the trace's relative increase drops below OUTER_TOL (Converged) or
-    for cfg.max_outer_iters steps (MaxIters); Infeasible with an empty trace
-    if the probe cannot meet the secrecy target at u.  Each step takes one
-    beamformer step and adds its phase steps to counts["u"], so iters_outer
-    also counts the beamformer steps.
+    """Repeat ``state, value = step(problem, state, counts)`` from the probe's
+    (w, u) until the trace's relative increase drops below OUTER_TOL
+    (Converged) or for cfg.max_outer_iters steps (MaxIters); Infeasible with
+    an empty trace if the probe cannot meet the secrecy target at u.  Each
+    step takes one beamformer step and adds its phase steps to counts["u"],
+    so iters_outer also counts the beamformer steps.
 
-    Without recover the state is the (w, u) pair and the trace starts at its
-    harvested power.  With recover the state is a relaxation, so the trace
-    holds step values only, and recover(state) maps the final state to the
-    returned (w, u) pair.
+    problem is normalized(channels, cfg), built once: the steps carry
+    unit-budget beamformers, and their values are SNRs.  Without recover the
+    state is the (w, u) pair and the trace starts at its harvested SNR.  With
+    recover the state is a relaxation, so the trace holds step values only,
+    and recover(problem, state) maps the final state to the returned (w, u)
+    pair.  The result is in watts: w times sqrt(Ps), each trace value times
+    zeta sigma^2.
     """
     t_start = time.perf_counter()
-    ok, w, sr_max = feasibility_probe(channels, cfg, u)
+    problem = normalized(channels, cfg)
+    ok, w, sr_max = feasibility_probe(problem, u)
     if not ok:
-        return SolveResult(w=Beamformer(w), u=u, harvested_trace=[], achieved_sr=sr_max,
+        return SolveResult(w=Beamformer(np.sqrt(cfg.ps_w) * w), u=u, achieved_sr=sr_max,
                            status="Infeasible", wall_clock=time.perf_counter() - t_start)
     state = (w, u)
-    trace = [harvested_power(w, u, channels, cfg.zeta)] if recover is None else []
+    trace = [harvested_snr(u.v, w, problem)] if recover is None else []
     counts = {"u": 0}
     status = "MaxIters"
     for it in range(1, cfg.max_outer_iters + 1):
-        state, value = step(state, counts)
+        state, value = step(problem, state, counts)
         trace.append(value)
         if len(trace) >= 2 and trace[-1] > 0 and (trace[-1] - trace[-2]) / trace[-1] < OUTER_TOL:
             status = "Converged"
             break
-    w, u = state if recover is None else recover(state)
+    w, u = state if recover is None else recover(problem, state)
+    w = np.sqrt(cfg.ps_w) * w
     return SolveResult(
-        w=Beamformer(w), u=u, harvested_trace=trace,
+        w=Beamformer(w), u=u, harvested_trace=[cfg.zeta * cfg.sigma2_w * t for t in trace],
         achieved_sr=secrecy_rate(w, u, channels, cfg.sigma2_w),
         status=status, iters_outer=it, iters_inner_u=counts["u"],
         wall_clock=time.perf_counter() - t_start)

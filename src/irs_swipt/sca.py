@@ -17,18 +17,22 @@ whose semidefinite relaxation is tight, so sca_w_step solves it exactly
 M-dimensional gain vectors).  The phase step's majorizer lambda_max(A) of
 the rank-two A comes from a 2x2 eigenproblem, which is what spares this
 method the profile SDP.
+
+The layers here work on the noise-normalized init.Problem (unit-budget
+beamformers, unit noise), apart from one line: bisect_mu's stop test, which
+is in watts.
 """
 
 import math
 import numpy as np
 
 from .errors import PhaseStepInfeasible, SubproblemInfeasible
-from .init import alternate, exact_w, initial_phase_profile
-from .metrics import Beamformer, PhaseProfile, harvested_power
+from .init import alternate, exact_w, harvested_snr, initial_phase_profile
+from .metrics import Beamformer, PhaseProfile
 
 MAX_INNER_U = 30  # phase steps per outer round
 INNER_TOL = 1e-6  # relative objective increase that ends the phase steps
-MU_TOL = 1e-8  # bisect_mu stops once |g(mu) - c2| <= MU_TOL * (1 + |c2|)
+MU_TOL = 1e-8  # bisect_mu stops once |g(mu) - c2| <= MU_TOL * (1 + |c2|) in watts
 
 
 def _rank_two_max_eigval(gain, c, b):
@@ -46,11 +50,11 @@ def _rank_two_max_eigval(gain, c, b):
     return 0.5 * (t + math.sqrt(t * t + 4.0 * r))
 
 
-def build_phase_data(w, u_prev, channels, cfg):
+def build_phase_data(w, u_prev, problem):
     """The phase subproblem (d, f, c2) at the PhaseProfile u_prev for a fixed
-    beamformer array w:
+    unit-budget beamformer array w:
     maximize 2 Re(u^H d) s.t. 2 Re(u^H f) >= c2.  With a, b, c the IRS rows
-    and alpha, beta, gamma the direct entries of H_r w, H_b w, H_e w, the
+    and alpha, beta, gamma the direct entries of Hr w, Hb w, He w, the
     objective plus |alpha|^2 - |a^H u_prev|^2 is a lower bound on
     |u^H a + alpha|^2, tight at u_prev.  The constraint majorizes
     A = 2^r0 c c^H - b b^H by lambda_max(A) * I, so it restricts the true
@@ -58,11 +62,11 @@ def build_phase_data(w, u_prev, channels, cfg):
     """
     ut = u_prev.u
     n = ut.shape[0]
-    gain = 2.0 ** cfg.r0
+    gain = problem.gain
 
-    rw = channels.H_r @ w
-    bw = channels.H_b @ w
-    ew = channels.H_e @ w
+    rw = problem.Hr @ w
+    bw = problem.Hb @ w
+    ew = problem.He @ w
     a, alpha = rw[:n], complex(rw[n])
     b, beta = bw[:n], complex(bw[n])
     c, gamma = ew[:n], complex(ew[n])
@@ -75,7 +79,7 @@ def build_phase_data(w, u_prev, channels, cfg):
     d = a * au + a * np.conj(alpha)
     f = m_minus_a_u + (b * np.conj(beta) - gain * c * np.conj(gamma))
     c2 = (n * lam + float(np.real(ut.conj() @ m_minus_a_u))
-          + gain * (abs(gamma) ** 2 + cfg.sigma2_w) - abs(beta) ** 2 - cfg.sigma2_w)
+          + gain * (abs(gamma) ** 2 + 1.0) - abs(beta) ** 2 - 1.0)
     return d, f, c2
 
 
@@ -104,22 +108,26 @@ _BRACKET_ENDS = np.ldexp(1.0, np.arange(201))
 DOUBLINGS_PER_PASS = 64
 
 
-def bisect_mu(d, f, c2):
+def bisect_mu(d, f, c2, sigma2):
     """Multiplier search for the phase subproblem.
 
     If the constraint already holds at mu = 0 complementary slackness gives
     mu = 0; otherwise g(mu) = 2Re(u(mu)^H f) is non-decreasing.  The bracket's
     upper end is the first hi = 2^k, k = 0, 1, ..., with g(hi) >= c2, found
     by evaluating g at DOUBLINGS_PER_PASS of them per array pass; bisection on
-    [0, hi] then stops once |g(hi) - c2| <= MU_TOL*(1+|c2|), or once the
-    bracket cannot shrink in floating point (g jumps past c2).  That
-    tolerance is absolute when |c2| << 1, as it is on the paper's scales,
+    [0, hi] then stops once |g(hi) - c2| <= tol, or once the bracket cannot
+    shrink in floating point (g jumps past c2).  When even the mu -> inf
+    limit 2*sum|f_n| cannot reach c2 the step is infeasible.
+
+    (d, f, c2) are in the noise units of build_phase_data, and tol is
+    MU_TOL*(1+|c2|) for the problem in watts, sigma2 times these.  That
+    tolerance is absolute when |c2| << 1 W, as it is on the paper's scales,
     where it usually holds at the doubling's hi already: the doubling, not
     the bisection, then decides mu, which can be up to twice the exact root.
-    When even the mu -> inf limit 2*sum|f_n| cannot reach c2 the step is
-    infeasible.
     """
-    tol = MU_TOL * (1.0 + abs(c2))
+    # the stop test in watts, which keeps sca_ao's steps those of the problem
+    # in watts: a test relative in noise units stops at other multipliers
+    tol = MU_TOL * (1.0 + sigma2 * abs(c2)) / sigma2
     if _g_of_mu(d, f, 0.0) >= c2:
         return 0.0, u_of_mu(d, f, 0.0)
     g_limit = 2.0 * float(np.sum(np.abs(f)))
@@ -153,20 +161,16 @@ def bisect_mu(d, f, c2):
     return hi, u_of_mu(d, f, hi)
 
 
-def _true_w_objective(v, w, channels):
-    return abs(np.vdot(v, channels.H_r @ w)) ** 2
-
-
-def sca_w_step(v, w_prev, channels, cfg):
-    """Exact beamformer step for the fixed profile v: sqrt(Ps) init.exact_w(v),
-    or w_prev when it does at least as well in |v^H H_r w|^2 or exact_w finds
+def sca_w_step(v, w_prev, problem):
+    """Exact beamformer step for the fixed profile v: init.exact_w(v), or
+    w_prev when it does at least as well in |v^H Hr w|^2 or exact_w finds
     the target unattainable, which for a feasible w_prev is rounding (see rank_one_w).
     """
     try:
-        w = np.sqrt(cfg.ps_w) * exact_w(v, channels, cfg)
+        w = exact_w(v, problem)
     except SubproblemInfeasible:
         w = w_prev
-    if _true_w_objective(v, w, channels) <= _true_w_objective(v, w_prev, channels):
+    if harvested_snr(v, w, problem) <= harvested_snr(v, w_prev, problem):
         w = w_prev
     return Beamformer(w)
 
@@ -177,24 +181,24 @@ def sca_ao(channels, cfg):
     harvested_trace holds the true harvested power per outer iteration,
     starting from the initial point, and is non-decreasing.
     """
-    def step(state, counts):
+    def step(problem, state, counts):
         w, u = state
-        w = sca_w_step(u.v, w, channels, cfg).w
+        w = sca_w_step(u.v, w, problem).w
         if cfg.N > 0:
-            val = _true_w_objective(u.v, w, channels)
+            val = harvested_snr(u.v, w, problem)
             for _ in range(MAX_INNER_U):
                 try:
-                    _, u_new = bisect_mu(*build_phase_data(w, u, channels, cfg))
+                    _, u_new = bisect_mu(*build_phase_data(w, u, problem), cfg.sigma2_w)
                 except PhaseStepInfeasible:
                     break
                 counts["u"] += 1
-                new_val = _true_w_objective(u_new.v, w, channels)
+                new_val = harvested_snr(u_new.v, w, problem)
                 # a mu above the root (see bisect_mu) can lower the value: keep u then
                 if new_val >= val * (1.0 - 1e-12):
                     u = u_new
                 if new_val - val <= INNER_TOL * max(new_val, 1e-300):
                     break
                 val = new_val
-        return (w, u), harvested_power(w, u, channels, cfg.zeta)
+        return (w, u), harvested_snr(u.v, w, problem)
 
     return alternate(channels, cfg, initial_phase_profile(cfg), step)

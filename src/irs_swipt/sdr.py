@@ -4,9 +4,9 @@ The joint harvested-power problem is lifted to PSD matrices W = w w^H and
 V = v v^H with the rank-one constraints dropped.  With one variable fixed the
 other subproblem is a linear SDP, so the two are alternated; both half-steps
 can only raise the relaxed objective.  The W half-step has two trace
-constraints and therefore a rank-one optimum W = Ps e e^H, found exactly
+constraints and therefore a rank-one optimum W = e e^H, found exactly
 through its 1-D dual (init.rank_one_w, which sca_ao's beamformer step shares),
-so the alternation carries w = sqrt(Ps) e instead of W; when rounding makes
+so the alternation carries w = e instead of W; when rounding makes
 that solver find the secrecy target unattainable, the state's w, feasible for
 the state's V by construction, is kept with its relaxed value.  The V
 half-step is solved by the interior-point method of sdp.py through its
@@ -27,9 +27,10 @@ feasibility probe's pair is returned otherwise.  It raises on rounding at
 r0 = the attainable maximum, and when no beamformer makes the profile
 secure, as randomize_v's fallback when no draw meets the target can be.
 
-Subproblems are assembled in noise-normalized units (channels scaled by
-sqrt(Ps)/sigma, trace budget 1) to keep the interior-point iterations well
-conditioned, and rescaled on the way out.
+The half-steps and the recovery work on the noise-normalized init.Problem
+(channels scaled by sqrt(Ps)/sigma, trace budget 1, unit noise), which also
+keeps the interior-point iterations well conditioned; alternate converts the
+result to watts, and randomize_w, which sdr_ao does not call, stays in watts.
 """
 
 import numpy as np
@@ -44,39 +45,33 @@ RAND_COUNT = 1000  # Gaussian randomization candidates per recovery
 EIG_FLOOR = 1e-6  # relative eigenvalue below which randomize_v drops an eigenpair of V
 
 
-def _snr_stacks(channels, cfg):
-    scale = np.sqrt(cfg.ps_w) / np.sqrt(cfg.sigma2_w)
-    return channels.H_r * scale, channels.H_b * scale, channels.H_e * scale
+def solve_w_sdp(V, problem):
+    """Beamformer half-step: maximize tr(Hr^H V Hr W) over PSD W with the
+    trace secrecy constraint and tr(W) <= 1, V fixed.
 
-
-def solve_w_sdp(V, channels, cfg):
-    """Beamformer half-step: maximize tr(H_r^H V H_r W) over PSD W with the
-    trace secrecy constraint and tr(W) <= Ps, V fixed.
-
-    Solved exactly at a rank-one optimum W = Ps e e^H (see rank_one_w).
-    Returns (w = sqrt(Ps) e, relaxed objective in watts).  Raises
-    SubproblemInfeasible when the secrecy target is unattainable for this V.
+    Solved exactly at a rank-one optimum W = e e^H (see rank_one_w).
+    Returns (e, relaxed objective).  Raises SubproblemInfeasible when the
+    secrecy target is unattainable for this V.
     """
-    Hr, Hb, He = _snr_stacks(channels, cfg)
+    Hr, Hb, He, _, gain = problem
     Rr = Hr.conj().T @ V @ Hr
-    gain = 2.0 ** cfg.r0
     A = Hb.conj().T @ V @ Hb - gain * (He.conj().T @ V @ He)
     e = rank_one_w(Rr, A, gain - 1.0)
-    return np.sqrt(cfg.ps_w) * e, float(cfg.sigma2_w * np.real(np.vdot(e, Rr @ e)))
+    return e, float(np.real(np.vdot(e, Rr @ e)))
 
 
 V_OBJECTIVE_NORM = 1e3  # Frobenius norm the V-SDP objective is scaled to
 
 
-def solve_v_sdp(w, channels, cfg, warm=None):
-    """Profile half-step: maximize tr(H_r^H V H_r W) over PSD V with unit
+def solve_v_sdp(w, problem, warm=None):
+    """Profile half-step: maximize tr(Hr^H V Hr W) over PSD V with unit
     diagonal and the trace secrecy constraint, W = w w^H fixed.
 
-    Returns (V, relaxed objective in watts, the sdp.SdpSolution); warm, the
+    Returns (V, relaxed objective, the sdp.SdpSolution); warm, the
     SdpSolution of a profile SDP of the same N, warm-starts the solve.
 
     The objective (rank one) and the secrecy row (rank two) are outer
-    products of y_x = H_x w / sigma.  The objective is scaled to norm
+    products of y_x = H_x w.  The objective is scaled to norm
     V_OBJECTIVE_NORM (at norm 1e6 the interior-point primal residual stalled
     above sdp.DEFAULT_TOL and the iterate left the PSD cone) and rescaled on
     the way out.  The secrecy row tr(row V) >= 2^r0 - 1 is scaled on its own,
@@ -86,14 +81,13 @@ def solve_v_sdp(w, channels, cfg, warm=None):
     relative to the norm of the right-hand side,
     sqrt(N + 1 + (rs (2^r0 - 1))^2) <= sqrt(N + 2), so the returned V meets
     the secrecy row up to about
-    sdp.DEFAULT_TOL * sqrt(N + 2) * max(||row||_F, 2^r0 - 1)
-    in the noise-normalized units of y_x.  The problem goes to sdp.solve_sdp
-    as a sdp.UnitDiagonalSdp, whose Schur matrix is in closed form.
+    sdp.DEFAULT_TOL * sqrt(N + 2) * max(||row||_F, 2^r0 - 1).
+    The problem goes to sdp.solve_sdp as a sdp.UnitDiagonalSdp, whose Schur
+    matrix is in closed form.
     """
-    yr, yb, ye = (H @ w / np.sqrt(cfg.sigma2_w)
-                  for H in (channels.H_r, channels.H_b, channels.H_e))
+    yr, yb, ye = (H @ w for H in (problem.Hr, problem.Hb, problem.He))
     Sr = np.outer(yr, yr.conj())
-    gain = 2.0 ** cfg.r0
+    gain = problem.gain
     norm = np.linalg.norm(Sr)
     scale = V_OBJECTIVE_NORM / norm if norm > 0 else 1.0
 
@@ -104,7 +98,7 @@ def solve_v_sdp(w, channels, cfg, warm=None):
         raise SubproblemInfeasible("secrecy target unattainable for the fixed beamformer")
     if sol.status != "Optimal":
         raise NumericalFailure("profile SDP did not converge")
-    return sol.X[:-1, :-1], float(cfg.sigma2_w * sol.objective_value / scale), sol
+    return sol.X[:-1, :-1], float(sol.objective_value / scale), sol
 
 
 def randomize_w(W, fixed_profile, channels, cfg):
@@ -121,27 +115,26 @@ def randomize_w(W, fixed_profile, channels, cfg):
     return Beamformer(w * np.sqrt(cfg.ps_w / max(np.real(np.vdot(w, w)), cfg.ps_w)))
 
 
-def randomize_v(V, fixed_beam, channels, cfg, count=RAND_COUNT, rng=None):
+def randomize_v(V, fixed_beam, problem, rng, count=RAND_COUNT):
     """Recover a unit-modulus profile from a lifted V by Gaussian randomization.
 
-    Draws count candidates F r, r circular Gaussian, all at once, in V's
-    eigenbasis: F = vecs sqrt(lambda) over the eigenpairs with
+    Draws count candidates F r, r circular Gaussian from rng, all at once,
+    in V's eigenbasis: F = vecs sqrt(lambda) over the eigenpairs with
     lambda >= EIG_FLOOR * lambda_max, largest first, each column's phase
     fixed so that its largest-modulus entry is real and positive.  Each
     candidate is normalized by its last entry and projected entrywise to unit
     modulus.  Returns the candidate with the largest harvested gain among
-    those that meet the secrecy target with the beamformer fixed_beam (the
-    first one on ties); when no draw does, the same projection of F's first
-    column, V's principal factor, secure or not.
+    those that meet the secrecy target with the unit-budget beamformer
+    fixed_beam (the first one on ties); when no draw does, the same
+    projection of F's first column, V's principal factor, secure or not.
 
     The draws depend on V alone, not on the order of the IRS elements or on
     V's eigenvalues at the interior-point tolerance, which a square root of V
     would amplify: a rank-one V gives one candidate for every r.
     """
-    if cfg.N == 0:
+    if V.shape[0] == 1:
         return PhaseProfile(np.zeros(0, dtype=complex))
-    rng = np.random.default_rng(cfg.seed) if rng is None else rng
-    Y = np.stack([H @ fixed_beam for H in (channels.H_r, channels.H_b, channels.H_e)], axis=1)
+    Y = np.stack([H @ fixed_beam for H in (problem.Hr, problem.Hb, problem.He)], axis=1)
 
     def project(vt):
         last = vt[:, -1:]
@@ -157,8 +150,7 @@ def randomize_v(V, fixed_beam, channels, cfg, count=RAND_COUNT, rng=None):
     r = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
     cands = project(r @ F.T)
     g = np.abs(np.concatenate([cands, np.ones((count, 1))], axis=1).conj() @ Y) ** 2
-    s2 = cfg.sigma2_w
-    ok = g[:, 1] + s2 >= 2.0 ** cfg.r0 * (g[:, 2] + s2) * (1.0 - 1e-12)
+    ok = g[:, 1] + 1.0 >= problem.gain * (g[:, 2] + 1.0) * (1.0 - 1e-12)
     if ok.any():
         return PhaseProfile(cands[np.argmax(np.where(ok, g[:, 0], -np.inf))].copy())
     return PhaseProfile(project(F[:, :1].T)[0])
@@ -178,31 +170,31 @@ def sdr_ao(channels, cfg):
     u0 = initial_phase_profile(cfg, rng)
     last_v_sdp = None
 
-    def step(state, counts):
+    def step(problem, state, counts):
         nonlocal last_v_sdp
         w_prev, V = state
         if isinstance(V, PhaseProfile):  # the starting profile
             V = np.outer(V.v, V.v.conj())
         try:
-            w, obj = solve_w_sdp(V, channels, cfg)
+            w, obj = solve_w_sdp(V, problem)
         except SubproblemInfeasible:
-            y = channels.H_r @ w_prev
+            y = problem.Hr @ w_prev
             w, obj = w_prev, float(np.real(np.vdot(y, V @ y)))
         if cfg.N > 0:
-            V_new, obj_new, last_v_sdp = solve_v_sdp(w, channels, cfg, warm=last_v_sdp)
+            V_new, obj_new, last_v_sdp = solve_v_sdp(w, problem, warm=last_v_sdp)
             counts["u"] += 1
             if obj_new >= obj:
                 V, obj = V_new, obj_new
-        return (w, V), cfg.zeta * obj
+        return (w, V), obj
 
-    def recover(state):
+    def recover(problem, state):
         w_last, V = state
-        u = randomize_v(V, w_last, channels, cfg, rng=rng)
+        u = randomize_v(V, w_last, problem, rng)
         try:
-            return np.sqrt(cfg.ps_w) * exact_w(u.v, channels, cfg), u
+            return exact_w(u.v, problem), u
         except SubproblemInfeasible:  # rounding, or a profile no beamformer makes secure
-            if check_feasible(w_last, u, cfg, channels).feasible:
+            if check_feasible(np.sqrt(cfg.ps_w) * w_last, u, cfg, channels).feasible:
                 return w_last, u
-            return max_sr_beamformer(u0.v, channels, cfg)[0], u0
+            return max_sr_beamformer(u0.v, problem)[0], u0
 
     return alternate(channels, cfg, u0, step, recover)

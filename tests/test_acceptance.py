@@ -216,7 +216,7 @@ def test_criterion_07_monotone_dual_function():
         # force an active constraint and check the bisection residual
         g0, gmax = g[0], 2.0 * float(np.sum(np.abs(f)))
         c2 = g0 + 0.6 * (gmax - g0)
-        mu_star, prof = bisect_mu(d, f, c2)
+        mu_star, prof = bisect_mu(d, f, c2, 1.0)
         if mu_star > 0:
             resid = abs(2.0 * float(np.real(prof.u.conj() @ f)) - c2) / (1 + abs(c2))
             worst_resid = max(worst_resid, resid)

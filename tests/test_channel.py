@@ -8,7 +8,7 @@ from irs_swipt.channel import (ChannelSet, ScenarioConfig, dbm_to_watt, generate
 from irs_swipt.config import parse_config_text
 from irs_swipt.errors import InvalidInput
 from irs_swipt.experiments import ExperimentSpec
-from irs_swipt.init import max_sr_beamformer
+from irs_swipt.init import max_sr_beamformer, normalized
 from irs_swipt.oracle import GridSpec, grid_search_phases
 from irs_swipt.sdp import SdpProblem, solve_sdp
 
@@ -207,7 +207,8 @@ def test_other_integer_inputs_are_checked_up_front(make, name):
 def test_grid_search_phases_levels_must_be_an_integer():
     cfg = ScenarioConfig(M=2, N=2, r0=1.0, seed=0, **DESK)
     ch = generate_scenario(cfg)
-    w, _ = max_sr_beamformer(np.ones(cfg.N + 1, dtype=complex), ch, cfg)
+    w = np.sqrt(cfg.ps_w) * max_sr_beamformer(np.ones(cfg.N + 1, dtype=complex),
+                                              normalized(ch, cfg))[0]
     with pytest.raises(InvalidInput, match="levels must be an integer"):
         grid_search_phases(ch, w, cfg, 3.5)
     u, _ = grid_search_phases(ch, w, cfg, np.int64(4))

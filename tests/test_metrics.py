@@ -135,11 +135,11 @@ class TestCheckFeasible:
         self.ch = generate_scenario(self.cfg)
 
     def feasible_point(self):
-        from irs_swipt.init import feasibility_probe, initial_phase_profile
+        from irs_swipt.init import feasibility_probe, initial_phase_profile, normalized
         u = initial_phase_profile(self.cfg)
-        ok, w, _ = feasibility_probe(self.ch, self.cfg, u)
+        ok, w, _ = feasibility_probe(normalized(self.ch, self.cfg), u)
         assert ok
-        return w, u
+        return np.sqrt(self.cfg.ps_w) * w, u
 
     def test_feasible_point_passes(self):
         w, u = self.feasible_point()

@@ -428,13 +428,15 @@ class TestGridSearchPhases:
         for seed in range(5):
             cfg = ScenarioConfig(M=3, N=3, seed=seed, r0=0.05, **DESK)
             ch = generate_scenario(cfg)
-            from irs_swipt.init import feasibility_probe, initial_phase_profile
+            from irs_swipt.init import feasibility_probe, initial_phase_profile, normalized
             u = initial_phase_profile(cfg)
-            ok, w, _ = feasibility_probe(ch, cfg, u)
+            problem = normalized(ch, cfg)
+            ok, w, _ = feasibility_probe(problem, u)
             if not ok:
                 continue
             for _ in range(20):
-                _, u = bisect_mu(*build_phase_data(w, u, ch, cfg))
+                _, u = bisect_mu(*build_phase_data(w, u, problem), cfg.sigma2_w)
+            w = np.sqrt(cfg.ps_w) * w
             val_sca = abs(np.vdot(u.v, ch.H_r @ w)) ** 2
             _, val_grid = grid_search_phases(ch, w, cfg, 256)
             assert val_sca >= val_grid * 0.99

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from irs_swipt.channel import ScenarioConfig, generate_scenario
 from irs_swipt.errors import NumericalFailure
 from irs_swipt.experiments import optimize_w_fixed_profile
-from irs_swipt.init import feasibility_probe, initial_phase_profile
+from irs_swipt.init import feasibility_probe, initial_phase_profile, normalized
 from irs_swipt.metrics import PhaseProfile, check_feasible
 from irs_swipt.sca import sca_ao
 from irs_swipt.sdr import sdr_ao
@@ -32,7 +32,7 @@ def scenarios(draw):
         alpha_direct=draw(exponent), alpha_irs=draw(exponent),
         **{name: draw(distance) for name in DISTANCES})
     channels = generate_scenario(cfg)
-    _, _, sr_max = feasibility_probe(channels, cfg, initial_phase_profile(cfg))
+    _, _, sr_max = feasibility_probe(normalized(channels, cfg), initial_phase_profile(cfg))
     frac = draw(st.floats(0.1, 0.99))
     # the probe attains sr_max > 0 unless Eve out-hears Bob for every beamformer
     r0 = frac * sr_max if sr_max > 0 else frac
@@ -76,7 +76,7 @@ def at_attainable_maximum(cfg, u):
     """(channels, cfg with r0 = the probe's sr_max at profile u), or None when
     that maximum is not positive."""
     channels = generate_scenario(cfg)
-    _, _, sr_max = feasibility_probe(channels, cfg, u)
+    _, _, sr_max = feasibility_probe(normalized(channels, cfg), u)
     return (channels, cfg.with_updates(r0=sr_max)) if sr_max > 0 else None
 
 

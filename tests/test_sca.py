@@ -3,7 +3,8 @@ import pytest
 
 from irs_swipt.channel import ChannelSet, ScenarioConfig, generate_scenario
 from irs_swipt.errors import PhaseStepInfeasible, SubproblemInfeasible
-from irs_swipt.init import feasibility_probe, initial_phase_profile, max_sr_beamformer
+from irs_swipt.init import (feasibility_probe, harvested_snr, initial_phase_profile,
+                            max_sr_beamformer, normalized)
 from irs_swipt.linalg import max_eigval
 from irs_swipt.metrics import PhaseProfile, check_feasible, harvested_power
 from irs_swipt.oracle import _profile_values
@@ -26,10 +27,18 @@ def oracle_value(v, channels, cfg):
     return float(values[0])
 
 
+def max_sr_watts(v, channels, cfg):
+    """max_sr_beamformer's (w, sr_max), with w in watts."""
+    w, sr_max = max_sr_beamformer(v, normalized(channels, cfg))
+    return np.sqrt(cfg.ps_w) * w, sr_max
+
+
 def assert_step_exact(v, w_prev, channels, cfg):
     """The step's value is the oracle's for the profile, its pair is feasible,
-    and it is at least w_prev's value; returns the step's beamformer."""
-    w = sca_w_step(v, w_prev, channels, cfg).w
+    and it is at least w_prev's value; returns the step's beamformer (w_prev
+    and the result in watts)."""
+    ps = np.sqrt(cfg.ps_w)
+    w = ps * sca_w_step(v, w_prev / ps, normalized(channels, cfg)).w
     value = true_objective(v, w, channels) / cfg.ps_w
     assert value == pytest.approx(oracle_value(v, channels, cfg), rel=1e-12)
     report = check_feasible(w, PhaseProfile(v[:-1] / v[-1]), cfg, channels)
@@ -43,25 +52,27 @@ class TestScaWStep:
         cfg = ScenarioConfig(M=4, N=3, seed=1, r0=1e-3)
         ch = no_eve_channels(cfg)
         u = initial_phase_profile(cfg)
-        _, w, _ = feasibility_probe(ch, cfg, u)
+        problem = normalized(ch, cfg)
+        _, w, _ = feasibility_probe(problem, u)
         v = u.v
         for _ in range(12):
-            w = sca_w_step(v, w, ch, cfg).w
+            w = sca_w_step(v, w, problem).w
         target = cfg.ps_w * np.linalg.norm(ch.H_r.conj().T @ v) ** 2
-        assert true_objective(v, w, ch) == pytest.approx(target, rel=1e-7)
+        assert true_objective(v, np.sqrt(cfg.ps_w) * w, ch) == pytest.approx(target, rel=1e-7)
 
     def test_inner_iterations_non_decreasing(self):
         for seed in range(8):
             cfg = ScenarioConfig(M=3, N=4, seed=seed, r0=1.0, **DESK)
             ch = generate_scenario(cfg)
             u = initial_phase_profile(cfg)
-            ok, w, _ = feasibility_probe(ch, cfg, u)
+            problem = normalized(ch, cfg)
+            ok, w, _ = feasibility_probe(problem, u)
             if not ok:
                 continue
             v = u.v
             prev = true_objective(v, w, ch)
             for _ in range(10):
-                w = sca_w_step(v, w, ch, cfg).w
+                w = sca_w_step(v, w, problem).w
                 cur = true_objective(v, w, ch)
                 assert cur >= prev * (1 - 1e-9)
                 prev = cur
@@ -76,7 +87,7 @@ class TestScaWStep:
             cfg = ScenarioConfig(M=m, N=3, seed=seed, **DESK)
             ch = generate_scenario(cfg)
             u = PhaseProfile(np.exp(2j * np.pi * rng.random(3)))
-            w, sr_max = max_sr_beamformer(u.v, ch, cfg)
+            w, sr_max = max_sr_watts(u.v, ch, cfg)
             if sr_max < 0.5:
                 continue
             for frac in (0.3, 0.8, 0.99):
@@ -92,7 +103,7 @@ class TestScaWStep:
             cfg = ScenarioConfig(M=3, N=4, seed=seed, **DESK)
             ch = no_eve_channels(cfg)
             u = initial_phase_profile(cfg)
-            w, sr_max = max_sr_beamformer(u.v, ch, cfg)
+            w, sr_max = max_sr_watts(u.v, ch, cfg)
             cfg = cfg.with_updates(r0=0.95 * sr_max)
             assert_step_exact(u.v, w, ch, cfg)
 
@@ -102,7 +113,7 @@ class TestScaWStep:
             cfg = ScenarioConfig(M=1, N=2, seed=seed, **DESK)
             ch = generate_scenario(cfg)
             u = initial_phase_profile(cfg)
-            w, sr_max = max_sr_beamformer(u.v, ch, cfg)
+            w, sr_max = max_sr_watts(u.v, ch, cfg)
             if sr_max < 0.5:
                 continue
             found += 1
@@ -128,8 +139,8 @@ class TestScaWStep:
         cfg = ScenarioConfig(M=4, N=3, seed=1, r0=1e-3, **DESK)
         ch = generate_scenario(cfg)
         u = initial_phase_profile(cfg)
-        _, w, _ = feasibility_probe(ch, cfg, u)
-        step = assert_step_exact(u.v, w, ch, cfg)
+        _, w, _ = feasibility_probe(normalized(ch, cfg), u)
+        step = assert_step_exact(u.v, np.sqrt(cfg.ps_w) * w, ch, cfg)
         g_r = ch.H_r.conj().T @ u.v
         mrt = g_r / np.linalg.norm(g_r)
         assert abs(np.vdot(mrt, step)) == pytest.approx(np.sqrt(cfg.ps_w), rel=1e-12)
@@ -143,15 +154,16 @@ class TestScaWStep:
                         h_ib=np.zeros(0), h_ih=np.zeros(0), h_ie=np.zeros(0))
         v = np.ones(1, dtype=complex)
         w_prev = np.array([1.0, 0.0], dtype=complex)
-        assert np.array_equal(sca_w_step(v, w_prev, ch, cfg).w, w_prev)
+        assert np.array_equal(sca_w_step(v, w_prev, normalized(ch, cfg)).w, w_prev)
         # single antenna at the maximum secrecy rate: the feasible set is the
         # full-power circle, and rounding may find the target unattainable
         base = ScenarioConfig(M=1, N=2, seed=1, **DESK)
         ch = generate_scenario(base)
         u = initial_phase_profile(base)
-        w, sr_max = max_sr_beamformer(u.v, ch, base)
+        w, sr_max = max_sr_beamformer(u.v, normalized(ch, base))
         cfg = base.with_updates(r0=sr_max)
-        assert np.allclose(sca_w_step(u.v, w, ch, cfg).w, w, rtol=0, atol=1e-14 * abs(w[0]))
+        assert np.allclose(sca_w_step(u.v, w, normalized(ch, cfg)).w, w,
+                           rtol=0, atol=1e-14 * abs(w[0]))
 
     def test_unattainable_target_returns_w_prev(self, monkeypatch):
         # the step keeps w_prev when exact_w raises, even where the step
@@ -160,22 +172,23 @@ class TestScaWStep:
         cfg = ScenarioConfig(M=4, N=3, seed=2, r0=0.5, **DESK)
         ch = generate_scenario(cfg)
         u = initial_phase_profile(cfg)
-        w_prev, _ = max_sr_beamformer(u.v, ch, cfg)
-        assert not np.array_equal(sca_w_step(u.v, w_prev, ch, cfg).w, w_prev)
+        problem = normalized(ch, cfg)
+        w_prev, _ = max_sr_beamformer(u.v, problem)
+        assert not np.array_equal(sca_w_step(u.v, w_prev, problem).w, w_prev)
 
         def unattainable(*args):
             raise SubproblemInfeasible("rounding")
 
         monkeypatch.setattr(sca, "exact_w", unattainable)
-        assert np.array_equal(sca_w_step(u.v, w_prev, ch, cfg).w, w_prev)
+        assert np.array_equal(sca_w_step(u.v, w_prev, problem).w, w_prev)
 
     def test_expansion_point_on_boundary(self):
         cfg = ScenarioConfig(M=3, N=4, seed=6, **DESK)
         ch = generate_scenario(cfg)
         u = initial_phase_profile(cfg)
-        w, sr_max = max_sr_beamformer(u.v, ch, cfg)
+        w, sr_max = max_sr_beamformer(u.v, normalized(ch, cfg))
         cfg = cfg.with_updates(r0=0.9 * sr_max)
-        w = sca_w_step(u.v, w, ch, cfg).w
+        w = np.sqrt(cfg.ps_w) * sca_w_step(u.v, w, normalized(ch, cfg)).w
         report = check_feasible(w, u, cfg, ch)
         assert abs(report.sr_slack) <= 1e-7
         assert np.linalg.norm(w) == pytest.approx(np.sqrt(cfg.ps_w), rel=1e-12)
@@ -190,6 +203,13 @@ def channel_slices(w, channels):
     return tuple((y[:n], complex(y[n])) for y in rows)
 
 
+def phase_data_in_watts(w, u, channels, cfg):
+    """build_phase_data's (d, f, c2) for the beamformer w in watts, in watts:
+    sigma^2 times those of the noise-normalized problem."""
+    data = build_phase_data(w / np.sqrt(cfg.ps_w), u, normalized(channels, cfg))
+    return tuple(cfg.sigma2_w * x for x in data)
+
+
 def dense_A(w, channels, cfg):
     """A = 2^r0 c c^H - b b^H, which build_phase_data applies without forming."""
     _, (b, _), (c, _) = channel_slices(w, channels)
@@ -201,16 +221,16 @@ class TestBuildPhaseData:
         cfg = ScenarioConfig(M=3, N=n, seed=seed, r0=1.0, **DESK)
         ch = generate_scenario(cfg)
         u = initial_phase_profile(cfg)
-        ok, w, _ = feasibility_probe(ch, cfg, u)
+        ok, w, _ = feasibility_probe(normalized(ch, cfg), u)
         assert ok
-        return cfg, ch, u, w
+        return cfg, ch, u, np.sqrt(cfg.ps_w) * w
 
     @pytest.mark.parametrize("n", [1, 5, 24])
     def test_surrogates_tight_at_expansion(self, n):
         # both surrogates meet the true functions at the expansion point, so a
         # conjugated or dropped direct entry shows up here
         cfg, ch, u, w = self.make(n=n)
-        d, f, c2 = build_phase_data(w, u, ch, cfg)
+        d, f, c2 = phase_data_in_watts(w, u, ch, cfg)
         (a, alpha), (b, beta), (c, gamma) = channel_slices(w, ch)
         gain, ut, s2 = 2.0 ** cfg.r0, u.u, cfg.sigma2_w
         c1 = abs(alpha) ** 2 - abs(np.vdot(a, ut)) ** 2
@@ -225,7 +245,7 @@ class TestBuildPhaseData:
     @pytest.mark.parametrize("n", [1, 5, 24])
     def test_f_and_c2_match_dense_A(self, n):
         cfg, ch, u, w = self.make(n=n)
-        _, f, c2 = build_phase_data(w, u, ch, cfg)
+        _, f, c2 = phase_data_in_watts(w, u, ch, cfg)
         _, (b, beta), (c, gamma) = channel_slices(w, ch)
         gain, ut = 2.0 ** cfg.r0, u.u
         A = dense_A(w, ch, cfg)
@@ -245,7 +265,7 @@ class TestBuildPhaseData:
                         h_ib=np.zeros(4), h_ih=ch.h_ih, h_ie=np.zeros(4))
         u = initial_phase_profile(cfg)
         w = np.ones(3, dtype=complex)
-        _, f, _ = build_phase_data(w, u, nb, cfg)
+        _, f, _ = phase_data_in_watts(w, u, nb, cfg)
         assert np.allclose(dense_A(w, nb, cfg), 0)
         assert np.allclose(f, 0)
 
@@ -280,7 +300,7 @@ class TestBuildPhaseData:
     def test_objective_minorant_random_profiles(self):
         rng = np.random.default_rng(9)
         cfg, ch, u, w = self.make(seed=10)
-        d, _, _ = build_phase_data(w, u, ch, cfg)
+        d, _, _ = phase_data_in_watts(w, u, ch, cfg)
         (a, alpha), _, _ = channel_slices(w, ch)
         c1 = abs(alpha) ** 2 - abs(np.vdot(a, u.u)) ** 2
         for _ in range(1000):
@@ -293,7 +313,7 @@ class TestBuildPhaseData:
         # any u satisfying 2Re(u^H f) >= c2 satisfies the true secrecy constraint
         rng = np.random.default_rng(10)
         cfg, ch, u, w = self.make(seed=11)
-        _, f, c2 = build_phase_data(w, u, ch, cfg)
+        _, f, c2 = phase_data_in_watts(w, u, ch, cfg)
         _, (b, beta), (c, gamma) = channel_slices(w, ch)
         gain = 2.0 ** cfg.r0
         found = 0
@@ -340,7 +360,7 @@ class TestBisectMu:
         d = np.array([1.0 + 1.0j, -2.0])
         f = np.array([1.0, 1.0j])
         g0 = 2 * np.real(u_of_mu(d, f, 0.0).u.conj() @ f)
-        mu, prof = bisect_mu(d, f, g0 - 1.0)
+        mu, prof = bisect_mu(d, f, g0 - 1.0, 1.0)
         assert mu == 0.0
         assert np.allclose(prof.u, np.exp(1j * np.angle(d)))
 
@@ -363,11 +383,28 @@ class TestBisectMu:
             g0 = 2 * np.real(u_of_mu(d, f, 0.0).u.conj() @ f)
             gmax = 2 * np.sum(np.abs(f))
             c2 = g0 + 0.7 * (gmax - g0)
-            mu, prof = bisect_mu(d, f, c2)
+            mu, prof = bisect_mu(d, f, c2, 1.0)
             assert mu > 0
             g = 2 * np.real(prof.u.conj() @ f)
             assert abs(g - c2) <= 1e-8 * (1 + abs(c2))
             assert g >= c2 - 1e-8 * (1 + abs(c2))
+
+    def test_stop_test_is_in_watts(self):
+        # (d, f, c2) in noise units are those in watts over sigma2: at a
+        # power-of-two sigma2 the search returns the multiplier and profile
+        # it returns on the data in watts, while a test at the noise units'
+        # own scale (sigma2 = 1) bisects further on these sub-watt data
+        s2 = 2.0 ** -30
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            d, f = (1e-4 * (rng.standard_normal(4) + 1j * rng.standard_normal(4))
+                    for _ in range(2))
+            g0 = 2 * np.real(u_of_mu(d, f, 0.0).u.conj() @ f)
+            c2 = g0 + 0.7 * (2 * np.sum(np.abs(f)) - g0)
+            mu, prof = bisect_mu(d, f, c2, 1.0)
+            mu_noise, prof_noise = bisect_mu(d / s2, f / s2, c2 / s2, s2)
+            assert mu_noise == mu and np.array_equal(prof_noise.u, prof.u)
+            assert bisect_mu(d / s2, f / s2, c2 / s2, 1.0)[0] < mu
 
     def test_jump_past_target_stops_at_rounding(self, monkeypatch):
         # g jumps from -2 to 2 at mu = 1 and never comes within MU_TOL of c2 = 0,
@@ -378,7 +415,7 @@ class TestBisectMu:
         monkeypatch.setattr(sca, "_g_of_mu",
                             lambda d, f, mu, _g=sca._g_of_mu: calls.append(mu) or _g(d, f, mu))
         d, f = np.array([-1.0 + 0j]), np.array([1.0 + 0j])
-        mu, prof = bisect_mu(d, f, 0.0)
+        mu, prof = bisect_mu(d, f, 0.0, 1.0)
         assert mu == 1.0
         assert 2 * np.real(prof.u.conj() @ f) >= 0.0
         assert len(calls) <= 60  # each call counted once, the array pass of bracket ends too
@@ -387,7 +424,7 @@ class TestBisectMu:
         d = np.array([1.0, 1.0j])
         f = np.array([0.1, 0.1])
         with pytest.raises(PhaseStepInfeasible):
-            bisect_mu(d, f, 2 * np.sum(np.abs(f)) + 1.0)
+            bisect_mu(d, f, 2 * np.sum(np.abs(f)) + 1.0, 1.0)
 
     def test_no_bracket_raises(self):
         # 2 sum|f_n| = 4 clears c2, but the entry of d that f must outweigh
@@ -395,13 +432,13 @@ class TestBisectMu:
         d = np.array([1.0, -1e70], dtype=complex)
         f = np.array([1.0, 1.0], dtype=complex)
         with pytest.raises(PhaseStepInfeasible, match="bisection bracket not found"):
-            bisect_mu(d, f, 3.5)
+            bisect_mu(d, f, 3.5, 1.0)
 
     def test_no_bracket_within_tolerance_returns_last_end(self):
         # g stays just below c2 on every bracket end, within MU_TOL*(1 + |c2|)
         d = np.array([1.0, 1.0], dtype=complex)
         f = np.array([1.0, -1e-80], dtype=complex)
-        mu, prof = bisect_mu(d, f, 2.0 + 1e-9)
+        mu, prof = bisect_mu(d, f, 2.0 + 1e-9, 1.0)
         assert mu == 2.0 ** 200
         assert np.array_equal(prof.u, [1.0, 1.0])
 
@@ -447,11 +484,11 @@ class TestScaAo:
         ch = generate_scenario(cfg)
         calls = []
 
-        def first_only(d, f, c2):
+        def first_only(d, f, c2, sigma2):
             if calls:
                 calls.append(None)
                 raise PhaseStepInfeasible("linearized secrecy constraint unreachable")
-            calls.append(bisect_mu(d, f, c2))
+            calls.append(bisect_mu(d, f, c2, sigma2))
             return calls[0]
 
         monkeypatch.setattr(sca, "bisect_mu", first_only)
@@ -472,12 +509,12 @@ class TestScaAo:
         ch = generate_scenario(cfg)
         steps = []  # [w, profile in, profile out] per phase step
 
-        def recording_build(w, u, channels, cfg):
+        def recording_build(w, u, problem):
             steps.append([w, u, None])
-            return build_phase_data(w, u, channels, cfg)
+            return build_phase_data(w, u, problem)
 
-        def recording_bisect(d, f, c2):
-            mu, u_new = bisect_mu(d, f, c2)
+        def recording_bisect(d, f, c2, sigma2):
+            mu, u_new = bisect_mu(d, f, c2, sigma2)
             steps[-1][2] = u_new
             return mu, u_new
 
@@ -486,8 +523,10 @@ class TestScaAo:
         res = sca_ao(ch, cfg)
         # the profile each step hands on: the next step's input, or the result
         kept = [u for _, u, _ in steps[1:]] + [res.u]
+        problem = normalized(ch, cfg)
         drops = [i for i, (w, u, u_new) in enumerate(steps) if u_new is not None
-                 and true_objective(u_new.v, w, ch) < true_objective(u.v, w, ch) * (1 - 1e-12)]
+                 and harvested_snr(u_new.v, w, problem)
+                 < harvested_snr(u.v, w, problem) * (1 - 1e-12)]
         assert drops
         for i in drops:
             assert np.array_equal(kept[i].u, steps[i][1].u)

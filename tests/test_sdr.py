@@ -6,12 +6,11 @@ import pytest
 from irs_swipt.channel import ChannelSet, ScenarioConfig, generate_scenario
 from irs_swipt.errors import SubproblemInfeasible
 from irs_swipt.init import (_feasible_combination, exact_w, feasibility_probe,
-                            initial_phase_profile, max_sr_beamformer, rank_one_w)
+                            initial_phase_profile, max_sr_beamformer, normalized, rank_one_w)
 from irs_swipt.metrics import PhaseProfile, check_feasible, harvested_power
 from irs_swipt.linalg import herm_eig
 from irs_swipt.sdp import DEFAULT_TOL, SdpProblem, solve_sdp
-from irs_swipt.sdr import (
-    _snr_stacks, randomize_v, randomize_w, sdr_ao, solve_v_sdp, solve_w_sdp)
+from irs_swipt.sdr import randomize_v, randomize_w, sdr_ao, solve_v_sdp, solve_w_sdp
 
 from direction_grid import unit_directions
 from shared import DESK, no_eve_channels, random_hermitian
@@ -53,7 +52,7 @@ def sweep_instance(index):
     cfg = ScenarioConfig(M=m, N=n, seed=index, alpha_direct=a[0], alpha_irs=a[1],
                          **dict(zip(names, d)))
     ch = generate_scenario(cfg)
-    _, _, sr_max = feasibility_probe(ch, cfg, initial_phase_profile(cfg))
+    _, _, sr_max = feasibility_probe(normalized(ch, cfg), initial_phase_profile(cfg))
     return cfg.with_updates(r0=frac * sr_max), ch
 
 
@@ -63,17 +62,18 @@ class TestSolveWSdp:
         ch = no_eve_channels(cfg)
         v = np.ones(4, dtype=complex)
         V = np.outer(v, v.conj())
-        w, obj = solve_w_sdp(V, ch, cfg)
+        w, obj = solve_w_sdp(V, normalized(ch, cfg))
         target = cfg.ps_w * np.linalg.norm(ch.H_r.conj().T @ v) ** 2
-        assert obj == pytest.approx(target, rel=1e-5)
-        assert np.linalg.norm(w) ** 2 <= cfg.ps_w * (1 + 1e-7)
+        assert cfg.sigma2_w * obj == pytest.approx(target, rel=1e-5)
+        assert np.linalg.norm(w) ** 2 <= 1 + 1e-7
 
     def test_without_irs_single_row(self):
         cfg = ScenarioConfig(M=4, N=0, seed=3, r0=1e-3, **DESK)
         ch = no_eve_channels(cfg)
         V = np.ones((1, 1), dtype=complex)
-        _, obj = solve_w_sdp(V, ch, cfg)
-        assert obj == pytest.approx(cfg.ps_w * np.linalg.norm(ch.h_ah) ** 2, rel=1e-5)
+        _, obj = solve_w_sdp(V, normalized(ch, cfg))
+        assert cfg.sigma2_w * obj == pytest.approx(cfg.ps_w * np.linalg.norm(ch.h_ah) ** 2,
+                                                   rel=1e-5)
 
     def test_relaxation_upper_bounds_rank_one_grid(self):
         rng = np.random.default_rng(8)
@@ -84,11 +84,11 @@ class TestSolveWSdp:
             v = np.concatenate([u, [1.0]])
             V = np.outer(v, v.conj())
             try:
-                _, obj = solve_w_sdp(V, ch, cfg)
+                _, obj = solve_w_sdp(V, normalized(ch, cfg))
             except SubproblemInfeasible:
                 continue
             grid_best = rank_one_w_oracle(V, ch, cfg)
-            assert obj >= grid_best * (1.0 - 1e-6)
+            assert cfg.sigma2_w * obj >= grid_best * (1.0 - 1e-6)
 
     def test_infeasible_secrecy_target(self):
         # Bob and EVE see identical channels: any positive target is unreachable
@@ -98,7 +98,7 @@ class TestSolveWSdp:
                           h_ib=ch.h_ib, h_ih=ch.h_ih, h_ie=ch.h_ib)
         v = np.ones(3, dtype=complex)
         with pytest.raises(SubproblemInfeasible):
-            solve_w_sdp(np.outer(v, v.conj()), same, cfg)
+            solve_w_sdp(np.outer(v, v.conj()), normalized(same, cfg))
 
 
 def w_sdp_reference(Rr, A, c, tol):
@@ -113,7 +113,7 @@ class TestRankOneW:
         for seed in range(48):
             n = (8, 24)[seed % 2]
             cfg = ScenarioConfig(M=4, N=n, r0=3.0, seed=seed)
-            Hr, Hb, He = _snr_stacks(generate_scenario(cfg), cfg)
+            Hr, Hb, He, _, _ = normalized(generate_scenario(cfg), cfg)
             v = np.concatenate([np.exp(2j * np.pi * rng.random(n)), [1.0]])
             V = np.outer(v, v.conj())
             if seed % 4 >= 2:  # a full-rank relaxed profile as the V-SDP returns mid-run
@@ -302,8 +302,9 @@ class TestSolveVSdp:
         cfg = ScenarioConfig(M=4, N=n, r0=1.0, seed=4)
         ch = generate_scenario(cfg)
         u = initial_phase_profile(cfg, np.random.default_rng(0))
-        w, _ = solve_w_sdp(np.outer(u.v, u.v.conj()), ch, cfg)
-        V, _, sol = solve_v_sdp(w, ch, cfg)
+        problem = normalized(ch, cfg)
+        w, _ = solve_w_sdp(np.outer(u.v, u.v.conj()), problem)
+        V, _, sol = solve_v_sdp(w, problem)
         assert sol.status == "Optimal"
         assert V.shape == (n + 1, n + 1) and sol.X.shape == (n + 2, n + 2)
         assert np.array_equal(V, sol.X[:-1, :-1])
@@ -333,24 +334,24 @@ class TestSolveVSdp:
         bb = abs(nd.h_ib.conj() @ nd.G @ w) ** 2
         ee = abs(0.01 * ch.h_ie.conj() @ nd.G @ w) ** 2
         assert bb + cfg.sigma2_w >= gain * (ee + cfg.sigma2_w)
-        V, obj, _ = solve_v_sdp(w, nd, cfg)
+        V, obj, _ = solve_v_sdp(w / np.sqrt(cfg.ps_w), normalized(nd, cfg))
         levels = 4096
         phases = np.exp(2j * np.pi * np.arange(levels) / levels)
         vals = [abs(np.conj(p) * (nd.h_ih.conj() @ nd.G @ w)) ** 2 for p in phases]
-        assert obj == pytest.approx(max(vals), rel=1e-5)
+        assert cfg.sigma2_w * obj == pytest.approx(max(vals), rel=1e-5)
 
     def test_diagonal_phase_rotation_invariance(self):
         cfg = ScenarioConfig(M=2, N=3, seed=9, r0=0.5, **DESK)
         ch = generate_scenario(cfg)
         rng = np.random.default_rng(1)
         w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        w *= np.sqrt(cfg.ps_w) / np.linalg.norm(w)
-        _, obj1, _ = solve_v_sdp(w, ch, cfg)
+        w /= np.linalg.norm(w)  # a full-power beamformer in noise units
+        _, obj1, _ = solve_v_sdp(w, normalized(ch, cfg))
         # rotate the per-element phases of every IRS-side vector coherently
         d = np.exp(2j * np.pi * rng.random(3))
         rot = ChannelSet(G=ch.G * d[:, None], h_ab=ch.h_ab, h_ah=ch.h_ah, h_ae=ch.h_ae,
                          h_ib=ch.h_ib, h_ih=ch.h_ih, h_ie=ch.h_ie)
-        _, obj2, _ = solve_v_sdp(w, rot, cfg)
+        _, obj2, _ = solve_v_sdp(w, normalized(rot, cfg))
         assert obj1 == pytest.approx(obj2, rel=1e-5)
 
 
@@ -363,7 +364,7 @@ class TestRandomization:
     def test_rank_one_w_recovered_exactly(self):
         cfg, ch = self.setup()
         u = PhaseProfile(np.ones(4, dtype=complex))
-        w_star, _ = max_sr_beamformer(u.v, ch, cfg)
+        w_star = np.sqrt(cfg.ps_w) * max_sr_beamformer(u.v, normalized(ch, cfg))[0]
         W = np.outer(w_star, w_star.conj())
         w = randomize_w(W, u, ch, cfg)
         got = abs(np.vdot(u.v, ch.H_r @ w.w)) ** 2
@@ -374,17 +375,18 @@ class TestRandomization:
         cfg, ch = self.setup(seed=12)
         u = PhaseProfile(np.exp(2j * np.pi * np.random.default_rng(2).random(4)))
         V = np.outer(u.v, u.v.conj())
-        w_step, obj = solve_w_sdp(V, ch, cfg)
+        e, obj = solve_w_sdp(V, normalized(ch, cfg))
+        w_step = np.sqrt(cfg.ps_w) * e
         W = np.outer(w_step, w_step.conj())
         w = randomize_w(W, u, ch, cfg)
         got = abs(np.vdot(u.v, ch.H_r @ w.w)) ** 2
-        assert got <= obj * (1.0 + 1e-8)
+        assert got <= cfg.sigma2_w * obj * (1.0 + 1e-8)
 
     def test_randomized_w_is_feasible(self):
         cfg, ch = self.setup(seed=13)
         u = PhaseProfile(np.ones(4, dtype=complex))
         V = np.outer(u.v, u.v.conj())
-        w_step, _ = solve_w_sdp(V, ch, cfg)
+        w_step = np.sqrt(cfg.ps_w) * solve_w_sdp(V, normalized(ch, cfg))[0]
         W = np.outer(w_step, w_step.conj())
         w = randomize_w(W, u, ch, cfg)
         assert check_feasible(w.w, u, cfg, ch).feasible
@@ -396,14 +398,15 @@ class TestRandomization:
         v = np.concatenate([u_true, [1.0]])
         V = np.outer(v, v.conj())
         w = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        u = randomize_v(V, w, ch, cfg, count=20, rng=rng)
+        u = randomize_v(V, w / np.sqrt(cfg.ps_w), normalized(ch, cfg), rng, count=20)
         assert np.allclose(u.u, u_true, atol=1e-8)
 
     def test_unit_modulus_contract(self):
         cfg, ch = self.setup(seed=15)
-        w = np.sqrt(cfg.ps_w / 3) * np.ones(3, dtype=complex)
-        V, _, _ = solve_v_sdp(w, ch, cfg)
-        u = randomize_v(V, w, ch, cfg, rng=np.random.default_rng(6))
+        w = np.ones(3, dtype=complex) / np.sqrt(3)
+        problem = normalized(ch, cfg)
+        V, _, _ = solve_v_sdp(w, problem)
+        u = randomize_v(V, w, problem, np.random.default_rng(6))
         assert np.max(np.abs(np.abs(u.u) - 1.0)) <= 1e-12
 
     def test_vectorized_draws_pick_the_per_draw_loop_choice(self):
@@ -414,8 +417,9 @@ class TestRandomization:
         gain = 2.0 ** cfg.r0
         rng = np.random.default_rng(8)
         u = PhaseProfile(np.exp(2j * np.pi * rng.random(6)))
-        w, _ = solve_w_sdp(np.outer(u.v, u.v.conj()), ch, cfg)
-        V, _, _ = solve_v_sdp(w, ch, cfg)
+        problem = normalized(ch, cfg)
+        w, _ = solve_w_sdp(np.outer(u.v, u.v.conj()), problem)
+        V, _, _ = solve_v_sdp(w, problem)
 
         # the draws' basis: V's eigenpairs above 1e-6 lambda_max, largest first,
         # each column turned so that its largest-modulus entry is real and positive
@@ -430,16 +434,15 @@ class TestRandomization:
         draws = np.random.default_rng(10)
         shape = (400, root.shape[1])
         r = (draws.standard_normal(shape) + 1j * draws.standard_normal(shape)) / np.sqrt(2)
-        y = [H @ w for H in (ch.H_r, ch.H_b, ch.H_e)]
+        y = [H @ w for H in (problem.Hr, problem.Hb, problem.He)]  # unit noise
         want, best_val = None, -np.inf
         for rk in r:
             vt = root @ rk
             cand = np.exp(1j * np.angle(vt[:-1] / vt[-1]))
             g = [abs(np.vdot(np.append(cand, 1.0), x)) ** 2 for x in y]
-            if g[1] + cfg.sigma2_w >= gain * (g[2] + cfg.sigma2_w) * (1 - 1e-12) \
-                    and g[0] > best_val:
+            if g[1] + 1.0 >= gain * (g[2] + 1.0) * (1 - 1e-12) and g[0] > best_val:
                 want, best_val = cand, g[0]
-        got = randomize_v(V, w, ch, cfg, count=400, rng=np.random.default_rng(10)).u
+        got = randomize_v(V, w, problem, np.random.default_rng(10), count=400).u
         assert want is not None
         assert np.allclose(got, want, rtol=0, atol=1e-12)
 
@@ -448,8 +451,10 @@ class TestRandomization:
         cfg = ScenarioConfig(M=2, N=4, seed=3)
         ch = generate_scenario(cfg)
         w = sdr_ao(ch, cfg).w.w
-        V, _, _ = solve_v_sdp(w, ch, cfg)
-        u = randomize_v(V, w, ch, cfg, count=0)
+        problem = normalized(ch, cfg)
+        V, _, _ = solve_v_sdp(w / np.sqrt(cfg.ps_w), problem)
+        u = randomize_v(V, w / np.sqrt(cfg.ps_w), problem, np.random.default_rng(cfg.seed),
+                        count=0)
         e = np.linalg.eigh(V)[1][:, -1]
         assert np.allclose(u.u, np.exp(1j * np.angle(e[:-1] / e[-1])), atol=1e-12)
         assert check_feasible(w, u, cfg, ch).feasible
@@ -461,14 +466,16 @@ class TestRandomization:
             cfg = ScenarioConfig(M=2, N=6, seed=seed, r0=0.5, **DESK)
             ch = generate_scenario(cfg)
             u0 = initial_phase_profile(cfg)
-            ok, w, _ = feasibility_probe(ch, cfg, u0)
+            problem = normalized(ch, cfg)
+            ok, w, _ = feasibility_probe(problem, u0)
             if not ok:
                 continue
             try:
-                V, _, _ = solve_v_sdp(w, ch, cfg)
-                u = randomize_v(V, w, ch, cfg, count=300, rng=rng)
+                V, _, _ = solve_v_sdp(w, problem)
+                u = randomize_v(V, w, problem, rng, count=300)
             except Exception:
                 continue
+            w = np.sqrt(cfg.ps_w) * w
             opt = harvested_power(w, u, ch, cfg.zeta)
             base = harvested_power(
                 w, PhaseProfile(np.exp(2j * np.pi * rng.random(6))), ch, cfg.zeta)
@@ -478,15 +485,16 @@ class TestRandomization:
 
 
 def sdr_ao_with_exact_w_raising(monkeypatch, profile=None):
-    """(result, the last W step's w, the drawn profile, cfg, channels) of
-    sdr_ao with exact_w raising; profile, if given, maps the drawn profile,
-    the last w and the channels to the profile the recovery gets instead."""
+    """(result, the last W step's w in watts, the drawn profile, cfg,
+    channels) of sdr_ao with exact_w raising; profile, if given, maps the
+    drawn profile, the last w and the problem to the profile the recovery
+    gets instead."""
     import irs_swipt.sdr as sdr
     drawn = []
 
-    def spy(V, w, channels, cfg, **kwargs):
-        u = randomize_v(V, w, channels, cfg, **kwargs)
-        drawn.append((w, u if profile is None else profile(u, w, channels)))
+    def spy(V, w, problem, *args, **kwargs):
+        u = randomize_v(V, w, problem, *args, **kwargs)
+        drawn.append((w, u if profile is None else profile(u, w, problem)))
         return drawn[-1][1]
 
     def unattainable(*args):
@@ -498,7 +506,8 @@ def sdr_ao_with_exact_w_raising(monkeypatch, profile=None):
     ch = generate_scenario(cfg)
     res = sdr_ao(ch, cfg)
     assert res.status in ("Converged", "MaxIters") and len(drawn) == 1
-    return (res, *drawn[0], cfg, ch)
+    w, u = drawn[0]
+    return res, np.sqrt(cfg.ps_w) * w, u, cfg, ch
 
 
 class TestSdrAo:
@@ -527,10 +536,11 @@ class TestSdrAo:
         v0 = np.ones(5, dtype=complex)
         V = np.outer(v0, v0.conj())
         prev = -np.inf
+        problem = normalized(ch, cfg)
         for _ in range(4):
-            w, obj_w = solve_w_sdp(V, ch, cfg)
+            w, obj_w = solve_w_sdp(V, problem)
             assert obj_w >= prev * (1 - 1e-8)
-            V, obj_v, _ = solve_v_sdp(w, ch, cfg)
+            V, obj_v, _ = solve_v_sdp(w, problem)
             assert obj_v >= obj_w * (1 - 1e-8)
             prev = obj_v
 
@@ -553,7 +563,7 @@ class TestSdrAo:
             solved += 1
             assert check_feasible(res.w.w, res.u, cfg, ch).feasible, k
             try:
-                e = exact_w(res.u.v, ch, cfg)
+                e = exact_w(res.u.v, normalized(ch, cfg))
             except SubproblemInfeasible:
                 continue
             assert np.array_equal(res.w.w, np.sqrt(cfg.ps_w) * e), k
@@ -577,7 +587,8 @@ class TestSdrAo:
         assert vals[-1] / np.sum(vals) < 0.99
         e = vecs[:, -1]
         u = PhaseProfile(np.exp(1j * np.angle(e[:-1] / e[-1])))
-        top = harvested_power(np.sqrt(cfg.ps_w) * exact_w(u.v, ch, cfg), u, ch, cfg.zeta)
+        top = harvested_power(np.sqrt(cfg.ps_w) * exact_w(u.v, normalized(ch, cfg)), u, ch,
+                              cfg.zeta)
         assert harvested_power(res.w.w, res.u, ch, cfg.zeta) >= top
 
     def test_infeasible_scenario_flagged(self):
@@ -592,8 +603,11 @@ class TestSdrAo:
         ch = generate_scenario(cfg)
         v0 = np.ones(5, dtype=complex)
         V = np.outer(v0, v0.conj())
-        w, _ = solve_w_sdp(V, ch, cfg)
-        V, obj, _ = solve_v_sdp(w, ch, cfg)
+        problem = normalized(ch, cfg)
+        w, _ = solve_w_sdp(V, problem)
+        V, obj, _ = solve_v_sdp(w, problem)
+        obj *= cfg.sigma2_w  # in watts, as w is below
+        w = np.sqrt(cfg.ps_w) * w
         tol = 1e-6
         assert np.linalg.norm(w) ** 2 <= cfg.ps_w * (1 + tol)
         assert np.max(np.abs(np.diag(V).real - 1.0)) <= tol
@@ -638,10 +652,10 @@ class TestSdrAo:
         import irs_swipt.sdr as sdr
         w_steps, v_sdp_ws = [], []
 
-        def first_only(V, channels, cfg):
+        def first_only(V, problem):
             if w_steps:
                 raise SubproblemInfeasible("rounding")
-            w, obj = solve_w_sdp(V, channels, cfg)
+            w, obj = solve_w_sdp(V, problem)
             w_steps.append(w)
             return w, obj
 
@@ -667,15 +681,16 @@ class TestSdrAo:
     def test_infeasible_exact_w_and_last_w_return_the_probe_pair(self, monkeypatch):
         # The drawn profile is replaced by the one that aligns Eve's channel,
         # which misses the secrecy target with the last w.
-        def eve_aligned(u, w, channels):
-            y = channels.H_e @ w
+        def eve_aligned(u, w, problem):
+            y = problem.He @ w
             return PhaseProfile(np.exp(1j * np.angle(y[:-1] / y[-1])))
 
         res, w_last, u, cfg, ch = sdr_ao_with_exact_w_raising(monkeypatch, eve_aligned)
         assert not check_feasible(w_last, u, cfg, ch).feasible
         u0 = initial_phase_profile(cfg)
         assert np.array_equal(res.u.u, u0.u)
-        assert np.array_equal(res.w.w, max_sr_beamformer(u0.v, ch, cfg)[0])
+        assert np.array_equal(res.w.w, np.sqrt(cfg.ps_w)
+                              * max_sr_beamformer(u0.v, normalized(ch, cfg))[0])
         assert check_feasible(res.w.w, res.u, cfg, ch).feasible
 
     @pytest.mark.parametrize("seed", [65, 68, 134, 148])
@@ -687,7 +702,7 @@ class TestSdrAo:
         cfg = ScenarioConfig(M=3, N=0, seed=seed, **NEAR_EVE)
         ch = generate_scenario(cfg)
         u0 = initial_phase_profile(cfg)
-        ok, _, sr_max = feasibility_probe(ch, cfg, u0)
+        ok, _, sr_max = feasibility_probe(normalized(ch, cfg), u0)
         assert ok
         cfg = cfg.with_updates(r0=0.5 * sr_max)
         res = sdr_ao(ch, cfg)

@@ -139,10 +139,10 @@ def untransformed(name, index):
     return channels, solver(channels, instances[index], same)
 
 
-# sca_ao's phase step stops its multiplier search on a test in watt units
+# sca_ao's phase step stops its multiplier search on a test in watts
 # (bisect_mu's stop test), the one cause that moves its result with the unit
-# of power (ROADMAP item 6): it stays out of the unit and power cases until
-# that is fixed
+# of power: it stays out of the unit and power cases until that test is
+# scale-free
 PAIRS = [(name, case) for name in SOLVERS for case in CASES
          if not (name == "sca_ao" and case in SCALED)]
 
