@@ -31,6 +31,20 @@ def _ticks(lo, hi):
     return ticks or [lo, hi]
 
 
+def _labels(ticks):
+    """Tick labels with at least 3 significant digits and as many more as the
+    tick step needs, so that a nearly flat axis does not read the same on
+    every tick."""
+    digits = 3
+    if len(ticks) >= 2:
+        step = ticks[1] - ticks[0]
+        top = max(abs(t) for t in ticks)
+        # the factor absorbs the rounding in step, so 1e-9 is not read as 9.99...e-10
+        digits = math.floor(math.log10(top)) - math.floor(math.log10(step * (1 + 1e-9))) + 1
+        digits = min(17, max(3, digits))
+    return [f"{t:.{digits}g}" for t in ticks]
+
+
 def line_chart(series, xlabel, ylabel, title=""):
     """Render series = [(label, xs, ys), ...] to an SVG string."""
     xs_all = [x for _, xs, _ in series for x in xs]
@@ -68,11 +82,12 @@ def line_chart(series, xlabel, ylabel, title=""):
                    f'y2="{MARGIN_T+plot_h+5}" stroke="#333"/>')
         out.append(f'<text x="{px(t):.1f}" y="{MARGIN_T+plot_h+18}" '
                    f'text-anchor="middle">{t:g}</text>')
-    for t in _ticks(y_lo, y_hi):
+    y_ticks = _ticks(y_lo, y_hi)
+    for t, label in zip(y_ticks, _labels(y_ticks)):
         out.append(f'<line x1="{MARGIN_L-5}" y1="{py(t):.1f}" x2="{MARGIN_L}" '
                    f'y2="{py(t):.1f}" stroke="#333"/>')
         out.append(f'<text x="{MARGIN_L-8}" y="{py(t)+4:.1f}" '
-                   f'text-anchor="end">{t:.3g}</text>')
+                   f'text-anchor="end">{label}</text>')
     out.append(f'<text x="{MARGIN_L+plot_w/2:.1f}" y="{HEIGHT-10}" '
                f'text-anchor="middle">{xlabel}</text>')
     out.append(f'<text x="16" y="{MARGIN_T+plot_h/2:.1f}" text-anchor="middle" '

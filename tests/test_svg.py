@@ -3,6 +3,7 @@ a few ulps, where stepping a tick by less than half an ulp leaves it as it
 was."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,6 +30,25 @@ def test_ticks_are_bounded_and_on_the_axis(lo, hi):
 def test_normal_span_ticks_are_unchanged():
     assert _ticks(8.0, 24.0) == [10.0, 15.0, 20.0]
     assert _ticks(0.0, 1.0) == pytest.approx([0.0, 0.2, 0.4, 0.6, 0.8, 1.0])
+
+
+def y_labels(svg):
+    return re.findall(r'text-anchor="end">([^<]*)</text>', svg)
+
+
+@pytest.mark.parametrize("ys", [
+    pytest.param([4.8200e-5, 4.8204e-5], id="nearly-flat"),
+    pytest.param(list(ONE_ULP), id="1-ulp"),
+])
+def test_nearly_flat_axis_labels_differ(ys):
+    # {t:.3g} read 4.82e-05 on every tick of the nearly flat axis
+    labels = y_labels(line_chart([("a", [1.0, 2.0], ys)], "x", "y"))
+    assert len(labels) >= 2 and len(set(labels)) == len(labels), labels
+
+
+def test_labels_keep_three_digits_on_a_normal_axis():
+    svg = line_chart([("a", [1.0, 2.0], [0.0, 1.0])], "x", "y")
+    assert y_labels(svg) == ["0", "0.2", "0.4", "0.6", "0.8", "1"]
 
 
 def test_chart_of_an_ulp_wide_axis_is_complete():
