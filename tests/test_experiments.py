@@ -565,6 +565,27 @@ def test_compare_tool_allows_rounding_only(tmp_path, capsys, edit, code, report)
     assert "batch: 0 of 3 rows differ" in out and report in out
 
 
+def test_compare_tool_reports_each_method(tmp_path, capsys):
+    # under each run's line, one line per method in the order of the rows
+    # tells which method's rows moved
+    tool = load_tool("compare_outputs")
+    a = reference_tree(tmp_path / "a")
+    b = reference_tree(tmp_path / "b", replace("1.2345678e-05", "1.2345679e-05"))
+    assert tool.main([str(a), str(b)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    paper = lines.index("paper: 1 of 3 rows differ; worst relative difference "
+                        "harvested_w 8.1e-08, sr_bps_hz 0")
+    assert lines[paper + 1:paper + 4] == [
+        "  sdr: 1 of 1 rows differ; worst relative difference harvested_w 8.1e-08, sr_bps_hz 0",
+        "  sca: 0 of 1 rows differ; worst relative difference harvested_w 0, sr_bps_hz 0",
+        "  no_irs: 0 of 1 rows differ; worst relative difference harvested_w 0, sr_bps_hz 0"]
+    # a method's value above the tolerance fails the run, as the run's worst does
+    c = reference_tree(tmp_path / "c", replace("3.25", "3.2500004", 2))
+    assert tool.main([str(a), str(c)]) == 1
+    assert "  sca: 1 of 1 rows differ; worst relative difference harvested_w 0, " \
+           "sr_bps_hz 1.23e-07" in capsys.readouterr().out
+
+
 def test_compare_tool_rejects_trees_with_different_runs(tmp_path, capsys):
     tool = load_tool("compare_outputs")
     a, b = reference_tree(tmp_path / "a"), reference_tree(tmp_path / "b")

@@ -9,8 +9,9 @@ variable, iters and status; harvested_w and sr_bps_hz may differ by
 rounding.  An oracle run's searches.txt must list the same searches in the
 same order, each with the same outcome and, where it has one, the same
 profile u and a value within ORACLE_TOL relative (w is not compared: the
-value is its harvested power).  Prints, per run, how many rows differ and
-the worst relative difference of each value column.  Exits 1 on different
+value is its harvested power).  Prints, per run and then per method within
+the run, how many rows differ and the worst relative difference of each
+value column.  Exits 1 on different
 runs, on a key, iters, status, outcome or profile mismatch, on a relative
 difference above sdp.DEFAULT_TOL (ORACLE_TOL for the oracle's values), or
 on a value that differs and is not finite on either side.
@@ -97,13 +98,22 @@ def compare(a, b):
             print(f"{run}: the rows differ in {', '.join(KEYS)}")
             ok = False
             continue
-        worst = {v: max((rel_diff(x[v], y[v]) for x, y in zip(*rows)), default=0.0)
-                 for v in VALUES}
-        differ = sum(x != y for x, y in zip(*rows))
-        print(f"{run}: {differ} of {len(rows[0])} rows differ; worst relative difference "
-              + ", ".join(f"{v} {worst[v]:.3g}" for v in VALUES))
-        ok = ok and max(worst.values()) <= DEFAULT_TOL
+        pairs = list(zip(*rows))
+        worst = report_rows(run, pairs)
+        for method in dict.fromkeys(x["method"] for x, _ in pairs):
+            report_rows(f"  {method}", [(x, y) for x, y in pairs if x["method"] == method])
+        ok = ok and worst <= DEFAULT_TOL
     return ok
+
+
+def report_rows(label, pairs):
+    """Print how many of the row pairs differ and the worst relative
+    difference of each value column; return the worst over the columns."""
+    worst = {v: max((rel_diff(x[v], y[v]) for x, y in pairs), default=0.0) for v in VALUES}
+    differ = sum(x != y for x, y in pairs)
+    print(f"{label}: {differ} of {len(pairs)} rows differ; worst relative difference "
+          + ", ".join(f"{v} {worst[v]:.3g}" for v in VALUES))
+    return max(worst.values())
 
 
 def main(argv=None):
