@@ -35,7 +35,7 @@ result to watts, and randomize_w, which sdr_ao does not call, stays in watts.
 
 import numpy as np
 
-from .errors import NumericalFailure, SubproblemInfeasible
+from .errors import NotPSD, NumericalFailure, SubproblemInfeasible
 from .init import alternate, exact_w, initial_phase_profile, max_sr_beamformer, rank_one_w
 from .linalg import herm_eig
 from .metrics import Beamformer, PhaseProfile, check_feasible
@@ -130,7 +130,9 @@ def randomize_v(V, fixed_beam, problem, rng, count=RAND_COUNT):
 
     The draws depend on V alone, not on the order of the IRS elements or on
     V's eigenvalues at the interior-point tolerance, which a square root of V
-    would amplify: a rank-one V gives one candidate for every r.
+    would amplify: a rank-one V gives one candidate for every r.  Raises
+    NotPSD when an eigenvalue of V is below -1e-6 ||V||_F, which interior-point
+    noise does not explain.
     """
     if V.shape[0] == 1:
         return PhaseProfile(np.zeros(0, dtype=complex))
@@ -142,6 +144,8 @@ def randomize_v(V, fixed_beam, problem, rng, count=RAND_COUNT):
         return np.exp(1j * np.angle(vt[:, :-1]))
 
     vals, vecs = herm_eig(V)
+    if vals[0] < -1e-6 * np.linalg.norm(V):
+        raise NotPSD(f"eigenvalue {vals[0]:.3e} below -1e-6*||V||")
     keep = vals >= EIG_FLOOR * vals[-1]
     F = (vecs[:, keep] * np.sqrt(vals[keep]))[:, ::-1]
     pivots = F[np.argmax(np.abs(F), axis=0), np.arange(F.shape[1])]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from irs_swipt.channel import ChannelSet, ScenarioConfig, generate_scenario
-from irs_swipt.errors import SubproblemInfeasible
+from irs_swipt.errors import NotPSD, SubproblemInfeasible
 from irs_swipt.init import (_feasible_combination, exact_w, feasibility_probe,
                             initial_phase_profile, max_sr_beamformer, normalized, rank_one_w)
 from irs_swipt.metrics import PhaseProfile, check_feasible, harvested_power
@@ -445,6 +445,14 @@ class TestRandomization:
         got = randomize_v(V, w, problem, np.random.default_rng(10), count=400).u
         assert want is not None
         assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_indefinite_v_raises(self):
+        # an eigenvalue of V far below the interior-point tolerance is no
+        # solver noise: the recovery raises rather than drop it
+        cfg, ch = self.setup(seed=16)
+        V = np.diag([1.0, 1.0, 1.0, 1.0, -0.5]).astype(complex)
+        with pytest.raises(NotPSD):
+            randomize_v(V, np.ones(3) / np.sqrt(3), normalized(ch, cfg), np.random.default_rng(0))
 
     def test_zero_rand_count_recovers_principal_eigenvector(self):
         # count = 0 draws no candidate: recovery falls back to the principal eigenvector
