@@ -20,7 +20,7 @@ from .linalg import herm_eig, max_eigval, psd_sqrt
 from .metrics import (Beamformer, FeasibilityReport, PhaseProfile, SolveResult, check_feasible,
                       harvested_power, rate_bob, rate_eve, secrecy_rate)
 from .oracle import GridSpec, grid_search_joint, grid_search_phases
-from .sca import bisect_mu, build_phase_data, sca_ao, sca_w_step, u_of_mu
+from .sca import beam_terms, bisect_mu, build_phase_data, sca_ao, sca_w_step, u_of_mu
 from .sdp import SdpProblem, SdpSolution, UnitDiagonalSdp, solve_sdp
 from .sdr import randomize_v, randomize_w, sdr_ao, solve_v_sdp, solve_w_sdp
 

@@ -2,8 +2,8 @@
 problem every solver layer takes (normalized), the starting phase profile, the
 full-power secrecy-maximizing beamformer used as a feasibility probe and as a
 strictly feasible starting point, the exact beamformer for a fixed profile
-(exact_w, through the 1-D dual of rank_one_w, which sdr_ao's W half-step also
-solves) that sca_ao, the beamformer-only baselines and sdr_ao's profile
+(exact_w, the closed form of the 1-D dual rank_one_w searches for sdr_ao's W
+half-step) that sca_ao, the beamformer-only baselines and sdr_ao's profile
 recovery all take, and the alternation loop they all run (sdr_ao also maps its
 final relaxed state to a rank-one pair once, after the loop).
 
@@ -90,32 +90,27 @@ MAX_HALVINGS = 200
 def rank_one_w(Rr, A, c):
     """Unit e maximizing e^H Rr e subject to e^H A e >= c (Rr PSD).
 
-    The SDP max tr(Rr W) s.t. tr(A W) >= c, tr(W) <= 1, W PSD has two trace
-    constraints, so it has a rank-one optimum e e^H; its dual is the convex
-    1-D problem min_{lam >= 0} lambda_max(Rr + lam A) - lam c, whose
-    derivative e(lam)^H A e(lam) - c, e(lam) the top eigenvector of
-    Rr + lam A, is nondecreasing.  lam = 0 settles it when the secrecy
-    constraint is slack there; otherwise lam is bracketed by 0 and hi, twice
-    the bound lambda_max(Rr) / (lambda_max(A) - c) on the dual optimum, and
-    narrowed by safeguarded Newton steps on h(lam) = e(lam)^H A e(lam) = c.
-    By convexity h(hi) - c >= (lambda_max(A) - c) / 2; where rounding leaves
-    h(hi) < c, that margin is at rounding level, and A's top eigenvector is
-    returned.  The slope comes from the same eigh as h:
-    h'(lam) = 2 sum_k |e_k^H A e|^2 / (lambda_top - lambda_k) over the other
-    eigenpairs.  A Newton point outside the open bracket, or one at a zero
-    slope, is replaced by the bracket's midpoint.
-    The search returns e(lam) once h(lam) - c lies in
-    [0, NEWTON_REL_TOL * c].  Otherwise, at a bracket of relative width
-    BISECT_REL_WIDTH, the two ends' eigenvectors span the top eigenspace at
-    the optimum, which is two-dimensional when eigenvalues cross there (h
-    jumps past c): e is the point of their segment where e^H A e reaches c,
-    at the root of the segment's quadratic (_feasible_combination).
+    With two trace constraints the SDP relaxation has a rank-one optimum e e^H
+    and the convex 1-D dual min_{lam >= 0} lambda_max(Rr + lam A) - lam c,
+    whose derivative h(lam) - c, h(lam) = e(lam)^H A e(lam) for the top
+    eigenvector e(lam) of Rr + lam A, is nondecreasing.  lam = 0 settles it
+    when the constraint is slack there; otherwise lam lies in [0, hi], hi
+    twice the bound lambda_max(Rr) / (lambda_max(A) - c), and by convexity
+    h(hi) - c >= (lambda_max(A) - c) / 2, so A's top eigenvector is returned
+    where rounding leaves h(hi) < c.  Safeguarded Newton steps on h(lam) = c,
+    with h'(lam) = 2 sum_k |e_k^H A e|^2 / (lambda_top - lambda_k) from the
+    same eigh, start at the multiplier of Rr's rank-one part
+    lambda_max(Rr) e(0) e(0)^H (_secular on eigh(A)); a point outside the
+    open bracket, or a zero slope, bisects.  e(lam) is returned once
+    0 <= h(lam) - c <= NEWTON_REL_TOL * c; else, at a bracket of relative
+    width BISECT_REL_WIDTH, the ends' eigenvectors span the top eigenspace at
+    the optimum (h jumps past c where eigenvalues cross), and e is the point
+    of their segment with e^H A e = c (_feasible_combination).
 
-    Raises SubproblemInfeasible when lambda_max(A) < c.  The AO methods take
-    this step from a beamformer that meets the secrecy constraint for the
-    profile at hand by construction, so for them the raise is rounding in
-    that test at r0 = the attainable maximum (the cancellation in A scales
-    with the channel gains, not with c), and they keep that beamformer.
+    Raises SubproblemInfeasible when lambda_max(A) < c: for the AO methods,
+    which start from a beamformer meeting the constraint by construction, that
+    is rounding at r0 = the attainable maximum (A cancels at the scale of the
+    channel gains, not of c), and they keep that beamformer.
     """
     vals_a, vecs_a = np.linalg.eigh(A)
     if vals_a[-1] < c:
@@ -140,23 +135,58 @@ def rank_one_w(Rr, A, c):
     if top_r <= 0 or vals_a[-1] == c:
         return vecs_a[:, -1]  # every feasible direction is optimal, or only this one is feasible
     lo, hi = 0.0, 2.0 * top_r / (vals_a[-1] - c)
-    e_hi, g_hi, slope = top(hi)
+    e_hi, g_hi, _ = top(hi)
     if g_hi < c:
         return vecs_a[:, -1]  # lambda_max(A) - c is at rounding level
-    lam, g = hi, g_hi
+    ru = math.sqrt(top_r) * (vecs_a.conj().T @ e_lo)
+    s, y = _secular(vals_a - c, ru)
+    lam = (1.0 - s) * float(np.real(np.vdot(ru, y)))  # the rank-one part's multiplier
     for _ in range(MAX_HALVINGS):
-        if 0 <= g - c <= NEWTON_REL_TOL * c:
-            return e_hi
-        if hi - lo <= BISECT_REL_WIDTH * hi:
-            break
-        newton = lam - (g - c) / slope if slope > 0 else hi  # hi is outside: bisect
-        lam = newton if lo < newton < hi else 0.5 * (lo + hi)
+        lam = lam if lo < lam < hi else 0.5 * (lo + hi)
         e, g, slope = top(lam)
         if g >= c:
             hi, e_hi, g_hi = lam, e, g
         else:
             lo, e_lo, g_lo = lam, e, g
+        if 0 <= g - c <= NEWTON_REL_TOL * c:
+            return e_hi
+        if hi - lo <= BISECT_REL_WIDTH * hi:
+            break
+        lam = lam - (g - c) / slope if slope > 0 else hi  # hi is outside: bisect
     return _feasible_combination(e_lo, g_lo, e_hi, g_hi, A, c)
+
+
+def _secular(q, ru):
+    """(s, y) with U y, up to scale, the optimum of max |r^H x|^2 s.t.
+    x^H Q x >= 0, ||x|| = 1 for Q = U diag(q) U^H (q ascending, q[-1] > 0),
+    ru = U^H r and r^H Q r < 0.  y = ru / D, D = q[-1] - (1 - s) q, is
+    (I - tQ)^-1 r at the root t = (1 - s) / q[-1] of the trust-region secular
+    equation sum_k |ru_k|^2 q_k / (1 - t q_k)^2 = 0 (Moré & Sorensen, 1983):
+    Newton steps from s = 1 on psi(s) = s - sqrt(a / n(s)), a = |ru_top|^2 /
+    q[-1], n(s) = -sum_{k < top} |ru_k|^2 q_k / D_k^2, which is convex where
+    those q_k < 0 (exact_w's rank-two A).  The hard case ru_top = 0 ends at
+    s = 0 with y_top = sqrt(n(0) / q[-1]): the constraint holds with equality.
+    """
+    qm, rho = float(q[-1]), np.abs(ru) ** 2
+    a, terms = rho[-1] / qm, list(zip(q[:-1].tolist(), (-rho[:-1] * q[:-1]).tolist()))
+    s = 1.0
+    for _ in range(MAX_HALVINGS):
+        n = dn = 0.0
+        for qk, wk in terms:
+            d = qm - (1.0 - s) * qk
+            n += wk / (d * d)
+            dn -= 2.0 * wk * qk / (d * d * d)
+        if not n > 0:
+            break  # another positive q_k outweighs the rest (rank_one_w's start only)
+        root = math.sqrt(a / n)
+        step = (s - root) / (1.0 + 0.5 * root * dn / n)
+        s = max(s - step, 0.0)
+        if abs(step) <= 1e-15 * s:
+            break
+    y = ru / np.append(qm - (1.0 - s) * q[:-1], s * qm if s > 0 else 1.0)
+    if s == 0:  # the hard case
+        y[-1] = math.sqrt(max(n, 0.0) / qm)
+    return s, y
 
 
 def _feasible_combination(e_lo, g_lo, e_hi, g_hi, A, c):
@@ -176,15 +206,45 @@ def _feasible_combination(e_lo, g_lo, e_hi, g_hi, A, c):
     return x / np.linalg.norm(x)
 
 
-def exact_w(v, problem):
-    """Unit-budget exact beamformer for the profile v = [u; 1]:
-    rank_one_w(g_r g_r^H, g_b g_b^H - 2^r0 g_e g_e^H, 2^r0 - 1), with the
-    gains g_x = H_x^H v of the problem.  Raises SubproblemInfeasible as
-    rank_one_w does.
+def _rank_two_max_eigval(gain, c, b):
+    """Largest eigenvalue of A = gain c c^H - b b^H = U D U^H, U = [c, b],
+    D = diag(gain, -1).  Its nonzero eigenvalues are those of the 2x2 matrix
+    D U^H U, with trace t and determinant -r <= 0 (b_perp: b orthogonal to c),
+    one of each sign; the others are 0.  For vectors of length 1, A is t.
     """
+    cc = float(np.real(np.vdot(c, c)))
+    t = gain * cc - float(np.real(np.vdot(b, b)))
+    if c.shape[0] == 1:
+        return t
+    b_perp = b - c * (np.vdot(c, b) / cc) if cc > 0 else b
+    r = gain * cc * float(np.real(np.vdot(b_perp, b_perp)))
+    return 0.5 * (t + math.sqrt(t * t + 4.0 * r))
+
+
+def exact_w(v, problem):
+    """Unit-budget exact beamformer for the profile v = [u; 1]: in closed form,
+    rank_one_w(g_r g_r^H, A, c), A = g_b g_b^H - 2^r0 g_e g_e^H, c = 2^r0 - 1,
+    g_x = H_x^H v.  Raises SubproblemInfeasible when lambda_max(A) < c, from
+    A's trace and Gram determinant (an eigh of the formed A rounds at the
+    gains' scale).  Returns [1] at M = 1, maximum-ratio transmission where it
+    is feasible, A's top eigenvector where g_r = 0 or lambda_max(A) = c, and
+    otherwise _secular's optimum."""
     g_r, g_b, g_e = (H.conj().T @ v for H in (problem.Hr, problem.Hb, problem.He))
-    A = np.outer(g_b, g_b.conj()) - problem.gain * np.outer(g_e, g_e.conj())
-    return rank_one_w(np.outer(g_r, g_r.conj()), A, problem.gain - 1.0)
+    gain, c = problem.gain, problem.gain - 1.0
+    A = np.outer(g_b, g_b.conj()) - gain * np.outer(g_e, g_e.conj())
+    lam_a = _rank_two_max_eigval(1.0, g_b, math.sqrt(gain) * g_e)
+    if lam_a < c:
+        raise SubproblemInfeasible("secrecy target unattainable for the fixed profile")
+    if g_r.shape[0] == 1:
+        return np.ones(1, dtype=complex)
+    rr = float(np.real(np.vdot(g_r, g_r)))
+    if rr > 0 and abs(np.vdot(g_r, g_b)) ** 2 - gain * abs(np.vdot(g_r, g_e)) ** 2 >= c * rr:
+        return g_r / math.sqrt(rr)
+    vals, U = np.linalg.eigh(A)
+    if rr == 0 or lam_a == c:
+        return U[:, -1]
+    x = U @ _secular(np.append(vals[:-1], lam_a) - c, U.conj().T @ g_r)[1]
+    return x / np.linalg.norm(x)
 
 
 def feasibility_probe(problem, u0):

@@ -12,22 +12,21 @@ twice it, and there a step can: sca_ao then keeps the previous profile, which
 is what keeps its trace non-decreasing.
 
 For a fixed profile the beamformer problem is a QCQP with two constraints
-whose semidefinite relaxation is tight, so sca_w_step solves it exactly
-(init.exact_w, the same 1-D dual as the SDR W step, built from the three
-M-dimensional gain vectors).  The phase step's majorizer lambda_max(A) of
-the rank-two A comes from a 2x2 eigenproblem, which is what spares this
-method the profile SDP.
+whose semidefinite relaxation is tight, so sca_w_step solves it exactly, in
+closed form (init.exact_w).  The phase step's majorizer lambda_max(A) of the
+rank-two A comes from a 2x2 eigenproblem, which spares this method the
+profile SDP; with H_x w it depends on the beamformer alone, so sca_ao takes
+both once per beamformer step (beam_terms).
 
 The layers here work on the noise-normalized init.Problem (unit-budget
 beamformers, unit noise), apart from one line: bisect_mu's stop test, which
 is in watts.
 """
 
-import math
 import numpy as np
 
 from .errors import PhaseStepInfeasible, SubproblemInfeasible
-from .init import alternate, exact_w, harvested_snr, initial_phase_profile
+from .init import _rank_two_max_eigval, alternate, exact_w, harvested_snr, initial_phase_profile
 from .metrics import Beamformer, PhaseProfile
 
 MAX_INNER_U = 30  # phase steps per outer round
@@ -35,47 +34,31 @@ INNER_TOL = 1e-6  # relative objective increase that ends the phase steps
 MU_TOL = 1e-8  # bisect_mu stops once |g(mu) - c2| <= MU_TOL * (1 + |c2|) in watts
 
 
-def _rank_two_max_eigval(gain, c, b):
-    """Largest eigenvalue of A = gain c c^H - b b^H = U D U^H, U = [c, b],
-    D = diag(gain, -1).  Its nonzero eigenvalues are those of the 2x2 matrix
-    D U^H U, with trace t and determinant -r <= 0 (b_perp: b orthogonal to c),
-    one of each sign; the other N - 2 are 0.  For N = 1, A is the scalar t.
-    """
-    cc = float(np.real(np.vdot(c, c)))
-    t = gain * cc - float(np.real(np.vdot(b, b)))
-    if c.shape[0] == 1:
-        return t
-    b_perp = b - c * (np.vdot(c, b) / cc) if cc > 0 else b
-    r = gain * cc * float(np.real(np.vdot(b_perp, b_perp)))
-    return 0.5 * (t + math.sqrt(t * t + 4.0 * r))
+def beam_terms(w, problem):
+    """The phase data's part that depends on the unit-budget beamformer array w
+    alone: (H_r w, H_b w, H_e w, 2^r0, lambda_max(A)), A as in build_phase_data."""
+    yr, yb, ye = (H @ w for H in (problem.Hr, problem.Hb, problem.He))
+    return yr, yb, ye, problem.gain, _rank_two_max_eigval(problem.gain, ye[:-1], yb[:-1])
 
 
-def build_phase_data(w, u_prev, problem):
-    """The phase subproblem (d, f, c2) at the PhaseProfile u_prev for a fixed
-    unit-budget beamformer array w:
+def build_phase_data(terms, ut):
+    """The phase subproblem (d, f, c2) at the profile array ut for a fixed
+    beamformer w, terms = beam_terms(w, problem):
     maximize 2 Re(u^H d) s.t. 2 Re(u^H f) >= c2.  With a, b, c the IRS rows
     and alpha, beta, gamma the direct entries of Hr w, Hb w, He w, the
-    objective plus |alpha|^2 - |a^H u_prev|^2 is a lower bound on
-    |u^H a + alpha|^2, tight at u_prev.  The constraint majorizes
+    objective plus |alpha|^2 - |a^H ut|^2 is a lower bound on
+    |u^H a + alpha|^2, tight at ut.  The constraint majorizes
     A = 2^r0 c c^H - b b^H by lambda_max(A) * I, so it restricts the true
     secrecy constraint.
     """
-    ut = u_prev.u
+    rw, bw, ew, gain, lam = terms
     n = ut.shape[0]
-    gain = problem.gain
-
-    rw = problem.Hr @ w
-    bw = problem.Hb @ w
-    ew = problem.He @ w
     a, alpha = rw[:n], complex(rw[n])
     b, beta = bw[:n], complex(bw[n])
     c, gamma = ew[:n], complex(ew[n])
-
-    lam = _rank_two_max_eigval(gain, c, b)
-    # (lambda_max I - A) u_prev without forming A
+    # (lambda_max I - A) ut without forming A
     m_minus_a_u = lam * ut - (gain * c * np.vdot(c, ut) - b * np.vdot(b, ut))
-
-    au = complex(a.conj() @ ut)  # a^H u_prev
+    au = complex(a.conj() @ ut)  # a^H ut
     d = a * au + a * np.conj(alpha)
     f = m_minus_a_u + (b * np.conj(beta) - gain * c * np.conj(gamma))
     c2 = (n * lam + float(np.real(ut.conj() @ m_minus_a_u))
@@ -85,10 +68,8 @@ def build_phase_data(w, u_prev, problem):
 
 def _aligned(z):
     """The phases z_n / |z_n|; zero entries (measure-zero ties) get phase 0."""
-    u = np.ones_like(z)
-    nz = z != 0
-    u[nz] = z[nz] / np.abs(z[nz])
-    return u
+    r = np.abs(z)
+    return np.where(r > 0, z / np.where(r > 0, r, 1.0), 1.0)
 
 
 def u_of_mu(d, f, mu):
@@ -98,51 +79,47 @@ def u_of_mu(d, f, mu):
 
 
 def _g_of_mu(d, f, mu):
-    """g(mu) = 2 Re(u(mu)^H f); for an array of multipliers, one g per entry."""
-    return 2.0 * np.real(_aligned(d + np.multiply.outer(mu, f)).conj() @ f)
+    """(g(mu), u(mu)): g(mu) = 2 Re(u(mu)^H f) at the aligned profile array
+    u(mu); for an array of multipliers, one g and one row u per entry."""
+    u = _aligned(d + np.multiply.outer(mu, f))
+    return 2.0 * np.real(u.conj() @ f), u
 
 
-# The bracket's candidate upper ends hi = 2^0 ... 2^200 (1 and 200 doublings
-# of it), of which DOUBLINGS_PER_PASS are evaluated together in one array pass.
-_BRACKET_ENDS = np.ldexp(1.0, np.arange(201))
-DOUBLINGS_PER_PASS = 64
+# mu = 0 and the bracket's upper ends 2^0 ... 2^200, in array passes: the first
+# to 2^17 (the largest multiplier of batch-like and paper runs), then 64 each.
+_MULTIPLIERS = np.concatenate([[0.0], np.ldexp(1.0, np.arange(201))])
+_PASSES = np.split(_MULTIPLIERS, range(19, len(_MULTIPLIERS), 64))
 
 
 def bisect_mu(d, f, c2, sigma2):
-    """Multiplier search for the phase subproblem.
+    """Multiplier search for the phase subproblem: (mu, the profile array u(mu)).
 
-    If the constraint already holds at mu = 0 complementary slackness gives
-    mu = 0; otherwise g(mu) = 2Re(u(mu)^H f) is non-decreasing.  The bracket's
-    upper end is the first hi = 2^k, k = 0, 1, ..., with g(hi) >= c2, found
-    by evaluating g at DOUBLINGS_PER_PASS of them per array pass; bisection on
-    [0, hi] then stops once |g(hi) - c2| <= tol, or once the bracket cannot
-    shrink in floating point (g jumps past c2).  When even the mu -> inf
-    limit 2*sum|f_n| cannot reach c2 the step is infeasible.
+    If the constraint holds at mu = 0 complementary slackness gives mu = 0;
+    otherwise g(mu) = 2Re(u(mu)^H f) is non-decreasing, the bracket's upper
+    end is the first hi = 2^k, k = 0, 1, ..., with g(hi) >= c2 (the array
+    passes of _PASSES, the first of which holds mu = 0 too), and bisection on
+    [0, hi] stops once |g(hi) - c2| <= tol or once the bracket cannot shrink
+    in floating point (g jumps past c2).  When even the mu -> inf limit
+    2*sum|f_n| cannot reach c2 the step is infeasible.
 
     (d, f, c2) are in the noise units of build_phase_data, and tol is
-    MU_TOL*(1+|c2|) for the problem in watts, sigma2 times these.  That
-    tolerance is absolute when |c2| << 1 W, as it is on the paper's scales,
-    where it usually holds at the doubling's hi already: the doubling, not
-    the bisection, then decides mu, which can be up to twice the exact root.
+    MU_TOL*(1+|c2|) for the problem in watts, sigma2 times these: absolute
+    where |c2| << 1 W, as on the paper's scales, where it usually holds at
+    the doubling's hi already, so that mu can be up to twice the exact root.
     """
     # the stop test in watts, which keeps sca_ao's steps those of the problem
     # in watts: a test relative in noise units stops at other multipliers
     tol = MU_TOL * (1.0 + sigma2 * abs(c2)) / sigma2
-    if _g_of_mu(d, f, 0.0) >= c2:
-        return 0.0, u_of_mu(d, f, 0.0)
-    g_limit = 2.0 * float(np.sum(np.abs(f)))
-    if g_limit < c2 - tol:
-        raise PhaseStepInfeasible("linearized secrecy constraint unreachable")
-
-    for start in range(0, len(_BRACKET_ENDS), DOUBLINGS_PER_PASS):
-        his = _BRACKET_ENDS[start:start + DOUBLINGS_PER_PASS]
-        g_his = _g_of_mu(d, f, his)
-        cleared = np.flatnonzero(g_his >= c2)
-        if cleared.size:
-            hi, g_hi = float(his[cleared[0]]), float(g_his[cleared[0]])
+    for mus in _PASSES:
+        g, rows = _g_of_mu(d, f, mus)
+        k = int(np.argmax(g >= c2))  # the first end that clears c2, if any
+        if g[k] >= c2:
             break
+        if 2.0 * float(np.sum(np.abs(f))) < c2 - tol:
+            raise PhaseStepInfeasible("linearized secrecy constraint unreachable")
     else:
-        hi, g_hi = float(his[-1]), float(g_his[-1])
+        k = -1
+    hi, g_hi, u = float(mus[k]), float(g[k]), rows[k]  # hi = 0 ends the bisection at once
     if not g_hi >= c2 - tol:
         raise PhaseStepInfeasible("bisection bracket not found")
 
@@ -153,12 +130,12 @@ def bisect_mu(d, f, c2, sigma2):
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        g_mid = _g_of_mu(d, f, mid)
+        g_mid, u_mid = _g_of_mu(d, f, mid)
         if g_mid >= c2:
-            hi, g_hi = mid, g_mid
+            hi, g_hi, u = mid, g_mid, u_mid
         else:
             lo = mid
-    return hi, u_of_mu(d, f, hi)
+    return hi, u
 
 
 def sca_w_step(v, w_prev, problem):
@@ -185,20 +162,23 @@ def sca_ao(channels, cfg):
         w, u = state
         w = sca_w_step(u.v, w, problem).w
         if cfg.N > 0:
-            val = harvested_snr(u.v, w, problem)
+            terms, v = beam_terms(w, problem), u.v
+            val = abs(np.vdot(v, terms[0])) ** 2  # harvested_snr(v, w, problem)
             for _ in range(MAX_INNER_U):
                 try:
-                    _, u_new = bisect_mu(*build_phase_data(w, u, problem), cfg.sigma2_w)
+                    _, u_new = bisect_mu(*build_phase_data(terms, v[:-1]), cfg.sigma2_w)
                 except PhaseStepInfeasible:
                     break
                 counts["u"] += 1
-                new_val = harvested_snr(u_new.v, w, problem)
-                # a mu above the root (see bisect_mu) can lower the value: keep u then
+                v_new = np.append(u_new, 1.0)
+                new_val = abs(np.vdot(v_new, terms[0])) ** 2
+                # a mu above the root (see bisect_mu) can lower the value: keep v then
                 if new_val >= val * (1.0 - 1e-12):
-                    u = u_new
+                    v = v_new
                 if new_val - val <= INNER_TOL * max(new_val, 1e-300):
                     break
                 val = new_val
+            u = PhaseProfile(v[:-1])
         return (w, u), harvested_snr(u.v, w, problem)
 
     return alternate(channels, cfg, initial_phase_profile(cfg), step)

@@ -5,7 +5,7 @@ V = v v^H with the rank-one constraints dropped.  With one variable fixed the
 other subproblem is a linear SDP, so the two are alternated; both half-steps
 can only raise the relaxed objective.  The W half-step has two trace
 constraints and therefore a rank-one optimum W = e e^H, found exactly
-through its 1-D dual (init.rank_one_w, which sca_ao's beamformer step shares),
+through its 1-D dual (init.rank_one_w; closed form for rank one: init.exact_w),
 so the alternation carries w = e instead of W; when rounding makes
 that solver find the secrecy target unattainable, the state's w, feasible for
 the state's V by construction, is kept with its relaxed value.  The V

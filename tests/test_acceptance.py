@@ -218,7 +218,7 @@ def test_criterion_07_monotone_dual_function():
         c2 = g0 + 0.6 * (gmax - g0)
         mu_star, prof = bisect_mu(d, f, c2, 1.0)
         if mu_star > 0:
-            resid = abs(2.0 * float(np.real(prof.u.conj() @ f)) - c2) / (1 + abs(c2))
+            resid = abs(2.0 * float(np.real(prof.conj() @ f)) - c2) / (1 + abs(c2))
             worst_resid = max(worst_resid, resid)
     ok = worst_viol <= 1e-9 and worst_resid <= 1e-8
     assert report(7, "monotone dual function", ok,

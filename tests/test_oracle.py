@@ -9,7 +9,7 @@ from irs_swipt.oracle import (SCREEN_MARGIN, GridSpec, _block, _dual_bound, _dua
                                _dual_minimum_2x2, _lam_max_a, _norm2, _norm2_form, _outer,
                                _profile_values, _recover_direction, _roots, _separable_rows,
                                grid_search_joint, grid_search_phases)
-from irs_swipt.sca import build_phase_data, bisect_mu, sca_ao
+from irs_swipt.sca import beam_terms, bisect_mu, build_phase_data, sca_ao
 from irs_swipt.sdr import sdr_ao
 
 from direction_grid import direction_grid_search, phase_chunks
@@ -434,10 +434,11 @@ class TestGridSearchPhases:
             ok, w, _ = feasibility_probe(problem, u)
             if not ok:
                 continue
+            ut = u.u
             for _ in range(20):
-                _, u = bisect_mu(*build_phase_data(w, u, problem), cfg.sigma2_w)
+                _, ut = bisect_mu(*build_phase_data(beam_terms(w, problem), ut), cfg.sigma2_w)
             w = np.sqrt(cfg.ps_w) * w
-            val_sca = abs(np.vdot(u.v, ch.H_r @ w)) ** 2
+            val_sca = abs(np.vdot(np.append(ut, 1.0), ch.H_r @ w)) ** 2
             _, val_grid = grid_search_phases(ch, w, cfg, 256)
             assert val_sca >= val_grid * 0.99
 
