@@ -95,17 +95,19 @@ def rank_one_w(Rr, A, c):
     whose derivative h(lam) - c, h(lam) = e(lam)^H A e(lam) for the top
     eigenvector e(lam) of Rr + lam A, is nondecreasing.  lam = 0 settles it
     when the constraint is slack there; otherwise lam lies in [0, hi], hi
-    twice the bound lambda_max(Rr) / (lambda_max(A) - c), and by convexity
-    h(hi) - c >= (lambda_max(A) - c) / 2, so A's top eigenvector is returned
-    where rounding leaves h(hi) < c.  Safeguarded Newton steps on h(lam) = c,
-    with h'(lam) = 2 sum_k |e_k^H A e|^2 / (lambda_top - lambda_k) from the
-    same eigh, start at the multiplier of Rr's rank-one part
-    lambda_max(Rr) e(0) e(0)^H (_secular on eigh(A)); a point outside the
-    open bracket, or a zero slope, bisects.  e(lam) is returned once
-    0 <= h(lam) - c <= NEWTON_REL_TOL * c; else, at a bracket of relative
-    width BISECT_REL_WIDTH, the ends' eigenvectors span the top eigenspace at
-    the optimum (h jumps past c where eigenvalues cross), and e is the point
-    of their segment with e^H A e = c (_feasible_combination).
+    twice the bound lambda_max(Rr) / (lambda_max(A) - c).  The bracket's
+    feasible end starts at A's top eigenvector, the limit of e(lam) as lam
+    grows, where e^H A e = lambda_max(A) >= c, so no eigh is taken at hi.
+    Safeguarded Newton steps on h(lam) = c, with h'(lam) = 2 sum_k
+    |e_k^H A e|^2 / (lambda_top - lambda_k) from the same eigh, start at the
+    multiplier of Rr's rank-one part lambda_max(Rr) e(0) e(0)^H (_secular on
+    eigh(A)); a point outside the open bracket, or a zero slope, bisects.
+    e(lam) is returned once 0 <= h(lam) - c <= NEWTON_REL_TOL * c; else, at
+    a bracket of relative width BISECT_REL_WIDTH, the ends' eigenvectors span
+    the top eigenspace at the optimum (h jumps past c where eigenvalues
+    cross), and e is the point of their segment with e^H A e = c
+    (_feasible_combination); where no trial reached the feasible side, that
+    segment ends at A's top eigenvector.
 
     Raises SubproblemInfeasible when lambda_max(A) < c: for the AO methods,
     which start from a beamformer meeting the constraint by construction, that
@@ -135,9 +137,7 @@ def rank_one_w(Rr, A, c):
     if top_r <= 0 or vals_a[-1] == c:
         return vecs_a[:, -1]  # every feasible direction is optimal, or only this one is feasible
     lo, hi = 0.0, 2.0 * top_r / (vals_a[-1] - c)
-    e_hi, g_hi, _ = top(hi)
-    if g_hi < c:
-        return vecs_a[:, -1]  # lambda_max(A) - c is at rounding level
+    e_hi, g_hi = vecs_a[:, -1], float(vals_a[-1])  # feasible: the check above
     ru = math.sqrt(top_r) * (vecs_a.conj().T @ e_lo)
     s, y = _secular(vals_a - c, ru)
     lam = (1.0 - s) * float(np.real(np.vdot(ru, y)))  # the rank-one part's multiplier
