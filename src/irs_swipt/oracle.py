@@ -33,20 +33,29 @@ and by golden-section search over batched eigvalsh at M = 3.  The beamformer
 is recovered at the winning profile only, and the value returned is the
 harvested power of the recovered pair.
 
-The ||r||^2 screens (the first pass, and the second while lam = 0) read no
-rows.  With C = conj(H_r), r = sum_n v_n C[n] (v_N = 1), and with K = C C^H,
-||r||^2 = v^H K v is a real quadratic form in the digits d_n of v_n =
-roots[d_n]: tr K, plus a_p[d_p] = 2 Re(roots[d_p] K[p, N]) per element, plus
-c_pq[(d_q - d_p) mod levels] = 2 Re(conj(roots[j]) K[p, q]) per pair of
-elements.  Three kinds of tables of `levels` entries give it.  The pair
+The screens read no rows, except the second pass at lam > 0 when M = 3,
+which builds each block's rows.  With C = conj(H_r), r = sum_n v_n C[n]
+(v_N = 1), and with K = C C^H, ||r||^2 = v^H K v is a real quadratic form
+in the digits d_n of v_n = roots[d_n]: tr K, plus a_p[d_p] = 2 Re(roots[d_p]
+K[p, N]) per element, plus c_pq[(d_q - d_p) mod levels] = 2 Re(conj(roots[j])
+K[p, q]) per pair of elements.  Three kinds of tables of `levels` entries give it.  The pair
 table is circulant in (d_p, d_q): its row d_p is a window of c_pq repeated
 twice, a zero-copy view.  The part over the trailing elements is summed once;
 each block of profiles adds the leading elements' entries and broadcasts
-their circulant rows along the trailing axes.  The form rounds differently
-from the rows, so these screens keep every profile within delta = 64 eps
-(sum_n ||C[n]||)^2 below the cut (_norm2_form derives the bound).  Where r
-cancels, delta is far above the 1e-12 relative margin.  delta can only keep
-more profiles, and the kernel, on the rows, decides.
+their circulant rows along the trailing axes.  Any Hermitian kernel K gives
+such a form (_form), and at M = 2 so does the dual function at lam > 0: with
+S = R + lam A, T = (S00 + S11) / 2 and H = (S00 - S11) / 2,
+
+    f(lam) = T - lam c + sqrt(H^2 + (Re S01)^2 + (Im S01)^2),
+
+where T, H, Re S01 and Im S01 are forms in v whose kernels are rebuilt
+whenever the incumbent's lam changes (_dual_form).  The forms round
+differently from the rows, so these screens keep every profile within delta
+= 64 eps (sum_n ||C[n]||)^2 below the cut by ||r||^2 (_norm2_form derives
+the bound) and within delta_f, the sum of the four forms' bounds, by f
+(_dual_form; the square root is 1-Lipschitz).  Where r cancels, delta is far
+above the 1e-12 relative margin.  delta and delta_f can only keep more
+profiles, and the kernel, on the rows, decides.
 
 grid_search_phases scans the same phase grid, with the same separable rows,
 for a fixed beamformer.
@@ -138,17 +147,51 @@ def _separable_rows(coef, levels):
     return fast, heads, slow
 
 
+def _form(K, levels, slow):
+    """The real form sum_pq v_p conj(v_q) K[p, q] of a Hermitian kernel K
+    ((N + 1) x (N + 1)), v_n = roots[d_n] and v_N = 1, of the profiles of the
+    phase grid (see the module docstring), in the layout of _separable_rows
+    with `slow` leading elements.
+
+    Returns form(digits): for the digits of a head run, the run's values in
+    the order of its profiles.  The part over the trailing elements is built
+    here, the circulant rows are views, and a run takes one entry or row per
+    leading element or pair, with no index arithmetic per profile.
+    """
+    n = K.shape[0] - 1
+    roots = _roots(levels)
+    a = 2.0 * (K[:-1, -1, None] * roots).real  # a[p, d]
+
+    def circulant(p, q):  # row d_p holds c_pq[(d_q - d_p) mod levels] over d_q
+        c = 2.0 * (K[p, q] * roots.conj()).real
+        return sliding_window_view(np.concatenate([c, c]), levels)[levels:0:-1]
+
+    def others(*elements, lead=0):  # the axes of the other trailing elements
+        return tuple(lead + i - slow for i in range(slow, n) if i not in elements)
+
+    fast = np.full((levels,) * (n - slow), np.trace(K).real)
+    for p in range(slow, n):
+        fast = fast + np.expand_dims(a[p], others(p))
+        for q in range(p + 1, n):
+            fast = fast + np.expand_dims(circulant(p, q), others(p, q))
+    slow_pairs = [(p, q, circulant(p, q)) for q in range(slow) for p in range(q)]
+    cross = [(p, circulant(p, q), others(q, lead=1)) for p in range(slow) for q in range(slow, n)]
+
+    def form(digits):
+        part = (sum(a[p][d] for p, d in enumerate(digits))
+                + sum(t[digits[p], digits[q]] for p, q, t in slow_pairs))
+        out = np.add.outer(part, fast)
+        for p, t, axes in cross:
+            out += np.expand_dims(t[digits[p]], axes)
+        return out.reshape(-1)
+
+    return form
+
+
 def _norm2_form(C, levels, slow):
     """||r||^2, r = sum_n v_n C[n] with v_n = roots[d_n] and v_N = 1, of the
-    profiles of the phase grid, as the real quadratic form v^H K v, K = C C^H
-    (see the module docstring), in the layout of _separable_rows with `slow`
-    leading elements.
-
-    Returns (norm2, delta).  norm2(digits), for the digits of a head run,
-    returns the run's values in the order of its profiles.  The part over the
-    trailing elements is built here, the circulant rows are views, and a run
-    takes one entry or row per leading element or pair, with no index
-    arithmetic per profile.
+    profiles of the phase grid: the _form of K = C C^H.  Returns (norm2,
+    delta).
 
     delta = 64 eps S^2, S = sum_n ||C[n]||, bounds |norm2 - _norm2 of the
     rows|.  Each product v_p conj(v_q) K[p, q] of ||r||^2 has modulus at most
@@ -168,35 +211,54 @@ def _norm2_form(C, levels, slow):
     64 leaves room for the second-order terms.  Where r cancels, ||r||^2 is
     far below S^2, and a margin relative to ||r||^2 would not cover this.
     """
-    n = C.shape[0] - 1
-    K = C @ C.conj().T
-    roots = _roots(levels)
-    a = 2.0 * (K[:-1, -1, None] * roots).real  # a[p, d]
+    return (_form(C @ C.conj().T, levels, slow),
+            64 * np.finfo(float).eps * np.linalg.norm(C, axis=1).sum() ** 2)
 
-    def circulant(p, q):  # row d_p holds c_pq[(d_q - d_p) mod levels] over d_q
-        c = 2.0 * (K[p, q] * roots.conj()).real
-        return sliding_window_view(np.concatenate([c, c]), levels)[levels:0:-1]
 
-    def others(*elements, lead=0):  # the axes of the other trailing elements
-        return tuple(lead + i - slow for i in range(slow, n) if i not in elements)
+def _dual_form(coef, levels, slow, gain, lam, c):
+    """The dual function f = lambda_max(S) - lam c, S = R + lam A, at one
+    lam >= 0 of the profiles of the phase grid at M = 2, from four forms.
+    With T = (S00 + S11) / 2 and H = (S00 - S11) / 2,
 
-    fast = np.full((levels,) * (n - slow), np.trace(K).real)
-    for p in range(slow, n):
-        fast = fast + np.expand_dims(a[p], others(p))
-        for q in range(p + 1, n):
-            fast = fast + np.expand_dims(circulant(p, q), others(p, q))
-    slow_pairs = [(p, q, circulant(p, q)) for q in range(slow) for p in range(q)]
-    cross = [(p, circulant(p, q), others(q, lead=1)) for p in range(slow) for q in range(slow, n)]
+        f = T - lam c + sqrt(H^2 + (Re S01)^2 + (Im S01)^2),
 
-    def norm2(digits):
-        part = (sum(a[p][d] for p, d in enumerate(digits))
-                + sum(t[digits[p], digits[q]] for p, q, t in slow_pairs))
-        out = np.add.outer(part, fast)
-        for p, t, axes in cross:
-            out += np.expand_dims(t[digits[p]], axes)
-        return out.reshape(-1)
+    and each of T, H, Re S01 and Im S01 is tr(S X) for X = I / 2, sigma_z / 2,
+    sigma_x / 2 or sigma_y / 2 (up to sign).  As S = sum_x s_x x x^H over the
+    rows x = r, b, e (s = 1, lam, -lam gain), tr(S X) is the _form of the
+    kernel sum_x s_x C_x X C_x^H, C_x the columns of coef that sum to x; the
+    kernel of T also takes -lam c in its last diagonal entry, as v_N = 1.
+    Returns (f, delta_f), f(digits) the values of a head run.
 
-    return norm2, 64 * np.finfo(float).eps * np.linalg.norm(C, axis=1).sum() ** 2
+    delta_f = 64 eps (2 W + lam c), W = S_r^2 + lam (S_b^2 + gain S_e^2) with
+    S_x = sum_n ||C_x[n]||, bounds |f - _dual_bound of the rows|.  The square
+    root is 1-Lipschitz, so |f - f'| is at most the sum of the four forms'
+    differences, and delta_f is the sum of their bounds: each form's terms
+    have total modulus at most W / 2 (||X|| = 1/2), and T's lam c more.  Per
+    form, to first order in units of eps over that total, as for
+    _norm2_form's delta:
+    - the rows: their entries give 25 + N as there; _dual_2x2's squares,
+      products, scalings by gain and lam, and sums add at most 4, and the
+      modulus, the hypot and the final sum 2;
+    - the form: C_x X is exact (X has one entry of modulus 1/2 per row), the
+      M = 2 inner product is off by 2.5 and the sum over x by 2 more, and
+      with the root, its product and the 1 + N (N + 1) / 2 terms that is
+      17 + N (N + 1) / 4, with the lam c entry's subtraction; the squares,
+      the sum, the square root and the final sum add 2.
+    The sum, 50 + N + N (N + 1) / 4, is at most 56 for N <= 3; 64 leaves room
+    for the second-order terms.
+    """
+    paulis = 0.5 * np.array([[[1, 0], [0, 1]], [[1, 0], [0, -1]],
+                             [[0, 1], [1, 0]], [[0, -1j], [1j, 0]]])
+    parts = [(1.0, coef[:, :2]), (lam, coef[:, 2:4]), (-lam * gain, coef[:, 4:])]
+    kernels = [sum(s * (C @ X @ C.conj().T) for s, C in parts) for X in paulis]
+    kernels[0][-1, -1] -= lam * c
+    t, h, x, y = (_form(K, levels, slow) for K in kernels)
+
+    def f(digits):
+        return t(digits) + np.sqrt(h(digits) ** 2 + x(digits) ** 2 + y(digits) ** 2)
+
+    weight = sum(abs(s) * np.linalg.norm(C, axis=1).sum() ** 2 for s, C in parts)
+    return f, 64 * np.finfo(float).eps * (2.0 * weight + lam * c)
 
 
 def _block(head, fast):
@@ -405,6 +467,9 @@ def grid_search_joint(channels, cfg, grid):
     def floor(value):  # below value by the rounding of a value against its bounds
         return value - SCREEN_MARGIN * abs(value)
 
+    def dual_form(lam):  # the form screen by the dual function at lam, M = 2
+        return _dual_form(coef, grid.phase_levels, slow, gain, lam, c) if m == 2 and lam > 0 else None
+
     # No profile is worth more than its ||r||^2 nor, for any lam >= 0, its
     # dual function at lam.  So the value of the profile of largest ||r||^2,
     # then of the best profile so far, screens the rest by both, with lam its
@@ -420,14 +485,18 @@ def grid_search_joint(channels, cfg, grid):
             top, top_rows = rr[i], head[:, i // size] + fast[:, i % size]
     vals, lams = _profile_values(*split(top_rows[None]), gain, c)
     cut, lam = floor(vals[0]), lams[0]
+    dual = dual_form(lam)
 
     best, best_index, best_rows = -np.inf, None, None
     for start, head, digits in heads():
-        if lam > 0:
+        if lam > 0 and m == 3:
             block = _block(head, fast).T
             keep = (_norm2(block[:, :m]) >= cut) & (_dual_bound(*split(block), gain, lam, c) >= cut)
         else:
             keep = norm2(digits) >= cut - delta
+            if dual is not None:
+                f, delta_f = dual
+                keep &= f(digits) >= cut - delta_f
         idx = np.flatnonzero(keep)
         if idx.size == 0:
             continue
@@ -438,6 +507,7 @@ def grid_search_joint(channels, cfg, grid):
             best, best_index, best_rows = vals[k], start * size + idx[k], rows[k]
         if floor(vals[k]) > cut:
             cut, lam = floor(vals[k]), lams[k]
+            dual = dual_form(lam)
 
     if best_rows is None:
         raise SubproblemInfeasible("no profile of the phase grid meets the secrecy target")

@@ -5,10 +5,10 @@ from irs_swipt.channel import ChannelSet, ScenarioConfig, generate_scenario
 from irs_swipt.errors import GridTooLarge, InvalidInput, SubproblemInfeasible
 from irs_swipt.metrics import PhaseProfile, check_feasible, harvested_power
 import irs_swipt.oracle as oracle
-from irs_swipt.oracle import (SCREEN_MARGIN, GridSpec, _block, _dual_bound, _dual_minimum,
-                               _dual_minimum_2x2, _lam_max_a, _norm2, _norm2_form, _outer,
-                               _profile_values, _recover_direction, _roots, _separable_rows,
-                               grid_search_joint, grid_search_phases)
+from irs_swipt.oracle import (SCREEN_MARGIN, GridSpec, _block, _dual_bound, _dual_form,
+                               _dual_minimum, _dual_minimum_2x2, _lam_max_a, _norm2, _norm2_form,
+                               _outer, _profile_values, _recover_direction, _roots,
+                               _separable_rows, grid_search_joint, grid_search_phases)
 from irs_swipt.sca import beam_terms, bisect_mu, build_phase_data, sca_ao
 from irs_swipt.sdr import sdr_ao
 
@@ -170,32 +170,51 @@ class TestAgainstFullScan:
 
 
 class TestScreenCounts:
-    """Counts, not wall-clock: how many profiles reach the per-profile kernel."""
+    """Counts, not wall-clock: the block columns of rows built, and how many
+    profiles reach the per-profile kernel."""
 
     @staticmethod
     def counted_search(seed, monkeypatch):
-        rows = [0]
+        """(value, columns, rows) of the desk search at `seed`."""
+        counts = {"columns": 0, "rows": 0}
+        block, values = oracle._block, oracle._profile_values
 
-        def counting(r, *args):
-            rows[0] += r.shape[0]
-            return _profile_values(r, *args)
+        def counting_block(head, fast):
+            counts["columns"] += head.shape[1] * fast.shape[1]
+            return block(head, fast)
 
-        monkeypatch.setattr(oracle, "_profile_values", counting)
+        def counting_values(r, *args):
+            counts["rows"] += r.shape[0]
+            return values(r, *args)
+
+        monkeypatch.setattr(oracle, "_block", counting_block)
+        monkeypatch.setattr(oracle, "_profile_values", counting_values)
         cfg = ScenarioConfig(M=2, N=2, seed=seed, r0=1.0, **DESK)
         _, _, val = grid_search_joint(generate_scenario(cfg), cfg, GridSpec(256, 1500, 1))
-        return val, rows[0]
+        return val, counts["columns"], counts["rows"]
 
     def test_mrt_won_search_evaluates_under_one_percent(self, monkeypatch):
         # desk seed 1: MRT meets the target at the profile of largest ||r||^2
-        _, rows = self.counted_search(1, monkeypatch)
+        _, columns, rows = self.counted_search(1, monkeypatch)
         assert rows < 0.01 * 256 ** 2
+        assert columns == 256  # _separable_rows' table over the trailing element
 
     def test_all_binding_search_keeps_its_value(self, monkeypatch):
         # desk seed 0: the constraint binds on every profile, so the ||r||^2
         # screen keeps them all and the dual-function screen does the work
-        val, rows = self.counted_search(0, monkeypatch)
+        val, _, rows = self.counted_search(0, monkeypatch)
         assert val == pytest.approx(JOINT_DESK_W[0], rel=1e-12)
         assert rows < 0.1 * 256 ** 2
+
+    def test_all_binding_search_builds_no_rows_to_screen(self, monkeypatch):
+        # desk seed 0: the screen at lam > 0 reads forms, so the only rows
+        # built are _separable_rows' table (the rows screen built 65,792
+        # columns); 4,749 rows reached the kernel under the rows screen, and
+        # delta_f keeps only profiles within about 1e-14 of the cut more (none
+        # on this seed): 64 rows allow for them
+        _, columns, rows = self.counted_search(0, monkeypatch)
+        assert columns == 256
+        assert rows <= 4749 + 64
 
 
 class TestAgainstDirectionGrid:
@@ -378,6 +397,59 @@ class TestNorm2Form:
         k = np.ravel_multi_index(d, (levels,) * 3)
         assert want[k] == pytest.approx(1e-12 * scale ** 2, rel=0.1)
         assert np.all(np.abs(got - want) <= delta)
+        assert abs(got[k] - want[k]) > SCREEN_MARGIN * want[k]
+
+
+def dual_columns(coef):
+    """The r, b and e columns of the separable coefficients at M = 2."""
+    return coef[..., :2], coef[..., 2:4], coef[..., 4:]
+
+
+class TestDualForm:
+    """The dual-function form of the lam > 0 screen against _dual_bound of the
+    separable rows, at M = 2."""
+
+    @staticmethod
+    def form_and_rows(coef, levels, gain, lam, c):
+        """Every profile's f(lam) from the forms and from the rows, and delta_f."""
+        fast, heads, slow = _separable_rows(coef, levels)
+        f, delta_f = _dual_form(coef, levels, slow, gain, lam, c)
+        pairs = [(f(digits), _dual_bound(*dual_columns(_block(head, fast).T), gain, lam, c))
+                 for _, head, digits in heads()]
+        return *map(np.concatenate, zip(*pairs)), delta_f
+
+    @pytest.mark.parametrize("chunk", [4, 16, 64, oracle.CHUNK])
+    def test_matches_the_rows_in_every_layout(self, chunk, monkeypatch):
+        # at 8 levels and N = 3, chunks 4, 16, 64 and the default hold 3, 2, 1
+        # and 0 leading elements
+        monkeypatch.setattr(oracle, "CHUNK", chunk)
+        rng = np.random.default_rng(62)
+        for n in range(4):
+            for levels in (2, 3, 8):
+                for lam in (0.1, 1.0, 10.0, 100.0):
+                    coef = cnormal(rng, n + 1, 6) * 10.0 ** rng.uniform(-3, 1, (n + 1, 1))
+                    gain, c = 2.0 ** rng.uniform(0.05, 6), rng.uniform(0.0, 2.0)
+                    got, want, delta_f = self.form_and_rows(coef, levels, gain, lam, c)
+                    assert got.shape == want.shape == (levels ** n,)
+                    assert np.all(np.abs(got - want) <= delta_f)
+
+    @pytest.mark.parametrize("chunk", [4, 16, 64, oracle.CHUNK])
+    def test_cancelling_rows_stay_within_delta_f(self, chunk, monkeypatch):
+        # the direct rows cancel r, b and e at the profile d up to 1e-6 of
+        # their scale, so S = R + lam A and, at c = 0, f = lambda_max(S) are
+        # about 1e-12 of it there: delta_f covers the forms' rounding, the
+        # relative margin does not
+        monkeypatch.setattr(oracle, "CHUNK", chunk)
+        rng = np.random.default_rng(63)
+        levels, d, lam = 8, (3, 5, 1), 2.0
+        coef = cnormal(rng, 4, 6)
+        coef[3] = -_roots(levels)[list(d)] @ coef[:3]
+        coef[3] += 1e-6 * np.abs(coef[:3]).sum(axis=0) * np.exp(2j * np.pi * rng.uniform(size=6))
+        got, want, delta_f = self.form_and_rows(coef, levels, 2.0, lam, 0.0)
+        k = np.ravel_multi_index(d, (levels,) * 3)
+        scale = sum(np.linalg.norm(x, axis=1).sum() ** 2 for x in dual_columns(coef))
+        assert 0 < want[k] < 1e-10 * scale
+        assert np.all(np.abs(got - want) <= delta_f)
         assert abs(got[k] - want[k]) > SCREEN_MARGIN * want[k]
 
 
