@@ -30,21 +30,23 @@ screens a block from inner products: a profile is infeasible when
 lambda_max(A) <= c, and its value is ||r||^2 when MRT (x = r / ||r||) meets
 the constraint.  Where it binds, the dual is minimized in closed form at M = 2
 and by golden-section search over batched eigvalsh at M = 3.  The beamformer
-is recovered at the winning profile only, and the value returned is the
-harvested power of the recovered pair.
+is recovered at the winning profile only, by a bisection that starts from
+the few ulps around the multiplier the kernel returned for it, and the
+value returned is the harvested power of the recovered pair.
 
 The screens read no rows, except the second pass at lam > 0 when M = 3,
 which builds each block's rows.  With C = conj(H_r), r = sum_n v_n C[n]
 (v_N = 1), and with K = C C^H, ||r||^2 = v^H K v is a real quadratic form
 in the digits d_n of v_n = roots[d_n]: tr K, plus a_p[d_p] = 2 Re(roots[d_p]
 K[p, N]) per element, plus c_pq[(d_q - d_p) mod levels] = 2 Re(conj(roots[j])
-K[p, q]) per pair of elements.  Three kinds of tables of `levels` entries give it.  The pair
-table is circulant in (d_p, d_q): its row d_p is a window of c_pq repeated
-twice, a zero-copy view.  The part over the trailing elements is summed once;
-each block of profiles adds the leading elements' entries and broadcasts
-their circulant rows along the trailing axes.  Any Hermitian kernel K gives
-such a form (_form), and at M = 2 so does the dual function at lam > 0: with
-S = R + lam A, T = (S00 + S11) / 2 and H = (S00 - S11) / 2,
+K[p, q]) per pair of elements.  Three kinds of tables of `levels` entries
+give it.  The pair table is circulant in (d_p, d_q): its row d_p is a window
+of c_pq repeated twice, a zero-copy view.  The part over the trailing
+elements is summed once; each block of profiles adds the leading elements'
+entries and broadcasts their circulant rows along the trailing axes.  Any
+Hermitian kernel K gives such a form (_form), and at M = 2 so does the dual
+function at lam > 0: with S = R + lam A, T = (S00 + S11) / 2 and H = (S00 -
+S11) / 2,
 
     f(lam) = T - lam c + sqrt(H^2 + (Re S01)^2 + (Im S01)^2),
 
@@ -394,26 +396,38 @@ def _dual_minimum(r, b, e, gain, hi, c):
     return np.minimum(f1, f2), np.where(f1 <= f2, x1, x2)
 
 
-def _bisect(ok, lo, hi):
-    """Shrink [lo, hi], where the monotone predicate ok turns true between
-    lo and hi (ok(hi) true), down to rounding."""
+def _bisect(probe, lo, at_lo, hi, at_hi):
+    """Shrink [lo, hi], where a monotone predicate turns true between lo and
+    hi (true at hi), down to rounding.  probe(mid) returns the predicate at
+    mid and a value that the end it replaces keeps; returns the values kept
+    at the final ends."""
     for _ in range(MAX_BISECTIONS):
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        lo, hi = (lo, mid) if ok(mid) else (mid, hi)
-    return lo, hi
+        ok, at_mid = probe(mid)
+        if ok:
+            hi, at_hi = mid, at_mid
+        else:
+            lo, at_lo = mid, at_mid
+    return at_lo, at_hi
 
 
-def _recover_direction(r, b, e, gain, c):
-    """Unit x attaining the value of one feasible profile.
+def _recover_direction(r, b, e, gain, c, lam):
+    """Unit x attaining the value of one feasible profile, given the
+    multiplier lam that the kernel returned for it.
 
     MRT when it meets the constraint.  Otherwise the dual optimum lam* > 0
     is bisected on its derivative x(lam)^H A x(lam) - c, x(lam) the top
-    eigenvector of R + lam A, which is nondecreasing in lam.  The end
-    eigenvectors of the final bracket span the top eigenspace at lam* (two-
-    dimensional when eigenvalues cross there), and x is the point of their
-    segment where x^H A x reaches c, on its feasible side.
+    eigenvector of R + lam A, which is nondecreasing in lam.  The bisection
+    starts from the few ulps around lam when the derivative's signs at their
+    ends show that they hold lam*, and else from [0, hi], hi twice the bound
+    ||r||^2 / (lambda_max(A) - c), whose feasible end is A's top eigenvector
+    (the limit of x(lam) as lam grows, with x^H A x = lambda_max(A) > c), so
+    no eigh is taken at hi.  The end vectors of the final bracket span the
+    top eigenspace at lam* (two-dimensional when eigenvalues cross there),
+    and x is the point of their segment where x^H A x reaches c, on its
+    feasible side.
     """
     R = np.outer(r, r.conj())
     A = np.outer(b, b.conj()) - gain * np.outer(e, e.conj())
@@ -422,23 +436,32 @@ def _recover_direction(r, b, e, gain, c):
         return np.vdot(x, A @ x).real - c * np.vdot(x, x).real
 
     def top(lam):
-        return np.linalg.eigh(R + lam * A)[1][:, -1]
+        x = np.linalg.eigh(R + lam * A)[1][:, -1]
+        return slack(x) >= 0, x
 
     rr = np.vdot(r, r).real
     if rr > 0 and slack(r) >= 0:
         return r / np.sqrt(rr)
     vals_a, vecs_a = np.linalg.eigh(A)
-    hi = 2.0 * rr / (vals_a[-1] - c) if vals_a[-1] > c else 0.0
-    if rr == 0 or hi == 0 or slack(top(hi)) < 0:
+    if rr == 0 or vals_a[-1] <= c:
         # every feasible x is optimal (r = 0), or lambda_max(A) - c is at rounding level
         return vecs_a[:, -1]
-    lo, hi = _bisect(lambda lam: slack(top(lam)) >= 0, 0.0, hi)
-    x_lo, x_hi = top(lo), top(hi)
+    bracket = 0.0, r / np.sqrt(rr), 2.0 * rr / (vals_a[-1] - c), vecs_a[:, -1]
+    if lam > 0:
+        lo, hi = lam - 4.0 * np.spacing(lam), lam + 4.0 * np.spacing(lam)
+        (ok_lo, x_lo), (ok_hi, x_hi) = top(lo), top(hi)
+        if ok_hi and not ok_lo:
+            bracket = lo, x_lo, hi, x_hi
+    x_lo, x_hi = _bisect(top, *bracket)
     s = np.vdot(x_hi, x_lo)
     if s != 0:
         x_hi = x_hi * (s / abs(s))  # phase-align the ends so the segment avoids 0
-    t = _bisect(lambda t: slack((1.0 - t) * x_lo + t * x_hi) >= 0, 0.0, 1.0)[1]
-    x = (1.0 - t) * x_lo + t * x_hi
+
+    def point(t):
+        x = (1.0 - t) * x_lo + t * x_hi
+        return slack(x) >= 0, x
+
+    x = _bisect(point, 0.0, x_lo, 1.0, x_hi)[1]
     return x / np.linalg.norm(x)
 
 
@@ -468,7 +491,9 @@ def grid_search_joint(channels, cfg, grid):
         return value - SCREEN_MARGIN * abs(value)
 
     def dual_form(lam):  # the form screen by the dual function at lam, M = 2
-        return _dual_form(coef, grid.phase_levels, slow, gain, lam, c) if m == 2 and lam > 0 else None
+        if m == 2 and lam > 0:
+            return _dual_form(coef, grid.phase_levels, slow, gain, lam, c)
+        return None
 
     # No profile is worth more than its ||r||^2 nor, for any lam >= 0, its
     # dual function at lam.  So the value of the profile of largest ||r||^2,
@@ -487,7 +512,7 @@ def grid_search_joint(channels, cfg, grid):
     cut, lam = floor(vals[0]), lams[0]
     dual = dual_form(lam)
 
-    best, best_index, best_rows = -np.inf, None, None
+    best, best_index, best_rows, best_lam = -np.inf, None, None, 0.0
     for start, head, digits in heads():
         if lam > 0 and m == 3:
             block = _block(head, fast).T
@@ -504,7 +529,8 @@ def grid_search_joint(channels, cfg, grid):
         vals, lams = _profile_values(*split(rows), gain, c)
         k = int(np.argmax(vals))
         if vals[k] > best:
-            best, best_index, best_rows = vals[k], start * size + idx[k], rows[k]
+            best, best_index = vals[k], start * size + idx[k]
+            best_rows, best_lam = rows[k], lams[k]
         if floor(vals[k]) > cut:
             cut, lam = floor(vals[k]), lams[k]
             dual = dual_form(lam)
@@ -512,7 +538,7 @@ def grid_search_joint(channels, cfg, grid):
     if best_rows is None:
         raise SubproblemInfeasible("no profile of the phase grid meets the secrecy target")
     u = _grid_profile(best_index, n, grid.phase_levels)
-    w = np.sqrt(cfg.ps_w) * _recover_direction(*split(best_rows), gain, c)
+    w = np.sqrt(cfg.ps_w) * _recover_direction(*split(best_rows), gain, c, best_lam)
     return w, u, harvested_power(w, u, channels, cfg.zeta)
 
 

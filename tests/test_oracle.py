@@ -29,20 +29,21 @@ JOINT_DESK_W = {0: 4.820404496080396e-05, 11: 1.0813786955853802e-05}
 def full_scan(ch, cfg, levels):
     """Reference for grid_search_joint: every profile's rows V @ H^*, over
     phase_chunks, through _profile_values, the lowest-index argmax, and the
-    beamformer recovered there.  Returns (u, harvested watts)."""
+    beamformer recovered there from its multiplier.  Returns (u, harvested
+    watts)."""
     gain = 2.0 ** cfg.r0
     c = (gain - 1.0) * cfg.sigma2_w / cfg.ps_w
-    best, best_u, best_rbe = -np.inf, None, None
+    best, best_u, best_rbe, best_lam = -np.inf, None, None, 0.0
     for U in phase_chunks(cfg.N, levels):
         V = np.concatenate([U, np.ones((U.shape[0], 1))], axis=1)
         rbe = [V @ H.conj() for H in (ch.H_r, ch.H_b, ch.H_e)]
-        vals, _ = _profile_values(*rbe, gain, c)
+        vals, lams = _profile_values(*rbe, gain, c)
         k = int(np.argmax(vals))
         if vals[k] > best:
-            best, best_u, best_rbe = vals[k], U[k], [x[k] for x in rbe]
+            best, best_u, best_rbe, best_lam = vals[k], U[k], [x[k] for x in rbe], lams[k]
     if best_u is None:
         raise SubproblemInfeasible("no profile of the phase grid meets the secrecy target")
-    w = np.sqrt(cfg.ps_w) * _recover_direction(*best_rbe, gain, c)
+    w = np.sqrt(cfg.ps_w) * _recover_direction(*best_rbe, gain, c, best_lam)
     return best_u, harvested_power(w, best_u, ch, cfg.zeta)
 
 
@@ -216,6 +217,24 @@ class TestScreenCounts:
         assert columns == 256
         assert rows <= 4749 + 64
 
+    @pytest.mark.parametrize("seed", [0, 11, 18])
+    def test_all_binding_recovery_starts_at_the_kernels_multiplier(self, seed, monkeypatch):
+        # the all-binding desk seeds of the oracle_desk benchmark: at M = 2 the
+        # recovery takes every eigh of the search, eigh(A) and the two ends of
+        # the 8-ulp bracket around the kernel's multiplier, which holds lam*
+        # here, and 3 halvings of it (the bisection from [0, hi] took 58-59)
+        calls = [0]
+        eigh = np.linalg.eigh
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        cfg = ScenarioConfig(M=2, N=2, seed=seed, r0=1.0, **DESK)
+        grid_search_joint(generate_scenario(cfg), cfg, GridSpec(256, 1500, 1))
+        assert calls[0] <= 6
+
 
 class TestAgainstDirectionGrid:
     @pytest.mark.parametrize("m,n", SMALL)
@@ -331,7 +350,9 @@ class TestKernel:
         assert flat == pytest.approx([rr[0] - c[0], rr[1]], rel=1e-15)
 
     def test_recovered_direction_attains_closed_form(self):
-        # strong duality: the recovered x is feasible and attains the dual value
+        # strong duality: the recovered x is feasible and attains the dual
+        # value, from the bracket around the kernel's multiplier and from the
+        # fallback [0, hi] that a multiplier of 0 or 1.5 times it takes
         eps = np.finfo(float).eps
         for seed in JOINT_DESK_W:
             cfg = ScenarioConfig(M=2, N=2, seed=seed, r0=1.0, **DESK)
@@ -342,13 +363,14 @@ class TestKernel:
             V = np.concatenate([U, np.ones((U.shape[0], 1))], axis=1)
             r, b, e = (V @ H.conj() for H in (ch.H_r, ch.H_b, ch.H_e))
             rr = np.sum(np.abs(r) ** 2, axis=1)
-            values, _ = _dual_minimum_2x2(r, b, e, gain, rr / (_lam_max_a(b, e, gain) - c), c)
+            values, lams = _dual_minimum_2x2(r, b, e, gain, rr / (_lam_max_a(b, e, gain) - c), c)
             assert np.all(values < rr)  # every profile binds
             for k in range(U.shape[0]):
-                x = _recover_direction(r[k], b[k], e[k], gain, c)
-                pb, pe = abs(np.vdot(x, b[k])) ** 2, gain * abs(np.vdot(x, e[k])) ** 2
-                assert pb - pe - c >= -4 * eps * (pb + pe)  # x^H A x >= c up to its rounding
-                assert abs(np.vdot(x, r[k])) ** 2 == pytest.approx(values[k], rel=1e-9)
+                for lam in (lams[k], 0.0, 1.5 * lams[k]):
+                    x = _recover_direction(r[k], b[k], e[k], gain, c, lam)
+                    pb, pe = abs(np.vdot(x, b[k])) ** 2, gain * abs(np.vdot(x, e[k])) ** 2
+                    assert pb - pe - c >= -4 * eps * (pb + pe)  # x^H A x >= c up to its rounding
+                    assert abs(np.vdot(x, r[k])) ** 2 == pytest.approx(values[k], rel=1e-9)
 
     @pytest.mark.parametrize("seed", sorted(JOINT_DESK_W))
     def test_desk_value_pinned(self, seed):
