@@ -50,8 +50,8 @@ S11) / 2,
 
     f(lam) = T - lam c + sqrt(H^2 + (Re S01)^2 + (Im S01)^2),
 
-where T, H, Re S01 and Im S01 are forms in v whose kernels are rebuilt
-whenever the incumbent's lam changes (_dual_form).  The forms round
+where T, H, Re S01 and Im S01 are forms in v, of one stack of four kernels
+rebuilt whenever the incumbent's lam changes (_dual_form).  The forms round
 differently from the rows, so these screens keep every profile within delta
 = 64 eps (sum_n ||C[n]||)^2 below the cut by ||r||^2 (_norm2_form derives
 the bound) and within delta_f, the sum of the four forms' bounds, by f
@@ -150,42 +150,46 @@ def _separable_rows(coef, levels):
 
 
 def _form(K, levels, slow):
-    """The real form sum_pq v_p conj(v_q) K[p, q] of a Hermitian kernel K
-    ((N + 1) x (N + 1)), v_n = roots[d_n] and v_N = 1, of the profiles of the
-    phase grid (see the module docstring), in the layout of _separable_rows
-    with `slow` leading elements.
+    """The real forms sum_pq v_p conj(v_q) K[..., p, q] of a stack of
+    Hermitian kernels K (..., N + 1, N + 1), v_n = roots[d_n] and v_N = 1, of
+    the profiles of the phase grid (see the module docstring), in the layout
+    of _separable_rows with `slow` leading elements.
 
-    Returns form(digits): for the digits of a head run, the run's values in
-    the order of its profiles.  The part over the trailing elements is built
-    here, the circulant rows are views, and a run takes one entry or row per
-    leading element or pair, with no index arithmetic per profile.
+    Returns form(digits): for the digits of a head run, the run's values
+    (..., profiles) in the order of its profiles.  The part over the trailing
+    elements is built here, the circulant rows are views, and a run takes one
+    entry or row per leading element or pair, with no index arithmetic per
+    profile.  The trailing elements' axes are counted from the end, behind the
+    stack's.
     """
-    n = K.shape[0] - 1
+    n = K.shape[-1] - 1
     roots = _roots(levels)
-    a = 2.0 * (K[:-1, -1, None] * roots).real  # a[p, d]
+    a = 2.0 * (K[..., :-1, -1, None] * roots).real  # a[..., p, d]
 
     def circulant(p, q):  # row d_p holds c_pq[(d_q - d_p) mod levels] over d_q
-        c = 2.0 * (K[p, q] * roots.conj()).real
-        return sliding_window_view(np.concatenate([c, c]), levels)[levels:0:-1]
+        c = 2.0 * (K[..., p, q, None] * roots.conj()).real
+        twice = np.concatenate([c, c], axis=-1)
+        return sliding_window_view(twice, levels, axis=-1)[..., levels:0:-1, :]
 
-    def others(*elements, lead=0):  # the axes of the other trailing elements
-        return tuple(lead + i - slow for i in range(slow, n) if i not in elements)
+    def others(*elements):  # the axes of the other trailing elements
+        return tuple(i - n for i in range(slow, n) if i not in elements)
 
-    fast = np.full((levels,) * (n - slow), np.trace(K).real)
+    fast = np.trace(K, axis1=-2, axis2=-1).real.reshape(K.shape[:-2] + (1,) * (n - slow))
     for p in range(slow, n):
-        fast = fast + np.expand_dims(a[p], others(p))
+        fast = fast + np.expand_dims(a[..., p, :], others(p))
         for q in range(p + 1, n):
             fast = fast + np.expand_dims(circulant(p, q), others(p, q))
+    fast = np.expand_dims(fast, -1 - (n - slow))  # the axis of the run
     slow_pairs = [(p, q, circulant(p, q)) for q in range(slow) for p in range(q)]
-    cross = [(p, circulant(p, q), others(q, lead=1)) for p in range(slow) for q in range(slow, n)]
+    cross = [(p, circulant(p, q), others(q)) for p in range(slow) for q in range(slow, n)]
 
     def form(digits):
-        part = (sum(a[p][d] for p, d in enumerate(digits))
-                + sum(t[digits[p], digits[q]] for p, q, t in slow_pairs))
-        out = np.add.outer(part, fast)
+        part = (sum(a[..., p, d] for p, d in enumerate(digits))
+                + sum(t[..., digits[p], digits[q]] for p, q, t in slow_pairs))
+        out = np.expand_dims(part, tuple(range(-(n - slow), 0))) + fast
         for p, t, axes in cross:
-            out += np.expand_dims(t[digits[p]], axes)
-        return out.reshape(-1)
+            out += np.expand_dims(t[..., digits[p], :], axes)
+        return out.reshape(K.shape[:-2] + (-1,))
 
     return form
 
@@ -222,44 +226,48 @@ def _dual_form(coef, levels, slow, gain, lam, c):
     lam >= 0 of the profiles of the phase grid at M = 2, from four forms.
     With T = (S00 + S11) / 2 and H = (S00 - S11) / 2,
 
-        f = T - lam c + sqrt(H^2 + (Re S01)^2 + (Im S01)^2),
+        f = T - lam c + sqrt(H^2 + (Re S01)^2 + (Im S01)^2).
 
-    and each of T, H, Re S01 and Im S01 is tr(S X) for X = I / 2, sigma_z / 2,
-    sigma_x / 2 or sigma_y / 2 (up to sign).  As S = sum_x s_x x x^H over the
-    rows x = r, b, e (s = 1, lam, -lam gain), tr(S X) is the _form of the
-    kernel sum_x s_x C_x X C_x^H, C_x the columns of coef that sum to x; the
-    kernel of T also takes -lam c in its last diagonal entry, as v_N = 1.
-    Returns (f, delta_f), f(digits) the values of a head run.
+    As S = sum_x s_x x x^H over the rows x = r, b, e (s = 1, lam, -lam gain),
+    S_ij is the form of Q[i, j] = sum_x s_x C_x[:, i] C_x[:, j]^H, C_x the
+    columns of coef that sum to x.  So T, H, Re S01 and Im S01 are the _forms
+    of the Hermitian kernels (Q00 + Q11) / 2, (Q00 - Q11) / 2, (Q01 + Q10) / 2
+    and (Q01 - Q10) / 2i, built as one stack; T's kernel also takes -lam c in
+    its last diagonal entry, as v_N = 1.  Returns (f, delta_f), f(digits) the
+    values of a head run.
 
     delta_f = 64 eps (2 W + lam c), W = S_r^2 + lam (S_b^2 + gain S_e^2) with
     S_x = sum_n ||C_x[n]||, bounds |f - _dual_bound of the rows|.  The square
     root is 1-Lipschitz, so |f - f'| is at most the sum of the four forms'
-    differences, and delta_f is the sum of their bounds: each form's terms
-    have total modulus at most W / 2 (||X|| = 1/2), and T's lam c more.  Per
-    form, to first order in units of eps over that total, as for
-    _norm2_form's delta:
+    differences, and delta_f is the sum of their bounds: by Cauchy-Schwarz
+    each kernel entry [p, q] has modulus at most sum_x |s_x| ||C_x[p]||
+    ||C_x[q]|| / 2, so each form's terms have total modulus at most W / 2,
+    and T's lam c more.  Per form, to first order in units of eps over that
+    total, as for _norm2_form's delta:
     - the rows: their entries give 25 + N as there; _dual_2x2's squares,
       products, scalings by gain and lam, and sums add at most 4, and the
       modulus, the hypot and the final sum 2;
-    - the form: C_x X is exact (X has one entry of modulus 1/2 per row), the
-      M = 2 inner product is off by 2.5 and the sum over x by 2 more, and
-      with the root, its product and the 1 + N (N + 1) / 2 terms that is
-      17 + N (N + 1) / 4, with the lam c entry's subtraction; the squares,
-      the sum, the square root and the final sum add 2.
+    - the form: an entry of Q sums three products (1.5 each) scaled by s
+      (0.5), 3 with the sums, and the kernel's sum adds 0.5, so with the
+      root, its product and the 1 + N (N + 1) / 2 terms that is 17 + N (N +
+      1) / 4, with the lam c entry's subtraction; the squares, the sum, the
+      square root and the final sum add 2.
     The sum, 50 + N + N (N + 1) / 4, is at most 56 for N <= 3; 64 leaves room
     for the second-order terms.
     """
-    paulis = 0.5 * np.array([[[1, 0], [0, 1]], [[1, 0], [0, -1]],
-                             [[0, 1], [1, 0]], [[0, -1j], [1j, 0]]])
-    parts = [(1.0, coef[:, :2]), (lam, coef[:, 2:4]), (-lam * gain, coef[:, 4:])]
-    kernels = [sum(s * (C @ X @ C.conj().T) for s, C in parts) for X in paulis]
-    kernels[0][-1, -1] -= lam * c
-    t, h, x, y = (_form(K, levels, slow) for K in kernels)
+    C = coef.reshape(coef.shape[0], 3, 2)  # C[n, x, i]: entry i of row x = r, b, e
+    s = np.array([1.0, lam, -lam * gain])
+    Q = np.einsum("pxi,x,qxj->ijpq", C, s, C.conj())  # S_ij is the form of Q[i, j]
+    K = 0.5 * np.stack([Q[0, 0] + Q[1, 1], Q[0, 0] - Q[1, 1],
+                        Q[0, 1] + Q[1, 0], -1j * (Q[0, 1] - Q[1, 0])])
+    K[0, -1, -1] -= lam * c
+    form = _form(K, levels, slow)
 
     def f(digits):
-        return t(digits) + np.sqrt(h(digits) ** 2 + x(digits) ** 2 + y(digits) ** 2)
+        t, h, x, y = form(digits)
+        return t + np.sqrt(h ** 2 + x ** 2 + y ** 2)
 
-    weight = sum(abs(s) * np.linalg.norm(C, axis=1).sum() ** 2 for s, C in parts)
+    weight = np.abs(s) @ np.linalg.norm(C, axis=2).sum(axis=0) ** 2
     return f, 64 * np.finfo(float).eps * (2.0 * weight + lam * c)
 
 
