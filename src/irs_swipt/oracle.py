@@ -434,8 +434,11 @@ def _recover_direction(r, b, e, gain, c, lam):
     (the limit of x(lam) as lam grows, with x^H A x = lambda_max(A) > c), so
     no eigh is taken at hi.  The end vectors of the final bracket span the
     top eigenspace at lam* (two-dimensional when eigenvalues cross there),
-    and x is the point of their segment where x^H A x reaches c, on its
-    feasible side.
+    and x is the point of their segment where x^H A x = c.  With the ends
+    phase-aligned, x(t) = (1 - t) x_lo + t x_hi has x^H A x - c x^H x =
+    a (1-t)^2 + 2 beta t (1-t) + g t^2, where a < 0 <= g are the ends'
+    slacks, and its root in (0, 1] is t = -a / (beta - a + sqrt(beta^2 - a g)),
+    a form that does not cancel.
     """
     R = np.outer(r, r.conj())
     A = np.outer(b, b.conj()) - gain * np.outer(e, e.conj())
@@ -445,7 +448,8 @@ def _recover_direction(r, b, e, gain, c, lam):
 
     def top(lam):
         x = np.linalg.eigh(R + lam * A)[1][:, -1]
-        return slack(x) >= 0, x
+        g = slack(x)
+        return g >= 0, (x, g)
 
     rr = np.vdot(r, r).real
     if rr > 0 and slack(r) >= 0:
@@ -454,22 +458,20 @@ def _recover_direction(r, b, e, gain, c, lam):
     if rr == 0 or vals_a[-1] <= c:
         # every feasible x is optimal (r = 0), or lambda_max(A) - c is at rounding level
         return vecs_a[:, -1]
-    bracket = 0.0, r / np.sqrt(rr), 2.0 * rr / (vals_a[-1] - c), vecs_a[:, -1]
+    x = r / np.sqrt(rr)
+    bracket = 0.0, (x, slack(x)), 2.0 * rr / (vals_a[-1] - c), (vecs_a[:, -1], vals_a[-1] - c)
     if lam > 0:
         lo, hi = lam - 4.0 * np.spacing(lam), lam + 4.0 * np.spacing(lam)
-        (ok_lo, x_lo), (ok_hi, x_hi) = top(lo), top(hi)
+        (ok_lo, at_lo), (ok_hi, at_hi) = top(lo), top(hi)
         if ok_hi and not ok_lo:
-            bracket = lo, x_lo, hi, x_hi
-    x_lo, x_hi = _bisect(top, *bracket)
+            bracket = lo, at_lo, hi, at_hi
+    (x_lo, a), (x_hi, g) = _bisect(top, *bracket)
     s = np.vdot(x_hi, x_lo)
     if s != 0:
         x_hi = x_hi * (s / abs(s))  # phase-align the ends so the segment avoids 0
-
-    def point(t):
-        x = (1.0 - t) * x_lo + t * x_hi
-        return slack(x) >= 0, x
-
-    x = _bisect(point, 0.0, x_lo, 1.0, x_hi)[1]
+    beta = np.vdot(x_lo, A @ x_hi).real - c * np.vdot(x_lo, x_hi).real
+    t = -a / (beta - a + np.sqrt(beta * beta - a * g))
+    x = (1.0 - t) * x_lo + t * x_hi
     return x / np.linalg.norm(x)
 
 
