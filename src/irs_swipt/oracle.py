@@ -452,14 +452,16 @@ def _recover_direction(r, b, e, gain, c, lam):
         return g >= 0, (x, g)
 
     rr = np.vdot(r, r).real
-    if rr > 0 and slack(r) >= 0:
-        return r / np.sqrt(rr)
+    mrt = r / np.sqrt(rr) if rr > 0 else r
+    mrt_slack = slack(mrt)
+    if rr > 0 and mrt_slack >= 0:
+        return mrt
     vals_a, vecs_a = np.linalg.eigh(A)
     if rr == 0 or vals_a[-1] <= c:
         # every feasible x is optimal (r = 0), or lambda_max(A) - c is at rounding level
         return vecs_a[:, -1]
-    x = r / np.sqrt(rr)
-    bracket = 0.0, (x, slack(x)), 2.0 * rr / (vals_a[-1] - c), (vecs_a[:, -1], vals_a[-1] - c)
+    top_a = vecs_a[:, -1], vals_a[-1] - c
+    bracket = 0.0, (mrt, mrt_slack), 2.0 * rr / (vals_a[-1] - c), top_a
     if lam > 0:
         lo, hi = lam - 4.0 * np.spacing(lam), lam + 4.0 * np.spacing(lam)
         (ok_lo, at_lo), (ok_hi, at_hi) = top(lo), top(hi)
